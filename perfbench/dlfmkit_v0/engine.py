@@ -1,0 +1,164 @@
+"""Block coordinate descent driver: alternate the parameter and factor solves.
+
+Each restart draws a fresh random relaxed assignment, alternates the two
+block problems until the chosen termination rule fires, and the best final
+objective across restarts wins. Everything is deterministic given
+(spec, data, seed): restart r uses an RNG stream derived by splitmix64.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from concurrent.futures import ProcessPoolExecutor
+
+import numpy as np
+
+from . import fsolve, model, psolve
+
+GAP_CONVERGED = "gap_converged"
+OBJECTIVE_STALLED = "objective_stalled"
+MAX_ITER = "max_iter"
+
+
+class EngineFailure(RuntimeError):
+    """Every restart aborted inside a subsolver."""
+
+
+@dataclass(eq=False)
+class FitResult:
+    thetas: list
+    Z: np.ndarray
+    labels: np.ndarray  # 1-based hardened assignment
+    objective_trace: list  # (iteration, objective after P, objective after F)
+    status: str
+    iterations: int
+    restart_index_of_best: int
+    seed_used: int
+
+
+_MASK64 = (1 << 64) - 1
+_GOLDEN = 0x9E3779B97F4A7C15
+
+
+def splitmix64(seed: int, index: int) -> int:
+    """Decorrelated 64-bit stream seed for restart number index."""
+    z = (seed + (index + 1) * _GOLDEN) & _MASK64
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+    return z ^ (z >> 31)
+
+
+def init_factors(m: int, K: int, rng: np.random.Generator) -> np.ndarray:
+    """Random interior start: rows drawn flat on the simplex, renormalized."""
+    Z = rng.dirichlet(np.ones(K), size=m)
+    return Z / Z.sum(axis=1, keepdims=True)
+
+
+def gap(after_p: float, after_f: float) -> float:
+    """Termination gap between the two half-step objectives."""
+    return abs(after_p - after_f)
+
+
+def _run_restart(spec: model.ModelSpec, data: model.Dataset, restart: int):
+    c = spec.controls
+    rng = np.random.default_rng(splitmix64(c.seed, restart))
+    Z = init_factors(data.m, spec.K, rng)
+
+    f_regs = spec.f_regularizers
+    lam_z = sum(r.weight for r in f_regs if r.kind == model.KL_CHAIN)
+    regularized = bool(spec.p_regularizers) or bool(f_regs)
+
+    workspaces = psolve.make_workspaces(spec.K)
+    thetas = None
+    trace: list = []
+    prev_total = None
+    status = MAX_ITER
+    failed_last = False
+    for it in range(1, c.max_iter + 1):
+        try:
+            out = psolve.solve_p(spec, data, Z, warm=thetas, workspaces=workspaces)
+            thetas = out.thetas
+            failed_last = False
+        except psolve.SubsolverFailure:
+            # keep the previous block values for one more iteration
+            if failed_last or thetas is None:
+                raise
+            failed_last = True
+        R = model.loss_matrix(spec, data, thetas)
+        freg_prev = model.f_regularizer_value(f_regs, Z)
+        preg = model.p_regularizer_value(spec.p_regularizers, thetas)
+        after_p = float((Z * R).sum()) + preg + freg_prev
+
+        if lam_z > 0.0:
+            Z, _ = fsolve.solve_f_kl(R, lam_z, Z, tol=c.f_tol, max_iter=c.f_max_iter)
+            after_f = float((Z * R).sum()) + preg + lam_z * model.kl_chain_value(Z)
+        else:
+            Z = fsolve.solve_f_plain(R)
+            after_f = float((Z * R).sum()) + preg
+
+        trace.append((it, after_p, after_f))
+        if not regularized:
+            if gap(after_p, after_f) <= c.eps:
+                status = GAP_CONVERGED
+                break
+        else:
+            if prev_total is not None and abs(after_f - prev_total) <= c.eps * max(1.0, abs(prev_total)):
+                status = OBJECTIVE_STALLED
+                break
+        prev_total = after_f
+
+    return FitResult(
+        thetas=thetas,
+        Z=Z,
+        labels=fsolve.harden(Z),
+        objective_trace=trace,
+        status=status,
+        iterations=len(trace),
+        restart_index_of_best=restart,
+        seed_used=splitmix64(c.seed, restart),
+    )
+
+
+def fit(spec: model.ModelSpec, data: model.Dataset, jobs: int = 1) -> FitResult:
+    """Validate once, run all restarts, and return the best fit.
+
+    The best run is the one with the smallest final objective, ties broken
+    by the smallest restart index. Restarts are independent, so jobs > 1 may
+    fan them out over processes without changing the result. Raises
+    ValueError on validation violations and EngineFailure if every restart
+    dies inside a subsolver.
+    """
+    report = model.validate(spec, data)
+    if not report.ok:
+        lines = "; ".join(f"{v.path}: {v.message}" for v in report.violations)
+        raise ValueError(f"invalid spec/data: {lines}")
+    spec = model.drop_zero_weight_regularizers(spec)
+
+    restarts = spec.controls.restarts
+    results: list[FitResult | None] = [None] * restarts
+    errors: list[Exception] = []
+    if jobs > 1 and restarts > 1:
+        with ProcessPoolExecutor(max_workers=min(jobs, restarts)) as pool:
+            futures = [pool.submit(_run_restart, spec, data, r) for r in range(restarts)]
+            for r, fut in enumerate(futures):
+                try:
+                    results[r] = fut.result()
+                except psolve.SubsolverFailure as exc:
+                    errors.append(exc)
+    else:
+        for r in range(restarts):
+            try:
+                results[r] = _run_restart(spec, data, r)
+            except psolve.SubsolverFailure as exc:
+                errors.append(exc)
+
+    best = None
+    for res in results:
+        if res is None:
+            continue
+        final = res.objective_trace[-1][2] if res.objective_trace else np.inf
+        if best is None or final < best[0]:
+            best = (final, res)
+    if best is None:
+        raise EngineFailure(f"all {restarts} restarts failed: {errors[0] if errors else 'no runs'}")
+    return best[1]
