@@ -13,7 +13,7 @@ from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
-from . import fsolve, model, psolve
+from . import fsolve, kernels, model, psolve
 
 GAP_CONVERGED = "gap_converged"
 OBJECTIVE_STALLED = "objective_stalled"
@@ -21,7 +21,11 @@ MAX_ITER = "max_iter"
 
 
 class EngineFailure(RuntimeError):
-    """Every restart aborted inside a subsolver."""
+    """No restart produced a finite final objective."""
+
+
+# numerical breakdowns that end one restart, not the whole fit
+_RESTART_FAILURES = (psolve.SubsolverFailure, kernels.ProjectionError)
 
 
 @dataclass(eq=False)
@@ -124,9 +128,10 @@ def fit(spec: model.ModelSpec, data: model.Dataset, jobs: int = 1) -> FitResult:
 
     The best run is the one with the smallest final objective, ties broken
     by the smallest restart index. Restarts are independent, so jobs > 1 may
-    fan them out over processes without changing the result. Raises
-    ValueError on validation violations and EngineFailure if every restart
-    dies inside a subsolver.
+    fan them out over processes without changing the result. A restart that
+    breaks down in a subsolver or projection, or ends on a non-finite
+    objective, is dropped from the selection. Raises ValueError on validation
+    violations and EngineFailure if no restart is left.
     """
     report = model.validate(spec, data)
     if not report.ok:
@@ -143,13 +148,13 @@ def fit(spec: model.ModelSpec, data: model.Dataset, jobs: int = 1) -> FitResult:
             for r, fut in enumerate(futures):
                 try:
                     results[r] = fut.result()
-                except psolve.SubsolverFailure as exc:
+                except _RESTART_FAILURES as exc:
                     errors.append(exc)
     else:
         for r in range(restarts):
             try:
                 results[r] = _run_restart(spec, data, r)
-            except psolve.SubsolverFailure as exc:
+            except _RESTART_FAILURES as exc:
                 errors.append(exc)
 
     best = None
@@ -157,8 +162,11 @@ def fit(spec: model.ModelSpec, data: model.Dataset, jobs: int = 1) -> FitResult:
         if res is None:
             continue
         final = res.objective_trace[-1][2] if res.objective_trace else np.inf
+        if not np.isfinite(final):
+            continue
         if best is None or final < best[0]:
             best = (final, res)
     if best is None:
-        raise EngineFailure(f"all {restarts} restarts failed: {errors[0] if errors else 'no runs'}")
+        reason = errors[0] if errors else "no finite final objective"
+        raise EngineFailure(f"all {restarts} restarts failed: {reason}")
     return best[1]

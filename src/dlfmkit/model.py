@@ -567,6 +567,12 @@ def validate(spec: ModelSpec, data: Dataset) -> ValidationReport:
     # dataset shapes against the (homogeneous) feature arity
     if data.features.shape[0] != data.m or data.observations.shape[0] != data.m:
         out.append(Violation("data", "features and observations must both have m rows"))
+    elif data.m == 0:
+        out.append(Violation("data", "dataset has no rows"))
+    if not np.isfinite(data.features).all():
+        out.append(Violation("data.features", "features must be finite (no NaN or inf)"))
+    if not np.isfinite(data.observations).all():
+        out.append(Violation("data.observations", "observations must be finite (no NaN or inf)"))
     if len(arities) == 1 and not out:
         matrix_features = arities.pop()
         if matrix_features:

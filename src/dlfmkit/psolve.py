@@ -24,6 +24,11 @@ class SubsolverFailure(RuntimeError):
     def __init__(self, factor: int, message: str):
         super().__init__(f"factor {factor}: {message}")
         self.factor = factor
+        self.message = message
+
+    def __reduce__(self):
+        # restarts run in pool workers send their failures back pickled
+        return type(self), (self.factor, self.message)
 
 
 @dataclass(eq=False)
@@ -143,7 +148,8 @@ def solve_p(
     parameter blocks and workspaces from the previous iteration are reused;
     the first call may pass None for both. A factor whose weight column is
     all zero keeps its warm value when unregularized and is driven to the
-    regularizer minimizer otherwise.
+    regularizer minimizer otherwise. A QP stopped at its iteration cap
+    never leaves a factor infeasible or worse than its warm value.
     """
     Z = np.asarray(Z, dtype=float)
     K, n = spec.K, spec.n
@@ -181,7 +187,6 @@ def solve_p(
         quadratic = atom.kind in _QUADRATIC and not regs
         polyhedral = all(a.kind in kernels.POLYHEDRAL_KINDS for a in atoms)
         if quadratic and polyhedral:
-            P, q = _quadratic_terms(atom, feats, obs, w)
             if not atoms:
                 if atom.kind == model.SQUARED_DISTANCE:
                     theta = (w @ (feats + obs[:, None])) / w.sum()
@@ -192,6 +197,7 @@ def solve_p(
                 iters.append(1)
                 statuses.append(P_CONVERGED)
                 continue
+            P, q = _quadratic_terms(atom, feats, obs, w)
             A, lo, hi = kernels.stack_rows(atoms, n)
             sol = kernels.qp_solve(
                 kernels.qp_problem(P, q, A, lo, hi),
@@ -203,7 +209,17 @@ def solve_p(
                 raise SubsolverFailure(k, "constraint set reported infeasible")
             if not np.all(np.isfinite(sol.x)):
                 raise SubsolverFailure(k, "QP produced non-finite parameters")
-            thetas.append(sol.x)
+            theta = sol.x
+            if sol.status != kernels.SOLVED:
+                # a capped solve may end infeasible or above its start; keep
+                # the warm point then, so the block step never ascends
+                if warm_k is None:
+                    theta = kernels.project(atoms, theta, workspace=ws.proj)
+                elif kernels.max_violation(atoms, theta) > 1e-9 or (
+                    0.5 * theta @ P @ theta + q @ theta > 0.5 * warm_k @ P @ warm_k + q @ warm_k
+                ):
+                    theta = warm_k
+            thetas.append(theta)
             iters.append(sol.iterations)
             statuses.append(P_CONVERGED if sol.status == kernels.SOLVED else P_MAX_ITER)
             continue

@@ -223,6 +223,25 @@ class TestFitCommand:
         err = capsys.readouterr().err
         assert "delta" in err
 
+    @pytest.mark.parametrize("column, cell, path", [
+        ("x0", "nan", "data.features"),
+        ("y", "inf", "data.observations"),
+    ])
+    def test_non_finite_cell_exits_2_names_field(self, tmp_path, mix_files, capsys,
+                                                 column, cell, path):
+        cfg, data = mix_files
+        lines = data.read_text().splitlines()
+        j = lines[0].split(",").index(column)
+        row = lines[1].split(",")
+        row[j] = cell
+        lines[1] = ",".join(row)
+        bad = tmp_path / "bad.csv"
+        bad.write_text("\n".join(lines) + "\n")
+        code = cli.main(["fit", "--config", str(cfg), "--data", str(bad),
+                         "--out", str(tmp_path / "o.json")])
+        assert code == 2
+        assert path in capsys.readouterr().err
+
     def test_unknown_key_exits_2_names_path(self, tmp_path, mix_files, capsys):
         _, data = mix_files
         cfg = tmp_path / "bad.json"

@@ -1,8 +1,10 @@
+import pickle
+
 import numpy as np
 import pytest
 
 import dlfmkit as dk
-from dlfmkit import engine
+from dlfmkit import engine, kernels
 
 
 def two_line_data(rng, m=30, noise=0.0):
@@ -152,3 +154,80 @@ class TestWarmStartSpeedup:
         cold = dk.solve_p(spec, data, Z)
         warm = dk.solve_p(spec, data, Z, warm=cold.thetas)
         assert sum(warm.inner_iterations) <= sum(cold.inner_iterations)
+
+
+_run_restart = engine._run_restart
+
+
+def _first_restart_raises(spec, data, restart):
+    # module level, so pool workers can unpickle it
+    if restart == 0:
+        raise dk.SubsolverFailure(1, "injected breakdown")
+    return _run_restart(spec, data, restart)
+
+
+def _nan_final(res):
+    it, after_p, _ = res.objective_trace[-1]
+    res.objective_trace[-1] = (it, after_p, float("nan"))
+    return res
+
+
+class TestRestartFailures:
+    def _problem(self):
+        rng = np.random.default_rng(10)
+        data, _ = two_line_data(rng, m=30, noise=0.1)
+        spec = dk.shared_spec(K=2, n=2, loss=dk.square_regression(), constraints=(),
+                              controls=dk.SolverControls(restarts=3, seed=2))
+        return spec, data
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_failed_restart_is_skipped(self, monkeypatch, jobs):
+        spec, data = self._problem()
+        monkeypatch.setattr(engine, "_run_restart", _first_restart_raises)
+        res = dk.fit(spec, data, jobs=jobs)
+        assert res.restart_index_of_best in (1, 2)
+
+    def test_projection_error_fails_one_restart(self, monkeypatch):
+        spec, data = self._problem()
+
+        def projection_fails_first(spec, data, restart):
+            if restart == 0:
+                raise kernels.ProjectionError("empty feasible set")
+            return _run_restart(spec, data, restart)
+
+        monkeypatch.setattr(engine, "_run_restart", projection_fails_first)
+        assert dk.fit(spec, data).restart_index_of_best in (1, 2)
+
+    def test_all_restarts_failing_raises_engine_failure(self, monkeypatch):
+        spec, data = self._problem()
+
+        def every_restart_raises(spec, data, restart):
+            raise kernels.ProjectionError("projection subproblem did not converge")
+
+        monkeypatch.setattr(engine, "_run_restart", every_restart_raises)
+        with pytest.raises(dk.EngineFailure, match="did not converge"):
+            dk.fit(spec, data)
+
+    def test_nan_final_never_wins(self, monkeypatch):
+        spec, data = self._problem()
+
+        def first_restart_nan(spec, data, restart):
+            res = _run_restart(spec, data, restart)
+            return _nan_final(res) if restart == 0 else res
+
+        monkeypatch.setattr(engine, "_run_restart", first_restart_nan)
+        res = dk.fit(spec, data)
+        assert res.restart_index_of_best in (1, 2)
+        assert np.isfinite(res.objective_trace[-1][2])
+
+    def test_no_finite_final_raises_engine_failure(self, monkeypatch):
+        spec, data = self._problem()
+        monkeypatch.setattr(engine, "_run_restart",
+                            lambda spec, data, restart: _nan_final(_run_restart(spec, data, restart)))
+        with pytest.raises(dk.EngineFailure, match="finite"):
+            dk.fit(spec, data)
+
+    def test_subsolver_failure_pickles(self):
+        exc = pickle.loads(pickle.dumps(dk.SubsolverFailure(3, "QP broke down")))
+        assert exc.factor == 3
+        assert str(exc) == "factor 3: QP broke down"

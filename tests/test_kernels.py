@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import dlfmkit as dk
-from dlfmkit import kernels, model, oracle
+from dlfmkit import experiments, kernels, model, oracle
 
 
 def random_qp(rng, n, m):
@@ -67,6 +67,84 @@ class TestQpSolve:
         again = dk.qp_solve(prob, workspace=ws)
         assert first.status == kernels.SOLVED
         assert np.allclose(first.x, again.x, atol=1e-7)
+
+
+def polish_qp(rng, kind):
+    """Random QP of one of the row structures the active-set polish must handle."""
+    n = int(rng.integers(2, 5))
+    m = int(rng.integers(n, 7))
+    B = rng.normal(size=(n, n - 1 if kind == "singular_P" else n))
+    P = B @ B.T + (0.0 if kind == "singular_P" else 1.0) * np.eye(n)
+    q = 3.0 * rng.normal(size=n)  # pull the optimum onto the boundary
+    A = rng.normal(size=(m, n))
+    mid = A @ rng.normal(size=n)
+    half = np.abs(rng.normal(size=m)) + 0.1
+    lo, hi = mid - half, mid + half
+    if kind == "equality":
+        lo[0] = hi[0] = mid[0]
+    elif kind == "one_sided":
+        for i in range(m):
+            side = rng.integers(0, 3)  # keep some rows two-sided
+            if side == 1:
+                lo[i] = -kernels.INF
+            elif side == 2:
+                hi[i] = kernels.INF
+    elif kind == "duplicate":
+        A = np.vstack([A, A[:2]])
+        lo, hi = np.concatenate([lo, lo[:2]]), np.concatenate([hi, hi[:2]])
+    return dk.qp_problem(P=P, q=q, A=A, lo=lo, hi=hi)
+
+
+def assert_kkt(prob, sol, tol=1e-6):
+    ax = prob.A @ sol.x
+    assert np.all(ax >= prob.lo - tol) and np.all(ax <= prob.hi + tol)
+    assert np.abs(prob.P @ sol.x + prob.q + prob.A.T @ sol.y).max() <= tol
+    # multipliers: >= 0 only where Ax sits at hi, <= 0 only where it sits at lo
+    assert np.all((sol.y <= tol) | (ax >= prob.hi - tol))
+    assert np.all((sol.y >= -tol) | (ax <= prob.lo + tol))
+
+
+class TestQpPolish:
+    @pytest.mark.parametrize("kind", ["equality", "one_sided", "duplicate", "singular_P"])
+    def test_matches_active_set_oracle(self, kind):
+        rng = np.random.default_rng(7)
+        compared = 0
+        for trial in range(40):
+            prob = polish_qp(rng, kind)
+            sol = dk.qp_solve(prob)
+            assert sol.status == kernels.SOLVED, f"trial {trial}"
+            assert_kkt(prob, sol)
+            if prob.A.shape[0] > 8:
+                continue
+            try:
+                ref = dk.qp_active_set_oracle(prob)
+            except RuntimeError:
+                continue  # every candidate KKT system singular: oracle does not apply
+            compared += 1
+            gap = qp_objective(prob, sol.x) - qp_objective(prob, ref)
+            assert abs(gap) <= 1e-6 * max(1.0, abs(qp_objective(prob, ref))), f"trial {trial}"
+            if kind != "singular_P":
+                assert np.allclose(sol.x, ref, atol=1e-5), f"trial {trial}"
+        assert compared >= 20
+
+    def test_kmeans_step_solves_in_few_iterations(self):
+        # P-steps of constrained k-means on the true quadrant clusters; the
+        # last one ends at a vertex of the polytope. Plain ADMM took 350 to
+        # 2500 iterations on these.
+        cfg = experiments.experiment_config(experiments.CONSTRAINED_KMEANS, 0)
+        data, _, _ = experiments.gen_constrained_kmeans(cfg)
+        X = data.features
+        quadrant = 2 * (X[:, 0] > 0) + (X[:, 1] > 0)
+        A, b = experiments.KMEANS_A, experiments.KMEANS_B
+        for k in range(4):
+            pts = X[quadrant == k]
+            W = float(len(pts))
+            prob = dk.qp_problem(P=2.0 * W * np.eye(2), q=-2.0 * W * pts.mean(axis=0),
+                                 A=A, lo=np.full(5, -kernels.INF), hi=b)
+            sol = dk.qp_solve(prob)
+            assert sol.status == kernels.SOLVED
+            assert sol.iterations <= 50
+            assert np.allclose(sol.x, dk.qp_active_set_oracle(prob), atol=1e-7)
 
 
 class TestPava:

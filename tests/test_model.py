@@ -238,6 +238,24 @@ class TestValidate:
         rep = dk.validate(spec, self._data(n=2))
         assert not rep.ok
 
+    @pytest.mark.parametrize("field", ["features", "observations"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_data(self, field, bad):
+        spec = dk.shared_spec(K=2, n=2, loss=dk.square_regression(), constraints=())
+        data = self._data()
+        getattr(data, field).flat[1] = bad
+        rep = dk.validate(spec, data)
+        assert not rep.ok
+        assert [v.path for v in rep.violations] == [f"data.{field}"]
+        with pytest.raises(ValueError, match=f"data.{field}"):
+            dk.fit(spec, data)
+
+    def test_rejects_empty_dataset(self):
+        spec = dk.shared_spec(K=2, n=2, loss=dk.square_regression(), constraints=())
+        rep = dk.validate(spec, self._data(m=0))
+        assert not rep.ok
+        assert [v.path for v in rep.violations] == ["data"]
+
     def test_validate_is_pure(self):
         spec = dk.shared_spec(K=2, n=2, loss=dk.square_regression(), constraints=())
         data = self._data()

@@ -1,8 +1,10 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 import dlfmkit as dk
-from dlfmkit import model, psolve
+from dlfmkit import experiments as ex, kernels, model, psolve
 
 
 def hard_Z(labels, K):
@@ -175,3 +177,19 @@ class TestWorkspaceReuse:
         for k in range(2):
             assert np.allclose(cold.thetas[k], warm1.thetas[k], atol=1e-5)
             assert np.allclose(cold.thetas[k], warm2.thetas[k], atol=1e-5)
+
+
+class TestCappedQp:
+    def test_capped_steps_stay_feasible_and_monotone(self):
+        # 30 ADMM iterations rarely finish these P-steps: without the guard
+        # the thetas left the polytope and the objective trace rose
+        cfg = ex.experiment_config(ex.CONSTRAINED_KMEANS, 0, m=200)
+        data, _, _ = ex.gen_constrained_kmeans(cfg)
+        spec = ex.kmeans_spec(True, 1, 0)
+        spec = replace(spec, controls=replace(spec.controls, qp_max_iter=30))
+        res = dk.fit(spec, data)
+        flat = [v for _, after_p, after_f in res.objective_trace for v in (after_p, after_f)]
+        for a, b in zip(flat, flat[1:]):
+            assert b <= a + 1e-8 * max(1.0, abs(a))
+        atoms = spec.constraints_per_factor[0]
+        assert max(kernels.max_violation(atoms, th) for th in res.thetas) <= 1e-9
