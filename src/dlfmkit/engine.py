@@ -74,6 +74,8 @@ def _run_restart(spec: model.ModelSpec, data: model.Dataset, restart: int):
 
     workspaces = psolve.make_workspaces(spec.K)
     thetas = None
+    # the factor regularizer changes only in the F-step; carry it forward
+    freg = model.f_regularizer_value(f_regs, Z)
     trace: list = []
     prev_total = None
     status = MAX_ITER
@@ -81,28 +83,34 @@ def _run_restart(spec: model.ModelSpec, data: model.Dataset, restart: int):
     for it in range(1, c.max_iter + 1):
         try:
             out = psolve.solve_p(spec, data, Z, warm=thetas, workspaces=workspaces)
-            thetas = out.thetas
+            # a capped factor solve that kept its warm start made no progress
+            p_stuck = thetas is not None and any(
+                s == psolve.P_MAX_ITER and np.array_equal(new, old)
+                for s, new, old in zip(out.statuses, out.thetas, thetas)
+            )
+            thetas, R = out.thetas, out.R
             failed_last = False
         except psolve.SubsolverFailure:
-            # keep the previous block values for one more iteration
+            # keep the previous block values, and their losses, for one more
+            # iteration
             if failed_last or thetas is None:
                 raise
             failed_last = True
-        R = model.loss_matrix(spec, data, thetas)
-        freg_prev = model.f_regularizer_value(f_regs, Z)
         preg = model.p_regularizer_value(spec.p_regularizers, thetas)
-        after_p = float((Z * R).sum()) + preg + freg_prev
+        after_p = float((Z * R).sum()) + preg + freg
 
         if lam_z > 0.0:
             Z, _ = fsolve.solve_f_kl(R, lam_z, Z, tol=c.f_tol, max_iter=c.f_max_iter)
-            after_f = float((Z * R).sum()) + preg + lam_z * model.kl_chain_value(Z)
+            freg = lam_z * model.kl_chain_value(Z)
         else:
             Z = fsolve.solve_f_plain(R)
-            after_f = float((Z * R).sum()) + preg
+        after_f = float((Z * R).sum()) + preg + freg
 
         trace.append((it, after_p, after_f))
         if not regularized:
-            if gap(after_p, after_f) <= c.eps:
+            # a failed or stuck P-step leaves after-P equal to the last after-F
+            # without reaching a fixed point, so the gap closing proves nothing
+            if not (failed_last or p_stuck) and gap(after_p, after_f) <= c.eps:
                 status = GAP_CONVERGED
                 break
         else:

@@ -24,26 +24,18 @@ def solve_f_plain(R: np.ndarray) -> np.ndarray:
 _FLOOR = 1e-12
 
 
-def _kl_objective(Z, R, lam):
-    linear = float((Z * R).sum())
+def _kl_objective(ZT, RT, lam):
+    """(value, ratio, log ratio) on the (K, m) layout; no ratio when lam is 0."""
+    linear = float((ZT * RT).sum())
     if lam == 0.0:
-        return linear
-    U, V = Z[:-1], Z[1:]
-    return linear + lam * float((U * np.log(U / V) - U + V).sum())
+        return linear, None, None
+    kl, ratio, log_ratio = model.kl_chain_terms(ZT[:, :-1], ZT[:, 1:])
+    return linear + lam * kl, ratio, log_ratio
 
 
-def _kl_gradient(Z, R, lam):
-    G = R.copy()
-    if lam != 0.0:
-        ratio = Z[:-1] / Z[1:]
-        G[:-1] += lam * np.log(ratio)
-        G[1:] += lam * (1.0 - ratio)
-    return G
-
-
-def _renorm(Z):
-    Z = np.maximum(Z, _FLOOR)
-    return Z / Z.sum(axis=1, keepdims=True)
+def _renorm(ZT):
+    ZT = np.maximum(ZT, _FLOOR)
+    return ZT / ZT.sum(axis=0)
 
 
 def solve_f_kl(
@@ -60,19 +52,27 @@ def solve_f_kl(
     decreases. Iterates stay strictly positive (floored at 1e-12). Stops on
     relative objective decrease <= tol; hitting max_iter returns the best
     iterate with converged=False.
+
+    The iteration runs on the (K, m) transposes of Z and R, so that the
+    per-sample reductions over the K factors run along contiguous rows; the
+    chain ratio and its log are kept from the accepted candidate's objective
+    for the next gradient. Z is returned C-contiguous in the (m, K) layout.
     """
-    R = np.asarray(R, dtype=float)
-    Z = _renorm(np.asarray(Z_init, dtype=float).copy())
-    val = _kl_objective(Z, R, lam)
+    RT = np.ascontiguousarray(np.asarray(R, dtype=float).T)
+    ZT = _renorm(np.ascontiguousarray(np.asarray(Z_init, dtype=float).T))
+    val, ratio, log_ratio = _kl_objective(ZT, RT, lam)
     step = 1.0
     converged = False
     for _ in range(max_iter):
-        G = _kl_gradient(Z, R, lam)
-        G = G - G.min(axis=1, keepdims=True)  # row shifts cancel after renorm
+        G = RT.copy()
+        if lam != 0.0:
+            G[:, :-1] += lam * log_ratio
+            G[:, 1:] += lam * (1.0 - ratio)
+        G -= G.min(axis=0)  # per-sample shifts cancel after renorm
         accepted = False
         while step > 1e-18:
-            cand = _renorm(Z * np.exp(-step * G))
-            cand_val = _kl_objective(cand, R, lam)
+            cand = _renorm(ZT * np.exp(-step * G))
+            cand_val, cand_ratio, cand_log = _kl_objective(cand, RT, lam)
             if cand_val <= val:
                 accepted = True
                 break
@@ -81,12 +81,12 @@ def solve_f_kl(
             converged = True
             break
         drop = val - cand_val
-        Z, val = cand, cand_val
+        ZT, val, ratio, log_ratio = cand, cand_val, cand_ratio, cand_log
         if drop <= tol * max(1.0, abs(val)):
             converged = True
             break
         step = min(step * 2.0, 1.0)
-    return Z, converged
+    return np.ascontiguousarray(ZT.T), converged
 
 
 def harden(Z: np.ndarray) -> np.ndarray:

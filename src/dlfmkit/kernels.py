@@ -572,36 +572,22 @@ def _is_separable(atom):
     return atom.kind in (model.NONNEG, model.NONPOS, model.BOX)
 
 
-def joint_prox(regs, atoms, point, step: float, workspace: QpWorkspace | None = None):
-    """argmin_x 0.5 ||x - point||^2 + step * (regularizers)(x) over the atoms.
+def _sign_box_bounds(atoms, n):
+    """Intersected (lo, hi) arrays of sign-box atoms."""
+    lo, hi = np.full(n, -np.inf), np.full(n, np.inf)
+    for a in atoms:
+        if a.kind == model.NONNEG:
+            lo = np.maximum(lo, 0.0)
+        elif a.kind == model.NONPOS:
+            hi = np.minimum(hi, 0.0)
+        else:
+            lo = np.maximum(lo, np.broadcast_to(a.lo, (n,)))
+            hi = np.minimum(hi, np.broadcast_to(a.hi, (n,)))
+    return lo, hi
 
-    Exact closed forms cover the cases the solvers hit: bare regularizers,
-    bare constraints, separable boxes with l1, and cone constraints (where
-    projecting first and then shrinking is exact). Anything else falls back
-    to Dykstra alternation between the two proximal maps.
-    """
-    v = np.asarray(point, dtype=float)
-    regs = [r for r in regs if r.weight > 0.0]
-    atoms = [a for a in atoms if a.kind != model.FREE]
-    if not regs:
-        return project(atoms, v, workspace=workspace)
-    if not atoms:
-        return _chained_prox(regs, v, step)
 
-    n = v.size
-    kinds = {r.kind for r in regs}
-    if all(_is_sign_box(a, n) for a in atoms):
-        # sign boxes zero out coordinates; soft-threshold and shrink keep them
-        # zeroed, so prox-after-project is exact
-        return _chained_prox(regs, project(atoms, v, workspace=workspace), step)
-    if kinds == {model.GROUP_L2} and all(_is_cone(a, n) for a in atoms):
-        # scaling stays in the cone and preserves orthogonality of the
-        # projection residual, so shrink-after-project is exact
-        return _chained_prox(regs, project(atoms, v, workspace=workspace), step)
-    if kinds == {model.L1} and all(_is_separable(a) for a in atoms):
-        # separable 1-d problems: clip the unconstrained prox
-        return project(atoms, _chained_prox(regs, v, step), workspace=workspace)
-
+def _dykstra_prox(regs, atoms, v, step, workspace):
+    # Dykstra alternation between the regularizer prox and the projection
     x = v.copy()
     p_corr = np.zeros_like(v)
     q_corr = np.zeros_like(v)
@@ -614,3 +600,47 @@ def joint_prox(regs, atoms, point, step: float, workspace: QpWorkspace | None = 
             return x_new
         x = x_new
     return x
+
+
+def prox_plan(regs, atoms, n: int, workspace: QpWorkspace | None = None):
+    """Resolve the joint prox of regularizers and atoms on R^n once.
+
+    Returns prox(point, step), the map joint_prox applies, with the case
+    analysis of the atoms done here rather than on every call. A solver that
+    applies one prox many times builds the plan once per factor solve.
+    """
+    regs = [r for r in regs if r.weight > 0.0]
+    atoms = [a for a in atoms if a.kind != model.FREE]
+    if not regs:
+        return lambda point, step: project(atoms, point, workspace=workspace)
+    if not atoms:
+        return lambda point, step: _chained_prox(regs, point, step)
+
+    kinds = {r.kind for r in regs}
+    if all(_is_sign_box(a, n) for a in atoms):
+        # sign boxes zero out coordinates; soft-threshold and shrink keep them
+        # zeroed, so prox-after-project is exact, and the projection onto an
+        # intersection of boxes is the clip to its intersected bounds
+        lo, hi = _sign_box_bounds(atoms, n)
+        return lambda point, step: _chained_prox(regs, np.clip(point, lo, hi), step)
+    if kinds == {model.GROUP_L2} and all(_is_cone(a, n) for a in atoms):
+        # scaling stays in the cone and preserves orthogonality of the
+        # projection residual, so shrink-after-project is exact
+        return lambda point, step: _chained_prox(regs, project(atoms, point, workspace=workspace), step)
+    if kinds == {model.L1} and all(_is_separable(a) for a in atoms):
+        # separable 1-d problems: clip the unconstrained prox
+        return lambda point, step: project(atoms, _chained_prox(regs, point, step), workspace=workspace)
+    return lambda point, step: _dykstra_prox(regs, atoms, np.asarray(point, dtype=float), step, workspace)
+
+
+def joint_prox(regs, atoms, point, step: float, workspace: QpWorkspace | None = None):
+    """argmin_x 0.5 ||x - point||^2 + step * (regularizers)(x) over the atoms.
+
+    Exact closed forms cover the cases the solvers hit: bare regularizers,
+    bare constraints, separable boxes with l1, and cone constraints (where
+    projecting first and then shrinking is exact). Anything else falls back
+    to Dykstra alternation between the two proximal maps. This is one
+    application of prox_plan.
+    """
+    v = np.asarray(point, dtype=float)
+    return prox_plan(regs, atoms, v.size, workspace)(v, step)

@@ -85,7 +85,12 @@ def square_regression() -> LossAtom:
 
 
 def lp_regression(order: float) -> LossAtom:
-    """lp norm of the residual; for scalar observations this is |x . theta - y|."""
+    """lp norm of the residual; for scalar observations this is |x . theta - y|.
+
+    Observations are scalar for every regression loss, so the loss is the
+    absolute residual whatever the order: order is validated (>= 1, inf
+    allowed) and kept in the spec and the CLI config, but never changes a fit.
+    """
     return LossAtom(LP_REGRESSION, order=float(order))
 
 
@@ -427,13 +432,28 @@ def kl_divergence(u, v) -> float:
     return out
 
 
+def kl_chain_terms(U: np.ndarray, V: np.ndarray):
+    """(value, U / V, log(U / V)) with value = sum(U log(U / V) - U + V).
+
+    U and V are strictly positive and of one shape: the earlier and the later
+    member of each consecutive pair of a chain, in any layout. The ratio and
+    its log are returned so that a gradient of the chain can reuse them.
+    """
+    ratio = U / V
+    log_ratio = np.log(ratio)
+    return float((U * log_ratio - U + V).sum()), ratio, log_ratio
+
+
 def kl_chain_value(Z: np.ndarray) -> float:
     """sum over consecutive rows of kl_divergence(z_t, z_{t+1})."""
     Z = np.asarray(Z, dtype=float)
-    total = 0.0
-    for t in range(Z.shape[0] - 1):
-        total += kl_divergence(Z[t], Z[t + 1])
-    return total
+    U, V = Z[:-1], Z[1:]
+    pos = U > 0.0
+    if np.any(pos & (V <= 0.0)):
+        return np.inf  # mass where the next row has none
+    # 0 log 0 = 0: an entry with u <= 0 contributes v - u alone
+    inner = kl_chain_terms(np.where(pos, U, 1.0), np.where(pos, V, 1.0))[0]
+    return inner + float((V - U)[~pos].sum())
 
 
 def p_regularizer_value(regs, thetas) -> float:

@@ -35,6 +35,7 @@ class SubsolverFailure(RuntimeError):
 class PSolveOutcome:
     thetas: list
     objective: float  # weighted losses plus parameter regularizers at exit
+    R: np.ndarray  # (m, K) loss matrix at the exit thetas
     inner_iterations: list
     statuses: list
 
@@ -89,6 +90,7 @@ def _prox_gradient_factor(atom, atoms, regs, feats, obs, w, theta0, ws, tol, max
     theta = np.asarray(theta0, dtype=float).copy()
     if kernels.max_violation(atoms, theta) > 1e-9:
         theta = kernels.project(atoms, theta, workspace=ws.proj)
+    prox = kernels.prox_plan(regs, atoms, theta.size, workspace=ws.proj)
 
     lam = _power_lambda_max(model.curvature_matrix(atom, feats, obs, w))
     step0 = 1.0 / lam if lam > 1e-12 else 1e3
@@ -106,7 +108,7 @@ def _prox_gradient_factor(atom, atoms, regs, feats, obs, w, theta0, ws, tol, max
         grad = model.weighted_loss_grad(atom, feats, obs, theta, w)
         accepted = False
         while step > 1e-18:
-            cand = kernels.joint_prox(regs, atoms, theta - step * grad, step, workspace=ws.proj)
+            cand = prox(theta - step * grad, step)
             diff = cand - theta
             sq = float(diff @ diff)
             if sq <= 1e-32:
@@ -237,4 +239,4 @@ def solve_p(
 
     R = model.loss_matrix(spec, data, thetas)
     obj = float((Z * R).sum()) + model.p_regularizer_value(regs, thetas)
-    return PSolveOutcome(thetas=thetas, objective=obj, inner_iterations=iters, statuses=statuses)
+    return PSolveOutcome(thetas=thetas, objective=obj, R=R, inner_iterations=iters, statuses=statuses)

@@ -109,6 +109,58 @@ class TestKlChain:
         assert np.all(np.isfinite(Z))
 
 
+def reference_solve_f_kl(R, lam, Z_init, tol, max_iter):
+    """Mirror descent on the (m, K) layout, written as a plain loop."""
+
+    def objective(Z):
+        U, V = Z[:-1], Z[1:]
+        return float((Z * R).sum()) + lam * float((U * np.log(U / V) - U + V).sum())
+
+    def renorm(Z):
+        Z = np.maximum(Z, 1e-12)
+        return Z / Z.sum(axis=1, keepdims=True)
+
+    Z = renorm(Z_init.copy())
+    val = objective(Z)
+    step = 1.0
+    for _ in range(max_iter):
+        ratio = Z[:-1] / Z[1:]
+        G = R.copy()
+        G[:-1] += lam * np.log(ratio)
+        G[1:] += lam * (1.0 - ratio)
+        G = G - G.min(axis=1, keepdims=True)
+        while step > 1e-18:
+            cand = renorm(Z * np.exp(-step * G))
+            cand_val = objective(cand)
+            if cand_val <= val:
+                break
+            step *= 0.5
+        else:
+            return Z, True
+        drop = val - cand_val
+        Z, val = cand, cand_val
+        if drop <= tol * max(1.0, abs(val)):
+            return Z, True
+        step = min(step * 2.0, 1.0)
+    return Z, False
+
+
+class TestKlLayout:
+    def test_matches_row_layout_reference(self):
+        rng = np.random.default_rng(10)
+        for _ in range(40):
+            m, K = int(rng.integers(2, 60)), int(rng.integers(2, 5))
+            R = rng.normal(size=(m, K)) * rng.uniform(0.1, 5.0)
+            lam = float(rng.uniform(0.05, 3.0))
+            max_iter = int(rng.integers(1, 200))
+            Z0 = rng.dirichlet(np.ones(K), size=m)
+            Z, converged = dk.solve_f_kl(R, lam, Z0, tol=1e-9, max_iter=max_iter)
+            Z_ref, conv_ref = reference_solve_f_kl(R, lam, Z0, 1e-9, max_iter)
+            assert Z.shape == (m, K) and Z.flags.c_contiguous
+            assert converged == conv_ref
+            assert np.abs(Z - Z_ref).max() <= 1e-12
+
+
 class TestHarden:
     def test_one_based_labels(self):
         Z = np.array([[0.9, 0.1], [0.2, 0.8]])

@@ -347,6 +347,43 @@ class TestJointProx:
         assert total(out) <= total(v / np.linalg.norm(v)) + 1e-8
 
 
+def random_sign_boxes(rng, n):
+    """Two to four nonneg/nonpos/box atoms whose intervals are sign intervals."""
+    atoms = []
+    for _ in range(int(rng.integers(2, 5))):
+        kind = rng.integers(3)
+        if kind == 0:
+            atoms.append(model.nonneg())
+        elif kind == 1:
+            atoms.append(model.nonpos())
+        else:
+            lo = rng.choice([0.0, -np.inf, -dk.INF], size=n)
+            hi = rng.choice([0.0, np.inf, dk.INF], size=n)
+            atoms.append(model.box(lo, hi))
+    return atoms
+
+
+class TestProxPlan:
+    @pytest.mark.parametrize("regs", [
+        (model.l1(0.7),),
+        (model.group_l2(0.9),),
+        (model.l1(0.4), model.group_l2(0.6)),
+    ], ids=["l1", "group_l2", "both"])
+    def test_sign_boxes_match_dykstra(self, regs):
+        rng = np.random.default_rng(11)
+        n = 5
+        for _ in range(10):
+            atoms = random_sign_boxes(rng, n)
+            prox = kernels.prox_plan(regs, atoms, n)  # one plan, many points
+            for _ in range(3):
+                v = rng.normal(0.0, 2.0, size=n)
+                step = float(rng.uniform(0.1, 2.0))
+                got = prox(v, step)
+                ref = kernels._dykstra_prox(list(regs), atoms, v, step, None)
+                assert kernels.max_violation(atoms, got) == 0.0
+                assert np.allclose(got, ref, atol=1e-8)
+
+
 class TestMaxViolation:
     def test_zero_inside(self):
         atoms = (model.nonneg(), model.norm_ball2(2.0))

@@ -156,6 +156,22 @@ class TestKl:
         weighted = model.f_regularizer_value((dk.kl_chain(2.0),), Z)
         assert weighted == pytest.approx(2.0 * byhand)
 
+    def test_chain_value_matches_pairwise_sum(self):
+        rng = np.random.default_rng(9)
+        for m, K in [(2, 2), (7, 3), (30, 4)]:
+            Z = rng.dirichlet(np.ones(K), size=m)
+            Z[rng.random((m, K)) < 0.2] = 0.0  # exact zeros, 0 log 0 = 0
+            Z[:, 0] += 0.1  # keeps every row with some mass
+            Z = Z / Z.sum(axis=1, keepdims=True)
+            byhand = sum(dk.kl_divergence(Z[t], Z[t + 1]) for t in range(m - 1))
+            assert model.kl_chain_value(Z) == pytest.approx(byhand, rel=1e-12, abs=1e-14)
+
+    def test_chain_value_infinite_on_missing_mass(self):
+        Z = np.array([[0.5, 0.5], [0.6, 0.4], [1.0, 0.0], [0.5, 0.5]])
+        assert model.kl_chain_value(Z) == np.inf
+        # a zero entry may be followed by mass, not preceded by it
+        assert model.kl_chain_value(Z[2:]) == pytest.approx(dk.kl_divergence(Z[2], Z[3]))
+
 
 class TestObjective:
     def test_hard_assignment_sum(self):

@@ -193,3 +193,15 @@ class TestCappedQp:
             assert b <= a + 1e-8 * max(1.0, abs(a))
         atoms = spec.constraints_per_factor[0]
         assert max(kernels.max_violation(atoms, th) for th in res.thetas) <= 1e-9
+
+    def test_capped_step_does_not_close_the_gap(self):
+        # a rejected capped step keeps the warm theta, so after-P equals the
+        # last after-F although no fixed point was reached; the fit must go on
+        # to the optimum the uncapped fit finds
+        cfg = ex.experiment_config(ex.CONSTRAINED_KMEANS, 0, m=200)
+        data, _, _ = ex.gen_constrained_kmeans(cfg)
+        spec = ex.kmeans_spec(True, 1, 0)
+        capped = dk.fit(replace(spec, controls=replace(spec.controls, qp_max_iter=30)), data)
+        full = dk.fit(spec, data)
+        assert capped.status == dk.GAP_CONVERGED
+        assert capped.objective_trace[-1][2] == pytest.approx(full.objective_trace[-1][2], rel=1e-9)
