@@ -575,8 +575,8 @@ def _build_parser() -> argparse.ArgumentParser:
     fit_p.add_argument("--restarts", type=int, help="override the config restart count")
     fit_p.add_argument("--eps", type=float, help="override the termination tolerance")
     fit_p.add_argument("--max-iter", type=int, help="override the iteration cap")
-    fit_p.add_argument("--jobs", type=int, default=os.cpu_count() or 1,
-                       help="worker processes for restarts (default: logical processors)")
+    fit_p.add_argument("--jobs", type=int, default=1,
+                       help="worker processes for restarts (default: 1, no process pool)")
     fit_p.add_argument("--quiet", action="store_true", help="suppress progress output")
 
     synth_p = sub.add_parser("synth", help="write a synthetic benchmark dataset")
@@ -589,7 +589,8 @@ def _build_parser() -> argparse.ArgumentParser:
     repro_p.add_argument("name", choices=experiments.EXPERIMENT_NAMES)
     repro_p.add_argument("--seed", type=int, default=0)
     repro_p.add_argument("--out-dir", required=True)
-    repro_p.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
+    repro_p.add_argument("--jobs", type=int, default=1,
+                         help="worker processes for restarts (default: 1, no process pool)")
     repro_p.add_argument("--quiet", action="store_true")
     return ap
 

@@ -89,15 +89,16 @@ def _run_restart(spec: model.ModelSpec, data: model.Dataset, restart: int):
                 for s, new, old in zip(out.statuses, out.thetas, thetas)
             )
             thetas, R = out.thetas, out.R
+            preg = model.p_regularizer_value(spec.p_regularizers, thetas)
+            after_p = out.objective + freg
             failed_last = False
         except psolve.SubsolverFailure:
-            # keep the previous block values, and their losses, for one more
-            # iteration
+            # keep the previous block values, their losses and hence the
+            # last after-F objective for one more iteration
             if failed_last or thetas is None:
                 raise
             failed_last = True
-        preg = model.p_regularizer_value(spec.p_regularizers, thetas)
-        after_p = float((Z * R).sum()) + preg + freg
+            after_p = after_f
 
         if lam_z > 0.0:
             Z, _ = fsolve.solve_f_kl(R, lam_z, Z, tol=c.f_tol, max_iter=c.f_max_iter)

@@ -1,8 +1,11 @@
 """Parameter problem: minimize the factor-weighted losses with factors fixed.
 
 The problem separates across factors. Quadratic losses over polyhedral sets
-go to closed-form least squares or the QP kernel; every other combination
-runs projected proximal gradient with a backtracking line search.
+go to a closed form or the QP kernel; every other combination runs projected
+proximal gradient with a backtracking line search. Unconstrained weighted
+least squares solves the n x n normal equations over the rows with nonzero
+weight by Cholesky, and falls back to lstsq on those rows when the Gram
+matrix is singular or ill-conditioned.
 """
 
 from __future__ import annotations
@@ -64,6 +67,34 @@ def _quadratic_terms(atom, feats, obs, w):
     centers = feats + obs[:, None]
     n = feats.shape[1]
     return 2.0 * w.sum() * np.eye(n), -2.0 * w @ centers
+
+
+# smallest accepted L_jj^2 / G_jj, the share of column j's weighted energy
+# not explained by the columns before it (a scale-free collinearity test)
+_CHOLESKY_MIN_PIVOT = 1e-8
+
+
+def _weighted_lstsq(feats, obs, w):
+    """argmin_theta sum_i w_i (x_i . theta - y_i)^2 over the rows with w_i > 0.
+
+    Rows of zero weight add nothing to the system, so only the weighted rows
+    are gathered. A rank-deficient or ill-conditioned Gram matrix takes the
+    minimum-norm lstsq solution of the same rows instead.
+    """
+    idx = np.flatnonzero(w)
+    X, y, wi = feats[idx], obs[idx], w[idx]
+    Xw = X.T * wi
+    G = Xw @ X
+    b = Xw @ y
+    try:
+        L = np.linalg.cholesky(G)
+        if np.all(np.diag(L) ** 2 > _CHOLESKY_MIN_PIVOT * np.diag(G)):
+            return np.linalg.solve(L.T, np.linalg.solve(L, b))
+    except np.linalg.LinAlgError:
+        pass  # G is not numerically positive definite
+    rw = np.sqrt(wi)
+    theta, *_ = np.linalg.lstsq(X * rw[:, None], y * rw, rcond=None)
+    return theta
 
 
 def _power_lambda_max(M, iters: int = 60):
@@ -150,8 +181,12 @@ def solve_p(
     parameter blocks and workspaces from the previous iteration are reused;
     the first call may pass None for both. A factor whose weight column is
     all zero keeps its warm value when unregularized and is driven to the
-    regularizer minimizer otherwise. A QP stopped at its iteration cap
-    never leaves a factor infeasible or worse than its warm value.
+    regularizer minimizer otherwise. An unconstrained, unregularized square
+    regression factor solves its normal equations over the rows with nonzero
+    weight (one-hot Z after the first F-step leaves about m/K of them), with
+    a minimum-norm lstsq fallback for singular or ill-conditioned systems.
+    A QP stopped at its iteration cap never leaves a factor infeasible or
+    worse than its warm value.
     """
     Z = np.asarray(Z, dtype=float)
     K, n = spec.K, spec.n
@@ -193,8 +228,7 @@ def solve_p(
                 if atom.kind == model.SQUARED_DISTANCE:
                     theta = (w @ (feats + obs[:, None])) / w.sum()
                 else:
-                    rw = np.sqrt(w)
-                    theta, *_ = np.linalg.lstsq(feats * rw[:, None], obs * rw, rcond=None)
+                    theta = _weighted_lstsq(feats, obs, w)
                 thetas.append(theta)
                 iters.append(1)
                 statuses.append(P_CONVERGED)

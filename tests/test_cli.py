@@ -38,6 +38,17 @@ class TestCanonicalJson:
         assert parsed == {"v": 1.5, "n": 2, "arr": [0, 1, 2]}
 
 
+class TestArgumentParsing:
+    def test_jobs_defaults_to_one(self):
+        # a process pool costs more than most fits; it is opt-in
+        parser = cli._build_parser()
+        fit_args = parser.parse_args(["fit", "--config", "c.json", "--data", "d.csv",
+                                      "--out", "o.json"])
+        repro_args = parser.parse_args(["repro", "mixture_linreg", "--out-dir", "out"])
+        assert fit_args.jobs == 1
+        assert repro_args.jobs == 1
+
+
 class TestConfigParsing:
     def test_minimal(self):
         spec, _, opts = cli.parse_config(json.dumps(MIX_CONFIG))

@@ -205,3 +205,89 @@ class TestCappedQp:
         full = dk.fit(spec, data)
         assert capped.status == dk.GAP_CONVERGED
         assert capped.objective_trace[-1][2] == pytest.approx(full.objective_trace[-1][2], rel=1e-9)
+
+
+class TestWeightedLeastSquares:
+    """The closed-form regression step against full-row lstsq references."""
+
+    @staticmethod
+    def reg_spec(K, n):
+        return dk.shared_spec(K=K, n=n, loss=dk.square_regression(), constraints=())
+
+    @staticmethod
+    def full_row_lstsq(X, y, w):
+        rw = np.sqrt(w)
+        theta, *_ = np.linalg.lstsq(X * rw[:, None], y * rw, rcond=None)
+        return theta
+
+    @staticmethod
+    def count_lstsq(monkeypatch):
+        calls = []
+        real = np.linalg.lstsq
+
+        def spy(*args, **kwargs):
+            calls.append(args[0].shape)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(psolve.np.linalg, "lstsq", spy)
+        return calls
+
+    @pytest.mark.parametrize("one_hot", [True, False])
+    def test_matches_full_row_lstsq(self, one_hot, monkeypatch):
+        rng = np.random.default_rng(11)
+        m, n, K = 400, 6, 3
+        X = rng.uniform(-2.0, 2.0, size=(m, n))
+        y = X @ rng.normal(size=n) + rng.normal(0.0, 0.5, size=m)
+        if one_hot:
+            Z = hard_Z(rng.integers(0, K, size=m), K)
+        else:  # the first BCD iteration's relaxed start
+            Z = rng.dirichlet(np.ones(K), size=m)
+        calls = self.count_lstsq(monkeypatch)
+        out = dk.solve_p(self.reg_spec(K, n), dk.dataset(X, y), Z)
+        assert calls == []  # well-conditioned: Cholesky, no fallback
+        for k in range(K):
+            ref = self.full_row_lstsq(X, y, Z[:, k])
+            np.testing.assert_allclose(out.thetas[k], ref, rtol=1e-10, atol=0.0)
+
+    def test_fewer_weighted_rows_than_unknowns(self, monkeypatch):
+        rng = np.random.default_rng(12)
+        m, n = 30, 5
+        X = rng.normal(size=(m, n))
+        y = rng.normal(size=m)
+        Z = np.zeros((m, 2))
+        Z[:3, 0] = 1.0  # factor 0 sees 3 rows for 5 unknowns
+        Z[3:, 1] = 1.0
+        calls = self.count_lstsq(monkeypatch)
+        out = dk.solve_p(self.reg_spec(2, n), dk.dataset(X, y), Z)
+        assert calls == [(3, n)]  # only the rank-deficient factor falls back
+        ref = np.linalg.pinv(X[:3]) @ y[:3]  # minimum-norm interpolant
+        np.testing.assert_allclose(out.thetas[0], ref, rtol=1e-10)
+        np.testing.assert_allclose(out.thetas[0], self.full_row_lstsq(X, y, Z[:, 0]), rtol=1e-10)
+        np.testing.assert_allclose(out.thetas[1], self.full_row_lstsq(X, y, Z[:, 1]), rtol=1e-10)
+
+    def test_duplicated_column(self, monkeypatch):
+        rng = np.random.default_rng(13)
+        m = 50
+        x = rng.normal(size=(m, 2))
+        X = np.column_stack([x[:, 0], x[:, 0], x[:, 1]])
+        y = 3.0 * x[:, 0] - x[:, 1] + rng.normal(0.0, 0.1, size=m)
+        w = rng.dirichlet(np.ones(2), size=m)
+        calls = self.count_lstsq(monkeypatch)
+        out = dk.solve_p(self.reg_spec(2, 3), dk.dataset(X, y), w)
+        assert len(calls) == 2
+        for k in range(2):
+            th = out.thetas[k]
+            # minimum norm splits the shared coefficient evenly
+            assert th[0] == pytest.approx(th[1], rel=1e-10)
+            np.testing.assert_allclose(th, self.full_row_lstsq(X, y, w[:, k]), rtol=1e-10)
+
+    def test_mixture_fit_pool_matches_sequential(self):
+        cfg = ex.experiment_config(ex.MIXTURE_LINREG, 0, m=300)
+        data, _, _ = ex.gen_mixture_linreg(cfg)
+        spec = ex.mixture_spec(4, 0)
+        seq = dk.fit(spec, data, jobs=1)
+        par = dk.fit(spec, data, jobs=2)
+        assert seq.restart_index_of_best == par.restart_index_of_best
+        assert seq.objective_trace == par.objective_trace
+        assert np.array_equal(seq.labels, par.labels)
+        assert all(np.array_equal(a, b) for a, b in zip(seq.thetas, par.thetas))
