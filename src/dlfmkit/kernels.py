@@ -2,11 +2,13 @@
 
 A dense operator-splitting QP solver, Euclidean projections onto constraint
 atoms and their intersections, and proximal operators for the parameter-side
-regularizers.
+regularizers. `projector` and `prox_plan` classify a constraint set once and
+return the map to apply; `project` and `joint_prox` apply one such map once.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -310,7 +312,8 @@ def max_violation(atoms, v) -> float:
     return max((_atom_violation(a, v) for a in atoms), default=0.0)
 
 
-def _project_single(atom: model.ConstraintAtom, v: np.ndarray, tol: float) -> np.ndarray:
+def _project_single(atom: model.ConstraintAtom, v: np.ndarray) -> np.ndarray:
+    # closed-form projection onto one non-POLYHEDRON atom
     k = atom.kind
     if k == model.NONNEG:
         return np.maximum(v, 0.0)
@@ -331,8 +334,6 @@ def _project_single(atom: model.ConstraintAtom, v: np.ndarray, tol: float) -> np
         return v if nrm <= atom.radius else v * (atom.radius / nrm)
     if k == model.SUM_EQUALS:
         return v + (atom.value - v.sum()) / v.size
-    if k == model.POLYHEDRON:
-        return _project_rows(v, *_rows_single(atom, v.size), tol)
     raise ValueError(f"unknown constraint kind {k!r}")
 
 
@@ -401,104 +402,131 @@ POLYHEDRAL_KINDS = frozenset(
 # interior QP/Dykstra solves so projecting twice is exact
 _FEAS_TOL = 1e-8
 
+# accuracy of the QP behind polyhedral projections
+_PROJECT_TOL = 1e-10
+
 _MONOTONE_KINDS = (model.MONOTONE_NONINCREASING, model.MONOTONE_NONDECREASING)
 
 
-def _monotone_scalar_bounds(poly, v: np.ndarray):
+def _monotone_scalar_bounds(poly, n: int):
     """Exact projection onto one monotone cone intersected with uniform bounds.
 
     Clipping an isotonic fit at scalar bounds preserves the ordering and the
     pooled-block optimality conditions, so clip(pava(v)) is the intersection
-    projection. Per-coordinate boxes do not qualify: clipping there can break
-    the ordering.
+    projection. Bounds that differ across coordinates do not qualify:
+    clipping there can break the ordering. Returns that map, or None when
+    poly is not of this form; an empty set raises ProjectionError.
     """
     mono = [a for a in poly if a.kind in _MONOTONE_KINDS]
     rest = [a for a in poly if a.kind not in _MONOTONE_KINDS]
-    if len(mono) != 1 or not rest:
+    if len(mono) != 1 or not rest or not all(_is_separable(a) for a in rest):
         return None
-    lo, hi = -np.inf, np.inf
-    for a in rest:
-        if a.kind == model.NONNEG:
-            lo = max(lo, 0.0)
-        elif a.kind == model.NONPOS:
-            hi = min(hi, 0.0)
-        elif a.kind == model.BOX:
-            alo, ahi = np.broadcast_to(a.lo, v.shape), np.broadcast_to(a.hi, v.shape)
-            if np.ptp(alo) != 0.0 or np.ptp(ahi) != 0.0:
-                return None
-            lo, hi = max(lo, float(alo[0])), min(hi, float(ahi[0]))
-        else:
-            return None
+    lo, hi = _box_bounds(rest, n)
+    if np.any(lo != lo[0]) or np.any(hi != hi[0]):
+        return None
+    lo, hi = lo[0], hi[0]
     if lo > hi:
         raise ProjectionError("empty feasible set: bounds cross")
     if mono[0].kind == model.MONOTONE_NONINCREASING:
-        fit = pava_nonincreasing(v)
-    else:
-        fit = pava_nondecreasing(v)
-    return np.clip(fit, lo, hi)
+        return lambda v: np.clip(pava_nonincreasing(v), lo, hi)
+    return lambda v: np.clip(pava_nondecreasing(v), lo, hi)
 
 
-def project(atoms, point, tol: float = 1e-10, workspace: QpWorkspace | None = None) -> np.ndarray:
-    """Euclidean projection onto the intersection of constraint atoms.
+def _poly_projector(poly, n: int, workspace):
+    # exact projection onto an intersection of polyhedral atoms, no
+    # feasibility shortcut; the callers decide when a point is close enough
+    if len(poly) == 1 and poly[0].kind != model.POLYHEDRON:
+        return lambda v: _project_single(poly[0], v)
+    if {a.kind for a in poly} == {model.SUM_EQUALS, model.NONNEG}:
+        total = next(a for a in poly if a.kind == model.SUM_EQUALS).value
+        if total > 0.0:
+            return lambda v: project_simplex(v, total)
+    fast = _monotone_scalar_bounds(poly, n)
+    if fast is not None:
+        return fast
+    A, lo, hi = stack_rows(poly, n)
+    return lambda v: _project_rows(v, A, lo, hi, _PROJECT_TOL, workspace)
 
-    Single atoms use closed forms (clipping, scaling, isotonic pooling) or a
-    QP for general polyhedra. Intersections of polyhedral atoms are solved as
-    one QP; composing the individual projections would not give the
-    intersection projection. A norm ball intersected with polyhedral atoms
-    alternates both projections Dykstra-style. Points already feasible are
-    returned as-is. A workspace speeds up repeated projections onto one set.
-    """
-    v = np.asarray(point, dtype=float)
-    atoms = [a for a in atoms if a.kind != model.FREE]
-    if not atoms:
-        return v
-    if max_violation(atoms, v) <= _FEAS_TOL:
-        return v
 
-    balls = [a for a in atoms if a.kind == model.NORM_BALL2]
-    poly = [a for a in atoms if a.kind in POLYHEDRAL_KINDS]
-    if len(balls) > 1:
-        # concentric balls: only the smallest radius binds
-        balls = [min(balls, key=lambda a: a.radius)]
-
-    if not balls:
-        if len(poly) == 1 and poly[0].kind != model.POLYHEDRON:
-            return _project_single(poly[0], v, tol)
-        kinds = {a.kind for a in poly}
-        if kinds == {model.SUM_EQUALS, model.NONNEG}:
-            total = next(a for a in poly if a.kind == model.SUM_EQUALS).value
-            if total > 0.0:
-                return project_simplex(v, total)
-        fast = _monotone_scalar_bounds(poly, v)
-        if fast is not None:
-            return fast
-        return _project_rows(v, *stack_rows(poly, v.size), tol, workspace)
-
-    if not poly:
-        return _project_single(balls[0], v, tol)
-
-    # Dykstra alternation between the ball and the polyhedral intersection
-    def proj_poly(u):
-        if max_violation(poly, u) <= 1e-12:
-            return u
-        if len(poly) == 1 and poly[0].kind != model.POLYHEDRON:
-            return _project_single(poly[0], u, tol)
-        return _project_rows(u, *stack_rows(poly, u.size), tol, workspace)
-
+def _dykstra(first, second, v, max_iter, done=None):
+    # Dykstra alternation between two proximal maps, from v; stops once an
+    # iterate moves by at most 1e-12 and done(x) holds, else after max_iter
     x = v.copy()
     p_corr = np.zeros_like(v)
     q_corr = np.zeros_like(v)
-    for _ in range(5000):
-        y = _project_single(balls[0], x + p_corr, tol)
+    for _ in range(max_iter):
+        y = first(x + p_corr)
         p_corr = x + p_corr - y
-        x_new = proj_poly(y + q_corr)
+        x_new = second(y + q_corr)
         q_corr = y + q_corr - x_new
-        if float(np.abs(x_new - x).max()) <= 1e-12 and max_violation(atoms, x_new) <= 1e-10:
+        if float(np.abs(x_new - x).max()) <= 1e-12 and (done is None or done(x_new)):
             return x_new
         x = x_new
-    if max_violation(atoms, x) > 1e-6:
-        raise ProjectionError("alternating projection did not converge (empty set?)")
     return x
+
+
+def _ball_poly_projector(ball, poly, n: int, workspace):
+    # Dykstra alternation between a norm ball and a polyhedral intersection
+    poly_exact = _poly_projector(poly, n, workspace)
+    atoms = [ball, *poly]
+
+    def exact(v):
+        x = _dykstra(
+            functools.partial(_project_single, ball),
+            lambda u: u if max_violation(poly, u) <= 1e-12 else poly_exact(u),
+            v, 5000, lambda x: max_violation(atoms, x) <= 1e-10,
+        )
+        if max_violation(atoms, x) > 1e-6:
+            raise ProjectionError("alternating projection did not converge (empty set?)")
+        return x
+
+    return exact
+
+
+def projector(atoms, n: int, workspace: QpWorkspace | None = None):
+    """Resolve the Euclidean projection onto an intersection of atoms once.
+
+    Returns project(point) for points of R^n, with the case analysis of the
+    atoms done here rather than on every call. Single atoms use closed forms
+    (clipping, scaling, isotonic pooling); a nonnegative sum constraint is
+    the simplex; one monotone cone with scalar bounds clips its isotonic
+    fit. Other intersections of polyhedral atoms are solved as one QP on
+    rows stacked here; composing the individual projections would not give
+    the intersection projection. A norm ball intersected with polyhedral
+    atoms alternates both projections Dykstra-style. Points already feasible
+    are returned as-is. A workspace speeds up repeated QP projections. An
+    empty set of one monotone cone and scalar bounds raises ProjectionError
+    here; every other empty set raises when a point is projected.
+    """
+    atoms = [a for a in atoms if a.kind != model.FREE]
+    if not atoms:
+        return lambda point: np.asarray(point, dtype=float)
+
+    balls = [a for a in atoms if a.kind == model.NORM_BALL2]
+    poly = [a for a in atoms if a.kind in POLYHEDRAL_KINDS]
+    # concentric balls: only the smallest radius binds
+    ball = min(balls, key=lambda a: a.radius) if balls else None
+
+    if ball is None:
+        exact = _poly_projector(poly, n, workspace)
+    elif not poly:
+        exact = functools.partial(_project_single, ball)
+    else:
+        exact = _ball_poly_projector(ball, poly, n, workspace)
+
+    def project_point(point):
+        v = np.asarray(point, dtype=float)
+        if max_violation(atoms, v) <= _FEAS_TOL:
+            return v
+        return exact(v)
+
+    return project_point
+
+
+def project(atoms, point, workspace: QpWorkspace | None = None) -> np.ndarray:
+    """Euclidean projection of point onto the atoms: one use of projector."""
+    v = np.asarray(point, dtype=float)
+    return projector(atoms, v.size, workspace)(v)
 
 
 # ---------------------------------------------------------------------------
@@ -572,8 +600,8 @@ def _is_separable(atom):
     return atom.kind in (model.NONNEG, model.NONPOS, model.BOX)
 
 
-def _sign_box_bounds(atoms, n):
-    """Intersected (lo, hi) arrays of sign-box atoms."""
+def _box_bounds(atoms, n):
+    """Intersected (lo, hi) arrays of nonneg, nonpos and box atoms."""
     lo, hi = np.full(n, -np.inf), np.full(n, np.inf)
     for a in atoms:
         if a.kind == model.NONNEG:
@@ -586,20 +614,9 @@ def _sign_box_bounds(atoms, n):
     return lo, hi
 
 
-def _dykstra_prox(regs, atoms, v, step, workspace):
+def _dykstra_prox(regs, project_point, v, step):
     # Dykstra alternation between the regularizer prox and the projection
-    x = v.copy()
-    p_corr = np.zeros_like(v)
-    q_corr = np.zeros_like(v)
-    for _ in range(2000):
-        y = _chained_prox(regs, x + p_corr, step)
-        p_corr = x + p_corr - y
-        x_new = project(atoms, y + q_corr, workspace=workspace)
-        q_corr = y + q_corr - x_new
-        if float(np.abs(x_new - x).max()) <= 1e-12:
-            return x_new
-        x = x_new
-    return x
+    return _dykstra(lambda u: _chained_prox(regs, u, step), project_point, v, 2000)
 
 
 def prox_plan(regs, atoms, n: int, workspace: QpWorkspace | None = None):
@@ -611,26 +628,27 @@ def prox_plan(regs, atoms, n: int, workspace: QpWorkspace | None = None):
     """
     regs = [r for r in regs if r.weight > 0.0]
     atoms = [a for a in atoms if a.kind != model.FREE]
-    if not regs:
-        return lambda point, step: project(atoms, point, workspace=workspace)
     if not atoms:
         return lambda point, step: _chained_prox(regs, point, step)
 
     kinds = {r.kind for r in regs}
-    if all(_is_sign_box(a, n) for a in atoms):
+    if regs and all(_is_sign_box(a, n) for a in atoms):
         # sign boxes zero out coordinates; soft-threshold and shrink keep them
         # zeroed, so prox-after-project is exact, and the projection onto an
         # intersection of boxes is the clip to its intersected bounds
-        lo, hi = _sign_box_bounds(atoms, n)
+        lo, hi = _box_bounds(atoms, n)
         return lambda point, step: _chained_prox(regs, np.clip(point, lo, hi), step)
+    proj = projector(atoms, n, workspace)
+    if not regs:
+        return lambda point, step: proj(point)
     if kinds == {model.GROUP_L2} and all(_is_cone(a, n) for a in atoms):
         # scaling stays in the cone and preserves orthogonality of the
         # projection residual, so shrink-after-project is exact
-        return lambda point, step: _chained_prox(regs, project(atoms, point, workspace=workspace), step)
+        return lambda point, step: _chained_prox(regs, proj(point), step)
     if kinds == {model.L1} and all(_is_separable(a) for a in atoms):
         # separable 1-d problems: clip the unconstrained prox
-        return lambda point, step: project(atoms, _chained_prox(regs, point, step), workspace=workspace)
-    return lambda point, step: _dykstra_prox(regs, atoms, np.asarray(point, dtype=float), step, workspace)
+        return lambda point, step: proj(_chained_prox(regs, point, step))
+    return lambda point, step: _dykstra_prox(regs, proj, np.asarray(point, dtype=float), step)
 
 
 def joint_prox(regs, atoms, point, step: float, workspace: QpWorkspace | None = None):

@@ -200,7 +200,12 @@ def kl_chain(weight: float) -> RegularizerAtom:
 
 @dataclass(frozen=True)
 class SolverControls:
-    """Termination and subsolver knobs shared by the whole fit."""
+    """Termination and subsolver knobs shared by the whole fit.
+
+    qp_tol and qp_max_iter govern only the QP of square regression over
+    polyhedral constraints; projections (including the projected centroid
+    of a squared-distance factor) solve to a fixed tolerance.
+    """
 
     eps: float = 1e-6
     max_iter: int = 500

@@ -36,12 +36,9 @@ def _exact_factor_solve(atom, atoms, feats, obs, n):
         return kernels.project(atoms, np.zeros(n))
     poly = [a for a in atoms if a.kind != model.FREE]
     if atom.kind == model.SQUARED_DISTANCE:
-        centroid = (feats + obs[:, None]).mean(axis=0)
-        if not poly:
-            return centroid
-        # the weighted square distance minimizer over a convex set is the
-        # projection of the centroid
-        return kernels.project(poly, centroid, tol=1e-10)
+        # the square distance minimizer over a convex set is the projection
+        # of the centroid
+        return kernels.project(poly, (feats + obs[:, None]).mean(axis=0))
     if atom.kind == model.SQUARE_REGRESSION:
         if not poly:
             theta, *_ = np.linalg.lstsq(feats, obs, rcond=None)

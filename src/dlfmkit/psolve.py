@@ -1,11 +1,13 @@
 """Parameter problem: minimize the factor-weighted losses with factors fixed.
 
-The problem separates across factors. Quadratic losses over polyhedral sets
-go to a closed form or the QP kernel; every other combination runs projected
-proximal gradient with a backtracking line search. Unconstrained weighted
-least squares solves the n x n normal equations over the rows with nonzero
-weight by Cholesky, and falls back to lstsq on those rows when the Gram
-matrix is singular or ill-conditioned.
+The problem separates across factors. An unregularized squared-distance
+factor is the projection of its weighted centroid onto its constraint set,
+whatever that set is. Unregularized square regression builds the n x n
+weighted Gram matrix over the rows with nonzero weight once; unconstrained,
+it solves the normal equations by Cholesky, with an lstsq fallback when the
+Gram matrix is singular or ill-conditioned, and over polyhedral constraints
+it is a QP for the QP kernel. Every other combination runs projected
+proximal gradient with a backtracking line search.
 """
 
 from __future__ import annotations
@@ -56,36 +58,27 @@ def make_workspaces(K: int) -> list[PWorkspace]:
     return [PWorkspace(qp=kernels.QpWorkspace(), proj=kernels.QpWorkspace()) for _ in range(K)]
 
 
-_QUADRATIC = (model.SQUARE_REGRESSION, model.SQUARED_DISTANCE)
-
-
-def _quadratic_terms(atom, feats, obs, w):
-    """(P, q) with weighted loss = 0.5 th' P th + q' th + const."""
-    if atom.kind == model.SQUARE_REGRESSION:
-        Xw = feats * w[:, None]
-        return 2.0 * Xw.T @ feats, -2.0 * Xw.T @ obs
-    centers = feats + obs[:, None]
-    n = feats.shape[1]
-    return 2.0 * w.sum() * np.eye(n), -2.0 * w @ centers
-
-
 # smallest accepted L_jj^2 / G_jj, the share of column j's weighted energy
 # not explained by the columns before it (a scale-free collinearity test)
 _CHOLESKY_MIN_PIVOT = 1e-8
 
 
-def _weighted_lstsq(feats, obs, w):
-    """argmin_theta sum_i w_i (x_i . theta - y_i)^2 over the rows with w_i > 0.
-
-    Rows of zero weight add nothing to the system, so only the weighted rows
-    are gathered. A rank-deficient or ill-conditioned Gram matrix takes the
-    minimum-norm lstsq solution of the same rows instead.
-    """
+def _weighted_gram(feats, obs, w):
+    """Weighted Gram G = X' diag(w) X and b = X' diag(w) y over the rows with
+    w_i > 0 (the others add nothing), returned as (G, b, X, y, w) of those rows."""
     idx = np.flatnonzero(w)
     X, y, wi = feats[idx], obs[idx], w[idx]
     Xw = X.T * wi
-    G = Xw @ X
-    b = Xw @ y
+    return Xw @ X, Xw @ y, X, y, wi
+
+
+def _weighted_lstsq(feats, obs, w):
+    """argmin_theta sum_i w_i (x_i . theta - y_i)^2 over the rows with w_i > 0.
+
+    A rank-deficient or ill-conditioned Gram matrix takes the minimum-norm
+    lstsq solution of the same rows instead.
+    """
+    G, b, X, y, wi = _weighted_gram(feats, obs, w)
     try:
         L = np.linalg.cholesky(G)
         if np.all(np.diag(L) ** 2 > _CHOLESKY_MIN_PIVOT * np.diag(G)):
@@ -95,6 +88,39 @@ def _weighted_lstsq(feats, obs, w):
     rw = np.sqrt(wi)
     theta, *_ = np.linalg.lstsq(X * rw[:, None], y * rw, rcond=None)
     return theta
+
+
+def _polyhedral_lstsq(k, atoms, feats, obs, w, warm, ws, controls):
+    """Weighted least squares over polyhedral atoms: the QP with P = 2G, q = -2b.
+
+    A QP stopped at its iteration cap never leaves the factor infeasible or
+    worse than its warm value. Returns (theta, QP iterations, status).
+    """
+    G, b, *_ = _weighted_gram(feats, obs, w)
+    P, q = 2.0 * G, -2.0 * b
+    A, lo, hi = kernels.stack_rows(atoms, G.shape[0])
+    sol = kernels.qp_solve(
+        kernels.qp_problem(P, q, A, lo, hi),
+        tol=controls.qp_tol,
+        max_iter=controls.qp_max_iter,
+        workspace=ws.qp,
+    )
+    if sol.status == kernels.PRIMAL_INFEASIBLE:
+        raise SubsolverFailure(k, "constraint set reported infeasible")
+    if not np.all(np.isfinite(sol.x)):
+        raise SubsolverFailure(k, "QP produced non-finite parameters")
+    if sol.status == kernels.SOLVED:
+        return sol.x, sol.iterations, P_CONVERGED
+    # a capped solve may end infeasible or above its start; keep the warm
+    # point then, so the block step never ascends
+    theta = sol.x
+    if warm is None:
+        theta = kernels.project(atoms, theta, workspace=ws.proj)
+    elif kernels.max_violation(atoms, theta) > 1e-9 or (
+        0.5 * theta @ P @ theta + q @ theta > 0.5 * warm @ P @ warm + q @ warm
+    ):
+        theta = warm
+    return theta, sol.iterations, P_MAX_ITER
 
 
 def _power_lambda_max(M, iters: int = 60):
@@ -111,16 +137,9 @@ def _power_lambda_max(M, iters: int = 60):
     return lam
 
 
-def _factor_objective(atom, feats, obs, w, regs, theta):
-    val = float(w @ model.batch_losses(atom, feats, obs, theta))
-    return val + model.p_regularizer_value(regs, [theta])
-
-
 def _prox_gradient_factor(atom, atoms, regs, feats, obs, w, theta0, ws, tol, max_iter):
     """Projected proximal gradient with halving line search from 1/L-hat."""
-    theta = np.asarray(theta0, dtype=float).copy()
-    if kernels.max_violation(atoms, theta) > 1e-9:
-        theta = kernels.project(atoms, theta, workspace=ws.proj)
+    theta = kernels.project(atoms, np.array(theta0, dtype=float), workspace=ws.proj)
     prox = kernels.prox_plan(regs, atoms, theta.size, workspace=ws.proj)
 
     lam = _power_lambda_max(model.curvature_matrix(atom, feats, obs, w))
@@ -181,15 +200,19 @@ def solve_p(
     parameter blocks and workspaces from the previous iteration are reused;
     the first call may pass None for both. A factor whose weight column is
     all zero keeps its warm value when unregularized and is driven to the
-    regularizer minimizer otherwise. An unconstrained, unregularized square
-    regression factor solves its normal equations over the rows with nonzero
-    weight (one-hot Z after the first F-step leaves about m/K of them), with
-    a minimum-norm lstsq fallback for singular or ill-conditioned systems.
-    A QP stopped at its iteration cap never leaves a factor infeasible or
-    worse than its warm value.
+    regularizer minimizer otherwise. An unregularized squared-distance
+    factor is the projection of its weighted centroid onto its constraints
+    (none, polyhedral or a norm ball), with no QP of its own. An
+    unregularized square regression factor builds its weighted Gram matrix
+    over the rows with nonzero weight (one-hot Z after the first F-step
+    leaves about m/K of them): unconstrained, it solves the normal equations,
+    with a minimum-norm lstsq fallback for singular or ill-conditioned
+    systems; over polyhedral constraints it is a QP with P = 2G, and a QP
+    stopped at its iteration cap never leaves the factor infeasible or worse
+    than its warm value. Everything else runs projected proximal gradient.
     """
     Z = np.asarray(Z, dtype=float)
-    K, n = spec.K, spec.n
+    K, n, c = spec.K, spec.n, spec.controls
     feats, obs = data.features, data.observations
     regs = [r for r in spec.p_regularizers if r.weight > 0.0]
     if workspaces is None:
@@ -204,69 +227,35 @@ def solve_p(
         atoms = [a for a in spec.constraints_per_factor[k] if a.kind != model.FREE]
         ws = workspaces[k]
         warm_k = None if warm is None else np.asarray(warm[k], dtype=float)
+        theta0 = warm_k if warm_k is not None else np.zeros(n)
 
         if not np.any(w):
+            status = P_SKIPPED
             if regs:
-                theta0 = warm_k if warm_k is not None else np.zeros(n)
                 theta, _, it, _ = _prox_gradient_factor(
-                    atom, atoms, regs, feats[:0], obs[:0], w[:0], theta0, ws,
-                    spec.controls.p_tol, spec.controls.p_max_iter,
+                    atom, atoms, regs, feats[:0], obs[:0], w[:0], theta0, ws, c.p_tol, c.p_max_iter
                 )
-                thetas.append(theta)
-                iters.append(it)
             else:
-                theta = warm_k if warm_k is not None else kernels.project(atoms, np.zeros(n))
-                thetas.append(theta)
-                iters.append(0)
-            statuses.append(P_SKIPPED)
-            continue
-
-        quadratic = atom.kind in _QUADRATIC and not regs
-        polyhedral = all(a.kind in kernels.POLYHEDRAL_KINDS for a in atoms)
-        if quadratic and polyhedral:
-            if not atoms:
-                if atom.kind == model.SQUARED_DISTANCE:
-                    theta = (w @ (feats + obs[:, None])) / w.sum()
-                else:
-                    theta = _weighted_lstsq(feats, obs, w)
-                thetas.append(theta)
-                iters.append(1)
-                statuses.append(P_CONVERGED)
-                continue
-            P, q = _quadratic_terms(atom, feats, obs, w)
-            A, lo, hi = kernels.stack_rows(atoms, n)
-            sol = kernels.qp_solve(
-                kernels.qp_problem(P, q, A, lo, hi),
-                tol=spec.controls.qp_tol,
-                max_iter=spec.controls.qp_max_iter,
-                workspace=ws.qp,
+                theta, it = (warm_k if warm_k is not None else kernels.project(atoms, theta0)), 0
+        elif atom.kind == model.SQUARED_DISTANCE and not regs:
+            # sum_i w_i ||theta - c_i||^2 = W ||theta - c||^2 + const for the
+            # weighted centroid c, so its minimizer is the projection of c
+            centroid = (w @ (feats + obs[:, None])) / w.sum()
+            theta, it, status = kernels.project(atoms, centroid, workspace=ws.proj), 1, P_CONVERGED
+        elif atom.kind == model.SQUARE_REGRESSION and not regs and not atoms:
+            theta, it, status = _weighted_lstsq(feats, obs, w), 1, P_CONVERGED
+        elif (
+            atom.kind == model.SQUARE_REGRESSION
+            and not regs
+            and all(a.kind in kernels.POLYHEDRAL_KINDS for a in atoms)
+        ):
+            theta, it, status = _polyhedral_lstsq(k, atoms, feats, obs, w, warm_k, ws, c)
+        else:
+            theta, _, it, status = _prox_gradient_factor(
+                atom, atoms, regs, feats, obs, w, theta0, ws, c.p_tol, c.p_max_iter
             )
-            if sol.status == kernels.PRIMAL_INFEASIBLE:
-                raise SubsolverFailure(k, "constraint set reported infeasible")
-            if not np.all(np.isfinite(sol.x)):
-                raise SubsolverFailure(k, "QP produced non-finite parameters")
-            theta = sol.x
-            if sol.status != kernels.SOLVED:
-                # a capped solve may end infeasible or above its start; keep
-                # the warm point then, so the block step never ascends
-                if warm_k is None:
-                    theta = kernels.project(atoms, theta, workspace=ws.proj)
-                elif kernels.max_violation(atoms, theta) > 1e-9 or (
-                    0.5 * theta @ P @ theta + q @ theta > 0.5 * warm_k @ P @ warm_k + q @ warm_k
-                ):
-                    theta = warm_k
-            thetas.append(theta)
-            iters.append(sol.iterations)
-            statuses.append(P_CONVERGED if sol.status == kernels.SOLVED else P_MAX_ITER)
-            continue
-
-        theta0 = warm_k if warm_k is not None else np.zeros(n)
-        theta, _, it, status = _prox_gradient_factor(
-            atom, atoms, regs, feats, obs, w, theta0, ws,
-            spec.controls.p_tol, spec.controls.p_max_iter,
-        )
-        if not np.all(np.isfinite(theta)):
-            raise SubsolverFailure(k, "gradient step produced non-finite parameters")
+            if not np.all(np.isfinite(theta)):
+                raise SubsolverFailure(k, "gradient step produced non-finite parameters")
         thetas.append(theta)
         iters.append(it)
         statuses.append(status)

@@ -233,8 +233,11 @@ class TestProject:
         for trial in range(60):
             n = int(rng.integers(2, 8))
             v = rng.normal(0, 3, n)
-            if trial % 2:
+            if trial % 3 == 1:
                 atoms = [model.nonneg(), model.monotone_nonincreasing()]
+            elif trial % 3 == 2:  # scalar bounds given as a box with an infinite side
+                atoms = [model.box(np.full(n, -1.0), np.full(n, np.inf)),
+                         model.monotone_nondecreasing()]
             else:
                 atoms = [model.nonpos(), model.monotone_nondecreasing()]
             fast = dk.project(atoms, v)
@@ -379,7 +382,7 @@ class TestProxPlan:
                 v = rng.normal(0.0, 2.0, size=n)
                 step = float(rng.uniform(0.1, 2.0))
                 got = prox(v, step)
-                ref = kernels._dykstra_prox(list(regs), atoms, v, step, None)
+                ref = kernels._dykstra_prox(list(regs), kernels.projector(atoms, n), v, step)
                 assert kernels.max_violation(atoms, got) == 0.0
                 assert np.allclose(got, ref, atol=1e-8)
 

@@ -44,6 +44,18 @@ class TestClosedForms:
         out = dk.solve_p(spec, data, np.ones((2, 1)))
         assert np.allclose(out.thetas[0], [0.0], atol=1e-6)
 
+    def test_ball_constrained_centroid(self):
+        # the weighted centroid (3, 4) lies outside the unit ball; the step is
+        # its exact projection, with no gradient iterations
+        pts = np.array([[2.0, 4.0], [4.0, 4.0], [9.0, 9.0]])
+        data = dk.dataset(pts, np.zeros(3))
+        spec = dk.shared_spec(K=1, n=2, loss=dk.squared_distance(),
+                              constraints=(dk.norm_ball2(1.0),))
+        out = dk.solve_p(spec, data, np.array([[1.0], [1.0], [0.0]]))
+        np.testing.assert_allclose(out.thetas[0], [0.6, 0.8], rtol=0.0, atol=1e-15)
+        assert out.inner_iterations == [1]
+        assert out.statuses == [psolve.P_CONVERGED]
+
     def test_box_constrained_regression(self):
         # min (th - 5)^2 with th <= 1 -> th = 1
         X = np.array([[1.0]])
@@ -179,32 +191,99 @@ class TestWorkspaceReuse:
             assert np.allclose(cold.thetas[k], warm2.thetas[k], atol=1e-5)
 
 
-class TestCappedQp:
-    def test_capped_steps_stay_feasible_and_monotone(self):
-        # 30 ADMM iterations rarely finish these P-steps: without the guard
-        # the thetas left the polytope and the objective trace rose
+def capped_case(name):
+    """(spec, data, expect_capped) for the capped-QP tests, m=200."""
+    if name == "kmeans":
+        # squared distance: a projected centroid, no QP to cap
         cfg = ex.experiment_config(ex.CONSTRAINED_KMEANS, 0, m=200)
         data, _, _ = ex.gen_constrained_kmeans(cfg)
-        spec = ex.kmeans_spec(True, 1, 0)
-        spec = replace(spec, controls=replace(spec.controls, qp_max_iter=30))
-        res = dk.fit(spec, data)
+        return ex.kmeans_spec(True, 1, 0), data, False
+    cfg = ex.experiment_config(ex.MIXTURE_LINREG, 0, m=200)
+    data, _, _ = ex.gen_mixture_linreg(cfg)
+    atoms = (dk.nonneg(), dk.polyhedron(np.ones((1, 10)), np.array([1.0])))
+    spec = dk.shared_spec(3, 10, dk.square_regression(), atoms,
+                          controls=model.SolverControls(restarts=1, seed=0))
+    return spec, data, True
+
+
+def fit_with_statuses(spec, data, monkeypatch):
+    """fit(spec, data) and the statuses of every factor solve it ran."""
+    statuses = []
+    real = psolve.solve_p
+
+    def spy(*args, **kwargs):
+        out = real(*args, **kwargs)
+        statuses.extend(out.statuses)
+        return out
+
+    monkeypatch.setattr(psolve, "solve_p", spy)
+    return dk.fit(spec, data), statuses
+
+
+def cap_qp(spec, max_iter=30):
+    return replace(spec, controls=replace(spec.controls, qp_max_iter=max_iter))
+
+
+@pytest.mark.parametrize("case", ["kmeans", "regression"])
+class TestCappedQp:
+    def test_capped_steps_stay_feasible_and_monotone(self, case, monkeypatch):
+        # 30 ADMM iterations rarely finish the constrained regression
+        # P-steps: without the guard the thetas left the polytope and the
+        # objective trace rose
+        spec, data, expect_capped = capped_case(case)
+        res, statuses = fit_with_statuses(cap_qp(spec), data, monkeypatch)
+        assert (psolve.P_MAX_ITER in statuses) == expect_capped
         flat = [v for _, after_p, after_f in res.objective_trace for v in (after_p, after_f)]
         for a, b in zip(flat, flat[1:]):
             assert b <= a + 1e-8 * max(1.0, abs(a))
         atoms = spec.constraints_per_factor[0]
         assert max(kernels.max_violation(atoms, th) for th in res.thetas) <= 1e-9
 
-    def test_capped_step_does_not_close_the_gap(self):
+    def test_capped_step_does_not_close_the_gap(self, case, monkeypatch):
         # a rejected capped step keeps the warm theta, so after-P equals the
         # last after-F although no fixed point was reached; the fit must go on
         # to the optimum the uncapped fit finds
+        spec, data, expect_capped = capped_case(case)
+        capped, statuses = fit_with_statuses(cap_qp(spec), data, monkeypatch)
+        full = dk.fit(spec, data)
+        assert (psolve.P_MAX_ITER in statuses) == expect_capped
+        assert capped.status == dk.GAP_CONVERGED
+        assert capped.objective_trace[-1][2] == pytest.approx(full.objective_trace[-1][2], rel=1e-9)
+
+
+class TestProjectedCentroid:
+    """Squared-distance P-steps against the active-set oracle on their QP."""
+
+    @pytest.mark.parametrize("weights", ["one_hot", "dirichlet"])
+    def test_kmeans_step_matches_active_set_oracle(self, weights):
+        # the weighted loss is the QP with P = 2 W I and q = -2 sum_i w_i c_i;
+        # the oracle enumerates its active sets and shares no code with the
+        # projection the P-step runs
         cfg = ex.experiment_config(ex.CONSTRAINED_KMEANS, 0, m=200)
         data, _, _ = ex.gen_constrained_kmeans(cfg)
         spec = ex.kmeans_spec(True, 1, 0)
-        capped = dk.fit(replace(spec, controls=replace(spec.controls, qp_max_iter=30)), data)
-        full = dk.fit(spec, data)
-        assert capped.status == dk.GAP_CONVERGED
-        assert capped.objective_trace[-1][2] == pytest.approx(full.objective_trace[-1][2], rel=1e-9)
+        A, b = ex.KMEANS_A, ex.KMEANS_B
+        X = data.features
+        centers = X + data.observations[:, None]
+        quadrant = 2 * (X[:, 0] > 0) + (X[:, 1] > 0)
+        rng = np.random.default_rng(5)
+        active = 0
+        for _ in range(8):
+            if weights == "one_hot":
+                # quadrant labels with 30% reassigned at random
+                noisy = rng.random(len(quadrant)) < 0.3
+                Z = hard_Z(np.where(noisy, rng.integers(0, 4, len(quadrant)), quadrant), 4)
+            else:  # Dirichlet weights leaning to the quadrant
+                Z = np.array([rng.dirichlet(0.2 + 4.0 * np.eye(4)[q]) for q in quadrant])
+            out = dk.solve_p(spec, data, Z)
+            for k in range(4):
+                w = Z[:, k]
+                prob = dk.qp_problem(2.0 * w.sum() * np.eye(2), -2.0 * w @ centers,
+                                     A, np.full(5, -dk.INF), b)
+                ref = dk.qp_active_set_oracle(prob)
+                np.testing.assert_allclose(out.thetas[k], ref, rtol=0.0, atol=1e-8)
+                active += float((A @ ref - b).max()) > -1e-9
+        assert active >= 16  # most centroids lie outside the polytope
 
 
 class TestWeightedLeastSquares:
