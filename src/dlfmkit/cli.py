@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import hashlib
 import json
 import os
@@ -60,6 +61,8 @@ def _fingerprint(path: str) -> str:
 
 
 def _require_keys(d: dict, allowed: set, required: set, path: str):
+    if not isinstance(d, dict):
+        raise CliInputError(f"{path}: must be an object")
     for key in d:
         if key not in allowed:
             raise CliInputError(f"{path}.{key}: unknown key")
@@ -68,38 +71,60 @@ def _require_keys(d: dict, allowed: set, required: set, path: str):
             raise CliInputError(f"{path}.{key}: missing required key")
 
 
+def _kind(d: dict, path: str) -> str:
+    if not isinstance(d["kind"], str):
+        raise CliInputError(f"{path}.kind: must be a string")
+    return d["kind"]
+
+
+def _list(value, path: str) -> list:
+    if not isinstance(value, list):
+        raise CliInputError(f"{path}: must be a list")
+    return value
+
+
+def _float(value, path: str) -> float:
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise CliInputError(f"{path}: must be a number") from None
+
+
+def _floats(value, path: str) -> np.ndarray:
+    try:
+        return np.asarray(value, dtype=float)
+    except (TypeError, ValueError):
+        raise CliInputError(f"{path}: must be a number or a rectangular array of numbers") from None
+
+
 def _parse_loss(d: dict, path: str) -> model.LossAtom:
-    if not isinstance(d, dict):
-        raise CliInputError(f"{path}: loss must be an object")
     _require_keys(d, {"kind", "order", "delta"}, {"kind"}, path)
-    kind = d["kind"]
+    kind = _kind(d, path)
     if kind == model.LP_REGRESSION:
         if "order" not in d:
             raise CliInputError(f"{path}.order: missing required key")
-        return model.lp_regression(d["order"])
+        return model.lp_regression(_float(d["order"], f"{path}.order"))
     if kind == model.HUBER:
         if "delta" not in d:
             raise CliInputError(f"{path}.delta: missing required key")
-        return model.huber(d["delta"])
+        return model.huber(_float(d["delta"], f"{path}.delta"))
     if kind not in model.LOSS_KINDS:
         raise CliInputError(f"{path}.kind: unknown loss kind {kind!r}")
     return model.LossAtom(kind)
 
 
 def _parse_constraint(d: dict, path: str) -> model.ConstraintAtom:
-    if not isinstance(d, dict):
-        raise CliInputError(f"{path}: constraint must be an object")
     _require_keys(d, {"kind", "lo", "hi", "A", "b", "radius", "value"}, {"kind"}, path)
-    kind = d.get("kind")
+    kind = _kind(d, path)
     try:
         if kind == model.BOX:
-            return model.box(d["lo"], d["hi"])
+            return model.box(_floats(d["lo"], f"{path}.lo"), _floats(d["hi"], f"{path}.hi"))
         if kind == model.POLYHEDRON:
-            return model.polyhedron(d["A"], d["b"])
+            return model.polyhedron(_floats(d["A"], f"{path}.A"), _floats(d["b"], f"{path}.b"))
         if kind == model.NORM_BALL2:
-            return model.norm_ball2(d["radius"])
+            return model.norm_ball2(_float(d["radius"], f"{path}.radius"))
         if kind == model.SUM_EQUALS:
-            return model.sum_equals(d["value"])
+            return model.sum_equals(_float(d["value"], f"{path}.value"))
         if kind in model.CONSTRAINT_KINDS:
             return model.ConstraintAtom(kind)
     except KeyError as exc:
@@ -108,24 +133,24 @@ def _parse_constraint(d: dict, path: str) -> model.ConstraintAtom:
 
 
 def _parse_regularizer(d: dict, path: str) -> model.RegularizerAtom:
-    if not isinstance(d, dict):
-        raise CliInputError(f"{path}: regularizer must be an object")
     _require_keys(d, {"kind", "weight"}, {"kind", "weight"}, path)
-    return model.RegularizerAtom(d["kind"], float(d["weight"]))
+    return model.RegularizerAtom(_kind(d, path), _float(d["weight"], f"{path}.weight"))
 
 
-_CONTROL_KEYS = {
-    "eps",
-    "max_iter",
-    "restarts",
-    "seed",
-    "qp_tol",
-    "qp_max_iter",
-    "p_tol",
-    "p_max_iter",
-    "f_tol",
-    "f_max_iter",
-}
+def _parse_controls(d: dict) -> model.SolverControls:
+    fields = {f.name: f.default for f in dataclasses.fields(model.SolverControls)}
+    _require_keys(d, set(fields), set(), "config.controls")
+    values = {}
+    for key, value in d.items():
+        path = f"config.controls.{key}"
+        # each control keeps the type of its default
+        if not isinstance(fields[key], int):
+            values[key] = _float(value, path)
+        elif isinstance(value, int) and not isinstance(value, bool):
+            values[key] = value
+        else:
+            raise CliInputError(f"{path}: must be an integer")
+    return model.SolverControls(**values)
 
 
 def parse_config(text: str):
@@ -157,7 +182,8 @@ def parse_config(text: str):
         if "loss" in mcfg:
             raise CliInputError("config.model: give either loss or losses, not both")
         losses = tuple(
-            _parse_loss(d, f"config.model.losses[{i}]") for i, d in enumerate(mcfg["losses"])
+            _parse_loss(d, f"config.model.losses[{i}]")
+            for i, d in enumerate(_list(mcfg["losses"], "config.model.losses"))
         )
     elif "loss" in mcfg:
         losses = tuple([_parse_loss(mcfg["loss"], "config.model.loss")] * K)
@@ -171,35 +197,33 @@ def parse_config(text: str):
             raise CliInputError(
                 "config.model: give either constraints or constraints_per_factor, not both"
             )
-        rows = mcfg["constraints_per_factor"]
+        rows = _list(mcfg["constraints_per_factor"], "config.model.constraints_per_factor")
         if len(rows) != K:
             raise CliInputError(f"config.model.constraints_per_factor: need exactly K={K} lists")
         constraints = tuple(
             tuple(
                 _parse_constraint(d, f"config.model.constraints_per_factor[{k}][{j}]")
-                for j, d in enumerate(row)
+                for j, d in enumerate(_list(row, f"config.model.constraints_per_factor[{k}]"))
             )
             for k, row in enumerate(rows)
         )
     else:
         shared = tuple(
             _parse_constraint(d, f"config.model.constraints[{j}]")
-            for j, d in enumerate(mcfg.get("constraints", []))
+            for j, d in enumerate(_list(mcfg.get("constraints", []), "config.model.constraints"))
         )
         constraints = tuple([shared] * K)
 
     p_regs = tuple(
         _parse_regularizer(d, f"config.model.p_regularizers[{j}]")
-        for j, d in enumerate(mcfg.get("p_regularizers", []))
+        for j, d in enumerate(_list(mcfg.get("p_regularizers", []), "config.model.p_regularizers"))
     )
     f_regs = tuple(
         _parse_regularizer(d, f"config.model.f_regularizers[{j}]")
-        for j, d in enumerate(mcfg.get("f_regularizers", []))
+        for j, d in enumerate(_list(mcfg.get("f_regularizers", []), "config.model.f_regularizers"))
     )
 
-    ccfg = cfg.get("controls", {})
-    _require_keys(ccfg, _CONTROL_KEYS, set(), "config.controls")
-    controls = model.SolverControls(**ccfg)
+    controls = _parse_controls(cfg.get("controls", {}))
 
     dcfg = cfg.get("data", {})
     _require_keys(dcfg, {"ordered", "classes"}, set(), "config.data")
@@ -382,9 +406,7 @@ def cmd_fit(config_path, data_path, out_path, seed=None, restarts=None, eps=None
     if max_iter is not None:
         updates["max_iter"] = max_iter
     if updates:
-        from dataclasses import replace
-
-        spec = replace(spec, controls=replace(spec.controls, **updates))
+        spec = dataclasses.replace(spec, controls=dataclasses.replace(spec.controls, **updates))
 
     data = load_csv_dataset(data_path, data_opts["ordered"], data_opts["classes"])
     t_load = time.perf_counter()

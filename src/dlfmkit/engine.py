@@ -8,7 +8,7 @@ objective across restarts wins. Everything is deterministic given
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
@@ -64,15 +64,19 @@ def gap(after_p: float, after_f: float) -> float:
 
 
 def _run_restart(spec: model.ModelSpec, data: model.Dataset, restart: int):
+    # weight-0 regularizers are absent: they would otherwise pick the
+    # prox-gradient P-step and the regularized stopping rule
+    p_regs = tuple(r for r in spec.p_regularizers if r.weight > 0.0)
+    f_regs = tuple(r for r in spec.f_regularizers if r.weight > 0.0)
+    spec = replace(spec, p_regularizers=p_regs, f_regularizers=f_regs)
     c = spec.controls
     rng = np.random.default_rng(splitmix64(c.seed, restart))
     Z = init_factors(data.m, spec.K, rng)
 
-    f_regs = spec.f_regularizers
     lam_z = sum(r.weight for r in f_regs if r.kind == model.KL_CHAIN)
-    regularized = bool(spec.p_regularizers) or bool(f_regs)
+    regularized = bool(p_regs or f_regs)
 
-    workspaces = psolve.make_workspaces(spec.K)
+    plans = psolve.plan_factors(spec)
     thetas = None
     # the factor regularizer changes only in the F-step; carry it forward
     freg = model.f_regularizer_value(f_regs, Z)
@@ -82,7 +86,7 @@ def _run_restart(spec: model.ModelSpec, data: model.Dataset, restart: int):
     failed_last = False
     for it in range(1, c.max_iter + 1):
         try:
-            out = psolve.solve_p(spec, data, Z, warm=thetas, workspaces=workspaces)
+            out = psolve.solve_p(spec, data, Z, warm=thetas, plans=plans)
             # a capped factor solve that kept its warm start made no progress
             p_stuck = thetas is not None and any(
                 s == psolve.P_MAX_ITER and np.array_equal(new, old)
@@ -146,7 +150,6 @@ def fit(spec: model.ModelSpec, data: model.Dataset, jobs: int = 1) -> FitResult:
     if not report.ok:
         lines = "; ".join(f"{v.path}: {v.message}" for v in report.violations)
         raise ValueError(f"invalid spec/data: {lines}")
-    spec = model.drop_zero_weight_regularizers(spec)
 
     restarts = spec.controls.restarts
     results: list[FitResult | None] = [None] * restarts

@@ -548,14 +548,11 @@ def block_shrink(v: np.ndarray, amount: float) -> np.ndarray:
 def prox(reg: model.RegularizerAtom, point, step: float = 1.0):
     """Proximal operator of step * reg at point.
 
-    l1 soft-thresholds componentwise. group_l2 shrinks a single block toward
-    zero; a list/tuple of blocks is shrunk blockwise.
+    l1 soft-thresholds componentwise; group_l2 shrinks the block toward zero.
     """
     if reg.kind == model.L1:
         return soft_threshold(np.asarray(point, dtype=float), step * reg.weight)
     if reg.kind == model.GROUP_L2:
-        if isinstance(point, (list, tuple)):
-            return [block_shrink(np.asarray(p, dtype=float), step * reg.weight) for p in point]
         return block_shrink(np.asarray(point, dtype=float), step * reg.weight)
     raise ValueError(f"{reg.kind!r} has no parameter-side proximal operator")
 
@@ -619,26 +616,22 @@ def _dykstra_prox(regs, project_point, v, step):
     return _dykstra(lambda u: _chained_prox(regs, u, step), project_point, v, 2000)
 
 
-def prox_plan(regs, atoms, n: int, workspace: QpWorkspace | None = None):
+def prox_plan(regs, atoms, n: int, proj):
     """Resolve the joint prox of regularizers and atoms on R^n once.
 
     Returns prox(point, step), the map joint_prox applies, with the case
-    analysis of the atoms done here rather than on every call. A solver that
-    applies one prox many times builds the plan once per factor solve.
+    analysis of the atoms done here rather than on every call. atoms hold no
+    FREE atom, and proj is projector(atoms, n), which the plan reuses. A
+    solver that applies one prox many times builds the plan once per factor.
     """
-    regs = [r for r in regs if r.weight > 0.0]
-    atoms = [a for a in atoms if a.kind != model.FREE]
-    if not atoms:
-        return lambda point, step: _chained_prox(regs, point, step)
-
     kinds = {r.kind for r in regs}
     if regs and all(_is_sign_box(a, n) for a in atoms):
-        # sign boxes zero out coordinates; soft-threshold and shrink keep them
-        # zeroed, so prox-after-project is exact, and the projection onto an
-        # intersection of boxes is the clip to its intersected bounds
+        # sign boxes (none at all included) zero out coordinates;
+        # soft-threshold and shrink keep them zeroed, so prox-after-project is
+        # exact, and the projection onto an intersection of boxes is the clip
+        # to its intersected bounds
         lo, hi = _box_bounds(atoms, n)
         return lambda point, step: _chained_prox(regs, np.clip(point, lo, hi), step)
-    proj = projector(atoms, n, workspace)
     if not regs:
         return lambda point, step: proj(point)
     if kinds == {model.GROUP_L2} and all(_is_cone(a, n) for a in atoms):
@@ -661,4 +654,5 @@ def joint_prox(regs, atoms, point, step: float, workspace: QpWorkspace | None = 
     application of prox_plan.
     """
     v = np.asarray(point, dtype=float)
-    return prox_plan(regs, atoms, v.size, workspace)(v, step)
+    atoms = [a for a in atoms if a.kind != model.FREE]
+    return prox_plan(regs, atoms, v.size, projector(atoms, v.size, workspace))(v, step)

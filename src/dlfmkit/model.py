@@ -9,7 +9,7 @@ objectives, and validates spec/data pairs before any solver runs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -520,15 +520,20 @@ def _check_constraint_atom(atom: ConstraintAtom, n: int, path: str, out: list):
         if lo.shape not in ((1,), (n,)) or hi.shape not in ((1,), (n,)):
             out.append(Violation(path, f"box bounds must be scalars or length {n}"))
             return
-        lo_full = np.broadcast_to(lo, (n,))
-        hi_full = np.broadcast_to(hi, (n,))
-        if np.any(lo_full > hi_full):
+        for name, bound in (("lo", lo), ("hi", hi)):
+            if np.isnan(bound).any():
+                out.append(Violation(f"{path}.{name}", "bounds must not be NaN (+-inf allowed)"))
+        if np.any(np.broadcast_to(lo, (n,)) > np.broadcast_to(hi, (n,))):
             out.append(Violation(path, "box requires lo <= hi componentwise"))
     elif atom.kind == POLYHEDRON:
         if atom.A.ndim != 2 or atom.A.shape[1] != n:
             out.append(Violation(path + ".A", f"A must have {n} columns; got {atom.A.shape}"))
         elif atom.b.shape != (atom.A.shape[0],):
             out.append(Violation(path + ".b", f"b must have length {atom.A.shape[0]}"))
+        elif not np.isfinite(atom.A).all():
+            out.append(Violation(path + ".A", "A must be finite (no NaN or inf)"))
+        elif np.isnan(atom.b).any():
+            out.append(Violation(path + ".b", "b must not be NaN (+inf allowed)"))
     elif atom.kind == NORM_BALL2:
         if atom.radius is None or not (atom.radius > 0.0):
             out.append(Violation(path + ".radius", "radius must be > 0"))
@@ -671,12 +676,3 @@ def validate(spec: ModelSpec, data: Dataset) -> ValidationReport:
             out.append(Violation(path, "kl_chain requires ordered data"))
 
     return ValidationReport(ok=not out, violations=tuple(out))
-
-
-def drop_zero_weight_regularizers(spec: ModelSpec) -> ModelSpec:
-    """Spec with weight-0 regularizers removed; solvers treat them as absent."""
-    p = tuple(r for r in spec.p_regularizers if r.weight > 0.0)
-    f = tuple(r for r in spec.f_regularizers if r.weight > 0.0)
-    if p == spec.p_regularizers and f == spec.f_regularizers:
-        return spec
-    return replace(spec, p_regularizers=p, f_regularizers=f)

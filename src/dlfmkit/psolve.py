@@ -1,18 +1,15 @@
 """Parameter problem: minimize the factor-weighted losses with factors fixed.
 
-The problem separates across factors. An unregularized squared-distance
-factor is the projection of its weighted centroid onto its constraint set,
-whatever that set is. Unregularized square regression builds the n x n
-weighted Gram matrix over the rows with nonzero weight once; unconstrained,
-it solves the normal equations by Cholesky, with an lstsq fallback when the
-Gram matrix is singular or ill-conditioned, and over polyhedral constraints
-it is a QP for the QP kernel. Every other combination runs projected
-proximal gradient with a backtracking line search.
+The problem separates across factors. `plan_factors` chooses each factor's
+step once per restart, from its loss, its constraint atoms and the parameter
+regularizers, and `solve_p` runs the chosen steps on each iteration's factor
+weights.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -45,17 +42,19 @@ class PSolveOutcome:
     statuses: list
 
 
-@dataclass
-class PWorkspace:
-    """Per-factor caches reused across block-descent iterations."""
+@dataclass(eq=False)
+class FactorPlan:
+    """One factor's P-step, chosen by plan_factors, and its state across iterations."""
 
-    qp: kernels.QpWorkspace
-    proj: kernels.QpWorkspace
-    step: float | None = None
-
-
-def make_workspaces(K: int) -> list[PWorkspace]:
-    return [PWorkspace(qp=kernels.QpWorkspace(), proj=kernels.QpWorkspace()) for _ in range(K)]
+    k: int
+    solve: Callable  # solve(plan, feats, obs, w, warm, controls) -> (theta, iterations, status)
+    loss: model.LossAtom
+    atoms: list  # the factor's constraint atoms, FREE atoms dropped
+    regs: list  # the parameter regularizers
+    project: Callable  # Euclidean projection onto the atoms
+    prox: Callable | None = None  # joint prox of regs and atoms, prox-gradient only
+    qp: kernels.QpWorkspace = field(default_factory=kernels.QpWorkspace)
+    step: float | None = None  # last accepted prox-gradient step
 
 
 # smallest accepted L_jj^2 / G_jj, the share of column j's weighted energy
@@ -72,7 +71,14 @@ def _weighted_gram(feats, obs, w):
     return Xw @ X, Xw @ y, X, y, wi
 
 
-def _weighted_lstsq(feats, obs, w):
+def _projected_centroid(plan, feats, obs, w, warm, controls):
+    # sum_i w_i ||theta - c_i||^2 = W ||theta - c||^2 + const for the
+    # weighted centroid c, so its minimizer is the projection of c
+    centroid = (w @ (feats + obs[:, None])) / w.sum()
+    return plan.project(centroid), 1, P_CONVERGED
+
+
+def _weighted_lstsq(plan, feats, obs, w, warm, controls):
     """argmin_theta sum_i w_i (x_i . theta - y_i)^2 over the rows with w_i > 0.
 
     A rank-deficient or ill-conditioned Gram matrix takes the minimum-norm
@@ -82,41 +88,39 @@ def _weighted_lstsq(feats, obs, w):
     try:
         L = np.linalg.cholesky(G)
         if np.all(np.diag(L) ** 2 > _CHOLESKY_MIN_PIVOT * np.diag(G)):
-            return np.linalg.solve(L.T, np.linalg.solve(L, b))
+            return np.linalg.solve(L.T, np.linalg.solve(L, b)), 1, P_CONVERGED
     except np.linalg.LinAlgError:
         pass  # G is not numerically positive definite
     rw = np.sqrt(wi)
     theta, *_ = np.linalg.lstsq(X * rw[:, None], y * rw, rcond=None)
-    return theta
+    return theta, 1, P_CONVERGED
 
 
-def _polyhedral_lstsq(k, atoms, feats, obs, w, warm, ws, controls):
+def _polyhedral_lstsq(plan, feats, obs, w, warm, controls):
     """Weighted least squares over polyhedral atoms: the QP with P = 2G, q = -2b.
 
     A QP stopped at its iteration cap never leaves the factor infeasible or
-    worse than its warm value. Returns (theta, QP iterations, status).
+    worse than its warm value. Reports the QP's iterations.
     """
     G, b, *_ = _weighted_gram(feats, obs, w)
     P, q = 2.0 * G, -2.0 * b
-    A, lo, hi = kernels.stack_rows(atoms, G.shape[0])
+    A, lo, hi = kernels.stack_rows(plan.atoms, G.shape[0])
     sol = kernels.qp_solve(
         kernels.qp_problem(P, q, A, lo, hi),
         tol=controls.qp_tol,
         max_iter=controls.qp_max_iter,
-        workspace=ws.qp,
+        workspace=plan.qp,
     )
     if sol.status == kernels.PRIMAL_INFEASIBLE:
-        raise SubsolverFailure(k, "constraint set reported infeasible")
-    if not np.all(np.isfinite(sol.x)):
-        raise SubsolverFailure(k, "QP produced non-finite parameters")
+        raise SubsolverFailure(plan.k, "constraint set reported infeasible")
     if sol.status == kernels.SOLVED:
         return sol.x, sol.iterations, P_CONVERGED
     # a capped solve may end infeasible or above its start; keep the warm
     # point then, so the block step never ascends
     theta = sol.x
     if warm is None:
-        theta = kernels.project(atoms, theta, workspace=ws.proj)
-    elif kernels.max_violation(atoms, theta) > 1e-9 or (
+        theta = plan.project(theta)
+    elif kernels.max_violation(plan.atoms, theta) > 1e-9 or (
         0.5 * theta @ P @ theta + q @ theta > 0.5 * warm @ P @ warm + q @ warm
     ):
         theta = warm
@@ -137,14 +141,14 @@ def _power_lambda_max(M, iters: int = 60):
     return lam
 
 
-def _prox_gradient_factor(atom, atoms, regs, feats, obs, w, theta0, ws, tol, max_iter):
+def _prox_gradient_factor(plan, feats, obs, w, warm, controls):
     """Projected proximal gradient with halving line search from 1/L-hat."""
-    theta = kernels.project(atoms, np.array(theta0, dtype=float), workspace=ws.proj)
-    prox = kernels.prox_plan(regs, atoms, theta.size, workspace=ws.proj)
+    atom, regs, prox = plan.loss, plan.regs, plan.prox
+    theta = plan.project(np.zeros(feats.shape[-1]) if warm is None else np.array(warm, dtype=float))
 
     lam = _power_lambda_max(model.curvature_matrix(atom, feats, obs, w))
     step0 = 1.0 / lam if lam > 1e-12 else 1e3
-    step = ws.step if ws.step is not None else step0
+    step = plan.step if plan.step is not None else step0
     step = min(step * 2.0, step0) if step > 0 else step0
 
     def smooth(th):
@@ -154,7 +158,7 @@ def _prox_gradient_factor(atom, atoms, regs, feats, obs, w, theta0, ws, tol, max
     total = g_val + model.p_regularizer_value(regs, [theta])
     status = P_MAX_ITER
     it = 0
-    for it in range(1, max_iter + 1):
+    for it in range(1, controls.p_max_iter + 1):
         grad = model.weighted_loss_grad(atom, feats, obs, theta, w)
         accepted = False
         while step > 1e-18:
@@ -174,7 +178,7 @@ def _prox_gradient_factor(atom, atoms, regs, feats, obs, w, theta0, ws, tol, max
                     drop = total - t_cand
                     total = t_cand
                     accepted = True
-                    if drop <= tol * max(1.0, abs(total)):
+                    if drop <= controls.p_tol * max(1.0, abs(total)):
                         status = P_CONVERGED
                     break
             step *= 0.5
@@ -183,8 +187,44 @@ def _prox_gradient_factor(atom, atoms, regs, feats, obs, w, theta0, ws, tol, max
                 status = P_CONVERGED  # no descent step exists at this scale
             break
         step = min(step * 2.0, step0)
-    ws.step = step
-    return theta, total, it, status
+    plan.step = step
+    return theta, it, status
+
+
+def plan_factors(spec: model.ModelSpec) -> list[FactorPlan]:
+    """Choose each factor's P-step once, for all the iterations of a restart.
+
+    Each factor gets one projector onto its atoms (FREE atoms dropped) with
+    its own QP workspace, and one step. Unregularized, a squared-distance
+    factor projects its weighted centroid onto its atoms, whatever they are;
+    square regression solves the normal equations of its weighted Gram
+    matrix when unconstrained (`_weighted_lstsq`), and the QP with P = 2G
+    over polyhedral atoms (`_polyhedral_lstsq`). Everything else runs
+    projected proximal gradient, with the joint prox planned on the
+    factor's projector. Plans hold closures, which do not pickle: build
+    them in the process that runs the restart.
+    """
+    regs = list(spec.p_regularizers)
+    plans = []
+    for k in range(spec.K):
+        loss = spec.loss_per_factor[k]
+        atoms = [a for a in spec.constraints_per_factor[k] if a.kind != model.FREE]
+        project = kernels.projector(atoms, spec.n, kernels.QpWorkspace())
+        if regs:
+            solve = _prox_gradient_factor
+        elif loss.kind == model.SQUARED_DISTANCE:
+            solve = _projected_centroid
+        elif loss.kind == model.SQUARE_REGRESSION and not atoms:
+            solve = _weighted_lstsq
+        elif loss.kind == model.SQUARE_REGRESSION and all(
+            a.kind in kernels.POLYHEDRAL_KINDS for a in atoms
+        ):
+            solve = _polyhedral_lstsq
+        else:
+            solve = _prox_gradient_factor
+        prox = kernels.prox_plan(regs, atoms, spec.n, project) if solve is _prox_gradient_factor else None
+        plans.append(FactorPlan(k, solve, loss, atoms, regs, project, prox))
+    return plans
 
 
 def solve_p(
@@ -192,74 +232,42 @@ def solve_p(
     data: model.Dataset,
     Z: np.ndarray,
     warm=None,
-    workspaces=None,
+    plans=None,
 ) -> PSolveOutcome:
     """Minimize sum_i ztilde_i . r_i(theta) + parameter regularizers.
 
-    Z supplies the fixed factor weights (its rows need not be one-hot). Warm
-    parameter blocks and workspaces from the previous iteration are reused;
-    the first call may pass None for both. A factor whose weight column is
-    all zero keeps its warm value when unregularized and is driven to the
-    regularizer minimizer otherwise. An unregularized squared-distance
-    factor is the projection of its weighted centroid onto its constraints
-    (none, polyhedral or a norm ball), with no QP of its own. An
-    unregularized square regression factor builds its weighted Gram matrix
-    over the rows with nonzero weight (one-hot Z after the first F-step
-    leaves about m/K of them): unconstrained, it solves the normal equations,
-    with a minimum-norm lstsq fallback for singular or ill-conditioned
-    systems; over polyhedral constraints it is a QP with P = 2G, and a QP
-    stopped at its iteration cap never leaves the factor infeasible or worse
-    than its warm value. Everything else runs projected proximal gradient.
+    Z supplies the fixed factor weights (its rows need not be one-hot), and
+    each factor runs its plan's step from its warm block (None on the first
+    call). plans default to plan_factors(spec). A factor whose weight column
+    is all zero keeps its warm value when unregularized and is driven to the
+    regularizer minimizer otherwise. Raises SubsolverFailure when a step
+    breaks down or ends on non-finite parameters.
     """
     Z = np.asarray(Z, dtype=float)
-    K, n, c = spec.K, spec.n, spec.controls
+    c = spec.controls
     feats, obs = data.features, data.observations
-    regs = [r for r in spec.p_regularizers if r.weight > 0.0]
-    if workspaces is None:
-        workspaces = make_workspaces(K)
+    if plans is None:
+        plans = plan_factors(spec)
 
-    thetas: list = []
-    iters: list = []
-    statuses: list = []
-    for k in range(K):
-        w = Z[:, k]
-        atom = spec.loss_per_factor[k]
-        atoms = [a for a in spec.constraints_per_factor[k] if a.kind != model.FREE]
-        ws = workspaces[k]
-        warm_k = None if warm is None else np.asarray(warm[k], dtype=float)
-        theta0 = warm_k if warm_k is not None else np.zeros(n)
-
-        if not np.any(w):
+    thetas, iters, statuses = [], [], []
+    for plan in plans:
+        w = Z[:, plan.k]
+        warm_k = None if warm is None else np.asarray(warm[plan.k], dtype=float)
+        if np.any(w):
+            theta, it, status = plan.solve(plan, feats, obs, w, warm_k, c)
+        elif plan.regs:
+            # the step is prox-gradient; with no rows only the regularizers act
+            theta, it, _ = plan.solve(plan, feats[:0], obs[:0], w[:0], warm_k, c)
             status = P_SKIPPED
-            if regs:
-                theta, _, it, _ = _prox_gradient_factor(
-                    atom, atoms, regs, feats[:0], obs[:0], w[:0], theta0, ws, c.p_tol, c.p_max_iter
-                )
-            else:
-                theta, it = (warm_k if warm_k is not None else kernels.project(atoms, theta0)), 0
-        elif atom.kind == model.SQUARED_DISTANCE and not regs:
-            # sum_i w_i ||theta - c_i||^2 = W ||theta - c||^2 + const for the
-            # weighted centroid c, so its minimizer is the projection of c
-            centroid = (w @ (feats + obs[:, None])) / w.sum()
-            theta, it, status = kernels.project(atoms, centroid, workspace=ws.proj), 1, P_CONVERGED
-        elif atom.kind == model.SQUARE_REGRESSION and not regs and not atoms:
-            theta, it, status = _weighted_lstsq(feats, obs, w), 1, P_CONVERGED
-        elif (
-            atom.kind == model.SQUARE_REGRESSION
-            and not regs
-            and all(a.kind in kernels.POLYHEDRAL_KINDS for a in atoms)
-        ):
-            theta, it, status = _polyhedral_lstsq(k, atoms, feats, obs, w, warm_k, ws, c)
         else:
-            theta, _, it, status = _prox_gradient_factor(
-                atom, atoms, regs, feats, obs, w, theta0, ws, c.p_tol, c.p_max_iter
-            )
-            if not np.all(np.isfinite(theta)):
-                raise SubsolverFailure(k, "gradient step produced non-finite parameters")
+            theta = warm_k if warm_k is not None else plan.project(np.zeros(spec.n))
+            it, status = 0, P_SKIPPED
+        if not np.all(np.isfinite(theta)):
+            raise SubsolverFailure(plan.k, "step produced non-finite parameters")
         thetas.append(theta)
         iters.append(it)
         statuses.append(status)
 
     R = model.loss_matrix(spec, data, thetas)
-    obj = float((Z * R).sum()) + model.p_regularizer_value(regs, thetas)
+    obj = float((Z * R).sum()) + model.p_regularizer_value(spec.p_regularizers, thetas)
     return PSolveOutcome(thetas=thetas, objective=obj, R=R, inner_iterations=iters, statuses=statuses)

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -104,6 +105,38 @@ class TestConfigParsing:
         assert spec.p_regularizers[0].weight == 0.5
         assert spec.f_regularizers[0].kind == "kl_chain"
         assert opts["ordered"] is True
+
+    @pytest.mark.parametrize("edit, path", [
+        (lambda c: c["model"].update(p_regularizers=[{"kind": "l1", "weight": "x"}]),
+         "config.model.p_regularizers[0].weight"),
+        (lambda c: c["model"].update(p_regularizers=[{"kind": "l1", "weight": None}]),
+         "config.model.p_regularizers[0].weight"),
+        (lambda c: c["model"].update(constraints=[{"kind": "box", "lo": "a", "hi": 1.0}]),
+         "config.model.constraints[0].lo"),
+        (lambda c: c["model"].update(constraints=[{"kind": "polyhedron", "A": [[1.0, 2.0], [3.0]],
+                                                   "b": [1.0, 1.0]}]),
+         "config.model.constraints[0].A"),
+        (lambda c: c["model"].update(loss={"kind": "huber", "delta": "x"}),
+         "config.model.loss.delta"),
+        (lambda c: (c["model"].pop("loss"), c["model"].update(losses=5)),
+         "config.model.losses"),
+        (lambda c: c["controls"].update(max_iter="ten"),
+         "config.controls.max_iter"),
+        (lambda c: c["model"].update(p_regularizers=[{"kind": ["l1"], "weight": 1.0}]),
+         "config.model.p_regularizers[0].kind"),
+    ], ids=["weight_str", "weight_null", "box_lo_str", "ragged_A", "delta_str", "losses_int",
+            "max_iter_str", "kind_list"])
+    def test_mistyped_value_exits_2_names_path(self, tmp_path, capsys, edit, path):
+        cfg = json.loads(json.dumps(MIX_CONFIG))
+        edit(cfg)
+        with pytest.raises(cli.CliInputError, match=re.escape(path)):
+            cli.parse_config(json.dumps(cfg))
+        cfg_path = tmp_path / "bad.json"
+        cfg_path.write_text(json.dumps(cfg))
+        code = cli.main(["fit", "--config", str(cfg_path), "--data", str(tmp_path / "unread.csv"),
+                         "--out", str(tmp_path / "o.json")])
+        assert code == 2
+        assert path in capsys.readouterr().err
 
     def test_invalid_json_flagged(self):
         with pytest.raises(cli.CliInputError, match="valid JSON"):
@@ -252,6 +285,20 @@ class TestFitCommand:
                          "--out", str(tmp_path / "o.json")])
         assert code == 2
         assert path in capsys.readouterr().err
+
+    def test_nan_literal_in_config_exits_2_names_field(self, tmp_path, mix_files, capsys):
+        _, data = mix_files
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps({
+            "schema_version": 1,
+            "model": {"K": 3, "n": 10, "loss": {"kind": "square_regression"},
+                      "constraints": [{"kind": "box", "lo": float("nan"), "hi": 1.0}]},
+        }))
+        assert "NaN" in cfg.read_text()
+        code = cli.main(["fit", "--config", str(cfg), "--data", str(data),
+                         "--out", str(tmp_path / "o.json")])
+        assert code == 2
+        assert "constraints_per_factor[0][0].lo" in capsys.readouterr().err
 
     def test_unknown_key_exits_2_names_path(self, tmp_path, mix_files, capsys):
         _, data = mix_files

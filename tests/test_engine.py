@@ -133,6 +133,20 @@ class TestFit:
         with pytest.raises(ValueError, match="delta"):
             dk.fit(spec, data)
 
+    def test_zero_weight_regularizers_are_absent(self):
+        # a restart drops them itself: they would otherwise choose the
+        # prox-gradient P-step and the regularized stopping rule
+        rng = np.random.default_rng(4)
+        data, _ = two_line_data(rng, m=40, noise=0.1)
+        data = dk.dataset(data.features, data.observations, ordered=True)
+        plain = dk.shared_spec(K=2, n=2, loss=dk.square_regression(), constraints=())
+        zeros = dk.shared_spec(K=2, n=2, loss=dk.square_regression(), constraints=(),
+                               p_regularizers=(dk.l1(0.0),), f_regularizers=(dk.kl_chain(0.0),))
+        a, b = engine._run_restart(plain, data, 0), engine._run_restart(zeros, data, 0)
+        assert b.status == dk.GAP_CONVERGED
+        assert a.objective_trace == b.objective_trace
+        assert all(np.array_equal(x, y) for x, y in zip(a.thetas, b.thetas))
+
     def test_best_restart_reported(self):
         rng = np.random.default_rng(8)
         data, _ = two_line_data(rng, m=40, noise=0.1)

@@ -377,7 +377,7 @@ class TestProxPlan:
         n = 5
         for _ in range(10):
             atoms = random_sign_boxes(rng, n)
-            prox = kernels.prox_plan(regs, atoms, n)  # one plan, many points
+            prox = kernels.prox_plan(regs, atoms, n, kernels.projector(atoms, n))  # one plan, many points
             for _ in range(3):
                 v = rng.normal(0.0, 2.0, size=n)
                 step = float(rng.uniform(0.1, 2.0))

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -265,6 +267,27 @@ class TestValidate:
         assert [v.path for v in rep.violations] == [f"data.{field}"]
         with pytest.raises(ValueError, match=f"data.{field}"):
             dk.fit(spec, data)
+
+    @pytest.mark.parametrize("atom, field", [
+        (dk.box(np.nan, 1.0), "lo"),
+        (dk.box(0.0, [1.0, np.nan]), "hi"),
+        (dk.polyhedron([[np.nan, 1.0]], [1.0]), "A"),
+        (dk.polyhedron([[np.inf, 1.0]], [1.0]), "A"),
+        (dk.polyhedron([[1.0, 1.0]], [np.nan]), "b"),
+    ], ids=["box_lo", "box_hi", "A_nan", "A_inf", "b_nan"])
+    def test_rejects_nan_constraint_data(self, atom, field):
+        # max(0, nan) is 0, so the feasibility probe alone reads these as feasible
+        spec = dk.shared_spec(K=1, n=2, loss=dk.huber(1.0), constraints=(atom,))
+        rep = dk.validate(spec, self._data())
+        path = f"constraints_per_factor[0][0].{field}"
+        assert [v.path for v in rep.violations] == [path]
+        with pytest.raises(ValueError, match=re.escape(path)):
+            dk.fit(spec, self._data())
+
+    def test_accepts_infinite_bounds(self):
+        atoms = (dk.box(-np.inf, np.inf), dk.box([0.0, -np.inf], [np.inf, 1.0]))
+        spec = dk.shared_spec(K=1, n=2, loss=dk.huber(1.0), constraints=atoms)
+        assert dk.validate(spec, self._data()).ok
 
     def test_rejects_empty_dataset(self):
         spec = dk.shared_spec(K=2, n=2, loss=dk.square_regression(), constraints=())

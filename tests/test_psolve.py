@@ -182,10 +182,10 @@ class TestWorkspaceReuse:
         spec = dk.shared_spec(K=2, n=2, loss=dk.square_regression(),
                               constraints=(dk.polyhedron(A, b),))
         Z = rng.dirichlet(np.ones(2), size=20)
-        ws = psolve.make_workspaces(2)
+        plans = psolve.plan_factors(spec)
         cold = dk.solve_p(spec, data, Z)
-        warm1 = dk.solve_p(spec, data, Z, workspaces=ws)
-        warm2 = dk.solve_p(spec, data, Z, warm=warm1.thetas, workspaces=ws)
+        warm1 = dk.solve_p(spec, data, Z, plans=plans)
+        warm2 = dk.solve_p(spec, data, Z, warm=warm1.thetas, plans=plans)
         for k in range(2):
             assert np.allclose(cold.thetas[k], warm1.thetas[k], atol=1e-5)
             assert np.allclose(cold.thetas[k], warm2.thetas[k], atol=1e-5)
@@ -360,10 +360,62 @@ class TestWeightedLeastSquares:
             assert th[0] == pytest.approx(th[1], rel=1e-10)
             np.testing.assert_allclose(th, self.full_row_lstsq(X, y, w[:, k]), rtol=1e-10)
 
-    def test_mixture_fit_pool_matches_sequential(self):
+
+def pool_case(name):
+    """(spec, data) with two or more restarts, small enough for a pool test."""
+    if name == "mixture":
         cfg = ex.experiment_config(ex.MIXTURE_LINREG, 0, m=300)
-        data, _, _ = ex.gen_mixture_linreg(cfg)
-        spec = ex.mixture_spec(4, 0)
+        return ex.mixture_spec(4, 0), ex.gen_mixture_linreg(cfg)[0]
+    if name == "kmeans":
+        cfg = ex.experiment_config(ex.CONSTRAINED_KMEANS, 0, m=200)
+        return ex.kmeans_spec(True, 2, 0), ex.gen_constrained_kmeans(cfg)[0]
+    cfg = ex.experiment_config(ex.IO_HMM, 0, m=150)
+    spec = ex.iohmm_spec(cfg.lam_theta, cfg.lam_z, 2, 0)
+    capped = replace(spec.controls, max_iter=5, p_max_iter=100, f_max_iter=100)
+    return replace(spec, controls=capped), ex.gen_io_hmm(cfg)[0]
+
+
+class TestFactorPlans:
+    @pytest.mark.parametrize("name, step", [
+        ("kmeans", "_projected_centroid"),
+        ("mixture", "_weighted_lstsq"),
+        ("capped_regression", "_polyhedral_lstsq"),
+        ("forgetting", "_prox_gradient_factor"),
+        ("io_hmm", "_prox_gradient_factor"),
+    ])
+    def test_step_chosen_once_per_factor(self, name, step):
+        spec = {
+            "kmeans": lambda: ex.kmeans_spec(True, 2, 0),
+            "mixture": lambda: ex.mixture_spec(4, 0),
+            "capped_regression": lambda: capped_case("regression")[0],
+            "forgetting": lambda: ex.forgetting_spec(1.0, 1, 0),
+            "io_hmm": lambda: ex.iohmm_spec(0.5, 1.0, 1, 0),
+        }[name]()
+        plans = psolve.plan_factors(spec)
+        assert [plan.solve for plan in plans] == [getattr(psolve, step)] * spec.K
+        # only prox-gradient plans carry a joint prox
+        assert all((plan.prox is not None) == (step == "_prox_gradient_factor") for plan in plans)
+
+    def test_one_projector_per_factor_and_restart(self, monkeypatch):
+        spec, data = pool_case("kmeans")
+        builds = []
+        real = kernels.projector
+
+        def spy(*args, **kwargs):
+            builds.append(len(args[0]))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(kernels, "projector", spy)
+        res = dk.fit(spec, data)
+        assert res.iterations > 1
+        # one per factor and restart, then one per factor for validate's
+        # feasibility probe
+        assert len(builds) == spec.K * spec.controls.restarts + spec.K
+
+    @pytest.mark.parametrize("name", ["mixture", "kmeans", "io_hmm"])
+    def test_pool_matches_sequential(self, name):
+        # plans hold closures, so each pool worker builds its own
+        spec, data = pool_case(name)
         seq = dk.fit(spec, data, jobs=1)
         par = dk.fit(spec, data, jobs=2)
         assert seq.restart_index_of_best == par.restart_index_of_best
