@@ -97,39 +97,41 @@ def _floats(value, path: str) -> np.ndarray:
         raise CliInputError(f"{path}: must be a number or a rectangular array of numbers") from None
 
 
-def _parse_loss(d: dict, path: str) -> model.LossAtom:
-    _require_keys(d, {"kind", "order", "delta"}, {"kind"}, path)
+# the keys each atom kind takes besides "kind", all of them required; a kind
+# not listed takes none
+_LOSS_KEYS = {model.LP_REGRESSION: ("order",), model.HUBER: ("delta",)}
+_CONSTRAINT_KEYS = {
+    model.BOX: ("lo", "hi"),
+    model.POLYHEDRON: ("A", "b"),
+    model.NORM_BALL2: ("radius",),
+    model.SUM_EQUALS: ("value",),
+}
+_ARRAY_KEYS = {"lo", "hi", "A", "b"}
+
+
+def _atom_values(d: dict, path: str, keys: dict, known, what: str):
+    """(kind, {key: value}) of one atom object, holding exactly its kind's keys."""
+    _require_keys(d, {"kind"}.union(*keys.values()), ("kind",), path)
     kind = _kind(d, path)
-    if kind == model.LP_REGRESSION:
-        if "order" not in d:
-            raise CliInputError(f"{path}.order: missing required key")
-        return model.lp_regression(_float(d["order"], f"{path}.order"))
-    if kind == model.HUBER:
-        if "delta" not in d:
-            raise CliInputError(f"{path}.delta: missing required key")
-        return model.huber(_float(d["delta"], f"{path}.delta"))
-    if kind not in model.LOSS_KINDS:
-        raise CliInputError(f"{path}.kind: unknown loss kind {kind!r}")
-    return model.LossAtom(kind)
+    if kind not in known:
+        raise CliInputError(f"{path}.kind: unknown {what} kind {kind!r}")
+    names = keys.get(kind, ())
+    _require_keys(d, {"kind", *names}, names, path)
+    return kind, {k: (_floats if k in _ARRAY_KEYS else _float)(d[k], f"{path}.{k}") for k in names}
+
+
+def _parse_loss(d: dict, path: str) -> model.LossAtom:
+    kind, values = _atom_values(d, path, _LOSS_KEYS, model.LOSS_KINDS, "loss")
+    return model.LossAtom(kind, **values)
 
 
 def _parse_constraint(d: dict, path: str) -> model.ConstraintAtom:
-    _require_keys(d, {"kind", "lo", "hi", "A", "b", "radius", "value"}, {"kind"}, path)
-    kind = _kind(d, path)
-    try:
-        if kind == model.BOX:
-            return model.box(_floats(d["lo"], f"{path}.lo"), _floats(d["hi"], f"{path}.hi"))
-        if kind == model.POLYHEDRON:
-            return model.polyhedron(_floats(d["A"], f"{path}.A"), _floats(d["b"], f"{path}.b"))
-        if kind == model.NORM_BALL2:
-            return model.norm_ball2(_float(d["radius"], f"{path}.radius"))
-        if kind == model.SUM_EQUALS:
-            return model.sum_equals(_float(d["value"], f"{path}.value"))
-        if kind in model.CONSTRAINT_KINDS:
-            return model.ConstraintAtom(kind)
-    except KeyError as exc:
-        raise CliInputError(f"{path}.{exc.args[0]}: missing required key") from None
-    raise CliInputError(f"{path}.kind: unknown constraint kind {kind!r}")
+    kind, values = _atom_values(d, path, _CONSTRAINT_KEYS, model.CONSTRAINT_KINDS, "constraint")
+    if kind == model.BOX:
+        return model.box(**values)
+    if kind == model.POLYHEDRON:
+        return model.polyhedron(**values)
+    return model.ConstraintAtom(kind, **values)
 
 
 def _parse_regularizer(d: dict, path: str) -> model.RegularizerAtom:

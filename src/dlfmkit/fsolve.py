@@ -25,12 +25,9 @@ _FLOOR = 1e-12
 
 
 def _kl_objective(ZT, RT, lam):
-    """(value, ratio, log ratio) on the (K, m) layout; no ratio when lam is 0."""
-    linear = float((ZT * RT).sum())
-    if lam == 0.0:
-        return linear, None, None
+    """(value, ratio, log ratio) on the (K, m) layout."""
     kl, ratio, log_ratio = model.kl_chain_terms(ZT[:, :-1], ZT[:, 1:])
-    return linear + lam * kl, ratio, log_ratio
+    return float((ZT * RT).sum()) + lam * kl, ratio, log_ratio
 
 
 def _renorm(ZT):
@@ -65,9 +62,8 @@ def solve_f_kl(
     converged = False
     for _ in range(max_iter):
         G = RT.copy()
-        if lam != 0.0:
-            G[:, :-1] += lam * log_ratio
-            G[:, 1:] += lam * (1.0 - ratio)
+        G[:, :-1] += lam * log_ratio
+        G[:, 1:] += lam * (1.0 - ratio)
         G -= G.min(axis=0)  # per-sample shifts cancel after renorm
         accepted = False
         while step > 1e-18:

@@ -2,8 +2,9 @@
 
 A dense operator-splitting QP solver, Euclidean projections onto constraint
 atoms and their intersections, and proximal operators for the parameter-side
-regularizers. `projector` and `prox_plan` classify a constraint set once and
-return the map to apply; `project` and `joint_prox` apply one such map once.
+regularizers. `canonical_atoms` reduces a constraint list to one form;
+`projector` and `prox_plan` classify that form once and return the map to
+apply; `project` and `joint_prox` apply one such map once.
 """
 
 from __future__ import annotations
@@ -312,19 +313,43 @@ def max_violation(atoms, v) -> float:
     return max((_atom_violation(a, v) for a in atoms), default=0.0)
 
 
+# a nonneg or nonpos atom is the box with these bounds
+_SIGN_BOUNDS = {model.NONNEG: (0.0, np.inf), model.NONPOS: (-np.inf, 0.0)}
+
+
+def canonical_atoms(atoms, n: int) -> list:
+    """The canonical form of a list of constraint atoms on R^n.
+
+    FREE atoms are dropped. Every nonneg, nonpos and box atom is intersected
+    into one box with length-n bounds, placed first. Of the norm balls, all
+    centred at the origin, only the smallest is kept, placed last. Every
+    other atom keeps its place in between. The form describes the same set,
+    and is its own canonical form. Intersected bounds that cross raise
+    ProjectionError: the set is empty.
+    """
+    lo, hi = np.full(n, -np.inf), np.full(n, np.inf)
+    boxed, middle, balls = False, [], []
+    for a in atoms:
+        if a.kind == model.BOX or a.kind in _SIGN_BOUNDS:
+            a_lo, a_hi = (a.lo, a.hi) if a.kind == model.BOX else _SIGN_BOUNDS[a.kind]
+            lo, hi = np.maximum(lo, a_lo), np.minimum(hi, a_hi)
+            boxed = True
+        elif a.kind == model.NORM_BALL2:
+            balls.append(a)
+        elif a.kind != model.FREE:
+            middle.append(a)
+    if np.any(lo > hi):
+        raise ProjectionError("empty feasible set: bounds cross")
+    box = [model.box(lo, hi)] if boxed else []
+    ball = [min(balls, key=lambda a: a.radius)] if balls else []
+    return box + middle + ball
+
+
 def _project_single(atom: model.ConstraintAtom, v: np.ndarray) -> np.ndarray:
-    # closed-form projection onto one non-POLYHEDRON atom
+    # closed-form projection onto one canonical non-POLYHEDRON atom
     k = atom.kind
-    if k == model.NONNEG:
-        return np.maximum(v, 0.0)
-    if k == model.NONPOS:
-        return np.minimum(v, 0.0)
     if k == model.BOX:
-        lo = np.broadcast_to(atom.lo, v.shape)
-        hi = np.broadcast_to(atom.hi, v.shape)
-        if np.any(lo > hi):
-            raise ProjectionError("empty feasible set: box bounds cross")
-        return np.clip(v, lo, hi)
+        return np.clip(v, atom.lo, atom.hi)
     if k == model.MONOTONE_NONINCREASING:
         return pava_nonincreasing(v)
     if k == model.MONOTONE_NONDECREASING:
@@ -338,17 +363,10 @@ def _project_single(atom: model.ConstraintAtom, v: np.ndarray) -> np.ndarray:
 
 
 def _rows_single(atom, n):
-    # (A, lo, hi) rows for one polyhedral atom
+    # (A, lo, hi) rows for one canonical polyhedral atom
     k = atom.kind
-    I = np.eye(n)
-    if k == model.NONNEG:
-        return I, np.zeros(n), np.full(n, INF)
-    if k == model.NONPOS:
-        return I, np.full(n, -INF), np.zeros(n)
     if k == model.BOX:
-        lo = np.clip(np.broadcast_to(atom.lo, (n,)), -INF, INF)
-        hi = np.clip(np.broadcast_to(atom.hi, (n,)), -INF, INF)
-        return I, lo, hi
+        return np.eye(n), np.clip(atom.lo, -INF, INF), np.clip(atom.hi, -INF, INF)
     if k == model.POLYHEDRON:
         q = atom.A.shape[0]
         return atom.A, np.full(q, -INF), atom.b
@@ -365,8 +383,8 @@ def _rows_single(atom, n):
 
 
 def stack_rows(atoms, n):
-    """Stacked (A, lo, hi) for a list of polyhedral atoms."""
-    parts = [_rows_single(a, n) for a in atoms if a.kind != model.FREE]
+    """Stacked (A, lo, hi) for a list of polyhedral atoms, in canonical form."""
+    parts = [_rows_single(a, n) for a in canonical_atoms(atoms, n)]
     if not parts:
         return np.zeros((0, n)), np.zeros(0), np.zeros(0)
     A = np.vstack([p[0] for p in parts])
@@ -385,19 +403,6 @@ def _project_rows(v, A, lo, hi, tol, workspace=None):
     return sol.x
 
 
-POLYHEDRAL_KINDS = frozenset(
-    {
-        model.FREE,
-        model.NONNEG,
-        model.NONPOS,
-        model.BOX,
-        model.POLYHEDRON,
-        model.MONOTONE_NONINCREASING,
-        model.MONOTONE_NONDECREASING,
-        model.SUM_EQUALS,
-    }
-)
-
 # feasible points are returned unchanged; keep this above the accuracy of the
 # interior QP/Dykstra solves so projecting twice is exact
 _FEAS_TOL = 1e-8
@@ -408,40 +413,43 @@ _PROJECT_TOL = 1e-10
 _MONOTONE_KINDS = (model.MONOTONE_NONINCREASING, model.MONOTONE_NONDECREASING)
 
 
-def _monotone_scalar_bounds(poly, n: int):
+def _monotone_scalar_bounds(poly):
     """Exact projection onto one monotone cone intersected with uniform bounds.
 
     Clipping an isotonic fit at scalar bounds preserves the ordering and the
     pooled-block optimality conditions, so clip(pava(v)) is the intersection
     projection. Bounds that differ across coordinates do not qualify:
-    clipping there can break the ordering. Returns that map, or None when
-    poly is not of this form; an empty set raises ProjectionError.
+    clipping there can break the ordering. Returns that map when the
+    canonical atoms poly are a box with one bound pair on every coordinate
+    followed by a monotone atom, None otherwise.
     """
-    mono = [a for a in poly if a.kind in _MONOTONE_KINDS]
-    rest = [a for a in poly if a.kind not in _MONOTONE_KINDS]
-    if len(mono) != 1 or not rest or not all(_is_separable(a) for a in rest):
+    if len(poly) != 2 or poly[0].kind != model.BOX or poly[1].kind not in _MONOTONE_KINDS:
         return None
-    lo, hi = _box_bounds(rest, n)
+    lo, hi = poly[0].lo, poly[0].hi
     if np.any(lo != lo[0]) or np.any(hi != hi[0]):
         return None
     lo, hi = lo[0], hi[0]
-    if lo > hi:
-        raise ProjectionError("empty feasible set: bounds cross")
-    if mono[0].kind == model.MONOTONE_NONINCREASING:
+    if poly[1].kind == model.MONOTONE_NONINCREASING:
         return lambda v: np.clip(pava_nonincreasing(v), lo, hi)
     return lambda v: np.clip(pava_nondecreasing(v), lo, hi)
 
 
 def _poly_projector(poly, n: int, workspace):
-    # exact projection onto an intersection of polyhedral atoms, no
-    # feasibility shortcut; the callers decide when a point is close enough
+    # exact projection onto canonical polyhedral atoms, no feasibility
+    # shortcut; the callers decide when a point is close enough
     if len(poly) == 1 and poly[0].kind != model.POLYHEDRON:
         return lambda v: _project_single(poly[0], v)
-    if {a.kind for a in poly} == {model.SUM_EQUALS, model.NONNEG}:
-        total = next(a for a in poly if a.kind == model.SUM_EQUALS).value
-        if total > 0.0:
-            return lambda v: project_simplex(v, total)
-    fast = _monotone_scalar_bounds(poly, n)
+    if (
+        len(poly) == 2
+        and poly[0].kind == model.BOX
+        and np.all(poly[0].lo == 0.0)
+        and np.all(poly[0].hi >= INF)
+        and poly[1].kind == model.SUM_EQUALS
+        and poly[1].value > 0.0
+    ):
+        total = poly[1].value
+        return lambda v: project_simplex(v, total)
+    fast = _monotone_scalar_bounds(poly)
     if fast is not None:
         return fast
     A, lo, hi = stack_rows(poly, n)
@@ -486,33 +494,29 @@ def _ball_poly_projector(ball, poly, n: int, workspace):
 def projector(atoms, n: int, workspace: QpWorkspace | None = None):
     """Resolve the Euclidean projection onto an intersection of atoms once.
 
-    Returns project(point) for points of R^n, with the case analysis of the
-    atoms done here rather than on every call. Single atoms use closed forms
-    (clipping, scaling, isotonic pooling); a nonnegative sum constraint is
-    the simplex; one monotone cone with scalar bounds clips its isotonic
-    fit. Other intersections of polyhedral atoms are solved as one QP on
-    rows stacked here; composing the individual projections would not give
-    the intersection projection. A norm ball intersected with polyhedral
-    atoms alternates both projections Dykstra-style. Points already feasible
-    are returned as-is. A workspace speeds up repeated QP projections. An
-    empty set of one monotone cone and scalar bounds raises ProjectionError
+    Returns project(point) for points of R^n, with the case analysis done
+    here, on canonical_atoms(atoms, n), rather than on every call. A lone
+    atom uses its closed form (clipping, scaling, isotonic pooling), so
+    stacked nonneg, nonpos and box atoms clip to their intersected bounds; a
+    nonnegative sum constraint is the simplex; one monotone cone with scalar
+    bounds clips its isotonic fit. Other intersections of polyhedral atoms
+    are solved as one QP on rows stacked here; composing the individual
+    projections would not give the intersection projection. The norm ball
+    intersected with polyhedral atoms alternates both projections
+    Dykstra-style. Points already feasible are returned as-is. A workspace
+    speeds up repeated QP projections. Crossing bounds raise ProjectionError
     here; every other empty set raises when a point is projected.
     """
-    atoms = [a for a in atoms if a.kind != model.FREE]
+    atoms = canonical_atoms(atoms, n)
     if not atoms:
         return lambda point: np.asarray(point, dtype=float)
 
-    balls = [a for a in atoms if a.kind == model.NORM_BALL2]
-    poly = [a for a in atoms if a.kind in POLYHEDRAL_KINDS]
-    # concentric balls: only the smallest radius binds
-    ball = min(balls, key=lambda a: a.radius) if balls else None
-
-    if ball is None:
-        exact = _poly_projector(poly, n, workspace)
-    elif not poly:
-        exact = functools.partial(_project_single, ball)
+    if atoms[-1].kind != model.NORM_BALL2:
+        exact = _poly_projector(atoms, n, workspace)
+    elif len(atoms) == 1:
+        exact = functools.partial(_project_single, atoms[0])
     else:
-        exact = _ball_poly_projector(ball, poly, n, workspace)
+        exact = _ball_poly_projector(atoms[-1], atoms[:-1], n, workspace)
 
     def project_point(point):
         v = np.asarray(point, dtype=float)
@@ -565,50 +569,26 @@ def _chained_prox(regs, v, step):
     return out
 
 
-def _is_sign_box(atom, n):
-    # every coordinate interval is one of (-inf,0], [0,inf), (-inf,inf), {0}
-    if atom.kind in (model.NONNEG, model.NONPOS):
-        return True
+def _is_sign_box(atom):
+    # a canonical box whose every coordinate interval is one of (-inf,0],
+    # [0,inf), (-inf,inf), {0}
     if atom.kind != model.BOX:
         return False
-    lo = np.broadcast_to(atom.lo, (n,))
-    hi = np.broadcast_to(atom.hi, (n,))
-    return bool(np.all((lo == 0.0) | (lo <= -INF)) and np.all((hi == 0.0) | (hi >= INF)))
+    return bool(
+        np.all((atom.lo == 0.0) | (atom.lo <= -INF)) and np.all((atom.hi == 0.0) | (atom.hi >= INF))
+    )
 
 
-def _is_cone(atom, n):
-    if atom.kind in (
-        model.NONNEG,
-        model.NONPOS,
-        model.MONOTONE_NONINCREASING,
-        model.MONOTONE_NONDECREASING,
-    ):
+def _is_cone(atom):
+    if atom.kind in _MONOTONE_KINDS:
         return True
     if atom.kind == model.BOX:
-        return _is_sign_box(atom, n)
+        return _is_sign_box(atom)
     if atom.kind == model.POLYHEDRON:
         return bool(np.all(atom.b == 0.0))
     if atom.kind == model.SUM_EQUALS:
         return atom.value == 0.0
     return False
-
-
-def _is_separable(atom):
-    return atom.kind in (model.NONNEG, model.NONPOS, model.BOX)
-
-
-def _box_bounds(atoms, n):
-    """Intersected (lo, hi) arrays of nonneg, nonpos and box atoms."""
-    lo, hi = np.full(n, -np.inf), np.full(n, np.inf)
-    for a in atoms:
-        if a.kind == model.NONNEG:
-            lo = np.maximum(lo, 0.0)
-        elif a.kind == model.NONPOS:
-            hi = np.minimum(hi, 0.0)
-        else:
-            lo = np.maximum(lo, np.broadcast_to(a.lo, (n,)))
-            hi = np.minimum(hi, np.broadcast_to(a.hi, (n,)))
-    return lo, hi
 
 
 def _dykstra_prox(regs, project_point, v, step):
@@ -620,25 +600,25 @@ def prox_plan(regs, atoms, n: int, proj):
     """Resolve the joint prox of regularizers and atoms on R^n once.
 
     Returns prox(point, step), the map joint_prox applies, with the case
-    analysis of the atoms done here rather than on every call. atoms hold no
-    FREE atom, and proj is projector(atoms, n), which the plan reuses. A
-    solver that applies one prox many times builds the plan once per factor.
+    analysis done here, on canonical_atoms(atoms, n), rather than on every
+    call. proj is projector(atoms, n), which the plan reuses. A solver that
+    applies one prox many times builds the plan once per factor.
     """
+    atoms = canonical_atoms(atoms, n)
     kinds = {r.kind for r in regs}
-    if regs and all(_is_sign_box(a, n) for a in atoms):
-        # sign boxes (none at all included) zero out coordinates;
+    if regs and all(_is_sign_box(a) for a in atoms):
+        # a sign box, or no atom at all, zeroes out coordinates;
         # soft-threshold and shrink keep them zeroed, so prox-after-project is
-        # exact, and the projection onto an intersection of boxes is the clip
-        # to its intersected bounds
-        lo, hi = _box_bounds(atoms, n)
+        # exact, and the projection onto the box is the clip to its bounds
+        lo, hi = (atoms[0].lo, atoms[0].hi) if atoms else (-np.inf, np.inf)
         return lambda point, step: _chained_prox(regs, np.clip(point, lo, hi), step)
     if not regs:
         return lambda point, step: proj(point)
-    if kinds == {model.GROUP_L2} and all(_is_cone(a, n) for a in atoms):
+    if kinds == {model.GROUP_L2} and all(_is_cone(a) for a in atoms):
         # scaling stays in the cone and preserves orthogonality of the
         # projection residual, so shrink-after-project is exact
         return lambda point, step: _chained_prox(regs, proj(point), step)
-    if kinds == {model.L1} and all(_is_separable(a) for a in atoms):
+    if kinds == {model.L1} and all(a.kind == model.BOX for a in atoms):
         # separable 1-d problems: clip the unconstrained prox
         return lambda point, step: proj(_chained_prox(regs, point, step))
     return lambda point, step: _dykstra_prox(regs, proj, np.asarray(point, dtype=float), step)
@@ -654,5 +634,4 @@ def joint_prox(regs, atoms, point, step: float, workspace: QpWorkspace | None = 
     application of prox_plan.
     """
     v = np.asarray(point, dtype=float)
-    atoms = [a for a in atoms if a.kind != model.FREE]
     return prox_plan(regs, atoms, v.size, projector(atoms, v.size, workspace))(v, step)

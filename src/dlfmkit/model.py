@@ -532,8 +532,8 @@ def _check_constraint_atom(atom: ConstraintAtom, n: int, path: str, out: list):
             out.append(Violation(path + ".b", f"b must have length {atom.A.shape[0]}"))
         elif not np.isfinite(atom.A).all():
             out.append(Violation(path + ".A", "A must be finite (no NaN or inf)"))
-        elif np.isnan(atom.b).any():
-            out.append(Violation(path + ".b", "b must not be NaN (+inf allowed)"))
+        elif np.any(np.isnan(atom.b) | (atom.b == -np.inf)):
+            out.append(Violation(path + ".b", "b must not be NaN or -inf (+inf allowed)"))
     elif atom.kind == NORM_BALL2:
         if atom.radius is None or not (atom.radius > 0.0):
             out.append(Violation(path + ".radius", "radius must be > 0"))
@@ -567,12 +567,12 @@ def validate(spec: ModelSpec, data: Dataset) -> ValidationReport:
     if spec.n < 1:
         out.append(Violation("n", "n must be >= 1"))
     c = spec.controls
-    if not (c.eps >= 0.0):
-        out.append(Violation("controls.eps", "eps must be >= 0"))
-    if c.max_iter < 1:
-        out.append(Violation("controls.max_iter", "max_iter must be >= 1"))
-    if c.restarts < 1:
-        out.append(Violation("controls.restarts", "restarts must be >= 1"))
+    for name in ("eps", "qp_tol", "p_tol", "f_tol"):
+        if not (getattr(c, name) >= 0.0):  # also catches NaN
+            out.append(Violation(f"controls.{name}", f"{name} must be >= 0"))
+    for name in ("max_iter", "restarts", "qp_max_iter", "p_max_iter", "f_max_iter"):
+        if getattr(c, name) < 1:
+            out.append(Violation(f"controls.{name}", f"{name} must be >= 1"))
     if c.seed < 0:
         out.append(Violation("controls.seed", "seed must be a nonnegative integer"))
 

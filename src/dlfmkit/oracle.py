@@ -34,18 +34,17 @@ def _exact_factor_solve(atom, atoms, feats, obs, n):
     if feats.shape[0] == 0:
         # empty factor: zero loss for any feasible point
         return kernels.project(atoms, np.zeros(n))
-    poly = [a for a in atoms if a.kind != model.FREE]
     if atom.kind == model.SQUARED_DISTANCE:
         # the square distance minimizer over a convex set is the projection
         # of the centroid
-        return kernels.project(poly, (feats + obs[:, None]).mean(axis=0))
+        return kernels.project(atoms, (feats + obs[:, None]).mean(axis=0))
     if atom.kind == model.SQUARE_REGRESSION:
-        if not poly:
+        A, lo, hi = kernels.stack_rows(atoms, n)
+        if not A.shape[0]:
             theta, *_ = np.linalg.lstsq(feats, obs, rcond=None)
             return theta
         P = 2.0 * feats.T @ feats
         q = -2.0 * feats.T @ obs
-        A, lo, hi = kernels.stack_rows(poly, n)
         sol = kernels.qp_solve(kernels.qp_problem(P, q, A, lo, hi), tol=1e-10)
         if sol.status != kernels.SOLVED:
             raise RuntimeError(f"oracle inner QP ended with status {sol.status}")

@@ -49,12 +49,13 @@ class FactorPlan:
     k: int
     solve: Callable  # solve(plan, feats, obs, w, warm, controls) -> (theta, iterations, status)
     loss: model.LossAtom
-    atoms: list  # the factor's constraint atoms, FREE atoms dropped
+    atoms: list  # the factor's constraint atoms, in canonical form
     regs: list  # the parameter regularizers
     project: Callable  # Euclidean projection onto the atoms
     prox: Callable | None = None  # joint prox of regs and atoms, prox-gradient only
     qp: kernels.QpWorkspace = field(default_factory=kernels.QpWorkspace)
     step: float | None = None  # last accepted prox-gradient step
+    rows: tuple | None = None  # stacked (A, lo, hi) of the atoms, polyhedral QP only
 
 
 # smallest accepted L_jj^2 / G_jj, the share of column j's weighted energy
@@ -104,9 +105,8 @@ def _polyhedral_lstsq(plan, feats, obs, w, warm, controls):
     """
     G, b, *_ = _weighted_gram(feats, obs, w)
     P, q = 2.0 * G, -2.0 * b
-    A, lo, hi = kernels.stack_rows(plan.atoms, G.shape[0])
     sol = kernels.qp_solve(
-        kernels.qp_problem(P, q, A, lo, hi),
+        kernels.qp_problem(P, q, *plan.rows),
         tol=controls.qp_tol,
         max_iter=controls.qp_max_iter,
         workspace=plan.qp,
@@ -194,21 +194,22 @@ def _prox_gradient_factor(plan, feats, obs, w, warm, controls):
 def plan_factors(spec: model.ModelSpec) -> list[FactorPlan]:
     """Choose each factor's P-step once, for all the iterations of a restart.
 
-    Each factor gets one projector onto its atoms (FREE atoms dropped) with
-    its own QP workspace, and one step. Unregularized, a squared-distance
-    factor projects its weighted centroid onto its atoms, whatever they are;
-    square regression solves the normal equations of its weighted Gram
-    matrix when unconstrained (`_weighted_lstsq`), and the QP with P = 2G
-    over polyhedral atoms (`_polyhedral_lstsq`). Everything else runs
-    projected proximal gradient, with the joint prox planned on the
-    factor's projector. Plans hold closures, which do not pickle: build
-    them in the process that runs the restart.
+    Each factor keeps kernels.canonical_atoms of its atoms, one projector
+    onto them with its own QP workspace, and one step. Unregularized, a
+    squared-distance factor projects its weighted centroid onto its atoms,
+    whatever they are; square regression solves the normal equations of its
+    weighted Gram matrix when unconstrained (`_weighted_lstsq`), and the QP
+    with P = 2G over polyhedral atoms (`_polyhedral_lstsq`), on constraint
+    rows stacked here. Everything else runs projected proximal gradient,
+    with the joint prox planned on the factor's projector. Plans hold
+    closures, which do not pickle: build them in the process that runs the
+    restart.
     """
     regs = list(spec.p_regularizers)
     plans = []
     for k in range(spec.K):
         loss = spec.loss_per_factor[k]
-        atoms = [a for a in spec.constraints_per_factor[k] if a.kind != model.FREE]
+        atoms = kernels.canonical_atoms(spec.constraints_per_factor[k], spec.n)
         project = kernels.projector(atoms, spec.n, kernels.QpWorkspace())
         if regs:
             solve = _prox_gradient_factor
@@ -216,14 +217,17 @@ def plan_factors(spec: model.ModelSpec) -> list[FactorPlan]:
             solve = _projected_centroid
         elif loss.kind == model.SQUARE_REGRESSION and not atoms:
             solve = _weighted_lstsq
-        elif loss.kind == model.SQUARE_REGRESSION and all(
-            a.kind in kernels.POLYHEDRAL_KINDS for a in atoms
-        ):
+        elif loss.kind == model.SQUARE_REGRESSION and atoms[-1].kind != model.NORM_BALL2:
+            # the canonical form keeps its one ball, if any, last
             solve = _polyhedral_lstsq
         else:
             solve = _prox_gradient_factor
-        prox = kernels.prox_plan(regs, atoms, spec.n, project) if solve is _prox_gradient_factor else None
-        plans.append(FactorPlan(k, solve, loss, atoms, regs, project, prox))
+        plan = FactorPlan(k, solve, loss, atoms, regs, project)
+        if solve is _prox_gradient_factor:
+            plan.prox = kernels.prox_plan(regs, atoms, spec.n, project)
+        elif solve is _polyhedral_lstsq:
+            plan.rows = kernels.stack_rows(atoms, spec.n)
+        plans.append(plan)
     return plans
 
 

@@ -124,8 +124,19 @@ class TestConfigParsing:
          "config.controls.max_iter"),
         (lambda c: c["model"].update(p_regularizers=[{"kind": ["l1"], "weight": 1.0}]),
          "config.model.p_regularizers[0].kind"),
+        # keys that another atom kind takes
+        (lambda c: c["model"].update(constraints=[{"kind": "nonneg", "radius": 3}]),
+         "config.model.constraints[0].radius"),
+        (lambda c: c["model"].update(loss={"kind": "huber", "delta": 1, "order": 3}),
+         "config.model.loss.order"),
+        (lambda c: c["model"].update(constraints=[{"kind": "box", "lo": 0.0, "hi": 1.0,
+                                                   "A": [[1.0] * 10]}]),
+         "config.model.constraints[0].A"),
+        (lambda c: c["model"].update(constraints=[{"kind": "norm_ball2"}]),
+         "config.model.constraints[0].radius"),
     ], ids=["weight_str", "weight_null", "box_lo_str", "ragged_A", "delta_str", "losses_int",
-            "max_iter_str", "kind_list"])
+            "max_iter_str", "kind_list", "nonneg_radius", "huber_order", "box_A",
+            "ball_no_radius"])
     def test_mistyped_value_exits_2_names_path(self, tmp_path, capsys, edit, path):
         cfg = json.loads(json.dumps(MIX_CONFIG))
         edit(cfg)
@@ -285,6 +296,15 @@ class TestFitCommand:
                          "--out", str(tmp_path / "o.json")])
         assert code == 2
         assert path in capsys.readouterr().err
+
+    def test_bad_inner_control_exits_2_names_field(self, tmp_path, mix_files, capsys):
+        _, data = mix_files
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps(dict(MIX_CONFIG, controls={"p_max_iter": 0})))
+        code = cli.main(["fit", "--config", str(cfg), "--data", str(data),
+                         "--out", str(tmp_path / "o.json")])
+        assert code == 2
+        assert "controls.p_max_iter" in capsys.readouterr().err
 
     def test_nan_literal_in_config_exits_2_names_field(self, tmp_path, mix_files, capsys):
         _, data = mix_files

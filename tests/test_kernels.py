@@ -272,6 +272,87 @@ class TestProject:
             dk.project((atom,), np.array([0.5]))
 
 
+def atom_rows(atom, n):
+    """(A, lo, hi) of one raw atom, built here independently of stack_rows."""
+    eye = np.eye(n)
+    if atom.kind == model.NONNEG:
+        return eye, np.zeros(n), np.full(n, np.inf)
+    if atom.kind == model.NONPOS:
+        return eye, np.full(n, -np.inf), np.zeros(n)
+    if atom.kind == model.BOX:
+        return eye, np.broadcast_to(atom.lo, (n,)), np.broadcast_to(atom.hi, (n,))
+    if atom.kind == model.MONOTONE_NONDECREASING:
+        return np.diff(eye, axis=0), np.zeros(n - 1), np.full(n - 1, np.inf)
+    if atom.kind == model.SUM_EQUALS:
+        return np.ones((1, n)), np.array([atom.value]), np.array([atom.value])
+    return atom.A, np.full(len(atom.b), -np.inf), atom.b
+
+
+def random_separable_atoms(rng, n):
+    """Raw nonneg/nonpos/box atoms whose intersected bounds can coincide or
+    cross, and at most one more polyhedral atom, within the oracle's 8 rows."""
+    atoms = []
+    for _ in range(int(rng.integers(2, 8 // n + 1))):
+        kind = rng.integers(3)
+        if kind == 0:
+            atoms.append(model.nonneg())
+        elif kind == 1:
+            atoms.append(model.nonpos())
+        else:
+            # lo < hi within one box: equal bounds arise only by intersection,
+            # where the oracle's KKT systems stay nonsingular
+            lo = rng.integers(-2, 2, size=n).astype(float)
+            hi = lo + rng.integers(1, 3, size=n)
+            lo[rng.random(n) < 0.25] = -np.inf
+            hi[rng.random(n) < 0.25] = np.inf
+            atoms.append(model.box(lo, hi))
+    extra = [model.monotone_nondecreasing(), model.sum_equals(float(rng.uniform(-2.0, 2.0))),
+             model.polyhedron(rng.normal(size=(1, n)), rng.uniform(-1.0, 1.0, size=1))]
+    pick = extra[rng.integers(len(extra))]
+    if rng.integers(2) and n * len(atoms) + len(atom_rows(pick, n)[1]) <= 8:
+        atoms.insert(int(rng.integers(len(atoms) + 1)), pick)
+    return atoms
+
+
+class TestCanonicalProjection:
+    def test_stacked_atoms_match_active_set_oracle(self):
+        rng = np.random.default_rng(2024)
+        checked = crossed = 0
+        for trial in range(150):
+            n = int(rng.integers(2, 4))
+            atoms = random_separable_atoms(rng, n)
+            v = rng.normal(0.0, 3.0, size=n)
+            parts = [atom_rows(a, n) for a in atoms]
+            lo = np.concatenate([p[1] for p in parts])
+            hi = np.concatenate([p[2] for p in parts])
+            sep = [p for a, p in zip(atoms, parts) if a.kind in (model.NONNEG, model.NONPOS, model.BOX)]
+            if np.any(np.max([p[1] for p in sep], axis=0) > np.min([p[2] for p in sep], axis=0)):
+                crossed += 1
+                with pytest.raises(kernels.ProjectionError):
+                    dk.project(atoms, v)
+                continue
+            prob = dk.qp_problem(np.eye(n), -v, np.vstack([p[0] for p in parts]), lo, hi)
+            try:
+                ref = oracle.qp_active_set_oracle(prob)
+            except RuntimeError:  # no KKT point: the extra atom empties the set
+                with pytest.raises(kernels.ProjectionError):
+                    dk.project(atoms, v)
+                continue
+            got = dk.project(atoms, v)
+            assert np.allclose(got, ref, rtol=0.0, atol=1e-8), f"trial {trial}"
+            assert kernels.max_violation(atoms, got) <= 1e-8, f"trial {trial}"
+            checked += 1
+        assert checked >= 60 and crossed >= 10
+
+    def test_nonneg_and_box_clip_without_qp(self, monkeypatch):
+        calls = []
+        qp_solve = kernels.qp_solve
+        monkeypatch.setattr(kernels, "qp_solve", lambda *a, **k: calls.append(1) or qp_solve(*a, **k))
+        out = dk.project((model.nonneg(), model.box(0.0, 2.0)), np.array([-1.0, 0.5, 3.0, 2.0, -4.0]))
+        assert np.array_equal(out, [0.0, 0.5, 2.0, 2.0, 0.0])
+        assert calls == []
+
+
 def grid_prox_1d(fun, v, step, lo=-6.0, hi=6.0, num=240001):
     """Dense search for argmin_u fun(u) + (u - v)^2 / (2 step)."""
     grid = np.linspace(lo, hi, num)

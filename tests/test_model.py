@@ -274,7 +274,8 @@ class TestValidate:
         (dk.polyhedron([[np.nan, 1.0]], [1.0]), "A"),
         (dk.polyhedron([[np.inf, 1.0]], [1.0]), "A"),
         (dk.polyhedron([[1.0, 1.0]], [np.nan]), "b"),
-    ], ids=["box_lo", "box_hi", "A_nan", "A_inf", "b_nan"])
+        (dk.polyhedron([[1.0, 1.0]], [-np.inf]), "b"),
+    ], ids=["box_lo", "box_hi", "A_nan", "A_inf", "b_nan", "b_neg_inf"])
     def test_rejects_nan_constraint_data(self, atom, field):
         # max(0, nan) is 0, so the feasibility probe alone reads these as feasible
         spec = dk.shared_spec(K=1, n=2, loss=dk.huber(1.0), constraints=(atom,))
@@ -283,6 +284,18 @@ class TestValidate:
         assert [v.path for v in rep.violations] == [path]
         with pytest.raises(ValueError, match=re.escape(path)):
             dk.fit(spec, self._data())
+
+    @pytest.mark.parametrize("field, value", [
+        ("qp_max_iter", 0), ("p_max_iter", 0), ("f_max_iter", -3),
+        ("qp_tol", np.nan), ("p_tol", np.nan), ("f_tol", -1.0),
+    ])
+    def test_rejects_bad_inner_controls(self, field, value):
+        # each of these voids the fit: a step that never iterates, or a
+        # stopping test that never (or always) passes
+        spec = dk.shared_spec(K=2, n=2, loss=dk.square_regression(), constraints=(),
+                              controls=dk.SolverControls(**{field: value}))
+        rep = dk.validate(spec, self._data())
+        assert [v.path for v in rep.violations] == [f"controls.{field}"]
 
     def test_accepts_infinite_bounds(self):
         atoms = (dk.box(-np.inf, np.inf), dk.box([0.0, -np.inf], [np.inf, 1.0]))

@@ -393,8 +393,20 @@ class TestFactorPlans:
         }[name]()
         plans = psolve.plan_factors(spec)
         assert [plan.solve for plan in plans] == [getattr(psolve, step)] * spec.K
-        # only prox-gradient plans carry a joint prox
+        # only prox-gradient plans carry a joint prox, only QP plans stacked rows
         assert all((plan.prox is not None) == (step == "_prox_gradient_factor") for plan in plans)
+        assert all((plan.rows is not None) == (step == "_polyhedral_lstsq") for plan in plans)
+
+    def test_qp_rows_stacked_once_per_restart(self, monkeypatch):
+        spec, data, _ = capped_case("regression")
+        stacks = []
+        real = kernels.stack_rows
+        monkeypatch.setattr(kernels, "stack_rows", lambda *args: stacks.append(1) or real(*args))
+        res = dk.fit(spec, data)
+        assert res.iterations > 1
+        # per factor: one for validate's feasibility probe, then per restart
+        # one for the projector and one for the QP step
+        assert len(stacks) == spec.K * (1 + 2 * spec.controls.restarts)
 
     def test_one_projector_per_factor_and_restart(self, monkeypatch):
         spec, data = pool_case("kmeans")
