@@ -50,16 +50,26 @@ class QpProblem:
     hi: np.ndarray
 
 
+def _float_array(a, shape):
+    # a as a float array of the given shape: the same object when it is one,
+    # so that a workspace recognizes rows it was given before
+    a = np.asarray(a, dtype=float)
+    return a if a.shape == shape else a.reshape(shape)
+
+
 def qp_problem(P, q, A, lo, hi) -> QpProblem:
     q = np.asarray(q, dtype=float)
     n = q.shape[0]
-    A = np.asarray(A, dtype=float).reshape(-1, n)
+    A = np.asarray(A, dtype=float)
+    if A.ndim != 2 or A.shape[1] != n:
+        A = A.reshape(-1, n)
+    m = A.shape[0]
     return QpProblem(
         P=np.asarray(P, dtype=float),
         q=q,
         A=A,
-        lo=np.asarray(lo, dtype=float).reshape(A.shape[0]),
-        hi=np.asarray(hi, dtype=float).reshape(A.shape[0]),
+        lo=_float_array(lo, (m,)),
+        hi=_float_array(hi, (m,)),
     )
 
 
@@ -78,7 +88,9 @@ class QpWorkspace:
     """Caches the reduced KKT inverse and iterates across repeated solves.
 
     Reuse is valid whenever the problem dimensions are fixed; the factorization
-    is refreshed automatically when P, A, or the penalty changes.
+    is refreshed automatically when P, A, or the penalty changes. The groups
+    of identical constraint rows are found again whenever A, lo or hi is
+    another array object.
     """
 
     def __init__(self):
@@ -90,6 +102,8 @@ class QpWorkspace:
         self.x = None
         self.y = None
         self.z = None
+        self.rows = None
+        self.groups = None
 
     def refresh(self, P, A, rho):
         same = (
@@ -105,19 +119,57 @@ class QpWorkspace:
             self.M_inv = np.linalg.inv(M)
             self.P, self.A, self.rho = P, A, rho
 
+    def row_groups(self, A, lo, hi):
+        """distinct_rows(A, lo, hi), kept while the same three arrays return."""
+        if self.rows is None or any(a is not b for a, b in zip(self.rows, (A, lo, hi))):
+            self.rows, self.groups = (A, lo, hi), distinct_rows(A, lo, hi)
+        return self.groups
 
-def _polish(prob: QpProblem, eq_rows, y, z, tol):
+
+def distinct_rows(A, lo, hi):
+    """Merge the constraint rows whose (A_i, lo_i, hi_i) are identical.
+
+    Returns None when all rows differ, else (keep, inverse): keep holds the
+    first row of each group of identical rows, and row i is row
+    keep[inverse[i]].
+    """
+    R = np.column_stack([A, lo, hi])
+    if R.shape[0] < 2:
+        return None
+    order = np.lexsort(R.T)  # stable: equal rows keep their order
+    ordered = R[order]
+    starts = np.concatenate([[True], np.any(ordered[1:] != ordered[:-1], axis=1)])
+    if starts.all():
+        return None
+    inverse = np.empty(order.size, dtype=int)
+    inverse[order] = np.cumsum(starts) - 1
+    return order[starts], inverse
+
+
+def _polish(prob: QpProblem, eq_rows, y, z, tol, groups=None):
     """Exact KKT point on the active set guessed from an ADMM iterate.
 
     A row is taken as active at lo when z - lo < -y, at hi when hi - z < y,
-    and always when it is an equality. Returns (x, y, z, r_prim, r_dual) if
-    the equality-constrained solve is primal feasible, dual optimal and has
-    correctly signed multipliers, all to tol; None otherwise.
+    and always when it is an equality. Identical rows, given as the groups
+    of distinct_rows, would make the KKT system singular: the first row of
+    each group takes the group's summed multiplier, and the others stay
+    inactive. Returns (x, y, z, r_prim, r_dual) if the equality-constrained
+    solve is primal feasible, dual optimal and has correctly signed
+    multipliers on every row, all to tol; None otherwise.
     """
     P, q, A, lo, hi = prob.P, prob.q, prob.A, prob.lo, prob.hi
     n = q.shape[0]
-    at_lo = ~eq_rows & (z - lo < -y)
-    at_hi = ~eq_rows & (hi - z < y)
+    free = ~eq_rows
+    if groups is not None:
+        keep, inverse = groups
+        first = np.zeros(z.size, dtype=bool)
+        first[keep] = True
+        summed = np.bincount(inverse, weights=y, minlength=keep.size)
+        y = np.zeros_like(z)
+        y[keep] = summed
+        eq_rows, free = eq_rows & first, free & first
+    at_lo = free & (z - lo < -y)
+    at_hi = free & (hi - z < y)
     active = eq_rows | at_lo | at_hi
     Aa = A[active]
     k = Aa.shape[0]
@@ -145,6 +197,28 @@ def _polish(prob: QpProblem, eq_rows, y, z, tol):
     return None
 
 
+def _start_polish(prob: QpProblem, eq_rows, groups, tol, warm):
+    """_polish before the first ADMM iteration, on up to two guessed active sets.
+
+    The first guess is the (y, z) of warm, a warm start or workspace
+    iterate, when there is one. The second comes from the unconstrained point
+    x0 = -(P + sigma I)^-1 q: its violated rows, passed as y = A x0 - z and
+    z = clip(A x0, lo, hi). Returns the first accepted polish, or None.
+    """
+    if warm is not None:
+        polished = _polish(prob, eq_rows, warm.y, warm.z, tol, groups)
+        if polished is not None:
+            return polished
+    P, q = prob.P, prob.q
+    try:
+        x0 = np.linalg.solve(P + _SIGMA * np.eye(q.shape[0]), -q)
+    except np.linalg.LinAlgError:
+        return None
+    ax0 = prob.A @ x0
+    z0 = np.clip(ax0, prob.lo, prob.hi)
+    return _polish(prob, eq_rows, ax0 - z0, z0, tol, groups)
+
+
 def qp_solve(
     prob: QpProblem,
     warm_start: QpSolution | None = None,
@@ -158,13 +232,21 @@ def qp_solve(
     residual ratio exceeds 10; equality rows carry a stiffer penalty. At each
     residual check the iterate is also polished, as in OSQP: the active set
     is guessed from (y, z) and the equality-constrained KKT system on it is
-    solved exactly. The polished point is accepted only when its primal and
-    dual residuals are within tol and its multipliers have the right signs;
-    otherwise the iteration goes on unchanged. Returns SOLVED when either
-    point meets tol, PRIMAL_INFEASIBLE when the divergence certificate of the
-    dual update persists, MAX_ITER otherwise. Deterministic; warm starts and
-    a reusable workspace, which keeps the returned iterate, cut repeat-solve
-    cost.
+    solved exactly, with identical rows merged. The polished point is
+    accepted only when its primal and dual residuals are within tol and its
+    multipliers have the right signs; otherwise the iteration goes on
+    unchanged. Returns SOLVED when either point meets tol, PRIMAL_INFEASIBLE
+    when the divergence certificate of the dual update persists, MAX_ITER
+    otherwise.
+
+    Before the first iteration the polish is tried on the active set of the
+    warm start or workspace iterate, if any, then on the rows the
+    unconstrained minimizer violates. An accepted start polish is returned
+    as SOLVED with iterations == 0: an exact KKT point found without any
+    ADMM iteration. Otherwise ADMM starts from the warm start, the workspace
+    iterate, or the origin, as if no polish had been tried. Deterministic;
+    warm starts and a reusable workspace, which keeps the returned iterate,
+    the penalty and the merged rows, cut repeat-solve cost.
     """
     P, q, A = prob.P, prob.q, prob.A
     lo, hi = prob.lo, prob.hi
@@ -178,6 +260,21 @@ def qp_solve(
 
     ws = workspace if workspace is not None else QpWorkspace()
     eq_rows = lo >= hi  # lo == hi up to ordering; treated as equalities
+    groups = ws.row_groups(A, lo, hi)
+
+    warm = warm_start  # the iterate ADMM starts from, if any
+    if warm is None and ws.x is not None and ws.x.shape == (n,) and ws.y.shape == (m,):
+        warm = ws
+    polished = _start_polish(prob, eq_rows, groups, tol, warm)
+    if polished is not None:
+        x, y, z, r_prim, r_dual = polished
+        ws.x, ws.y, ws.z = x.copy(), y.copy(), z.copy()
+        return QpSolution(x, y, z, SOLVED, r_prim, r_dual, 0)
+    if warm is not None:
+        x, y, z = warm.x.copy(), warm.y.copy(), warm.z.copy()
+    else:
+        x, y, z = np.zeros(n), np.zeros(m), np.clip(np.zeros(m), lo, hi)
+
     rho_base = ws.rho_base if ws.rho_base is not None else _RHO_INIT
 
     def rho_vec(base):
@@ -187,13 +284,6 @@ def qp_solve(
 
     rho = rho_vec(rho_base)
     ws.refresh(P, A, rho)
-
-    if warm_start is not None:
-        x, y, z = warm_start.x.copy(), warm_start.y.copy(), warm_start.z.copy()
-    elif ws.x is not None and ws.x.shape == (n,):
-        x, y, z = ws.x.copy(), ws.y.copy(), ws.z.copy()
-    else:
-        x, y, z = np.zeros(n), np.zeros(m), np.clip(np.zeros(m), lo, hi)
 
     status = MAX_ITER
     r_prim = r_dual = np.inf
@@ -216,7 +306,7 @@ def qp_solve(
             if r_prim <= tol and r_dual <= tol:
                 status = SOLVED
                 break
-            polished = _polish(prob, eq_rows, y, z, tol)
+            polished = _polish(prob, eq_rows, y, z, tol, groups)
             if polished is not None:
                 x, y, z, r_prim, r_dual = polished
                 status = SOLVED

@@ -523,8 +523,11 @@ def _check_constraint_atom(atom: ConstraintAtom, n: int, path: str, out: list):
         for name, bound in (("lo", lo), ("hi", hi)):
             if np.isnan(bound).any():
                 out.append(Violation(f"{path}.{name}", "bounds must not be NaN (+-inf allowed)"))
-        if np.any(np.broadcast_to(lo, (n,)) > np.broadcast_to(hi, (n,))):
+        lo, hi = np.broadcast_to(lo, (n,)), np.broadcast_to(hi, (n,))
+        if np.any(lo > hi):
             out.append(Violation(path, "box requires lo <= hi componentwise"))
+        elif np.any(np.isinf(lo) & (lo == hi)):
+            out.append(Violation(path, "box has lo = hi = -inf or +inf on a coordinate: empty set"))
     elif atom.kind == POLYHEDRON:
         if atom.A.ndim != 2 or atom.A.shape[1] != n:
             out.append(Violation(path + ".A", f"A must have {n} columns; got {atom.A.shape}"))

@@ -108,15 +108,21 @@ def fd_gradient(fun, point, step: float = 1e-6) -> np.ndarray:
 def qp_active_set_oracle(prob: kernels.QpProblem, tol: float = 1e-9) -> np.ndarray:
     """Exact QP solution by enumerating active sets of lo <= Ax <= hi.
 
-    Requires positive definite P and few constraint rows. Each candidate
+    Requires positive definite P and at most 8 constraint rows. Of rows
+    with identical (A_i, lo_i, hi_i) only the first is kept, as copies
+    would make every KKT system that pins them singular. Each candidate
     pins a subset of rows at a bound, solves the equality-constrained KKT
     system, and keeps KKT points (primal feasible, correctly signed
     multipliers); the best objective wins.
     """
     P, q, A, lo, hi = prob.P, prob.q, prob.A, prob.lo, prob.hi
-    n, m = q.shape[0], A.shape[0]
-    if m > 8:
+    if A.shape[0] > 8:
         raise InstanceTooLarge("active-set enumeration supports at most 8 rows")
+    groups = kernels.distinct_rows(A, lo, hi)
+    if groups is not None:
+        keep = np.sort(groups[0])
+        A, lo, hi = A[keep], lo[keep], hi[keep]
+    n, m = q.shape[0], A.shape[0]
 
     options = []
     for i in range(m):

@@ -320,6 +320,18 @@ class TestFitCommand:
         assert code == 2
         assert "constraints_per_factor[0][0].lo" in capsys.readouterr().err
 
+    def test_box_empty_at_infinity_exits_2_names_atom(self, tmp_path, mix_files, capsys):
+        _, data = mix_files
+        lo, hi = [0.0] * 10, [1.0] * 10
+        lo[3] = hi[3] = float("-inf")
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps(dict(MIX_CONFIG, model=dict(
+            MIX_CONFIG["model"], constraints=[{"kind": "box", "lo": lo, "hi": hi}]))))
+        code = cli.main(["fit", "--config", str(cfg), "--data", str(data),
+                         "--out", str(tmp_path / "o.json")])
+        assert code == 2
+        assert "constraints_per_factor[0][0]" in capsys.readouterr().err
+
     def test_unknown_key_exits_2_names_path(self, tmp_path, mix_files, capsys):
         _, data = mix_files
         cfg = tmp_path / "bad.json"

@@ -297,6 +297,20 @@ class TestValidate:
         rep = dk.validate(spec, self._data())
         assert [v.path for v in rep.violations] == [f"controls.{field}"]
 
+    @pytest.mark.parametrize("lo, hi", [
+        ([-np.inf, -1.0, -np.inf], [-1.0, 1.0, -np.inf]),
+        ([0.0, np.inf, 0.0], [1.0, np.inf, 1.0]),
+    ], ids=["both_neg_inf", "both_pos_inf"])
+    def test_rejects_box_empty_at_infinity(self, lo, hi):
+        # lo <= hi holds, but no number lies in [-inf, -inf]: the fit ended
+        # in EngineFailure on non-finite parameters
+        spec = dk.shared_spec(K=1, n=3, loss=dk.huber(1.0), constraints=(dk.box(lo, hi),))
+        data = self._data(n=3)
+        rep = dk.validate(spec, data)
+        assert [v.path for v in rep.violations] == ["constraints_per_factor[0][0]"]
+        with pytest.raises(ValueError, match=re.escape("constraints_per_factor[0][0]")):
+            dk.fit(spec, data)
+
     def test_accepts_infinite_bounds(self):
         atoms = (dk.box(-np.inf, np.inf), dk.box([0.0, -np.inf], [np.inf, 1.0]))
         spec = dk.shared_spec(K=1, n=2, loss=dk.huber(1.0), constraints=atoms)

@@ -116,3 +116,12 @@ def test_active_set_row_limit():
                          lo=np.zeros(9), hi=np.ones(9))
     with pytest.raises(ValueError):
         dk.qp_active_set_oracle(prob)
+
+
+def test_active_set_duplicated_equality_rows():
+    # two copies of x0 = 1: every candidate pinning both was singular
+    prob = dk.qp_problem(P=np.eye(2), q=np.array([-1.0, -1.0]),
+                         A=np.array([[1.0, 0.0], [1.0, 0.0]]),
+                         lo=np.ones(2), hi=np.ones(2))
+    x = dk.qp_active_set_oracle(prob)
+    assert np.allclose(x, [1.0, 1.0], atol=1e-12)
