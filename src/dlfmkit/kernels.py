@@ -381,9 +381,7 @@ def _atom_violation(atom: model.ConstraintAtom, v: np.ndarray) -> float:
     if k == model.NONPOS:
         return float(max(0.0, v.max(initial=0.0)))
     if k == model.BOX:
-        lo = np.broadcast_to(atom.lo, v.shape)
-        hi = np.broadcast_to(atom.hi, v.shape)
-        return float(max(0.0, np.maximum(lo - v, v - hi).max(initial=0.0)))
+        return float(max(0.0, np.maximum(atom.lo - v, v - atom.hi).max(initial=0.0)))
     if k == model.POLYHEDRON:
         return float(max(0.0, (atom.A @ v - atom.b).max(initial=0.0)))
     if k == model.MONOTONE_NONINCREASING:

@@ -35,6 +35,9 @@ LOSS_KINDS = frozenset(
 # losses whose feature is a matrix (one row per class) instead of a vector
 MATRIX_FEATURE_KINDS = frozenset({MULTINOMIAL_LOGIT})
 
+# losses with a smooth, exact Hessian: their P-step is proximal Newton
+LOGIT_KINDS = frozenset({BINARY_LOGIT, MULTINOMIAL_LOGIT})
+
 # constraint kinds
 FREE = "free"
 NONNEG = "nonneg"
@@ -204,7 +207,9 @@ class SolverControls:
 
     qp_tol and qp_max_iter govern only the QP of square regression over
     polyhedral constraints; projections (including the projected centroid
-    of a squared-distance factor) solve to a fixed tolerance.
+    of a squared-distance factor) solve to a fixed tolerance. p_tol and
+    p_max_iter govern the iterative P-steps: they count proximal Newton
+    iterations for logit factors and prox-gradient iterations otherwise.
     """
 
     eps: float = 1e-6
@@ -296,14 +301,36 @@ class ValidationReport:
 # ---------------------------------------------------------------------------
 
 
-def _logsumexp_rows(U: np.ndarray) -> np.ndarray:
-    hi = U.max(axis=1, keepdims=True)
-    return np.log(np.exp(U - hi).sum(axis=1)) + hi[:, 0]
+def _logit_pieces(atom: LossAtom, F, y, theta):
+    """(losses, residuals, curvatures) of a logit loss at theta, per sample.
+
+    One F @ theta and one softmax or sigmoid give all three. The residual is
+    the derivative of each loss in its margins, s - y. The curvature is s (1 -
+    s) for binary logit and the softmax rows S for multinomial logit, whose
+    margin Hessian is diag(s) - s s'. Binary terms are written so that no exp
+    overflows and saturated margins keep their tiny residuals and curvatures.
+    """
+    if atom.kind == MULTINOMIAL_LOGIT:
+        U = F @ theta
+        hi = U.max(axis=1, keepdims=True)
+        E = np.exp(U - hi)
+        tot = E.sum(axis=1, keepdims=True)
+        S = E / tot
+        return np.log(tot[:, 0]) + hi[:, 0] - (y * U).sum(axis=1), S - y, S
+    t = F @ theta
+    pos = t >= 0.0
+    e = np.exp(-np.abs(t))
+    small = e / (1.0 + e)  # sigmoid(-|t|), the smaller of s and 1 - s
+    # softplus(t) - y t, with max(t, 0) - y t = t (pos - y) exact at y = pos
+    losses = t * (pos - y) + np.log1p(e)
+    resid = np.where(pos, (1.0 - y) - small, small - y)
+    return losses, resid, small * (1.0 - small)
 
 
-def _softplus(u: np.ndarray) -> np.ndarray:
-    # log(1 + exp(u)) without overflow
-    return np.maximum(u, 0.0) + np.log1p(np.exp(-np.abs(u)))
+def _logit_grad(F, resid, w):
+    # gradient of sum_i w_i f_i when resid_i is f_i's derivative in its margins
+    wr = w[:, None] * resid if resid.ndim == 2 else w * resid
+    return F.reshape(-1, F.shape[-1]).T @ wr.ravel()
 
 
 def batch_losses(atom: LossAtom, features, observations, theta) -> np.ndarray:
@@ -314,18 +341,16 @@ def batch_losses(atom: LossAtom, features, observations, theta) -> np.ndarray:
     if atom.kind in MATRIX_FEATURE_KINDS:
         if F.ndim != 3 or F.shape[2] != theta.shape[0]:
             raise ValueError(f"matrix features must be (m, p, n={theta.shape[0]}); got {F.shape}")
-        U = F @ theta
-        return _logsumexp_rows(U) - (y * U).sum(axis=1)
+        return _logit_pieces(atom, F, y, theta)[0]
     if F.ndim != 2 or F.shape[1] != theta.shape[0]:
         raise ValueError(f"features must be (m, n={theta.shape[0]}); got {F.shape}")
     if atom.kind == SQUARED_DISTANCE:
         diff = theta[None, :] - (F + y[:, None])
         return (diff * diff).sum(axis=1)
-    t = F @ theta
     if atom.kind == BINARY_LOGIT:
         # margin form: the observation offsets the slope, not the margin
-        return _softplus(t) - y * t
-    u = t - y
+        return _logit_pieces(atom, F, y, theta)[0]
+    u = F @ theta - y
     if atom.kind == SQUARE_REGRESSION:
         return u * u
     if atom.kind == LP_REGRESSION:
@@ -348,20 +373,12 @@ def weighted_loss_grad(atom: LossAtom, features, observations, theta, weights) -
     F = np.asarray(features, dtype=float)
     y = np.asarray(observations, dtype=float)
     w = np.asarray(weights, dtype=float)
-    if atom.kind in MATRIX_FEATURE_KINDS:
-        U = F @ theta
-        hi = U.max(axis=1, keepdims=True)
-        E = np.exp(U - hi)
-        S = E / E.sum(axis=1, keepdims=True)
-        return np.einsum("ijk,ij->k", F, w[:, None] * (S - y))
+    if atom.kind in LOGIT_KINDS:
+        return _logit_grad(F, _logit_pieces(atom, F, y, theta)[1], w)
     if atom.kind == SQUARED_DISTANCE:
         centers = F + y[:, None]
         return 2.0 * (w.sum() * theta - w @ centers)
-    t = F @ theta
-    if atom.kind == BINARY_LOGIT:
-        g = 1.0 / (1.0 + np.exp(-t)) - y
-        return F.T @ (w * g)
-    u = t - y
+    u = F @ theta - y
     if atom.kind == SQUARE_REGRESSION:
         g = 2.0 * u
     elif atom.kind == LP_REGRESSION:
@@ -374,27 +391,45 @@ def weighted_loss_grad(atom: LossAtom, features, observations, theta, weights) -
     return F.T @ (w * g)
 
 
+def logit_value_grad_hessian(atom: LossAtom, features, observations, theta, weights):
+    """(value, gradient, Hessian) of sum_i w_i * f(x_i, y_i; theta) for a logit loss.
+
+    The Hessian is exact: F' diag(w s (1 - s)) F for binary logit, and
+    sum_i w_i X_i' (diag(s_i) - s_i s_i') X_i for multinomial logit. Value and
+    gradient are those of batch_losses and weighted_loss_grad.
+    """
+    theta = np.asarray(theta, dtype=float)
+    F = np.asarray(features, dtype=float)
+    y = np.asarray(observations, dtype=float)
+    w = np.asarray(weights, dtype=float)
+    losses, resid, curv = _logit_pieces(atom, F, y, theta)
+    n = theta.shape[0]
+    if atom.kind == MULTINOMIAL_LOGIT:
+        Fr = F.reshape(-1, n)
+        V = np.einsum("ijk,ij->ik", F, curv)  # X_i' s_i
+        H = (Fr.T * (w[:, None] * curv).ravel()) @ Fr - (V.T * w) @ V
+    else:
+        H = (F.T * (w * curv)) @ F
+    return float(w @ losses), _logit_grad(F, resid, w), H
+
+
 def curvature_matrix(atom: LossAtom, features, observations, weights) -> np.ndarray:
     """PSD matrix M with weighted-loss Hessian <= M (in the Loewner order).
 
-    Used by the parameter solver to size gradient steps. Piecewise-linear
+    Used by the prox-gradient parameter step to size its steps; logit losses
+    take the Newton step and its exact Hessian instead. Piecewise-linear
     losses return the zero matrix.
     """
     F = np.asarray(features, dtype=float)
     w = np.asarray(weights, dtype=float)
     n = F.shape[-1]
-    if atom.kind == MULTINOMIAL_LOGIT:
-        # per-sample Hessian X^T (diag(s) - s s^T) X <= 0.5 X^T X
-        return 0.5 * np.einsum("ijk,ijl->kl", F * w[:, None, None], F)
     if atom.kind == SQUARED_DISTANCE:
         return 2.0 * w.sum() * np.eye(n)
     if atom.kind in (SQUARE_REGRESSION, HUBER):
         return 2.0 * (F * w[:, None]).T @ F
-    if atom.kind == BINARY_LOGIT:
-        return 0.25 * (F * w[:, None]).T @ F
     if atom.kind == LP_REGRESSION:
         return np.zeros((n, n))
-    raise ValueError(f"unknown loss kind {atom.kind!r}")
+    raise ValueError(f"no curvature bound for loss kind {atom.kind!r}")
 
 
 def loss_eval(atom: LossAtom, feature, observation, theta) -> float:

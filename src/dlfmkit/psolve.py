@@ -3,7 +3,9 @@
 The problem separates across factors. `plan_factors` chooses each factor's
 step once per restart, from its loss, its constraint atoms and the parameter
 regularizers, and `solve_p` runs the chosen steps on each iteration's factor
-weights.
+weights. The steps are closed forms (a projected centroid, the normal
+equations), one QP, proximal Newton for the logit losses, and projected
+proximal gradient for the other losses that have no closed form.
 """
 
 from __future__ import annotations
@@ -52,7 +54,7 @@ class FactorPlan:
     atoms: list  # the factor's constraint atoms, in canonical form
     regs: list  # the parameter regularizers
     project: Callable  # Euclidean projection onto the atoms
-    prox: Callable | None = None  # joint prox of regs and atoms, prox-gradient only
+    prox: Callable | None = None  # joint prox of regs and atoms, Newton and prox-gradient only
     qp: kernels.QpWorkspace = field(default_factory=kernels.QpWorkspace)
     step: float | None = None  # last accepted prox-gradient step
     rows: tuple | None = None  # stacked (A, lo, hi) of the atoms, polyhedral QP only
@@ -127,18 +129,9 @@ def _polyhedral_lstsq(plan, feats, obs, w, warm, controls):
     return theta, sol.iterations, P_MAX_ITER
 
 
-def _power_lambda_max(M, iters: int = 60):
-    n = M.shape[0]
-    v = np.full(n, 1.0 / np.sqrt(n))
-    lam = 0.0
-    for _ in range(iters):
-        Mv = M @ v
-        nrm = float(np.linalg.norm(Mv))
-        if nrm <= 1e-30:
-            return 0.0
-        v = Mv / nrm
-        lam = nrm
-    return lam
+def _lambda_max(M) -> float:
+    """Largest eigenvalue of a symmetric PSD matrix; rounding below 0 reads 0."""
+    return max(float(np.linalg.eigvalsh(M)[-1]), 0.0)
 
 
 def _prox_gradient_factor(plan, feats, obs, w, warm, controls):
@@ -146,7 +139,7 @@ def _prox_gradient_factor(plan, feats, obs, w, warm, controls):
     atom, regs, prox = plan.loss, plan.regs, plan.prox
     theta = plan.project(np.zeros(feats.shape[-1]) if warm is None else np.array(warm, dtype=float))
 
-    lam = _power_lambda_max(model.curvature_matrix(atom, feats, obs, w))
+    lam = _lambda_max(model.curvature_matrix(atom, feats, obs, w))
     step0 = 1.0 / lam if lam > 1e-12 else 1e3
     step = plan.step if plan.step is not None else step0
     step = min(step * 2.0, step0) if step > 0 else step0
@@ -191,6 +184,107 @@ def _prox_gradient_factor(plan, feats, obs, w, warm, controls):
     return theta, it, status
 
 
+# FISTA iterations on one Newton step's quadratic model, at most
+_MODEL_MAX_ITER = 100
+# the model solve stops once an iterate moves by less than this share of the
+# prox-gradient step at theta: the forcing term of an inexact Newton method
+_MODEL_FORCING = 0.1
+# curvature assumed where the Hessian has less (no weighted rows, saturated
+# margins), so that the model's steps stay finite
+_MIN_CURVATURE = 1e-12
+# sufficient decrease, as a share of the decrease the model predicts
+_ARMIJO = 1e-4
+# halvings of the Newton step before no descent is taken to exist
+_MAX_HALVINGS = 60
+
+
+def _model_step(prox, regs, theta, g, H):
+    """Inexact argmin over the atoms of the model g.d + d.H d / 2 + regs(theta + d).
+
+    FISTA on the joint prox with step 1 / lambda_max(H), started from the
+    better of two points: the prox-gradient step at theta, and the prox of
+    the unconstrained Newton point theta - H^+ g, which is exact when no
+    atom or regularizer binds and spares FISTA the ill-conditioned
+    directions. Returns the prox-gradient step and the last iterate. Only
+    n-vectors are touched, never the rows.
+    """
+    lam = _lambda_max(H)
+    step = 1.0 / max(lam, _MIN_CURVATURE)
+    v = first = prox(theta - step * g, step)
+    if lam > _MIN_CURVATURE:  # else H^+ g may overflow
+
+        def model_value(x):
+            d = x - theta
+            return float(g @ d + 0.5 * d @ H @ d) + model.p_regularizer_value(regs, [x])
+
+        newton = prox(theta - np.linalg.lstsq(H, g, rcond=None)[0], step)
+        if model_value(newton) < model_value(first):
+            v = newton
+    tol = _MODEL_FORCING * float(np.linalg.norm(first - theta))
+    v_prev, t = v, 1.0
+    for _ in range(_MODEL_MAX_ITER - 1):
+        t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
+        u = v + ((t - 1.0) / t_next) * (v - v_prev)
+        v_prev, v, t = v, prox(u - step * (g + H @ (u - theta)), step), t_next
+        if float(np.linalg.norm(v - v_prev)) <= tol:
+            break
+    return first, v
+
+
+def _newton_factor(plan, feats, obs, w, warm, controls):
+    """Proximal Newton step for a logit loss (Lee, Sun & Saunders, 2014).
+
+    Each iteration takes the exact value, gradient and Hessian at theta from
+    one model.logit_value_grad_hessian, minimizes the quadratic model plus
+    the regularizers over the atoms inexactly (`_model_step`), and backtracks
+    along d = v - theta until the Armijo rule on the model's predicted
+    decrease holds. theta + a d stays feasible by convexity, and the rule
+    never accepts a step that raises the objective. p_tol and p_max_iter
+    count Newton iterations. Rows with w_i = 0 add nothing and are dropped.
+    """
+    atom, regs, prox = plan.loss, plan.regs, plan.prox
+    idx = np.flatnonzero(w)
+    if idx.size < w.size:
+        feats, obs, w = feats[idx], obs[idx], w[idx]
+    theta = plan.project(np.zeros(feats.shape[-1]) if warm is None else np.array(warm, dtype=float))
+
+    def evaluate(th):
+        value, grad, hess = model.logit_value_grad_hessian(atom, feats, obs, th, w)
+        reg = model.p_regularizer_value(regs, [th])
+        return value + reg, reg, grad, hess
+
+    total, reg, g, H = evaluate(theta)
+    status = P_MAX_ITER
+    it = 0
+    for it in range(1, controls.p_max_iter + 1):
+        # FISTA is not monotone; the prox-gradient step always predicts a
+        # decrease unless theta is a fixed point
+        for v in reversed(_model_step(prox, regs, theta, g, H)):
+            d = v - theta
+            delta = float(g @ d) + model.p_regularizer_value(regs, [v]) - reg
+            if delta < 0.0:
+                break
+        else:
+            status = P_CONVERGED  # proximal fixed point
+            break
+        a = 1.0
+        for _ in range(_MAX_HALVINGS):
+            cand = theta + a * d
+            t_cand, r_cand, g_cand, H_cand = evaluate(cand)
+            if t_cand <= total + _ARMIJO * a * delta:  # delta < 0: a strict decrease
+                break
+            a *= 0.5
+        else:
+            status = P_CONVERGED  # no descent step exists at this scale
+            break
+        drop = total - t_cand
+        theta, total, reg, g, H = cand, t_cand, r_cand, g_cand, H_cand
+        if drop <= controls.p_tol * max(1.0, abs(total)):
+            status = P_CONVERGED
+            break
+    return theta, it, status
+
+
 def plan_factors(spec: model.ModelSpec) -> list[FactorPlan]:
     """Choose each factor's P-step once, for all the iterations of a restart.
 
@@ -200,10 +294,11 @@ def plan_factors(spec: model.ModelSpec) -> list[FactorPlan]:
     whatever they are; square regression solves the normal equations of its
     weighted Gram matrix when unconstrained (`_weighted_lstsq`), and the QP
     with P = 2G over polyhedral atoms (`_polyhedral_lstsq`), on constraint
-    rows stacked here. Everything else runs projected proximal gradient,
-    with the joint prox planned on the factor's projector. Plans hold
-    closures, which do not pickle: build them in the process that runs the
-    restart.
+    rows stacked here. Binary and multinomial logit factors, regularized or
+    not, run proximal Newton (`_newton_factor`) over any atoms; everything
+    else runs projected proximal gradient. Both take the joint prox planned
+    on the factor's projector. Plans hold closures, which do not pickle:
+    build them in the process that runs the restart.
     """
     regs = list(spec.p_regularizers)
     plans = []
@@ -211,7 +306,9 @@ def plan_factors(spec: model.ModelSpec) -> list[FactorPlan]:
         loss = spec.loss_per_factor[k]
         atoms = kernels.canonical_atoms(spec.constraints_per_factor[k], spec.n)
         project = kernels.projector(atoms, spec.n, kernels.QpWorkspace())
-        if regs:
+        if loss.kind in model.LOGIT_KINDS:
+            solve = _newton_factor
+        elif regs:
             solve = _prox_gradient_factor
         elif loss.kind == model.SQUARED_DISTANCE:
             solve = _projected_centroid
@@ -223,7 +320,7 @@ def plan_factors(spec: model.ModelSpec) -> list[FactorPlan]:
         else:
             solve = _prox_gradient_factor
         plan = FactorPlan(k, solve, loss, atoms, regs, project)
-        if solve is _prox_gradient_factor:
+        if solve in (_prox_gradient_factor, _newton_factor):
             plan.prox = kernels.prox_plan(regs, atoms, spec.n, project)
         elif solve is _polyhedral_lstsq:
             plan.rows = kernels.stack_rows(atoms, spec.n)
@@ -260,7 +357,8 @@ def solve_p(
         if np.any(w):
             theta, it, status = plan.solve(plan, feats, obs, w, warm_k, c)
         elif plan.regs:
-            # the step is prox-gradient; with no rows only the regularizers act
+            # the step is Newton or prox-gradient; with no rows only the
+            # regularizers act
             theta, it, _ = plan.solve(plan, feats[:0], obs[:0], w[:0], warm_k, c)
             status = P_SKIPPED
         else:

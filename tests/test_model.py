@@ -99,6 +99,61 @@ class TestLossGradients:
             checked += 1
 
 
+def logit_batch(kind, rng, m=40, n=4, p=3):
+    """(atom, features, observations, weights) with about a quarter of the weights 0."""
+    if kind == model.MULTINOMIAL_LOGIT:
+        F = rng.normal(size=(m, p, n))
+        y = np.eye(p)[rng.integers(p, size=m)]
+        atom = dk.multinomial_logit()
+    else:
+        F = rng.normal(size=(m, n))
+        y = rng.integers(2, size=m).astype(float)
+        atom = dk.binary_logit()
+    w = np.where(rng.random(m) < 0.25, 0.0, rng.uniform(0.1, 2.0, size=m))
+    return atom, F, y, w
+
+
+@pytest.mark.parametrize("kind", [model.BINARY_LOGIT, model.MULTINOMIAL_LOGIT])
+class TestLogitValueGradHessian:
+    def test_value_and_gradient_match_batch_forms(self, kind):
+        rng = np.random.default_rng(41)
+        atom, F, y, w = logit_batch(kind, rng)
+        for _ in range(10):
+            th = rng.normal(scale=2.0, size=F.shape[-1])
+            value, grad, _ = model.logit_value_grad_hessian(atom, F, y, th, w)
+            ref = float(w @ model.batch_losses(atom, F, y, th))
+            assert value == pytest.approx(ref, rel=1e-12, abs=0.0)
+            np.testing.assert_allclose(grad, model.weighted_loss_grad(atom, F, y, th, w),
+                                       rtol=1e-12, atol=1e-12)
+
+    def test_hessian_matches_finite_differences_and_is_psd(self, kind):
+        rng = np.random.default_rng(42)
+        atom, F, y, w = logit_batch(kind, rng)
+        n = F.shape[-1]
+        for _ in range(10):
+            th = rng.normal(scale=2.0, size=n)
+            _, _, H = model.logit_value_grad_hessian(atom, F, y, th, w)
+            ref = np.array([
+                oracle.fd_gradient(lambda t: model.weighted_loss_grad(atom, F, y, t, w)[j], th)
+                for j in range(n)
+            ])
+            scale = max(1.0, float(np.abs(ref).max()))
+            assert np.abs(H - ref).max() / scale <= 1e-6
+            np.testing.assert_allclose(H, H.T, rtol=0.0, atol=1e-12 * scale)
+            assert np.linalg.eigvalsh(H)[0] >= -1e-12 * scale
+
+    def test_saturated_margins_stay_finite(self, kind):
+        # margins in the hundreds: exp(-|t|) underflows to 0, and the value,
+        # gradient and Hessian stay finite, nonnegative where they must
+        rng = np.random.default_rng(43)
+        atom, F, y, w = logit_batch(kind, rng)
+        th = 400.0 * rng.normal(size=F.shape[-1])
+        value, grad, H = model.logit_value_grad_hessian(atom, F, y, th, w)
+        assert np.isfinite(value) and value >= 0.0
+        assert np.isfinite(grad).all() and np.isfinite(H).all()
+        assert np.all(model.batch_losses(atom, F, y, th) >= 0.0)
+
+
 class TestConvexity:
     @pytest.mark.parametrize("atom,n", ALL_LOSSES + [(dk.multinomial_logit(), 3)],
                              ids=lambda a: getattr(a, "kind", str(a)))

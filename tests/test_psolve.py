@@ -132,6 +132,133 @@ class TestProxGradientPath:
         assert np.all(np.diff(th) <= 1e-10)
 
 
+def logit_total(spec, data, k, w, theta):
+    """Weighted loss plus parameter regularizers of factor k at theta."""
+    value = float(w @ model.batch_losses(spec.loss_per_factor[k], data.features, data.observations, theta))
+    return value + model.p_regularizer_value(spec.p_regularizers, [theta])
+
+
+class TestNewtonStep:
+    """Proximal Newton P-steps of the logit losses against independent references."""
+
+    @pytest.mark.parametrize("weights", ["noisy_labels", "dirichlet"])
+    def test_converged_forgetting_factor_is_kkt_point(self, weights):
+        # a converged theta minimizes its own quadratic model: the QP with
+        # P = H and q = g - H theta over the factor's constraint rows, which
+        # the active-set oracle solves by enumeration. The weights mix the
+        # regimes: on the true labels alone the loss keeps falling as
+        # theta_0 grows and has no minimizer
+        cfg = ex.experiment_config(ex.FORGETTING_Q, 0)
+        data, labels, _ = ex.gen_forgetting_q(cfg)
+        spec = ex.forgetting_spec(0.0, 1, 0)
+        spec = replace(spec, controls=replace(spec.controls, p_tol=1e-12))
+        rng = np.random.default_rng(4)
+        if weights == "noisy_labels":  # 30% of the labels swapped
+            Z = hard_Z(np.where(rng.random(data.m) < 0.3, 2 - labels, labels - 1), 2)
+        else:
+            Z = np.array([rng.dirichlet(0.5 + 2.0 * np.eye(2)[label - 1]) for label in labels])
+        out = dk.solve_p(spec, data, Z)
+        assert out.statuses == [psolve.P_CONVERGED] * 2
+        for k, theta in enumerate(out.thetas):
+            _, g, H = model.logit_value_grad_hessian(
+                spec.loss_per_factor[k], data.features, data.observations, theta, Z[:, k])
+            A, lo, hi = kernels.stack_rows(spec.constraints_per_factor[k], spec.n)
+            # the rows are the sign box, one per coordinate, then the monotone
+            # rows; given the ordering only the last coordinate's sign row
+            # binds, and the oracle takes at most 8 rows
+            keep = np.r_[spec.n - 1, spec.n:A.shape[0]]
+            ref = dk.qp_active_set_oracle(dk.qp_problem(H, g - H @ theta, A[keep], lo[keep], hi[keep]))
+            np.testing.assert_allclose(theta, ref, rtol=0.0, atol=1e-6)
+
+    def test_iohmm_not_above_long_prox_gradient(self, monkeypatch):
+        # group l2 with a sign box on every factor; prox-gradient run for up
+        # to 100000 iterations is the reference, once with the default p_tol
+        # and once until it finds no descent step
+        cfg = ex.experiment_config(ex.IO_HMM, 0, m=300)
+        data, states, _ = ex.gen_io_hmm(cfg)
+        spec = ex.iohmm_spec(cfg.lam_theta, cfg.lam_z, 1, 0)
+        rng = np.random.default_rng(6)
+        Z = np.array([rng.dirichlet(0.3 + 3.0 * np.eye(3)[s - 1]) for s in states])
+        long = replace(spec.controls, p_max_iter=100000)
+        # prox-gradient sizes its steps by the global bound F' W F / 4 on the
+        # binary logit Hessian; the Newton step takes the exact Hessian instead
+        monkeypatch.setattr(model, "curvature_matrix",
+                            lambda atom, F, y, w: 0.25 * (F * w[:, None]).T @ F)
+        for plan in psolve.plan_factors(spec):
+            w = Z[:, plan.k]
+            theta, _, status = plan.solve(plan, data.features, data.observations, w, None, spec.controls)
+            ref, _, ref_status = psolve._prox_gradient_factor(
+                plan, data.features, data.observations, w, None, long)
+            tight, *_ = psolve._prox_gradient_factor(
+                plan, data.features, data.observations, w, None, replace(long, p_tol=0.0))
+            assert status == ref_status == psolve.P_CONVERGED
+            assert kernels.max_violation(plan.atoms, theta) == 0.0
+            total = logit_total(spec, data, plan.k, w, theta)
+            assert total <= logit_total(spec, data, plan.k, w, ref)
+            best = logit_total(spec, data, plan.k, w, tight)
+            assert total - best <= spec.controls.p_tol * best
+
+    def test_steps_never_raise_the_objective(self):
+        # from far-off starts a full Newton step overshoots; the line search
+        # must shorten it, so the objective falls with every iteration
+        rng = np.random.default_rng(0)
+        X = rng.normal(size=(60, 2))
+        y = (rng.random(60) < 1.0 / (1.0 + np.exp(-(X @ [1.0, -1.0])))).astype(float)
+        data, Z = dk.dataset(X, y), np.ones((60, 1))
+        base = dk.shared_spec(K=1, n=2, loss=dk.binary_logit(), constraints=())
+        for start in ([8.0, 8.0], [-6.0, 9.0]):
+            warm = [np.array(start)]
+            values = [logit_total(base, data, 0, Z[:, 0], warm[0])]
+            for cap in range(1, 8):
+                spec = replace(base, controls=replace(base.controls, p_max_iter=cap))
+                values.append(dk.solve_p(spec, data, Z, warm=warm).objective)
+            assert all(b <= a for a, b in zip(values, values[1:])), values
+            assert values[-1] < 0.5 * values[0]
+
+    def test_separable_binary_logit_ends_finite(self):
+        # the loss has no minimizer: it falls toward 0 as the slope grows
+        X = np.array([[1.0], [-1.0], [2.0], [-2.0]])
+        data = dk.dataset(X, np.array([1.0, 0.0, 1.0, 0.0]))
+        spec = dk.shared_spec(K=1, n=1, loss=dk.binary_logit(), constraints=(),
+                              controls=model.SolverControls(p_max_iter=10))
+        Z = np.ones((4, 1))
+        out = dk.solve_p(spec, data, Z)
+        assert out.statuses == [psolve.P_MAX_ITER]
+        assert np.isfinite(out.thetas[0]).all() and out.thetas[0][0] > 5.0
+        # past exp underflow every margin is saturated and the Hessian is
+        # exactly zero; from below the gradient is not
+        for start in (-800.0, 800.0):
+            out = dk.solve_p(spec, data, Z, warm=[np.array([start])])
+            assert np.isfinite(out.thetas[0]).all() and out.thetas[0][0] >= start
+            assert 0.0 <= out.objective <= logit_total(spec, data, 0, Z[:, 0], np.array([start]))
+
+    def test_empty_factor_goes_to_regularizer_minimizer(self):
+        cfg = ex.experiment_config(ex.IO_HMM, 0, m=100)
+        data, states, _ = ex.gen_io_hmm(cfg)
+        spec = ex.iohmm_spec(cfg.lam_theta, cfg.lam_z, 1, 0)
+        Z = hard_Z(np.minimum(states - 1, 1), 3)  # factor 2 owns nothing
+        warm = [np.array([-1.0, 2.0]), np.array([1.0, 3.0]), np.array([4.0, -2.0])]
+        out = dk.solve_p(spec, data, Z, warm=warm)
+        assert out.statuses[2] == psolve.P_SKIPPED
+        np.testing.assert_array_equal(out.thetas[2], [0.0, 0.0])
+
+    def test_forgetting_steps_uncapped_and_lambda_zero_lower(self, monkeypatch):
+        # capped prox-gradient P-steps let the gap rule stop forgetting at
+        # lambda = 0 on 95.318; converged steps reach a lower fixed point
+        statuses = []
+        real = psolve.solve_p
+
+        def spy(*args, **kwargs):
+            out = real(*args, **kwargs)
+            statuses.extend(out.statuses)
+            return out
+
+        monkeypatch.setattr(psolve, "solve_p", spy)
+        out = ex.run_forgetting_q(seed=0)
+        assert statuses and psolve.P_MAX_ITER not in statuses
+        assert out["runs"][0.0]["fit"].objective_trace[-1][2] <= 95.305
+
+
 class TestZeroWeightColumns:
     def test_empty_factor_keeps_warm_point(self):
         X = np.array([[1.0], [1.0]])
@@ -380,8 +507,9 @@ class TestFactorPlans:
         ("kmeans", "_projected_centroid"),
         ("mixture", "_weighted_lstsq"),
         ("capped_regression", "_polyhedral_lstsq"),
-        ("forgetting", "_prox_gradient_factor"),
-        ("io_hmm", "_prox_gradient_factor"),
+        ("forgetting", "_newton_factor"),
+        ("io_hmm", "_newton_factor"),
+        ("huber_l1", "_prox_gradient_factor"),
     ])
     def test_step_chosen_once_per_factor(self, name, step):
         spec = {
@@ -390,11 +518,15 @@ class TestFactorPlans:
             "capped_regression": lambda: capped_case("regression")[0],
             "forgetting": lambda: ex.forgetting_spec(1.0, 1, 0),
             "io_hmm": lambda: ex.iohmm_spec(0.5, 1.0, 1, 0),
+            "huber_l1": lambda: dk.shared_spec(2, 3, dk.huber(1.0), (dk.nonneg(),),
+                                               p_regularizers=(dk.l1(0.1),)),
         }[name]()
         plans = psolve.plan_factors(spec)
         assert [plan.solve for plan in plans] == [getattr(psolve, step)] * spec.K
-        # only prox-gradient plans carry a joint prox, only QP plans stacked rows
-        assert all((plan.prox is not None) == (step == "_prox_gradient_factor") for plan in plans)
+        # only Newton and prox-gradient plans carry a joint prox, only QP
+        # plans stacked rows
+        iterative = step in ("_newton_factor", "_prox_gradient_factor")
+        assert all((plan.prox is not None) == iterative for plan in plans)
         assert all((plan.rows is not None) == (step == "_polyhedral_lstsq") for plan in plans)
 
     def test_qp_rows_stacked_once_per_restart(self, monkeypatch):
