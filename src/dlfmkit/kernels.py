@@ -10,6 +10,7 @@ apply; `project` and `joint_prox` apply one such map once.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -522,11 +523,25 @@ def _monotone_scalar_bounds(poly):
     return lambda v: np.clip(pava_nondecreasing(v), lo, hi)
 
 
+def _closed_form(atoms):
+    """The exact projection onto canonical atoms when it is a closed form
+    that returns every feasible point with its values unchanged: clipping to
+    one box, isotonic pooling onto one monotone cone, pooling then clipping
+    onto a monotone cone with scalar bounds, or scaling onto one norm ball.
+    None otherwise."""
+    if len(atoms) == 1 and atoms[0].kind not in (model.POLYHEDRON, model.SUM_EQUALS):
+        return functools.partial(_project_single, atoms[0])
+    return _monotone_scalar_bounds(atoms)
+
+
 def _poly_projector(poly, n: int, workspace):
     # exact projection onto canonical polyhedral atoms, no feasibility
     # shortcut; the callers decide when a point is close enough
-    if len(poly) == 1 and poly[0].kind != model.POLYHEDRON:
-        return lambda v: _project_single(poly[0], v)
+    exact = _closed_form(poly)
+    if exact is not None:
+        return exact
+    if len(poly) == 1 and poly[0].kind == model.SUM_EQUALS:
+        return functools.partial(_project_single, poly[0])
     if (
         len(poly) == 2
         and poly[0].kind == model.BOX
@@ -537,9 +552,6 @@ def _poly_projector(poly, n: int, workspace):
     ):
         total = poly[1].value
         return lambda v: project_simplex(v, total)
-    fast = _monotone_scalar_bounds(poly)
-    if fast is not None:
-        return fast
     A, lo, hi = stack_rows(poly, n)
     return lambda v: _project_rows(v, A, lo, hi, _PROJECT_TOL, workspace)
 
@@ -591,18 +603,23 @@ def projector(atoms, n: int, workspace: QpWorkspace | None = None):
     are solved as one QP on rows stacked here; composing the individual
     projections would not give the intersection projection. The norm ball
     intersected with polyhedral atoms alternates both projections
-    Dykstra-style. Points already feasible are returned as-is. A workspace
-    speeds up repeated QP projections. Crossing bounds raise ProjectionError
-    here; every other empty set raises when a point is projected.
+    Dykstra-style. The closed forms of one box, one monotone cone with or
+    without scalar bounds, and one norm ball return a feasible point with
+    its values unchanged, and are applied directly. Every other map runs
+    after a feasibility test instead, which returns points within _FEAS_TOL
+    of the set as they are. A workspace speeds up repeated QP projections.
+    Crossing bounds raise ProjectionError here; every other empty set raises
+    when a point is projected.
     """
     atoms = canonical_atoms(atoms, n)
     if not atoms:
         return lambda point: np.asarray(point, dtype=float)
 
+    exact = _closed_form(atoms)
+    if exact is not None:
+        return lambda point: exact(np.asarray(point, dtype=float))
     if atoms[-1].kind != model.NORM_BALL2:
         exact = _poly_projector(atoms, n, workspace)
-    elif len(atoms) == 1:
-        exact = functools.partial(_project_single, atoms[0])
     else:
         exact = _ball_poly_projector(atoms[-1], atoms[:-1], n, workspace)
 
@@ -631,10 +648,15 @@ def soft_threshold(v: np.ndarray, amount: float) -> np.ndarray:
 
 
 def block_shrink(v: np.ndarray, amount: float) -> np.ndarray:
-    nrm = float(np.linalg.norm(v))
+    # for a 1-D v, sqrt(v @ v) is np.linalg.norm(v) bit for bit, at less cost
+    nrm = math.sqrt(v @ v)
     if nrm <= amount:
         return np.zeros_like(v)
     return v * (1.0 - amount / nrm)
+
+
+# the proximal map of each parameter regularizer, at weight `amount`
+_PROX_MAPS = {model.L1: soft_threshold, model.GROUP_L2: block_shrink}
 
 
 def prox(reg: model.RegularizerAtom, point, step: float = 1.0):
@@ -642,19 +664,25 @@ def prox(reg: model.RegularizerAtom, point, step: float = 1.0):
 
     l1 soft-thresholds componentwise; group_l2 shrinks the block toward zero.
     """
-    if reg.kind == model.L1:
-        return soft_threshold(np.asarray(point, dtype=float), step * reg.weight)
-    if reg.kind == model.GROUP_L2:
-        return block_shrink(np.asarray(point, dtype=float), step * reg.weight)
-    raise ValueError(f"{reg.kind!r} has no parameter-side proximal operator")
+    if reg.kind not in _PROX_MAPS:
+        raise ValueError(f"{reg.kind!r} has no parameter-side proximal operator")
+    return _PROX_MAPS[reg.kind](np.asarray(point, dtype=float), step * reg.weight)
 
 
-def _chained_prox(regs, v, step):
-    # prox of l1 + group_l2 composes exactly: soft-threshold, then shrink
-    out = np.asarray(v, dtype=float)
-    for reg in sorted(regs, key=lambda r: 0 if r.kind == model.L1 else 1):
-        out = prox(reg, out, step)
-    return out
+def _chained_prox(regs):
+    """prox(v, step) of step * (the sum of regs), for 1-D float arrays v.
+
+    The prox of l1 + group_l2 composes exactly: soft-threshold, then shrink.
+    The maps are ordered and bound to their weights here, once.
+    """
+    maps = [(_PROX_MAPS[r.kind], r.weight) for r in sorted(regs, key=lambda r: r.kind != model.L1)]
+
+    def chained(v, step):
+        for prox_map, weight in maps:
+            v = prox_map(v, step * weight)
+        return v
+
+    return chained
 
 
 def _is_sign_box(atom):
@@ -681,7 +709,8 @@ def _is_cone(atom):
 
 def _dykstra_prox(regs, project_point, v, step):
     # Dykstra alternation between the regularizer prox and the projection
-    return _dykstra(lambda u: _chained_prox(regs, u, step), project_point, v, 2000)
+    chained = _chained_prox(regs)
+    return _dykstra(lambda u: chained(u, step), project_point, v, 2000)
 
 
 def prox_plan(regs, atoms, n: int, proj):
@@ -693,22 +722,23 @@ def prox_plan(regs, atoms, n: int, proj):
     applies one prox many times builds the plan once per factor.
     """
     atoms = canonical_atoms(atoms, n)
+    if not regs:
+        return lambda point, step: proj(point)
     kinds = {r.kind for r in regs}
-    if regs and all(_is_sign_box(a) for a in atoms):
+    chained = _chained_prox(regs)
+    if all(_is_sign_box(a) for a in atoms):
         # a sign box, or no atom at all, zeroes out coordinates;
         # soft-threshold and shrink keep them zeroed, so prox-after-project is
         # exact, and the projection onto the box is the clip to its bounds
         lo, hi = (atoms[0].lo, atoms[0].hi) if atoms else (-np.inf, np.inf)
-        return lambda point, step: _chained_prox(regs, np.clip(point, lo, hi), step)
-    if not regs:
-        return lambda point, step: proj(point)
+        return lambda point, step: chained(np.clip(point, lo, hi), step)
     if kinds == {model.GROUP_L2} and all(_is_cone(a) for a in atoms):
         # scaling stays in the cone and preserves orthogonality of the
         # projection residual, so shrink-after-project is exact
-        return lambda point, step: _chained_prox(regs, proj(point), step)
+        return lambda point, step: chained(proj(point), step)
     if kinds == {model.L1} and all(a.kind == model.BOX for a in atoms):
         # separable 1-d problems: clip the unconstrained prox
-        return lambda point, step: proj(_chained_prox(regs, point, step))
+        return lambda point, step: proj(chained(np.asarray(point, dtype=float), step))
     return lambda point, step: _dykstra_prox(regs, proj, np.asarray(point, dtype=float), step)
 
 

@@ -10,6 +10,7 @@ proximal gradient for the other losses that have no closed form.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -65,13 +66,24 @@ class FactorPlan:
 _CHOLESKY_MIN_PIVOT = 1e-8
 
 
+def _nonzero_rows(w):
+    # indices of the rows with w_i != 0; selecting on the contiguous mask is
+    # faster than np.flatnonzero on a strided column of Z
+    return np.nonzero(w != 0)[0]
+
+
 def _weighted_gram(feats, obs, w):
     """Weighted Gram G = X' diag(w) X and b = X' diag(w) y over the rows with
-    w_i > 0 (the others add nothing), returned as (G, b, X, y, w) of those rows."""
-    idx = np.flatnonzero(w)
-    X, y, wi = feats[idx], obs[idx], w[idx]
-    Xw = X.T * wi
-    return Xw @ X, Xw @ y, X, y, wi
+    w_i != 0 (the others add nothing), returned as (G, b, X, y, w) of those rows.
+
+    The rows are gathered contiguous and scaled there. Where every selected
+    weight is 1, as on the one-hot rows of a plain F-step, they are not
+    scaled at all, and X' X takes NumPy's symmetric product.
+    """
+    idx = _nonzero_rows(w)
+    X, y, wi = feats.take(idx, axis=0), obs.take(idx, axis=0), w.take(idx)
+    Xw = X if np.all(wi == 1.0) else X * wi[:, None]
+    return Xw.T @ X, Xw.T @ y, X, y, wi
 
 
 def _projected_centroid(plan, feats, obs, w, warm, controls):
@@ -82,7 +94,7 @@ def _projected_centroid(plan, feats, obs, w, warm, controls):
 
 
 def _weighted_lstsq(plan, feats, obs, w, warm, controls):
-    """argmin_theta sum_i w_i (x_i . theta - y_i)^2 over the rows with w_i > 0.
+    """argmin_theta sum_i w_i (x_i . theta - y_i)^2 over the rows with w_i != 0.
 
     A rank-deficient or ill-conditioned Gram matrix takes the minimum-norm
     lstsq solution of the same rows instead.
@@ -220,13 +232,16 @@ def _model_step(prox, regs, theta, g, H):
         newton = prox(theta - np.linalg.lstsq(H, g, rcond=None)[0], step)
         if model_value(newton) < model_value(first):
             v = newton
-    tol = _MODEL_FORCING * float(np.linalg.norm(first - theta))
+    # sqrt(d @ d) is np.linalg.norm(d) of a 1-D d, bit for bit, at less cost
+    d = first - theta
+    tol = _MODEL_FORCING * math.sqrt(d @ d)
     v_prev, t = v, 1.0
     for _ in range(_MODEL_MAX_ITER - 1):
-        t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
+        t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
         u = v + ((t - 1.0) / t_next) * (v - v_prev)
         v_prev, v, t = v, prox(u - step * (g + H @ (u - theta)), step), t_next
-        if float(np.linalg.norm(v - v_prev)) <= tol:
+        d = v - v_prev
+        if math.sqrt(d @ d) <= tol:
             break
     return first, v
 
@@ -243,9 +258,9 @@ def _newton_factor(plan, feats, obs, w, warm, controls):
     count Newton iterations. Rows with w_i = 0 add nothing and are dropped.
     """
     atom, regs, prox = plan.loss, plan.regs, plan.prox
-    idx = np.flatnonzero(w)
+    idx = _nonzero_rows(w)
     if idx.size < w.size:
-        feats, obs, w = feats[idx], obs[idx], w[idx]
+        feats, obs, w = feats.take(idx, axis=0), obs.take(idx, axis=0), w.take(idx)
     theta = plan.project(np.zeros(feats.shape[-1]) if warm is None else np.array(warm, dtype=float))
 
     def evaluate(th):

@@ -560,6 +560,59 @@ class TestProxPlan:
                 ref = kernels._dykstra_prox(list(regs), kernels.projector(atoms, n), v, step)
                 assert kernels.max_violation(atoms, got) == 0.0
                 assert np.allclose(got, ref, atol=1e-8)
+                # the plan is the clip to the intersected bounds, then each
+                # regularizer's prox, l1 first
+                box = kernels.canonical_atoms(atoms, n)[0]
+                exact = np.clip(v, box.lo, box.hi)
+                for reg in sorted(regs, key=lambda r: r.kind != model.L1):
+                    exact = kernels.prox(reg, exact, step)
+                assert np.array_equal(got, exact)
+
+
+class TestClosedFormProjection:
+    """Closed-form projections run without a feasibility test: a feasible
+    point keeps its values, and a point just outside is projected, not kept."""
+
+    n = 5
+
+    @staticmethod
+    def feasible_point(atoms, n):
+        v = np.array([1.5, 0.5, 0.5, -0.25, -1.0])  # nonincreasing, with a tie
+        if any(a.kind == model.MONOTONE_NONDECREASING for a in atoms):
+            v = v[::-1].copy()
+        if any(a.kind == model.NONNEG for a in atoms):
+            v = v - v.min()  # one coordinate on the bound
+        return v
+
+    @pytest.mark.parametrize("atoms", [
+        (model.box(-1.0, 1.5),),
+        (model.nonneg(), model.box(-np.inf, 2.5)),
+        (model.monotone_nonincreasing(),),
+        (model.monotone_nondecreasing(), model.nonneg()),
+        (model.box(-1.0, 1.5), model.monotone_nonincreasing()),
+        (model.norm_ball2(3.0),),
+    ], ids=["box", "sign_box", "monotone", "monotone_nonneg", "monotone_box", "ball"])
+    def test_feasible_kept_and_near_feasible_projected(self, atoms):
+        n = self.n
+        project = kernels.projector(atoms, n)
+        v = self.feasible_point(atoms, n)
+        assert kernels.max_violation(atoms, v) == 0.0
+        assert np.array_equal(project(v), v)
+
+        out = v.copy()
+        last = kernels.canonical_atoms(atoms, n)[-1]
+        kind = last.kind
+        if kind == model.NORM_BALL2:
+            out *= (3.0 + 1e-9) / np.linalg.norm(out)
+        elif kind == model.BOX:
+            out[0] = last.hi[0] + 1e-9
+        else:  # break the ordering of the tied pair by 1e-9
+            i = int(np.flatnonzero(np.diff(v) == 0.0)[0]) + 1
+            out[i] += 1e-9 if kind == model.MONOTONE_NONINCREASING else -1e-9
+        assert 5e-10 < kernels.max_violation(atoms, out) < kernels._FEAS_TOL
+        got = project(out)
+        assert kernels.max_violation(atoms, got) <= 1e-15
+        assert np.linalg.norm(got - out) <= 2e-9
 
 
 class TestMaxViolation:

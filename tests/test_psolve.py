@@ -488,6 +488,34 @@ class TestWeightedLeastSquares:
             np.testing.assert_allclose(th, self.full_row_lstsq(X, y, w[:, k]), rtol=1e-10)
 
 
+class TestWeightedGram:
+    """psolve._weighted_gram against dense all-row references."""
+
+    @pytest.mark.parametrize("weights", ["zero_and_fractional", "zero_and_unit", "all_unit"])
+    def test_matches_dense_reference(self, weights):
+        rng = np.random.default_rng(17)
+        m, n = 300, 7
+        X = rng.normal(size=(m, n))
+        y = rng.normal(size=m)
+        Z = np.zeros((m, 2))  # w is a strided column, as in solve_p
+        if weights == "zero_and_fractional":
+            Z[:, 0] = rng.uniform(0.0, 1.0, size=m)
+            Z[rng.random(m) < 0.3, 0] = 0.0
+        elif weights == "zero_and_unit":
+            Z[:, 0] = rng.random(m) < 0.6
+        else:
+            Z[:, 0] = 1.0
+        w = Z[:, 0]
+        G, b, Xs, ys, ws = psolve._weighted_gram(X, y, w)
+        G_ref, b_ref = X.T @ np.diag(w) @ X, X.T @ (w * y)
+        assert np.linalg.norm(G - G_ref) <= 1e-12 * np.linalg.norm(G_ref)
+        assert np.linalg.norm(b - b_ref) <= 1e-12 * np.linalg.norm(b_ref)
+        keep = w != 0
+        assert np.array_equal(Xs, X[keep]) and np.array_equal(ys, y[keep]) and np.array_equal(ws, w[keep])
+        if weights != "zero_and_fractional":
+            assert np.array_equal(G, G.T)  # unscaled rows: the symmetric product
+
+
 def pool_case(name):
     """(spec, data) with two or more restarts, small enough for a pool test."""
     if name == "mixture":
