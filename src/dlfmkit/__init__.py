@@ -49,8 +49,6 @@ from .model import (
     kl_divergence,
     kl_chain_value,
     l1,
-    loss_eval,
-    loss_grad,
     loss_matrix,
     lp_regression,
     monotone_nondecreasing,

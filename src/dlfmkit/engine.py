@@ -27,6 +27,12 @@ class EngineFailure(RuntimeError):
 # numerical breakdowns that end one restart, not the whole fit
 _RESTART_FAILURES = (psolve.SubsolverFailure, kernels.ProjectionError)
 
+# restarts whose final objectives lie within this share of the best one tie,
+# and the smallest restart index wins: two restarts that reach one partition
+# with the factors permuted sum their losses in another order, and an exact
+# comparison would let rounding choose between them
+_TIE_RTOL = 1e-12
+
 
 @dataclass(eq=False)
 class FitResult:
@@ -64,8 +70,8 @@ def gap(after_p: float, after_f: float) -> float:
 
 
 def _run_restart(spec: model.ModelSpec, data: model.Dataset, restart: int):
-    # weight-0 regularizers are absent: they would otherwise pick the
-    # prox-gradient P-step and the regularized stopping rule
+    # weight-0 regularizers are absent: they would otherwise turn a closed-form
+    # or QP P-step into proximal Newton and pick the regularized stopping rule
     p_regs = tuple(r for r in spec.p_regularizers if r.weight > 0.0)
     f_regs = tuple(r for r in spec.f_regularizers if r.weight > 0.0)
     spec = replace(spec, p_regularizers=p_regs, f_regularizers=f_regs)
@@ -139,12 +145,13 @@ def _run_restart(spec: model.ModelSpec, data: model.Dataset, restart: int):
 def fit(spec: model.ModelSpec, data: model.Dataset, jobs: int = 1) -> FitResult:
     """Validate once, run all restarts, and return the best fit.
 
-    The best run is the one with the smallest final objective, ties broken
-    by the smallest restart index. Restarts are independent, so jobs > 1 may
-    fan them out over processes without changing the result. A restart that
-    breaks down in a subsolver or projection, or ends on a non-finite
-    objective, is dropped from the selection. Raises ValueError on validation
-    violations and EngineFailure if no restart is left.
+    The best run is the one with the smallest final objective; finals within
+    a relative _TIE_RTOL of it tie, and the smallest restart index wins.
+    Restarts are independent, so jobs > 1 may fan them out over processes
+    without changing the result. A restart that breaks down in a subsolver
+    or projection, or ends on a non-finite objective, is dropped from the
+    selection. Raises ValueError on validation violations and EngineFailure
+    if no restart is left.
     """
     report = model.validate(spec, data)
     if not report.ok:
@@ -169,16 +176,12 @@ def fit(spec: model.ModelSpec, data: model.Dataset, jobs: int = 1) -> FitResult:
             except _RESTART_FAILURES as exc:
                 errors.append(exc)
 
-    best = None
-    for res in results:
-        if res is None:
-            continue
-        final = res.objective_trace[-1][2] if res.objective_trace else np.inf
-        if not np.isfinite(final):
-            continue
-        if best is None or final < best[0]:
-            best = (final, res)
+    finals = [
+        res.objective_trace[-1][2] if res is not None and res.objective_trace else np.inf
+        for res in results
+    ]
+    best = min((f for f in finals if np.isfinite(f)), default=None)
     if best is None:
         reason = errors[0] if errors else "no finite final objective"
         raise EngineFailure(f"all {restarts} restarts failed: {reason}")
-    return best[1]
+    return next(res for res, f in zip(results, finals) if f <= best + _TIE_RTOL * abs(best))

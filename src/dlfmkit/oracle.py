@@ -1,8 +1,9 @@
 """Ground-truth machinery kept independent of the iterative solvers.
 
 Exhaustive assignment enumeration for the exact mixed-integer problem, a
-central-difference gradient, and an active-set QP solver. All three exist to
-check the fast paths, so they trade speed for transparency.
+central-difference gradient, constant-step proximal gradient run to its
+fixed point, and an active-set QP solver. All four exist to check the fast
+paths, so they trade speed for transparency.
 """
 
 from __future__ import annotations
@@ -103,6 +104,25 @@ def fd_gradient(fun, point, step: float = 1e-6) -> np.ndarray:
         e[i] = step
         g[i] = (fun(point + e) - fun(point - e)) / (2.0 * step)
     return g
+
+
+def prox_gradient_fixed_point(grad, prox, x0, lipschitz: float, max_iter: int = 100000) -> np.ndarray:
+    """Fixed point of constant-step proximal gradient, x <- prox(x - grad(x) / L, 1 / L).
+
+    prox(v, t) is the prox of t times the nonsmooth part of the objective,
+    and L a Lipschitz constant of the gradient of its smooth part. Then
+    every iteration lowers the objective, and the iterates converge to a
+    minimizer (Beck & Teboulle, SIAM J. Imaging Sci. 2009). Iterates from x0
+    until one repeats its predecessor exactly, or for max_iter iterations.
+    """
+    step = 1.0 / lipschitz
+    x = np.asarray(x0, dtype=float)
+    for _ in range(max_iter):
+        nxt = prox(x - step * grad(x), step)
+        if np.array_equal(nxt, x):
+            break
+        x = nxt
+    return x
 
 
 def qp_active_set_oracle(prob: kernels.QpProblem, tol: float = 1e-9) -> np.ndarray:

@@ -4,8 +4,7 @@ The problem separates across factors. `plan_factors` chooses each factor's
 step once per restart, from its loss, its constraint atoms and the parameter
 regularizers, and `solve_p` runs the chosen steps on each iteration's factor
 weights. The steps are closed forms (a projected centroid, the normal
-equations), one QP, proximal Newton for the logit losses, and projected
-proximal gradient for the other losses that have no closed form.
+equations), one QP, and proximal Newton for every factor that has none.
 """
 
 from __future__ import annotations
@@ -55,9 +54,8 @@ class FactorPlan:
     atoms: list  # the factor's constraint atoms, in canonical form
     regs: list  # the parameter regularizers
     project: Callable  # Euclidean projection onto the atoms
-    prox: Callable | None = None  # joint prox of regs and atoms, Newton and prox-gradient only
+    prox: Callable | None = None  # joint prox of regs and atoms, Newton only
     qp: kernels.QpWorkspace = field(default_factory=kernels.QpWorkspace)
-    step: float | None = None  # last accepted prox-gradient step
     rows: tuple | None = None  # stacked (A, lo, hi) of the atoms, polyhedral QP only
 
 
@@ -146,56 +144,6 @@ def _lambda_max(M) -> float:
     return max(float(np.linalg.eigvalsh(M)[-1]), 0.0)
 
 
-def _prox_gradient_factor(plan, feats, obs, w, warm, controls):
-    """Projected proximal gradient with halving line search from 1/L-hat."""
-    atom, regs, prox = plan.loss, plan.regs, plan.prox
-    theta = plan.project(np.zeros(feats.shape[-1]) if warm is None else np.array(warm, dtype=float))
-
-    lam = _lambda_max(model.curvature_matrix(atom, feats, obs, w))
-    step0 = 1.0 / lam if lam > 1e-12 else 1e3
-    step = plan.step if plan.step is not None else step0
-    step = min(step * 2.0, step0) if step > 0 else step0
-
-    def smooth(th):
-        return float(w @ model.batch_losses(atom, feats, obs, th))
-
-    g_val = smooth(theta)
-    total = g_val + model.p_regularizer_value(regs, [theta])
-    status = P_MAX_ITER
-    it = 0
-    for it in range(1, controls.p_max_iter + 1):
-        grad = model.weighted_loss_grad(atom, feats, obs, theta, w)
-        accepted = False
-        while step > 1e-18:
-            cand = prox(theta - step * grad, step)
-            diff = cand - theta
-            sq = float(diff @ diff)
-            if sq <= 1e-32:
-                accepted = True
-                status = P_CONVERGED  # proximal fixed point
-                break
-            g_cand = smooth(cand)
-            # quadratic upper bound check, then a hard monotonicity guard
-            if g_cand <= g_val + float(grad @ diff) + sq / (2.0 * step):
-                t_cand = g_cand + model.p_regularizer_value(regs, [cand])
-                if t_cand <= total + 1e-12:
-                    theta, g_val = cand, g_cand
-                    drop = total - t_cand
-                    total = t_cand
-                    accepted = True
-                    if drop <= controls.p_tol * max(1.0, abs(total)):
-                        status = P_CONVERGED
-                    break
-            step *= 0.5
-        if not accepted or status == P_CONVERGED:
-            if not accepted:
-                status = P_CONVERGED  # no descent step exists at this scale
-            break
-        step = min(step * 2.0, step0)
-    plan.step = step
-    return theta, it, status
-
-
 # FISTA iterations on one Newton step's quadratic model, at most
 _MODEL_MAX_ITER = 100
 # the model solve stops once an iterate moves by less than this share of the
@@ -247,10 +195,11 @@ def _model_step(prox, regs, theta, g, H):
 
 
 def _newton_factor(plan, feats, obs, w, warm, controls):
-    """Proximal Newton step for a logit loss (Lee, Sun & Saunders, 2014).
+    """Proximal Newton step (Lee, Sun & Saunders, 2014).
 
-    Each iteration takes the exact value, gradient and Hessian at theta from
-    one model.logit_value_grad_hessian, minimizes the quadratic model plus
+    Each iteration takes the value, gradient and model matrix at theta from
+    one model.value_grad_hessian (the method needs the matrix positive
+    semidefinite, not the exact Hessian), minimizes the quadratic model plus
     the regularizers over the atoms inexactly (`_model_step`), and backtracks
     along d = v - theta until the Armijo rule on the model's predicted
     decrease holds. theta + a d stays feasible by convexity, and the rule
@@ -264,7 +213,7 @@ def _newton_factor(plan, feats, obs, w, warm, controls):
     theta = plan.project(np.zeros(feats.shape[-1]) if warm is None else np.array(warm, dtype=float))
 
     def evaluate(th):
-        value, grad, hess = model.logit_value_grad_hessian(atom, feats, obs, th, w)
+        value, grad, hess = model.value_grad_hessian(atom, feats, obs, th, w)
         reg = model.p_regularizer_value(regs, [th])
         return value + reg, reg, grad, hess
 
@@ -304,15 +253,15 @@ def plan_factors(spec: model.ModelSpec) -> list[FactorPlan]:
     """Choose each factor's P-step once, for all the iterations of a restart.
 
     Each factor keeps kernels.canonical_atoms of its atoms, one projector
-    onto them with its own QP workspace, and one step. Unregularized, a
-    squared-distance factor projects its weighted centroid onto its atoms,
+    onto them with its own QP workspace, and one of four steps. Unregularized,
+    a squared-distance factor projects its weighted centroid onto its atoms,
     whatever they are; square regression solves the normal equations of its
     weighted Gram matrix when unconstrained (`_weighted_lstsq`), and the QP
     with P = 2G over polyhedral atoms (`_polyhedral_lstsq`), on constraint
-    rows stacked here. Binary and multinomial logit factors, regularized or
-    not, run proximal Newton (`_newton_factor`) over any atoms; everything
-    else runs projected proximal gradient. Both take the joint prox planned
-    on the factor's projector. Plans hold closures, which do not pickle:
+    rows stacked here. Every other factor runs proximal Newton
+    (`_newton_factor`) on the joint prox planned on its projector: all logit,
+    huber and lp factors, and the quadratic losses under a regularizer or,
+    for square regression, a ball. Plans hold closures, which do not pickle:
     build them in the process that runs the restart.
     """
     regs = list(spec.p_regularizers)
@@ -321,10 +270,8 @@ def plan_factors(spec: model.ModelSpec) -> list[FactorPlan]:
         loss = spec.loss_per_factor[k]
         atoms = kernels.canonical_atoms(spec.constraints_per_factor[k], spec.n)
         project = kernels.projector(atoms, spec.n, kernels.QpWorkspace())
-        if loss.kind in model.LOGIT_KINDS:
+        if regs:
             solve = _newton_factor
-        elif regs:
-            solve = _prox_gradient_factor
         elif loss.kind == model.SQUARED_DISTANCE:
             solve = _projected_centroid
         elif loss.kind == model.SQUARE_REGRESSION and not atoms:
@@ -333,9 +280,9 @@ def plan_factors(spec: model.ModelSpec) -> list[FactorPlan]:
             # the canonical form keeps its one ball, if any, last
             solve = _polyhedral_lstsq
         else:
-            solve = _prox_gradient_factor
+            solve = _newton_factor
         plan = FactorPlan(k, solve, loss, atoms, regs, project)
-        if solve in (_prox_gradient_factor, _newton_factor):
+        if solve is _newton_factor:
             plan.prox = kernels.prox_plan(regs, atoms, spec.n, project)
         elif solve is _polyhedral_lstsq:
             plan.rows = kernels.stack_rows(atoms, spec.n)
@@ -372,8 +319,7 @@ def solve_p(
         if np.any(w):
             theta, it, status = plan.solve(plan, feats, obs, w, warm_k, c)
         elif plan.regs:
-            # the step is Newton or prox-gradient; with no rows only the
-            # regularizers act
+            # the step is Newton; with no rows only the regularizers act
             theta, it, _ = plan.solve(plan, feats[:0], obs[:0], w[:0], warm_k, c)
             status = P_SKIPPED
         else:

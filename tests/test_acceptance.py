@@ -249,8 +249,9 @@ def test_criterion_7_kernel_checks():
                 y = float(rng.integers(2)) if atom.kind == model.BINARY_LOGIT \
                     else float(rng.normal())
             th = rng.normal(size=n)
-            g = dk.loss_grad(atom, X, y, th)
-            ref = oracle.fd_gradient(lambda t: dk.loss_eval(atom, X, y, t), th)
+            F, Y = X[None], np.asarray(y, dtype=float)[None]
+            g = model.weighted_loss_grad(atom, F, Y, th, np.ones(1))
+            ref = oracle.fd_gradient(lambda t: model.batch_losses(atom, F, Y, t)[0], th)
             if np.linalg.norm(g - ref) / max(1.0, np.linalg.norm(ref)) > 1e-5:
                 grad_bad += 1
 

@@ -127,6 +127,43 @@ class TestFit:
         assert np.array_equal(seq.labels, par.labels)
         assert seq.objective_trace == par.objective_trace
 
+    def test_lad_l1_fit(self):
+        # lp runs proximal Newton on its IRLS model matrix, inside BCD
+        rng = np.random.default_rng(9)
+        data, _ = two_line_data(rng, m=40, noise=0.1)
+        atoms = (dk.box(np.full(2, -1.8), np.full(2, 1.8)),)
+        spec = dk.shared_spec(K=2, n=2, loss=dk.lp_regression(1.0), constraints=atoms,
+                              p_regularizers=(dk.l1(0.2),),
+                              controls=dk.SolverControls(restarts=3, seed=2))
+        seq = dk.fit(spec, data, jobs=1)
+        par = dk.fit(spec, data, jobs=2)
+        flat = [v for _, after_p, after_f in seq.objective_trace for v in (after_p, after_f)]
+        for a, b in zip(flat, flat[1:]):
+            assert b <= a + 1e-9 * max(1.0, abs(a))
+        assert max(kernels.max_violation(atoms, th) for th in seq.thetas) <= 1e-12
+        assert seq.restart_index_of_best == par.restart_index_of_best
+        assert seq.objective_trace == par.objective_trace
+        assert np.array_equal(seq.labels, par.labels)
+        assert all(np.array_equal(a, b) for a, b in zip(seq.thetas, par.thetas))
+
+    def test_restarts_within_an_ulp_tie_to_the_first(self, monkeypatch):
+        # the same partition reached with the factors permuted sums its losses
+        # in another order; a 1-ulp lower later restart must not win
+        final = 12.345
+
+        def restart(spec, data, r):
+            last = final if r else np.nextafter(final, np.inf)
+            return dk.FitResult(thetas=[], Z=np.zeros((0, 2)), labels=np.zeros(0, dtype=int),
+                                objective_trace=[(1, last, last)], status=dk.GAP_CONVERGED,
+                                iterations=1, restart_index_of_best=r, seed_used=r)
+
+        monkeypatch.setattr(engine, "_run_restart", restart)
+        rng = np.random.default_rng(0)
+        data, _ = two_line_data(rng, m=10)
+        spec = dk.shared_spec(K=2, n=2, loss=dk.square_regression(), constraints=(),
+                              controls=dk.SolverControls(restarts=2))
+        assert dk.fit(spec, data).restart_index_of_best == 0
+
     def test_invalid_spec_raises_with_paths(self):
         data = dk.dataset(np.zeros((3, 2)), np.zeros(3))
         spec = dk.shared_spec(K=1, n=2, loss=dk.huber(-1.0), constraints=())
@@ -134,8 +171,9 @@ class TestFit:
             dk.fit(spec, data)
 
     def test_zero_weight_regularizers_are_absent(self):
-        # a restart drops them itself: they would otherwise choose the
-        # prox-gradient P-step and the regularized stopping rule
+        # a restart drops them itself: they would otherwise turn the
+        # closed-form P-step into proximal Newton and choose the regularized
+        # stopping rule
         rng = np.random.default_rng(4)
         data, _ = two_line_data(rng, m=40, noise=0.1)
         data = dk.dataset(data.features, data.observations, ordered=True)

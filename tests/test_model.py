@@ -33,49 +33,61 @@ def sample_for(atom, n, rng):
     return X, float(rng.normal())
 
 
+def one_row_loss(atom, x, y, theta):
+    """batch_losses of one sample, passed as a batch of one row."""
+    return float(model.batch_losses(atom, np.asarray(x, dtype=float)[None],
+                                    np.asarray(y, dtype=float)[None], theta)[0])
+
+
+def one_row_grad(atom, x, y, theta):
+    """weighted_loss_grad of one sample with weight 1."""
+    return model.weighted_loss_grad(atom, np.asarray(x, dtype=float)[None],
+                                    np.asarray(y, dtype=float)[None], theta, np.ones(1))
+
+
 class TestLossValues:
     def test_square_regression(self):
         th = np.array([1.0, 1.0])
-        assert dk.loss_eval(dk.square_regression(), np.array([2.0, 0.0]), 1.0, th) \
+        assert one_row_loss(dk.square_regression(), np.array([2.0, 0.0]), 1.0, th) \
             == pytest.approx(1.0)
 
     def test_square_regression_grad(self):
         th = np.array([1.0, 1.0])
-        g = dk.loss_grad(dk.square_regression(), np.array([2.0, 0.0]), 1.0, th)
+        g = one_row_grad(dk.square_regression(), np.array([2.0, 0.0]), 1.0, th)
         assert np.allclose(g, [4.0, 0.0])
 
     def test_huber_quadratic_region(self):
         th = np.array([0.5])
         # residual 0.5, inside delta=1: loss u^2 = 0.25
-        assert dk.loss_eval(dk.huber(1.0), np.array([1.0]), 0.0, th) == pytest.approx(0.25)
+        assert one_row_loss(dk.huber(1.0), np.array([1.0]), 0.0, th) == pytest.approx(0.25)
 
     def test_huber_linear_region(self):
         th = np.array([2.0])
         # residual 2 with delta 1: 2*1*2 - 1 = 3
-        assert dk.loss_eval(dk.huber(1.0), np.array([1.0]), 0.0, th) == pytest.approx(3.0)
+        assert one_row_loss(dk.huber(1.0), np.array([1.0]), 0.0, th) == pytest.approx(3.0)
 
     def test_absolute_loss(self):
         th = np.array([3.0])
-        assert dk.loss_eval(dk.lp_regression(1.0), np.array([1.0]), 1.0, th) \
+        assert one_row_loss(dk.lp_regression(1.0), np.array([1.0]), 1.0, th) \
             == pytest.approx(2.0)
 
     def test_squared_distance(self):
         th = np.array([1.0, 2.0])
-        val = dk.loss_eval(dk.squared_distance(), np.array([0.0, 0.0]), 0.0, th)
+        val = one_row_loss(dk.squared_distance(), np.array([0.0, 0.0]), 0.0, th)
         assert val == pytest.approx(5.0)
 
     def test_multinomial_uninformative(self):
         # all-zero features: log of the class count regardless of theta
         X = np.zeros((3, 4))
         y = np.array([0.0, 1.0, 0.0])
-        val = dk.loss_eval(dk.multinomial_logit(), X, y, RNG.normal(size=4))
+        val = one_row_loss(dk.multinomial_logit(), X, y, RNG.normal(size=4))
         assert val == pytest.approx(np.log(3.0))
 
     def test_binary_logit_at_zero(self):
         th = np.zeros(2)
         x = np.array([1.0, -2.0])
-        assert dk.loss_eval(dk.binary_logit(), x, 1.0, th) == pytest.approx(np.log(2.0))
-        g = dk.loss_grad(dk.binary_logit(), x, 1.0, th)
+        assert one_row_loss(dk.binary_logit(), x, 1.0, th) == pytest.approx(np.log(2.0))
+        g = one_row_grad(dk.binary_logit(), x, 1.0, th)
         assert np.allclose(g, -x / 2.0)
 
 
@@ -92,8 +104,8 @@ class TestLossGradients:
                 # keep clear of the residual kink where the gradient jumps
                 if abs(float(np.dot(X, th)) - y) < 1e-2:
                     continue
-            g = dk.loss_grad(atom, X, y, th)
-            ref = oracle.fd_gradient(lambda t: dk.loss_eval(atom, X, y, t), th)
+            g = one_row_grad(atom, X, y, th)
+            ref = oracle.fd_gradient(lambda t: one_row_loss(atom, X, y, t), th)
             scale = max(1.0, float(np.linalg.norm(ref)))
             assert np.linalg.norm(g - ref) / scale <= 1e-5, atom.kind
             checked += 1
@@ -120,7 +132,7 @@ class TestLogitValueGradHessian:
         atom, F, y, w = logit_batch(kind, rng)
         for _ in range(10):
             th = rng.normal(scale=2.0, size=F.shape[-1])
-            value, grad, _ = model.logit_value_grad_hessian(atom, F, y, th, w)
+            value, grad, _ = model.value_grad_hessian(atom, F, y, th, w)
             ref = float(w @ model.batch_losses(atom, F, y, th))
             assert value == pytest.approx(ref, rel=1e-12, abs=0.0)
             np.testing.assert_allclose(grad, model.weighted_loss_grad(atom, F, y, th, w),
@@ -132,7 +144,7 @@ class TestLogitValueGradHessian:
         n = F.shape[-1]
         for _ in range(10):
             th = rng.normal(scale=2.0, size=n)
-            _, _, H = model.logit_value_grad_hessian(atom, F, y, th, w)
+            _, _, H = model.value_grad_hessian(atom, F, y, th, w)
             ref = np.array([
                 oracle.fd_gradient(lambda t: model.weighted_loss_grad(atom, F, y, t, w)[j], th)
                 for j in range(n)
@@ -148,10 +160,51 @@ class TestLogitValueGradHessian:
         rng = np.random.default_rng(43)
         atom, F, y, w = logit_batch(kind, rng)
         th = 400.0 * rng.normal(size=F.shape[-1])
-        value, grad, H = model.logit_value_grad_hessian(atom, F, y, th, w)
+        value, grad, H = model.value_grad_hessian(atom, F, y, th, w)
         assert np.isfinite(value) and value >= 0.0
         assert np.isfinite(grad).all() and np.isfinite(H).all()
         assert np.all(model.batch_losses(atom, F, y, th) >= 0.0)
+
+
+@pytest.mark.parametrize("atom", [dk.square_regression(), dk.squared_distance(), dk.huber(0.7),
+                                  dk.lp_regression(1.0)], ids=lambda a: a.kind)
+class TestModelMatrices:
+    """value_grad_hessian of the losses whose model matrix is not a logit Hessian."""
+
+    @staticmethod
+    def batch(rng, m=40, n=3):
+        F = rng.normal(size=(m, n))
+        y = F @ rng.normal(size=n) + rng.normal(size=m)
+        return F, y, np.where(rng.random(m) < 0.25, 0.0, rng.uniform(0.1, 2.0, size=m))
+
+    def test_value_and_gradient_match_batch_forms(self, atom):
+        rng = np.random.default_rng(44)
+        F, y, w = self.batch(rng)
+        th = rng.normal(size=3)
+        value, grad, H = model.value_grad_hessian(atom, F, y, th, w)
+        assert value == float(w @ model.batch_losses(atom, F, y, th))
+        np.testing.assert_array_equal(grad, model.weighted_loss_grad(atom, F, y, th, w))
+        np.testing.assert_allclose(H, H.T, rtol=0.0, atol=1e-12 * np.abs(H).max())
+        assert np.linalg.eigvalsh(H)[0] >= -1e-12 * np.abs(H).max()
+
+    def test_model_lies_above_the_loss(self, atom):
+        # exact for the quadratic losses; for huber and lp the sum of the
+        # quadratics that touch each loss at its residual (IRLS weights), so
+        # value + g.d + d'Hd/2 bounds the weighted loss at theta + d
+        rng = np.random.default_rng(45)
+        F, y, w = self.batch(rng)
+        th = rng.normal(size=3)
+        value, grad, H = model.value_grad_hessian(atom, F, y, th, w)
+        quadratic = atom.kind in (model.SQUARE_REGRESSION, model.SQUARED_DISTANCE)
+        for scale in (1e-3, 0.1, 1.0, 10.0):
+            for _ in range(20):
+                d = scale * rng.normal(size=3)
+                model_value = value + grad @ d + 0.5 * d @ H @ d
+                loss = float(w @ model.batch_losses(atom, F, y, th + d))
+                tol = 1e-12 * max(1.0, abs(loss))
+                assert loss <= model_value + tol
+                if quadratic:
+                    assert loss == pytest.approx(model_value, rel=1e-12, abs=1e-12)
 
 
 class TestConvexity:
@@ -163,8 +216,8 @@ class TestConvexity:
             X, y = sample_for(atom, n, rng)
             a = rng.normal(size=n)
             b = rng.normal(size=n)
-            lhs = dk.loss_eval(atom, X, y, (a + b) / 2.0)
-            rhs = (dk.loss_eval(atom, X, y, a) + dk.loss_eval(atom, X, y, b)) / 2.0
+            lhs = one_row_loss(atom, X, y, (a + b) / 2.0)
+            rhs = (one_row_loss(atom, X, y, a) + one_row_loss(atom, X, y, b)) / 2.0
             assert lhs <= rhs + 1e-9
 
 
@@ -180,7 +233,7 @@ class TestBatchConsistency:
         for i in range(6):
             for k in range(2):
                 assert R[i, k] == pytest.approx(
-                    dk.loss_eval(dk.huber(0.7), X[i], y[i], thetas[k]))
+                    one_row_loss(dk.huber(0.7), X[i], y[i], thetas[k]))
 
 
 class TestKl:

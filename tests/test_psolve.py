@@ -1,10 +1,11 @@
+import itertools
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import dlfmkit as dk
-from dlfmkit import experiments as ex, kernels, model, psolve
+from dlfmkit import experiments as ex, kernels, model, oracle, psolve
 
 
 def hard_Z(labels, K):
@@ -68,6 +69,8 @@ class TestClosedForms:
 
 
 class TestProxGradientPath:
+    """Iterative P-steps of huber, binary logit and l1-regularized square regression."""
+
     def test_huber_matches_square_far_inside(self):
         # tiny residuals stay in the quadratic region: same minimizer as lstsq
         rng = np.random.default_rng(5)
@@ -132,6 +135,22 @@ class TestProxGradientPath:
         assert np.all(np.diff(th) <= 1e-10)
 
 
+def prox_gradient_reference(plan, data, w, curvature):
+    """Objective of plan's factor at oracle.prox_gradient_fixed_point.
+
+    The oracle runs from 0 on plan.prox with L = curvature * lambda_max(F' W F),
+    a Lipschitz constant of the loss gradient when curvature bounds the
+    second derivative of the loss in its residual or margin.
+    """
+    F, y = data.features, data.observations
+    L = curvature * float(np.linalg.eigvalsh((F * w[:, None]).T @ F)[-1])
+    ref = oracle.prox_gradient_fixed_point(
+        lambda th: model.weighted_loss_grad(plan.loss, F, y, th, w),
+        plan.prox, plan.project(np.zeros(F.shape[-1])), L)
+    value = float(w @ model.batch_losses(plan.loss, F, y, ref))
+    return value + model.p_regularizer_value(plan.regs, [ref])
+
+
 def logit_total(spec, data, k, w, theta):
     """Weighted loss plus parameter regularizers of factor k at theta."""
     value = float(w @ model.batch_losses(spec.loss_per_factor[k], data.features, data.observations, theta))
@@ -160,7 +179,7 @@ class TestNewtonStep:
         out = dk.solve_p(spec, data, Z)
         assert out.statuses == [psolve.P_CONVERGED] * 2
         for k, theta in enumerate(out.thetas):
-            _, g, H = model.logit_value_grad_hessian(
+            _, g, H = model.value_grad_hessian(
                 spec.loss_per_factor[k], data.features, data.observations, theta, Z[:, k])
             A, lo, hi = kernels.stack_rows(spec.constraints_per_factor[k], spec.n)
             # the rows are the sign box, one per coordinate, then the monotone
@@ -170,32 +189,23 @@ class TestNewtonStep:
             ref = dk.qp_active_set_oracle(dk.qp_problem(H, g - H @ theta, A[keep], lo[keep], hi[keep]))
             np.testing.assert_allclose(theta, ref, rtol=0.0, atol=1e-6)
 
-    def test_iohmm_not_above_long_prox_gradient(self, monkeypatch):
-        # group l2 with a sign box on every factor; prox-gradient run for up
-        # to 100000 iterations is the reference, once with the default p_tol
-        # and once until it finds no descent step
+    def test_iohmm_not_above_long_prox_gradient(self):
+        # group l2 with a sign box on every factor; the reference is
+        # constant-step proximal gradient run to its fixed point, with its
+        # steps sized by the global bound F' W F / 4 on the binary logit
+        # Hessian
         cfg = ex.experiment_config(ex.IO_HMM, 0, m=300)
         data, states, _ = ex.gen_io_hmm(cfg)
         spec = ex.iohmm_spec(cfg.lam_theta, cfg.lam_z, 1, 0)
         rng = np.random.default_rng(6)
         Z = np.array([rng.dirichlet(0.3 + 3.0 * np.eye(3)[s - 1]) for s in states])
-        long = replace(spec.controls, p_max_iter=100000)
-        # prox-gradient sizes its steps by the global bound F' W F / 4 on the
-        # binary logit Hessian; the Newton step takes the exact Hessian instead
-        monkeypatch.setattr(model, "curvature_matrix",
-                            lambda atom, F, y, w: 0.25 * (F * w[:, None]).T @ F)
         for plan in psolve.plan_factors(spec):
             w = Z[:, plan.k]
             theta, _, status = plan.solve(plan, data.features, data.observations, w, None, spec.controls)
-            ref, _, ref_status = psolve._prox_gradient_factor(
-                plan, data.features, data.observations, w, None, long)
-            tight, *_ = psolve._prox_gradient_factor(
-                plan, data.features, data.observations, w, None, replace(long, p_tol=0.0))
-            assert status == ref_status == psolve.P_CONVERGED
+            best = prox_gradient_reference(plan, data, w, 0.25)
+            assert status == psolve.P_CONVERGED
             assert kernels.max_violation(plan.atoms, theta) == 0.0
             total = logit_total(spec, data, plan.k, w, theta)
-            assert total <= logit_total(spec, data, plan.k, w, ref)
-            best = logit_total(spec, data, plan.k, w, tight)
             assert total - best <= spec.controls.p_tol * best
 
     def test_steps_never_raise_the_objective(self):
@@ -257,6 +267,56 @@ class TestNewtonStep:
         out = ex.run_forgetting_q(seed=0)
         assert statuses and psolve.P_MAX_ITER not in statuses
         assert out["runs"][0.0]["fit"].objective_trace[-1][2] <= 95.305
+
+
+class TestNewtonModelMatrices:
+    """Proximal Newton P-steps of the losses whose model matrix is not a logit Hessian."""
+
+    def test_lad_step_matches_vertex_enumeration(self):
+        # weighted LAD is a linear program, so one of its optima interpolates
+        # n rows: theta = X_S^-1 y_S for some n-subset S of the rows. The IRLS
+        # weight 1/|u| grows on a row whose residual must cross 0 on the way
+        # to the optimum, so an odd step stops short: here one of ten ends
+        # 1.04e-3 above it, the other nine within 3e-5
+        rng = np.random.default_rng(14)
+        m, n = 14, 3
+        spec = dk.shared_spec(K=2, n=n, loss=dk.lp_regression(1.0), constraints=())
+        for _ in range(5):
+            X = rng.normal(size=(m, n))
+            y = X @ rng.normal(size=n) + rng.laplace(size=m)
+            Z = rng.dirichlet(np.ones(2), size=m)
+            out = dk.solve_p(spec, dk.dataset(X, y), Z)
+            for k, theta in enumerate(out.thetas):
+                def lad(th):
+                    return float(Z[:, k] @ np.abs(X @ th - y))
+
+                best = min(lad(np.linalg.solve(X[list(S)], y[list(S)]))
+                           for S in itertools.combinations(range(m), n))
+                assert out.statuses[k] == psolve.P_CONVERGED
+                assert lad(theta) - best <= 2e-3 * best
+
+    @pytest.mark.parametrize("case", ["huber_monotone", "square_l1", "square_ball"])
+    def test_matches_prox_gradient_fixed_point(self, case):
+        loss, atoms, regs = {
+            "huber_monotone": (dk.huber(0.5), (dk.nonneg(), dk.monotone_nonincreasing()), ()),
+            "square_l1": (dk.square_regression(), (), (dk.l1(5.0),)),
+            "square_ball": (dk.square_regression(), (dk.norm_ball2(1.0),), ()),
+        }[case]
+        rng = np.random.default_rng(33)
+        X = rng.normal(size=(50, 4))
+        y = X @ np.array([1.5, 1.0, -0.5, 0.2]) + rng.normal(size=50)
+        data, Z = dk.dataset(X, y), rng.dirichlet(np.ones(2), size=50)
+        spec = dk.shared_spec(K=2, n=4, loss=loss, constraints=atoms, p_regularizers=regs)
+        out = dk.solve_p(spec, data, Z)
+        assert out.statuses == [psolve.P_CONVERGED] * 2
+        for plan, theta in zip(psolve.plan_factors(spec), out.thetas):
+            w = Z[:, plan.k]
+            assert plan.solve is psolve._newton_factor
+            assert kernels.max_violation(plan.atoms, theta) <= 1e-12
+            total = float(w @ model.batch_losses(loss, X, y, theta)) + model.p_regularizer_value(regs, [theta])
+            # both losses have second derivative at most 2 in the residual
+            best = prox_gradient_reference(plan, data, w, 2.0)
+            assert total - best <= spec.controls.p_tol * best
 
 
 class TestZeroWeightColumns:
@@ -537,7 +597,7 @@ class TestFactorPlans:
         ("capped_regression", "_polyhedral_lstsq"),
         ("forgetting", "_newton_factor"),
         ("io_hmm", "_newton_factor"),
-        ("huber_l1", "_prox_gradient_factor"),
+        ("huber_l1", "_newton_factor"),
     ])
     def test_step_chosen_once_per_factor(self, name, step):
         spec = {
@@ -551,10 +611,8 @@ class TestFactorPlans:
         }[name]()
         plans = psolve.plan_factors(spec)
         assert [plan.solve for plan in plans] == [getattr(psolve, step)] * spec.K
-        # only Newton and prox-gradient plans carry a joint prox, only QP
-        # plans stacked rows
-        iterative = step in ("_newton_factor", "_prox_gradient_factor")
-        assert all((plan.prox is not None) == iterative for plan in plans)
+        # only Newton plans carry a joint prox, only QP plans stacked rows
+        assert all((plan.prox is not None) == (step == "_newton_factor") for plan in plans)
         assert all((plan.rows is not None) == (step == "_polyhedral_lstsq") for plan in plans)
 
     def test_qp_rows_stacked_once_per_restart(self, monkeypatch):
