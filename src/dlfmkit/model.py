@@ -205,9 +205,10 @@ def kl_chain(weight: float) -> RegularizerAtom:
 class SolverControls:
     """Termination and subsolver knobs shared by the whole fit.
 
-    qp_tol and qp_max_iter govern only the QP of square regression over
-    polyhedral constraints; projections (including the projected centroid
-    of a squared-distance factor) solve to a fixed tolerance. p_tol and
+    qp_tol and qp_max_iter govern only the QP that proximal Newton solves
+    for its quadratic model where a factor has polyhedral constraints and no
+    parameter regularizer; projections (including the projected centroid of
+    a squared-distance factor) solve to a fixed tolerance. p_tol and
     p_max_iter govern the one iterative P-step: they count its proximal
     Newton iterations, for every factor that runs it.
     """

@@ -3,8 +3,10 @@
 The problem separates across factors. `plan_factors` chooses each factor's
 step once per restart, from its loss, its constraint atoms and the parameter
 regularizers, and `solve_p` runs the chosen steps on each iteration's factor
-weights. The steps are closed forms (a projected centroid, the normal
-equations), one QP, and proximal Newton for every factor that has none.
+weights. The three steps are two closed forms (a projected centroid, the
+normal equations) and proximal Newton for every factor that has none, whose
+quadratic model is one QP where no regularizer acts and the atoms are
+polyhedral.
 """
 
 from __future__ import annotations
@@ -56,7 +58,7 @@ class FactorPlan:
     project: Callable  # Euclidean projection onto the atoms
     prox: Callable | None = None  # joint prox of regs and atoms, Newton only
     qp: kernels.QpWorkspace = field(default_factory=kernels.QpWorkspace)
-    rows: tuple | None = None  # stacked (A, lo, hi) of the atoms, polyhedral QP only
+    rows: tuple | None = None  # stacked (A, lo, hi) of the atoms, Newton's model QP only
 
 
 # smallest accepted L_jj^2 / G_jj, the share of column j's weighted energy
@@ -109,36 +111,6 @@ def _weighted_lstsq(plan, feats, obs, w, warm, controls):
     return theta, 1, P_CONVERGED
 
 
-def _polyhedral_lstsq(plan, feats, obs, w, warm, controls):
-    """Weighted least squares over polyhedral atoms: the QP with P = 2G, q = -2b.
-
-    A QP stopped at its iteration cap never leaves the factor infeasible or
-    worse than its warm value. Reports the QP's iterations.
-    """
-    G, b, *_ = _weighted_gram(feats, obs, w)
-    P, q = 2.0 * G, -2.0 * b
-    sol = kernels.qp_solve(
-        kernels.qp_problem(P, q, *plan.rows),
-        tol=controls.qp_tol,
-        max_iter=controls.qp_max_iter,
-        workspace=plan.qp,
-    )
-    if sol.status == kernels.PRIMAL_INFEASIBLE:
-        raise SubsolverFailure(plan.k, "constraint set reported infeasible")
-    if sol.status == kernels.SOLVED:
-        return sol.x, sol.iterations, P_CONVERGED
-    # a capped solve may end infeasible or above its start; keep the warm
-    # point then, so the block step never ascends
-    theta = sol.x
-    if warm is None:
-        theta = plan.project(theta)
-    elif kernels.max_violation(plan.atoms, theta) > 1e-9 or (
-        0.5 * theta @ P @ theta + q @ theta > 0.5 * warm @ P @ warm + q @ warm
-    ):
-        theta = warm
-    return theta, sol.iterations, P_MAX_ITER
-
-
 def _lambda_max(M) -> float:
     """Largest eigenvalue of a symmetric PSD matrix; rounding below 0 reads 0."""
     return max(float(np.linalg.eigvalsh(M)[-1]), 0.0)
@@ -158,19 +130,33 @@ _ARMIJO = 1e-4
 _MAX_HALVINGS = 60
 
 
-def _model_step(prox, regs, theta, g, H):
-    """Inexact argmin over the atoms of the model g.d + d.H d / 2 + regs(theta + d).
+def _model_step(plan, theta, g, H, controls):
+    """Argmin over the atoms of the model g.d + d.H d / 2 + regs(theta + d).
 
-    FISTA on the joint prox with step 1 / lambda_max(H), started from the
-    better of two points: the prox-gradient step at theta, and the prox of
-    the unconstrained Newton point theta - H^+ g, which is exact when no
-    atom or regularizer binds and spares FISTA the ill-conditioned
-    directions. Returns the prox-gradient step and the last iterate. Only
-    n-vectors are touched, never the rows.
+    Returns the prox-gradient step at theta, with step 1 / lambda_max(H), and
+    a closer point. Where the plan stacked rows (no regularizer, no ball) and
+    H has curvature, so the model is bounded, it is the QP with P = H and
+    q = g - H theta, solved by qp_solve under qp_tol and qp_max_iter; the QP
+    point is projected, since a capped solve may end outside the atoms.
+    Otherwise FISTA runs on the joint prox, inexactly, from the better of the
+    prox-gradient step and the prox of the unconstrained Newton point
+    theta - H^+ g, which is exact when no atom or regularizer binds and
+    spares FISTA the ill-conditioned directions; it touches only n-vectors.
     """
+    prox, regs = plan.prox, plan.regs
     lam = _lambda_max(H)
     step = 1.0 / max(lam, _MIN_CURVATURE)
     v = first = prox(theta - step * g, step)
+    if plan.rows is not None and lam > _MIN_CURVATURE:
+        sol = kernels.qp_solve(
+            kernels.qp_problem(H, g - H @ theta, *plan.rows),
+            tol=controls.qp_tol,
+            max_iter=controls.qp_max_iter,
+            workspace=plan.qp,
+        )
+        if sol.status == kernels.PRIMAL_INFEASIBLE:
+            raise SubsolverFailure(plan.k, "constraint set reported infeasible")
+        return first, plan.project(sol.x)
     if lam > _MIN_CURVATURE:  # else H^+ g may overflow
 
         def model_value(x):
@@ -200,13 +186,16 @@ def _newton_factor(plan, feats, obs, w, warm, controls):
     Each iteration takes the value, gradient and model matrix at theta from
     one model.value_grad_hessian (the method needs the matrix positive
     semidefinite, not the exact Hessian), minimizes the quadratic model plus
-    the regularizers over the atoms inexactly (`_model_step`), and backtracks
-    along d = v - theta until the Armijo rule on the model's predicted
-    decrease holds. theta + a d stays feasible by convexity, and the rule
-    never accepts a step that raises the objective. p_tol and p_max_iter
-    count Newton iterations. Rows with w_i = 0 add nothing and are dropped.
+    the regularizers over the atoms (`_model_step`: exactly where it is a
+    QP, else inexactly), and backtracks along d = v - theta until the Armijo
+    rule on the model's predicted decrease holds. theta + a d stays feasible
+    by convexity, and the rule never accepts a step that raises the
+    objective. p_tol and p_max_iter count Newton iterations; P_MAX_ITER is
+    reported only after an accepted step lowered the objective by more than
+    p_tol, so never with theta at its projected warm start. Rows with
+    w_i = 0 add nothing and are dropped.
     """
-    atom, regs, prox = plan.loss, plan.regs, plan.prox
+    atom, regs = plan.loss, plan.regs
     idx = _nonzero_rows(w)
     if idx.size < w.size:
         feats, obs, w = feats.take(idx, axis=0), obs.take(idx, axis=0), w.take(idx)
@@ -221,9 +210,10 @@ def _newton_factor(plan, feats, obs, w, warm, controls):
     status = P_MAX_ITER
     it = 0
     for it in range(1, controls.p_max_iter + 1):
-        # FISTA is not monotone; the prox-gradient step always predicts a
-        # decrease unless theta is a fixed point
-        for v in reversed(_model_step(prox, regs, theta, g, H)):
+        # FISTA is not monotone and a capped QP may end anywhere; the
+        # prox-gradient step always predicts a decrease unless theta is a
+        # fixed point
+        for v in reversed(_model_step(plan, theta, g, H, controls)):
             d = v - theta
             delta = float(g @ d) + model.p_regularizer_value(regs, [v]) - reg
             if delta < 0.0:
@@ -253,16 +243,16 @@ def plan_factors(spec: model.ModelSpec) -> list[FactorPlan]:
     """Choose each factor's P-step once, for all the iterations of a restart.
 
     Each factor keeps kernels.canonical_atoms of its atoms, one projector
-    onto them with its own QP workspace, and one of four steps. Unregularized,
-    a squared-distance factor projects its weighted centroid onto its atoms,
-    whatever they are; square regression solves the normal equations of its
-    weighted Gram matrix when unconstrained (`_weighted_lstsq`), and the QP
-    with P = 2G over polyhedral atoms (`_polyhedral_lstsq`), on constraint
-    rows stacked here. Every other factor runs proximal Newton
-    (`_newton_factor`) on the joint prox planned on its projector: all logit,
-    huber and lp factors, and the quadratic losses under a regularizer or,
-    for square regression, a ball. Plans hold closures, which do not pickle:
-    build them in the process that runs the restart.
+    onto them with its own QP workspace, and one of three steps.
+    Unregularized, a squared-distance factor projects its weighted centroid
+    onto its atoms, whatever they are (`_projected_centroid`), and an
+    unconstrained square regression solves the normal equations of its
+    weighted Gram matrix (`_weighted_lstsq`). Every other factor runs
+    proximal Newton (`_newton_factor`) on the joint prox planned on its
+    projector; where it has no regularizer and no ball, the atoms' rows are
+    stacked here, and its quadratic model is solved as one QP on them. Plans
+    hold closures, which do not pickle: build them in the process that runs
+    the restart.
     """
     regs = list(spec.p_regularizers)
     plans = []
@@ -276,16 +266,14 @@ def plan_factors(spec: model.ModelSpec) -> list[FactorPlan]:
             solve = _projected_centroid
         elif loss.kind == model.SQUARE_REGRESSION and not atoms:
             solve = _weighted_lstsq
-        elif loss.kind == model.SQUARE_REGRESSION and atoms[-1].kind != model.NORM_BALL2:
-            # the canonical form keeps its one ball, if any, last
-            solve = _polyhedral_lstsq
         else:
             solve = _newton_factor
         plan = FactorPlan(k, solve, loss, atoms, regs, project)
         if solve is _newton_factor:
             plan.prox = kernels.prox_plan(regs, atoms, spec.n, project)
-        elif solve is _polyhedral_lstsq:
-            plan.rows = kernels.stack_rows(atoms, spec.n)
+            # the canonical form keeps its one ball, if any, last
+            if not regs and not (atoms and atoms[-1].kind == model.NORM_BALL2):
+                plan.rows = kernels.stack_rows(atoms, spec.n)
         plans.append(plan)
     return plans
 
@@ -304,7 +292,8 @@ def solve_p(
     call). plans default to plan_factors(spec). A factor whose weight column
     is all zero keeps its warm value when unregularized and is driven to the
     regularizer minimizer otherwise. Raises SubsolverFailure when a step
-    breaks down or ends on non-finite parameters.
+    breaks down, finds its constraint set empty (a kernels.ProjectionError
+    raised inside it) or ends on non-finite parameters.
     """
     Z = np.asarray(Z, dtype=float)
     c = spec.controls
@@ -316,15 +305,18 @@ def solve_p(
     for plan in plans:
         w = Z[:, plan.k]
         warm_k = None if warm is None else np.asarray(warm[plan.k], dtype=float)
-        if np.any(w):
-            theta, it, status = plan.solve(plan, feats, obs, w, warm_k, c)
-        elif plan.regs:
-            # the step is Newton; with no rows only the regularizers act
-            theta, it, _ = plan.solve(plan, feats[:0], obs[:0], w[:0], warm_k, c)
-            status = P_SKIPPED
-        else:
-            theta = warm_k if warm_k is not None else plan.project(np.zeros(spec.n))
-            it, status = 0, P_SKIPPED
+        try:
+            if np.any(w):
+                theta, it, status = plan.solve(plan, feats, obs, w, warm_k, c)
+            elif plan.regs:
+                # the step is Newton; with no rows only the regularizers act
+                theta, it, _ = plan.solve(plan, feats[:0], obs[:0], w[:0], warm_k, c)
+                status = P_SKIPPED
+            else:
+                theta = warm_k if warm_k is not None else plan.project(np.zeros(spec.n))
+                it, status = 0, P_SKIPPED
+        except kernels.ProjectionError as exc:
+            raise SubsolverFailure(plan.k, str(exc)) from exc
         if not np.all(np.isfinite(theta)):
             raise SubsolverFailure(plan.k, "step produced non-finite parameters")
         thetas.append(theta)

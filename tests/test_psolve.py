@@ -170,7 +170,6 @@ class TestNewtonStep:
         cfg = ex.experiment_config(ex.FORGETTING_Q, 0)
         data, labels, _ = ex.gen_forgetting_q(cfg)
         spec = ex.forgetting_spec(0.0, 1, 0)
-        spec = replace(spec, controls=replace(spec.controls, p_tol=1e-12))
         rng = np.random.default_rng(4)
         if weights == "noisy_labels":  # 30% of the labels swapped
             Z = hard_Z(np.where(rng.random(data.m) < 0.3, 2 - labels, labels - 1), 2)
@@ -345,13 +344,17 @@ class TestZeroWeightColumns:
 
 
 class TestInfeasibleSubproblem:
-    def test_raises_subsolver_failure(self):
+    @pytest.mark.parametrize("loss", ["squared_distance", "binary_logit", "huber", "square_regression"])
+    def test_raises_subsolver_failure(self, loss):
+        # every step, closed form or Newton, reports the empty set one way
         X = np.array([[1.0, 0.0]])
         y = np.array([0.0])
         data = dk.dataset(X, y)
+        atom = {"squared_distance": dk.squared_distance, "binary_logit": dk.binary_logit,
+                "huber": lambda: dk.huber(1.0), "square_regression": dk.square_regression}[loss]()
         # nonneg meets the halfspace x0 + x1 <= -1: empty
         spec = dk.shared_spec(
-            K=1, n=2, loss=dk.square_regression(),
+            K=1, n=2, loss=atom,
             constraints=(dk.nonneg(),
                          dk.polyhedron(np.array([[1.0, 1.0]]), np.array([-1.0]))))
         with pytest.raises(dk.SubsolverFailure):
@@ -385,6 +388,7 @@ def capped_case(name):
         cfg = ex.experiment_config(ex.CONSTRAINED_KMEANS, 0, m=200)
         data, _, _ = ex.gen_constrained_kmeans(cfg)
         return ex.kmeans_spec(True, 1, 0), data, False
+    # square regression over polyhedral atoms: Newton, its model one QP
     cfg = ex.experiment_config(ex.MIXTURE_LINREG, 0, m=200)
     data, _, _ = ex.gen_mixture_linreg(cfg)
     atoms = (dk.nonneg(), dk.polyhedron(np.ones((1, 10)), np.array([1.0])))
@@ -393,17 +397,17 @@ def capped_case(name):
     return spec, data, True
 
 
-def fit_with_statuses(spec, data, monkeypatch):
-    """fit(spec, data) and the statuses of every factor solve it ran."""
+def fit_with_qp_statuses(spec, data, monkeypatch):
+    """fit(spec, data) and the statuses of every QP it solved."""
     statuses = []
-    real = psolve.solve_p
+    real = kernels.qp_solve
 
     def spy(*args, **kwargs):
-        out = real(*args, **kwargs)
-        statuses.extend(out.statuses)
-        return out
+        sol = real(*args, **kwargs)
+        statuses.append(sol.status)
+        return sol
 
-    monkeypatch.setattr(psolve, "solve_p", spy)
+    monkeypatch.setattr(kernels, "qp_solve", spy)
     return dk.fit(spec, data), statuses
 
 
@@ -414,12 +418,12 @@ def cap_qp(spec, max_iter=30):
 @pytest.mark.parametrize("case", ["kmeans", "regression"])
 class TestCappedQp:
     def test_capped_steps_stay_feasible_and_monotone(self, case, monkeypatch):
-        # 30 ADMM iterations rarely finish the constrained regression
-        # P-steps: without the guard the thetas left the polytope and the
-        # objective trace rose
+        # 30 ADMM iterations do not finish every model QP of the constrained
+        # regression P-steps: the projection of the QP point and the Armijo
+        # rule keep the thetas in the polytope and the trace monotone
         spec, data, expect_capped = capped_case(case)
-        res, statuses = fit_with_statuses(cap_qp(spec), data, monkeypatch)
-        assert (psolve.P_MAX_ITER in statuses) == expect_capped
+        res, statuses = fit_with_qp_statuses(cap_qp(spec), data, monkeypatch)
+        assert (kernels.MAX_ITER in statuses) == expect_capped
         flat = [v for _, after_p, after_f in res.objective_trace for v in (after_p, after_f)]
         for a, b in zip(flat, flat[1:]):
             assert b <= a + 1e-8 * max(1.0, abs(a))
@@ -427,13 +431,12 @@ class TestCappedQp:
         assert max(kernels.max_violation(atoms, th) for th in res.thetas) <= 1e-9
 
     def test_capped_step_does_not_close_the_gap(self, case, monkeypatch):
-        # a rejected capped step keeps the warm theta, so after-P equals the
-        # last after-F although no fixed point was reached; the fit must go on
-        # to the optimum the uncapped fit finds
+        # a capped model QP must not stop the fit short: the gap rule may
+        # close only at the optimum the uncapped fit finds
         spec, data, expect_capped = capped_case(case)
-        capped, statuses = fit_with_statuses(cap_qp(spec), data, monkeypatch)
+        capped, statuses = fit_with_qp_statuses(cap_qp(spec), data, monkeypatch)
         full = dk.fit(spec, data)
-        assert (psolve.P_MAX_ITER in statuses) == expect_capped
+        assert (kernels.MAX_ITER in statuses) == expect_capped
         assert capped.status == dk.GAP_CONVERGED
         assert capped.objective_trace[-1][2] == pytest.approx(full.objective_trace[-1][2], rel=1e-9)
 
@@ -584,6 +587,11 @@ def pool_case(name):
     if name == "kmeans":
         cfg = ex.experiment_config(ex.CONSTRAINED_KMEANS, 0, m=200)
         return ex.kmeans_spec(True, 2, 0), ex.gen_constrained_kmeans(cfg)[0]
+    if name == "forgetting":  # Newton on its model QP
+        cfg = ex.experiment_config(ex.FORGETTING_Q, 0, m=200)
+        spec = ex.forgetting_spec(1.0, 2, 0)
+        capped = replace(spec.controls, max_iter=5)
+        return replace(spec, controls=capped), ex.gen_forgetting_q(cfg)[0]
     cfg = ex.experiment_config(ex.IO_HMM, 0, m=150)
     spec = ex.iohmm_spec(cfg.lam_theta, cfg.lam_z, 2, 0)
     capped = replace(spec.controls, max_iter=5, p_max_iter=100, f_max_iter=100)
@@ -594,7 +602,8 @@ class TestFactorPlans:
     @pytest.mark.parametrize("name, step", [
         ("kmeans", "_projected_centroid"),
         ("mixture", "_weighted_lstsq"),
-        ("capped_regression", "_polyhedral_lstsq"),
+        ("capped_regression", "_newton_factor"),
+        ("ball_regression", "_newton_factor"),
         ("forgetting", "_newton_factor"),
         ("io_hmm", "_newton_factor"),
         ("huber_l1", "_newton_factor"),
@@ -604,6 +613,8 @@ class TestFactorPlans:
             "kmeans": lambda: ex.kmeans_spec(True, 2, 0),
             "mixture": lambda: ex.mixture_spec(4, 0),
             "capped_regression": lambda: capped_case("regression")[0],
+            "ball_regression": lambda: dk.shared_spec(2, 3, dk.square_regression(),
+                                                      (dk.nonneg(), dk.norm_ball2(1.0))),
             "forgetting": lambda: ex.forgetting_spec(1.0, 1, 0),
             "io_hmm": lambda: ex.iohmm_spec(0.5, 1.0, 1, 0),
             "huber_l1": lambda: dk.shared_spec(2, 3, dk.huber(1.0), (dk.nonneg(),),
@@ -611,9 +622,11 @@ class TestFactorPlans:
         }[name]()
         plans = psolve.plan_factors(spec)
         assert [plan.solve for plan in plans] == [getattr(psolve, step)] * spec.K
-        # only Newton plans carry a joint prox, only QP plans stacked rows
+        # only Newton plans carry a joint prox; of them, those with no
+        # regularizer and no ball carry stacked rows, their model being a QP
+        rows = name in ("capped_regression", "forgetting")
         assert all((plan.prox is not None) == (step == "_newton_factor") for plan in plans)
-        assert all((plan.rows is not None) == (step == "_polyhedral_lstsq") for plan in plans)
+        assert all((plan.rows is not None) == rows for plan in plans)
 
     def test_qp_rows_stacked_once_per_restart(self, monkeypatch):
         spec, data, _ = capped_case("regression")
@@ -623,7 +636,7 @@ class TestFactorPlans:
         res = dk.fit(spec, data)
         assert res.iterations > 1
         # per factor: one for validate's feasibility probe, then per restart
-        # one for the projector and one for the QP step
+        # one for the projector and one for the Newton model QP
         assert len(stacks) == spec.K * (1 + 2 * spec.controls.restarts)
 
     def test_one_projector_per_factor_and_restart(self, monkeypatch):
@@ -642,7 +655,7 @@ class TestFactorPlans:
         # feasibility probe
         assert len(builds) == spec.K * spec.controls.restarts + spec.K
 
-    @pytest.mark.parametrize("name", ["mixture", "kmeans", "io_hmm"])
+    @pytest.mark.parametrize("name", ["mixture", "kmeans", "forgetting", "io_hmm"])
     def test_pool_matches_sequential(self, name):
         # plans hold closures, so each pool worker builds its own
         spec, data = pool_case(name)
