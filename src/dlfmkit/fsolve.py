@@ -2,14 +2,18 @@
 
 Without a chain regularizer the problem is a linear program over a product
 of simplices whose optimum is the row-wise argmin vertex. With a KL chain
-term it is solved by entropic mirror descent on all rows jointly.
+term it is solved by entropic mirror descent on all rows jointly (Beck &
+Teboulle, Oper. Res. Lett. 2003), as one kernel on a flat factor-major
+buffer that keeps log z next to z. Its objective is evaluated in the log
+domain, where the chain's value is a dot product of z with the flat log
+differences, cut to 0 on the pairs that cross from one factor into the next.
 """
 
 from __future__ import annotations
 
-import numpy as np
+import math
 
-from . import model
+import numpy as np
 
 
 def solve_f_plain(R: np.ndarray) -> np.ndarray:
@@ -22,17 +26,7 @@ def solve_f_plain(R: np.ndarray) -> np.ndarray:
 
 
 _FLOOR = 1e-12
-
-
-def _kl_objective(ZT, RT, lam):
-    """(value, ratio, log ratio) on the (K, m) layout."""
-    kl, ratio, log_ratio = model.kl_chain_terms(ZT[:, :-1], ZT[:, 1:])
-    return float((ZT * RT).sum()) + lam * kl, ratio, log_ratio
-
-
-def _renorm(ZT):
-    ZT = np.maximum(ZT, _FLOOR)
-    return ZT / ZT.sum(axis=0)
+_LOG_FLOOR = math.log(_FLOOR)
 
 
 def solve_f_kl(
@@ -45,30 +39,61 @@ def solve_f_kl(
     """Minimize sum_i z_i . r_i + lam * KL chain over row-stochastic Z.
 
     Entropic mirror descent: multiplicative update by exp(-step * grad) and
-    row renormalization, with the step halved from 1 until the objective
-    decreases. Iterates stay strictly positive (floored at 1e-12). Stops on
-    relative objective decrease <= tol; hitting max_iter returns the best
-    iterate with converged=False.
+    row renormalization, with the step halved from min(2 * step, 1) until
+    the objective does not rise. Iterates stay strictly positive (floored at
+    1e-12 before renormalization). Stops on relative objective decrease
+    <= tol; hitting max_iter returns the last iterate with converged=False.
 
-    The iteration runs on the (K, m) transposes of Z and R, so that the
-    per-sample reductions over the K factors run along contiguous rows; the
-    chain ratio and its log are kept from the accepted candidate's objective
-    for the next gradient. Z is returned C-contiguous in the (m, K) layout.
+    One kernel on flat (K*m,) buffers, factor-major (the (K, m) transpose of
+    Z, raveled), that keeps log z next to z. A candidate is
+    W = max(log z - step * G, log 1e-12); z = exp(W) / s with s the
+    per-sample sums, so log z = W - log s. On stochastic rows the chain's
+    sum(v - u) is 0 and its value is z[:-1] . D + log s_{m-1} - log s_0,
+    with D the flat differences W[:-1] - W[1:] cut to 0 on the K-1 pairs
+    that cross from one factor into the next. The gradient's log ratio is
+    the same cut difference of log z, and its ratio the exp of that. Z is
+    returned C-contiguous in the (m, K) layout.
     """
-    RT = np.ascontiguousarray(np.asarray(R, dtype=float).T)
-    ZT = _renorm(np.ascontiguousarray(np.asarray(Z_init, dtype=float).T))
-    val, ratio, log_ratio = _kl_objective(ZT, RT, lam)
+    R = np.asarray(R, dtype=float)
+    m, K = R.shape
+    r = np.ascontiguousarray(R.T).ravel()
+    n = r.size
+    # buffers: the iterate and the candidate (log z is kept for the
+    # iterate only), exp(W), the differences, the gradient
+    W = np.log(np.maximum(np.asarray(Z_init, dtype=float).T.ravel(), _FLOOR))
+    W_cand, z, z_cand, L = np.empty(n), np.empty(n), np.empty(n), np.empty(n)
+    E, D, G, s = np.empty(n), np.empty(n - 1), np.empty(n), np.empty(m)
+
+    def evaluate(W, z):
+        # z = exp(W) renormalized; returns (objective, log s)
+        np.exp(W, out=E)
+        np.add.reduce(E.reshape(K, m), axis=0, out=s)
+        np.divide(E.reshape(K, m), s, out=z.reshape(K, m))
+        log_s = np.log(s)
+        np.subtract(W[:-1], W[1:], out=D)
+        D[m - 1::m] = 0.0  # pairs (k, m-1) -> (k+1, 0)
+        chain = float(z[:-1] @ D) - (log_s[0] - log_s[-1])
+        return float(r @ z) + lam * chain, log_s
+
+    val, log_s = evaluate(W, z)
     step = 1.0
     converged = False
     for _ in range(max_iter):
-        G = RT.copy()
-        G[:, :-1] += lam * log_ratio
-        G[:, 1:] += lam * (1.0 - ratio)
-        G -= G.min(axis=0)  # per-sample shifts cancel after renorm
+        np.subtract(W.reshape(K, m), log_s, out=L.reshape(K, m))
+        np.subtract(L[:-1], L[1:], out=D)
+        D[m - 1::m] = 0.0
+        np.multiply(D, lam, out=G[:-1])
+        G[-1] = 0.0
+        G[1:] += lam * (1.0 - np.exp(D))
+        G += r
+        Gs = G.reshape(K, m)
+        Gs -= Gs.min(axis=0)  # per-sample shifts cancel after renorm
         accepted = False
         while step > 1e-18:
-            cand = _renorm(ZT * np.exp(-step * G))
-            cand_val, cand_ratio, cand_log = _kl_objective(cand, RT, lam)
+            np.multiply(G, -step, out=W_cand)
+            W_cand += L
+            np.maximum(W_cand, _LOG_FLOOR, out=W_cand)
+            cand_val, cand_log_s = evaluate(W_cand, z_cand)
             if cand_val <= val:
                 accepted = True
                 break
@@ -77,12 +102,13 @@ def solve_f_kl(
             converged = True
             break
         drop = val - cand_val
-        ZT, val, ratio, log_ratio = cand, cand_val, cand_ratio, cand_log
+        W, W_cand, z, z_cand = W_cand, W, z_cand, z
+        val, log_s = cand_val, cand_log_s
         if drop <= tol * max(1.0, abs(val)):
             converged = True
             break
         step = min(step * 2.0, 1.0)
-    return np.ascontiguousarray(ZT.T), converged
+    return np.ascontiguousarray(z.reshape(K, m).T), converged
 
 
 def harden(Z: np.ndarray) -> np.ndarray:

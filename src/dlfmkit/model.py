@@ -466,18 +466,6 @@ def kl_divergence(u, v) -> float:
     return out
 
 
-def kl_chain_terms(U: np.ndarray, V: np.ndarray):
-    """(value, U / V, log(U / V)) with value = sum(U log(U / V) - U + V).
-
-    U and V are strictly positive and of one shape: the earlier and the later
-    member of each consecutive pair of a chain, in any layout. The ratio and
-    its log are returned so that a gradient of the chain can reuse them.
-    """
-    ratio = U / V
-    log_ratio = np.log(ratio)
-    return float((U * log_ratio - U + V).sum()), ratio, log_ratio
-
-
 def kl_chain_value(Z: np.ndarray) -> float:
     """sum over consecutive rows of kl_divergence(z_t, z_{t+1})."""
     Z = np.asarray(Z, dtype=float)
@@ -486,7 +474,8 @@ def kl_chain_value(Z: np.ndarray) -> float:
     if np.any(pos & (V <= 0.0)):
         return np.inf  # mass where the next row has none
     # 0 log 0 = 0: an entry with u <= 0 contributes v - u alone
-    inner = kl_chain_terms(np.where(pos, U, 1.0), np.where(pos, V, 1.0))[0]
+    Up, Vp = np.where(pos, U, 1.0), np.where(pos, V, 1.0)
+    inner = float((Up * np.log(Up / Vp) - Up + Vp).sum())
     return inner + float((V - U)[~pos].sum())
 
 

@@ -59,6 +59,7 @@ class FactorPlan:
     prox: Callable | None = None  # joint prox of regs and atoms, Newton only
     qp: kernels.QpWorkspace = field(default_factory=kernels.QpWorkspace)
     rows: tuple | None = None  # stacked (A, lo, hi) of the atoms, Newton's model QP only
+    exact_model: bool = False  # the model QP is the factor's own problem (a quadratic loss)
 
 
 # smallest accepted L_jj^2 / G_jj, the share of column j's weighted energy
@@ -133,11 +134,13 @@ _MAX_HALVINGS = 60
 def _model_step(plan, theta, g, H, controls):
     """Argmin over the atoms of the model g.d + d.H d / 2 + regs(theta + d).
 
-    Returns the prox-gradient step at theta, with step 1 / lambda_max(H), and
-    a closer point. Where the plan stacked rows (no regularizer, no ball) and
-    H has curvature, so the model is bounded, it is the QP with P = H and
+    Returns the prox-gradient step at theta, with step 1 / lambda_max(H), a
+    closer point, and whether that point minimizes the factor's own problem.
+    Where the plan stacked rows (no regularizer, no ball) and H has
+    curvature, so the model is bounded, it is the QP with P = H and
     q = g - H theta, solved by qp_solve under qp_tol and qp_max_iter; the QP
-    point is projected, since a capped solve may end outside the atoms.
+    point is projected, since a capped solve may end outside the atoms. A
+    SOLVED QP of an exact model (plan.exact_model) is the minimizer.
     Otherwise FISTA runs on the joint prox, inexactly, from the better of the
     prox-gradient step and the prox of the unconstrained Newton point
     theta - H^+ g, which is exact when no atom or regularizer binds and
@@ -156,7 +159,7 @@ def _model_step(plan, theta, g, H, controls):
         )
         if sol.status == kernels.PRIMAL_INFEASIBLE:
             raise SubsolverFailure(plan.k, "constraint set reported infeasible")
-        return first, plan.project(sol.x)
+        return first, plan.project(sol.x), plan.exact_model and sol.status == kernels.SOLVED
     if lam > _MIN_CURVATURE:  # else H^+ g may overflow
 
         def model_value(x):
@@ -177,7 +180,7 @@ def _model_step(plan, theta, g, H, controls):
         d = v - v_prev
         if math.sqrt(d @ d) <= tol:
             break
-    return first, v
+    return first, v, False
 
 
 def _newton_factor(plan, feats, obs, w, warm, controls):
@@ -190,7 +193,8 @@ def _newton_factor(plan, feats, obs, w, warm, controls):
     QP, else inexactly), and backtracks along d = v - theta until the Armijo
     rule on the model's predicted decrease holds. theta + a d stays feasible
     by convexity, and the rule never accepts a step that raises the
-    objective. p_tol and p_max_iter count Newton iterations; P_MAX_ITER is
+    objective. A full step to the minimizer of an exact model ends the
+    solve. p_tol and p_max_iter count Newton iterations; P_MAX_ITER is
     reported only after an accepted step lowered the objective by more than
     p_tol, so never with theta at its projected warm start. Rows with
     w_i = 0 add nothing and are dropped.
@@ -213,7 +217,8 @@ def _newton_factor(plan, feats, obs, w, warm, controls):
         # FISTA is not monotone and a capped QP may end anywhere; the
         # prox-gradient step always predicts a decrease unless theta is a
         # fixed point
-        for v in reversed(_model_step(plan, theta, g, H, controls)):
+        first, closer, exact = _model_step(plan, theta, g, H, controls)
+        for v in (closer, first):
             d = v - theta
             delta = float(g @ d) + model.p_regularizer_value(regs, [v]) - reg
             if delta < 0.0:
@@ -233,7 +238,7 @@ def _newton_factor(plan, feats, obs, w, warm, controls):
             break
         drop = total - t_cand
         theta, total, reg, g, H = cand, t_cand, r_cand, g_cand, H_cand
-        if drop <= controls.p_tol * max(1.0, abs(total)):
+        if drop <= controls.p_tol * max(1.0, abs(total)) or (exact and v is closer and a == 1.0):
             status = P_CONVERGED
             break
     return theta, it, status
@@ -274,6 +279,7 @@ def plan_factors(spec: model.ModelSpec) -> list[FactorPlan]:
             # the canonical form keeps its one ball, if any, last
             if not regs and not (atoms and atoms[-1].kind == model.NORM_BALL2):
                 plan.rows = kernels.stack_rows(atoms, spec.n)
+                plan.exact_model = loss.kind == model.SQUARE_REGRESSION
         plans.append(plan)
     return plans
 

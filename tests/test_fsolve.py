@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -108,37 +109,76 @@ class TestKlChain:
         Z, _ = dk.solve_f_kl(R, 1.0, Z0)
         assert np.all(np.isfinite(Z))
 
+    @pytest.mark.parametrize("K, scale", [(2, 1.0), (3, 1.0), (4, 1.0), (3, 1e3)])
+    def test_objective_never_rises_with_max_iter(self, K, scale):
+        # the kernel accepts on its log-domain value; the objective recomputed
+        # by model.kl_chain_value must not rise from one iteration to the next.
+        # At R scale 1e3 the losing factors sit at the 1e-12 floor.
+        rng = np.random.default_rng(K)
+        m, lam = 30, 0.7
+        R = rng.normal(size=(m, K)) * scale
+        Z0 = rng.dirichlet(np.ones(K), size=m)
+
+        def total(Z):
+            return float((Z * R).sum()) + lam * model.kl_chain_value(Z)
+
+        prev = total(Z0)
+        for N in range(1, 61):
+            Z, _ = dk.solve_f_kl(R, lam, Z0, max_iter=N)
+            cur = total(Z)
+            assert cur <= prev + 1e-12 * max(1.0, abs(prev))
+            prev = cur
+        assert (Z.min() < 1.01 * fsolve._FLOOR) == (scale > 1.0)
+
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_short_chains_stay_stochastic(self, m):
+        # m = 1 has no pair, and m = 2 one pair per factor beside the K - 1
+        # cut pairs of the flat layout
+        rng = np.random.default_rng(8 + m)
+        R = rng.normal(size=(m, 3))
+        Z0 = rng.dirichlet(np.ones(3), size=m)
+        Z, _ = dk.solve_f_kl(R, 1.0, Z0)
+        assert Z.shape == (m, 3)
+        assert np.all(np.isfinite(Z)) and np.all(Z > 0)
+        assert np.allclose(Z.sum(axis=1), 1.0, atol=1e-12)
+        if m == 1:
+            assert dk.harden(Z)[0] == np.argmin(R[0]) + 1
+
 
 def reference_solve_f_kl(R, lam, Z_init, tol, max_iter):
-    """Mirror descent on the (m, K) layout, written as a plain loop."""
+    """The kernel's mirror descent on the (m, K) layout, written as a plain loop.
 
-    def objective(Z):
-        U, V = Z[:-1], Z[1:]
-        return float((Z * R).sum()) + lam * float((U * np.log(U / V) - U + V).sum())
+    Its elementwise arithmetic runs in the kernel's order; only the
+    reductions (the objective's sums) differ.
+    """
+    log_floor = math.log(1e-12)
 
-    def renorm(Z):
-        Z = np.maximum(Z, 1e-12)
-        return Z / Z.sum(axis=1, keepdims=True)
+    def evaluate(W):
+        E = np.exp(W)
+        s = E.sum(axis=1)
+        Z = E / s[:, None]
+        log_s = np.log(s)
+        chain = float((Z[:-1] * (W[:-1] - W[1:])).sum()) - (log_s[0] - log_s[-1])
+        return Z, W - log_s[:, None], float((Z * R).sum()) + lam * chain
 
-    Z = renorm(Z_init.copy())
-    val = objective(Z)
+    Z, L, val = evaluate(np.log(np.maximum(Z_init, 1e-12)))
     step = 1.0
     for _ in range(max_iter):
-        ratio = Z[:-1] / Z[1:]
-        G = R.copy()
-        G[:-1] += lam * np.log(ratio)
-        G[1:] += lam * (1.0 - ratio)
+        log_ratio = L[:-1] - L[1:]
+        G = np.zeros_like(R)
+        G[:-1] = lam * log_ratio
+        G[1:] += lam * (1.0 - np.exp(log_ratio))
+        G += R
         G = G - G.min(axis=1, keepdims=True)
         while step > 1e-18:
-            cand = renorm(Z * np.exp(-step * G))
-            cand_val = objective(cand)
+            cand, cand_L, cand_val = evaluate(np.maximum(G * (-step) + L, log_floor))
             if cand_val <= val:
                 break
             step *= 0.5
         else:
             return Z, True
         drop = val - cand_val
-        Z, val = cand, cand_val
+        Z, L, val = cand, cand_L, cand_val
         if drop <= tol * max(1.0, abs(val)):
             return Z, True
         step = min(step * 2.0, 1.0)

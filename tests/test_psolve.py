@@ -441,6 +441,16 @@ class TestCappedQp:
         assert capped.objective_trace[-1][2] == pytest.approx(full.objective_trace[-1][2], rel=1e-9)
 
 
+def test_exact_model_qp_ends_the_newton_step(monkeypatch):
+    # square regression is quadratic, so its model is exact and a full step
+    # to a SOLVED model QP reaches the minimizer. Confirming the drop with a
+    # second QP made this fit solve 38 QPs, to the same final objective.
+    spec, data, _ = capped_case("regression")
+    res, statuses = fit_with_qp_statuses(spec, data, monkeypatch)
+    assert len(statuses) < 38
+    assert res.objective_trace[-1][2] == pytest.approx(42106.775848994024, rel=1e-9)
+
+
 class TestProjectedCentroid:
     """Squared-distance P-steps against the active-set oracle on their QP."""
 
