@@ -685,7 +685,7 @@ def _chained_prox(regs):
     return chained
 
 
-def _is_sign_box(atom):
+def is_sign_box(atom):
     # a canonical box whose every coordinate interval is one of (-inf,0],
     # [0,inf), (-inf,inf), {0}
     if atom.kind != model.BOX:
@@ -699,7 +699,7 @@ def _is_cone(atom):
     if atom.kind in _MONOTONE_KINDS:
         return True
     if atom.kind == model.BOX:
-        return _is_sign_box(atom)
+        return is_sign_box(atom)
     if atom.kind == model.POLYHEDRON:
         return bool(np.all(atom.b == 0.0))
     if atom.kind == model.SUM_EQUALS:
@@ -726,7 +726,7 @@ def prox_plan(regs, atoms, n: int, proj):
         return lambda point, step: proj(point)
     kinds = {r.kind for r in regs}
     chained = _chained_prox(regs)
-    if all(_is_sign_box(a) for a in atoms):
+    if all(is_sign_box(a) for a in atoms):
         # a sign box, or no atom at all, zeroes out coordinates;
         # soft-threshold and shrink keep them zeroed, so prox-after-project is
         # exact, and the projection onto the box is the clip to its bounds

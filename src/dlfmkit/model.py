@@ -210,7 +210,10 @@ class SolverControls:
     parameter regularizer; projections (including the projected centroid of
     a squared-distance factor) solve to a fixed tolerance. p_tol and
     p_max_iter govern the one iterative P-step: they count its proximal
-    Newton iterations, for every factor that runs it.
+    Newton iterations, for every factor that runs it, and the step stops
+    once an accepted iteration lowers the factor's objective by at most
+    p_tol times |objective|, floored at min(1, |objective at the warm
+    start|).
     """
 
     eps: float = 1e-6

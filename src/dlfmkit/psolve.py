@@ -4,9 +4,11 @@ The problem separates across factors. `plan_factors` chooses each factor's
 step once per restart, from its loss, its constraint atoms and the parameter
 regularizers, and `solve_p` runs the chosen steps on each iteration's factor
 weights. The three steps are two closed forms (a projected centroid, the
-normal equations) and proximal Newton for every factor that has none, whose
-quadratic model is one QP where no regularizer acts and the atoms are
-polyhedral.
+normal equations) and proximal Newton for every factor that has none. Its
+quadratic model is solved exactly where it can be: as one QP where no
+regularizer acts and the atoms are polyhedral, and by its secular equation
+where group l2 acts over a sign box. FISTA solves every other model, and is
+the fallback of the secular equation.
 """
 
 from __future__ import annotations
@@ -59,7 +61,8 @@ class FactorPlan:
     prox: Callable | None = None  # joint prox of regs and atoms, Newton only
     qp: kernels.QpWorkspace = field(default_factory=kernels.QpWorkspace)
     rows: tuple | None = None  # stacked (A, lo, hi) of the atoms, Newton's model QP only
-    exact_model: bool = False  # the model QP is the factor's own problem (a quadratic loss)
+    exact_model: bool = False  # the exact model is the factor's own problem (a quadratic loss)
+    group_box: tuple | None = None  # (lambda, lo, hi): group l2 over a sign box, model solved exactly
 
 
 # smallest accepted L_jj^2 / G_jj, the share of column j's weighted energy
@@ -129,6 +132,97 @@ _MIN_CURVATURE = 1e-12
 _ARMIJO = 1e-4
 # halvings of the Newton step before no descent is taken to exist
 _MAX_HALVINGS = 60
+# eigenvalues of H at most this share of the largest span its null space
+_NULL_EIGENVALUE = 1e-12
+# Newton iterations on the secular equation, at most; from s = 0 they rise
+# monotonically and converge quadratically, in a handful
+_SECULAR_MAX_ITER = 100
+# relative slack of the sign tests of the group-l2 model's KKT check
+_KKT_TOL = 1e-10
+
+
+def _secular_solve(evals, evecs, c, lam):
+    """argmin_x x.H x / 2 + c.x + lam ||x|| on R^n, H = evecs diag(evals) evecs'.
+
+    The minimizer is 0 where ||c|| <= lam, and otherwise
+    x = -(H + mu I)^-1 c with mu ||x|| = lam: the trust-region secular
+    equation (More & Sorensen, 1983). In s = 1 / mu and beta = evecs' c it
+    reads q(s) = sum_i beta_i^2 / (1 + evals_i s)^2 = lam^2, and Newton's
+    method on the concave increasing 1 / sqrt(q(s)) rises from s = 0
+    monotonically to the root. Returns None where the model is unbounded:
+    the part of c in the null space of H is at least lam.
+    """
+    beta = evecs.T @ c
+    b2 = beta * beta
+    lam2 = lam * lam
+    if b2.sum() <= lam2:
+        return np.zeros_like(c)
+    w = np.maximum(evals, 0.0)
+    if b2[w <= _NULL_EIGENVALUE * w[-1]].sum() >= lam2:
+        return None
+    # n is small, so the iterations run on Python floats: NumPy's per-call
+    # cost would be most of their work
+    terms = list(zip(b2.tolist(), w.tolist()))
+    s = 0.0
+    for _ in range(_SECULAR_MAX_ITER):
+        q = dq = 0.0  # q(s) and -q'(s) / 2
+        for b2_i, w_i in terms:
+            den = 1.0 + w_i * s
+            t = b2_i / (den * den)
+            q += t
+            dq += t * w_i / den
+        # the Newton step of 1 / sqrt(q) - 1 / lam
+        s_next = s + q * (math.sqrt(q) / lam - 1.0) / dq
+        if s_next <= s:  # rounding stops the rise at the root
+            return -s * (evecs @ (beta / (1.0 + w * s)))
+        s = s_next
+    return None
+
+
+def _group_l2_box_model(H, c, lam, lo, hi, free, evals, evecs):
+    """argmin of x.H x / 2 + c.x + lam ||x|| over the sign box lo <= x <= hi.
+
+    Every coordinate interval is one of (-inf, 0], [0, inf), (-inf, inf)
+    and {0}; evals, evecs are np.linalg.eigh(H), and free guesses the
+    coordinates of the minimizer off 0. x = 0 is the minimizer exactly when
+    ||clip(-c, lo, hi)||, the distance of -c to the box's polar cone, is at
+    most lam (Moreau). Otherwise x solves the unconstrained problem on the
+    free coordinates with the others pinned at 0 (`_secular_solve`), and is
+    accepted once every free coordinate keeps its sign and every pinned one
+    has a multiplier (H x + c)_i of the sign that holds it at 0; coordinates
+    that break the check swap sides, at most n in all. Returns None where
+    no exact minimizer is found: the model is unbounded on the free
+    coordinates or the swaps ran out.
+    """
+    u = np.clip(-c, lo, hi)
+    if math.sqrt(u @ u) <= lam:
+        return np.zeros_like(c)
+    n = c.size
+    both = (lo < 0.0) & (hi > 0.0)
+    lower, upper = (lo == 0.0) & (hi > 0.0), (hi == 0.0) & (lo < 0.0)  # x >= 0, x <= 0
+    free = (free & (lower | upper)) | both
+    slack = _KKT_TOL * (lam + math.sqrt(c @ c))
+    swaps = 0
+    while True:
+        eig = (evals, evecs) if free.all() else np.linalg.eigh(H[np.ix_(free, free)])
+        x_free = _secular_solve(*eig, c[free], lam)
+        if x_free is None:
+            return None
+        x = np.zeros(n)
+        x[free] = x_free
+        r = H @ x + c
+        tol = _KKT_TOL * math.sqrt(x @ x)
+        bad = np.where(
+            free,
+            (lower & (x < -tol)) | (upper & (x > tol)),
+            (lower & (r < -slack)) | (upper & (r > slack)),
+        )
+        if not bad.any():
+            return np.clip(x, lo, hi)
+        swaps += int(bad.sum())
+        if swaps > n:
+            return None
+        free = free ^ bad
 
 
 def _model_step(plan, theta, g, H, controls):
@@ -141,15 +235,18 @@ def _model_step(plan, theta, g, H, controls):
     q = g - H theta, solved by qp_solve under qp_tol and qp_max_iter; the QP
     point is projected, since a capped solve may end outside the atoms. A
     SOLVED QP of an exact model (plan.exact_model) is the minimizer.
-    Otherwise FISTA runs on the joint prox, inexactly, from the better of the
-    prox-gradient step and the prox of the unconstrained Newton point
-    theta - H^+ g, which is exact when no atom or regularizer binds and
-    spares FISTA the ill-conditioned directions; it touches only n-vectors.
+    Where the plan holds group_box (group l2 over a sign box), one eigh of H
+    gives lambda_max and the exact minimizer (`_group_l2_box_model`, with
+    the free coordinates guessed from the prox-gradient step). Otherwise, or
+    where that finds no minimizer, `_fista_model` solves the model inexactly.
     """
-    prox, regs = plan.prox, plan.regs
-    lam = _lambda_max(H)
+    if plan.group_box is not None:
+        evals, evecs = np.linalg.eigh(H)
+        lam = max(float(evals[-1]), 0.0)
+    else:
+        lam = _lambda_max(H)
     step = 1.0 / max(lam, _MIN_CURVATURE)
-    v = first = prox(theta - step * g, step)
+    first = plan.prox(theta - step * g, step)
     if plan.rows is not None and lam > _MIN_CURVATURE:
         sol = kernels.qp_solve(
             kernels.qp_problem(H, g - H @ theta, *plan.rows),
@@ -160,6 +257,23 @@ def _model_step(plan, theta, g, H, controls):
         if sol.status == kernels.PRIMAL_INFEASIBLE:
             raise SubsolverFailure(plan.k, "constraint set reported infeasible")
         return first, plan.project(sol.x), plan.exact_model and sol.status == kernels.SOLVED
+    if plan.group_box is not None:
+        x = _group_l2_box_model(H, g - H @ theta, *plan.group_box, first != 0.0, evals, evecs)
+        if x is not None:
+            return first, x, plan.exact_model
+    return first, _fista_model(plan, theta, g, H, first, step, lam), False
+
+
+def _fista_model(plan, theta, g, H, first, step, lam):
+    """The model of `_model_step`, solved inexactly by FISTA on the joint prox.
+
+    FISTA starts from the better of the prox-gradient step first and the
+    prox of the unconstrained Newton point theta - H^+ g, which is exact
+    when no atom or regularizer binds and spares FISTA the ill-conditioned
+    directions, and stops on the forcing term; it touches only n-vectors.
+    """
+    prox, regs = plan.prox, plan.regs
+    v = first
     if lam > _MIN_CURVATURE:  # else H^+ g may overflow
 
         def model_value(x):
@@ -180,7 +294,7 @@ def _model_step(plan, theta, g, H, controls):
         d = v - v_prev
         if math.sqrt(d @ d) <= tol:
             break
-    return first, v, False
+    return v
 
 
 def _newton_factor(plan, feats, obs, w, warm, controls):
@@ -190,13 +304,16 @@ def _newton_factor(plan, feats, obs, w, warm, controls):
     one model.value_grad_hessian (the method needs the matrix positive
     semidefinite, not the exact Hessian), minimizes the quadratic model plus
     the regularizers over the atoms (`_model_step`: exactly where it is a
-    QP, else inexactly), and backtracks along d = v - theta until the Armijo
-    rule on the model's predicted decrease holds. theta + a d stays feasible
-    by convexity, and the rule never accepts a step that raises the
-    objective. A full step to the minimizer of an exact model ends the
-    solve. p_tol and p_max_iter count Newton iterations; P_MAX_ITER is
+    QP or group l2 over a sign box, else inexactly), and backtracks along
+    d = v - theta until the Armijo rule on the model's predicted decrease
+    holds. theta + a d stays feasible by convexity, and the rule never
+    accepts a step that raises the objective. A full step to the minimizer
+    of an exact model ends the solve, and so does an accepted step whose
+    drop is at most p_tol times |objective|, floored at min(1, |objective at
+    the projected warm start|) so that the test stays relative on objectives
+    below 1. p_tol and p_max_iter count Newton iterations; P_MAX_ITER is
     reported only after an accepted step lowered the objective by more than
-    p_tol, so never with theta at its projected warm start. Rows with
+    that, so never with theta at its projected warm start. Rows with
     w_i = 0 add nothing and are dropped.
     """
     atom, regs = plan.loss, plan.regs
@@ -211,6 +328,8 @@ def _newton_factor(plan, feats, obs, w, warm, controls):
         return value + reg, reg, grad, hess
 
     total, reg, g, H = evaluate(theta)
+    # the drop test is relative to the objective, down to the scale it starts at
+    floor = min(1.0, abs(total))
     status = P_MAX_ITER
     it = 0
     for it in range(1, controls.p_max_iter + 1):
@@ -238,7 +357,7 @@ def _newton_factor(plan, feats, obs, w, warm, controls):
             break
         drop = total - t_cand
         theta, total, reg, g, H = cand, t_cand, r_cand, g_cand, H_cand
-        if drop <= controls.p_tol * max(1.0, abs(total)) or (exact and v is closer and a == 1.0):
+        if drop <= controls.p_tol * max(floor, abs(total)) or (exact and v is closer and a == 1.0):
             status = P_CONVERGED
             break
     return theta, it, status
@@ -254,12 +373,16 @@ def plan_factors(spec: model.ModelSpec) -> list[FactorPlan]:
     unconstrained square regression solves the normal equations of its
     weighted Gram matrix (`_weighted_lstsq`). Every other factor runs
     proximal Newton (`_newton_factor`) on the joint prox planned on its
-    projector; where it has no regularizer and no ball, the atoms' rows are
-    stacked here, and its quadratic model is solved as one QP on them. Plans
-    hold closures, which do not pickle: build them in the process that runs
-    the restart.
+    projector. Where it has no regularizer and no ball, the atoms' rows are
+    stacked here, and its quadratic model is solved as one QP on them. Where
+    every regularizer is group l2 and the atoms are at most one sign box
+    (the clip-then-shrink case of kernels.prox_plan), the plan keeps
+    group_box, the summed weight and the box bounds, and its model is
+    solved exactly by its secular equation. Plans hold closures, which do
+    not pickle: build them in the process that runs the restart.
     """
     regs = list(spec.p_regularizers)
+    group_l2 = bool(regs) and all(r.kind == model.GROUP_L2 for r in regs)
     plans = []
     for k in range(spec.K):
         loss = spec.loss_per_factor[k]
@@ -279,6 +402,10 @@ def plan_factors(spec: model.ModelSpec) -> list[FactorPlan]:
             # the canonical form keeps its one ball, if any, last
             if not regs and not (atoms and atoms[-1].kind == model.NORM_BALL2):
                 plan.rows = kernels.stack_rows(atoms, spec.n)
+                plan.exact_model = loss.kind == model.SQUARE_REGRESSION
+            elif group_l2 and len(atoms) <= 1 and all(kernels.is_sign_box(a) for a in atoms):
+                box = atoms[0] if atoms else model.box(np.full(spec.n, -np.inf), np.full(spec.n, np.inf))
+                plan.group_box = (sum(r.weight for r in regs), box.lo, box.hi)
                 plan.exact_model = loss.kind == model.SQUARE_REGRESSION
         plans.append(plan)
     return plans

@@ -151,6 +151,15 @@ def prox_gradient_reference(plan, data, w, curvature):
     return value + model.p_regularizer_value(plan.regs, [ref])
 
 
+def iohmm_dirichlet_case(seed):
+    """(spec, data, Z): io_hmm at m=300 with Dirichlet weights that favour each row's true state."""
+    cfg = ex.experiment_config(ex.IO_HMM, seed, m=300)
+    data, states, _ = ex.gen_io_hmm(cfg)
+    spec = ex.iohmm_spec(cfg.lam_theta, cfg.lam_z, 1, seed)
+    rng = np.random.default_rng(6)
+    return spec, data, np.array([rng.dirichlet(0.3 + 3.0 * np.eye(3)[s - 1]) for s in states])
+
+
 def logit_total(spec, data, k, w, theta):
     """Weighted loss plus parameter regularizers of factor k at theta."""
     value = float(w @ model.batch_losses(spec.loss_per_factor[k], data.features, data.observations, theta))
@@ -193,11 +202,7 @@ class TestNewtonStep:
         # constant-step proximal gradient run to its fixed point, with its
         # steps sized by the global bound F' W F / 4 on the binary logit
         # Hessian
-        cfg = ex.experiment_config(ex.IO_HMM, 0, m=300)
-        data, states, _ = ex.gen_io_hmm(cfg)
-        spec = ex.iohmm_spec(cfg.lam_theta, cfg.lam_z, 1, 0)
-        rng = np.random.default_rng(6)
-        Z = np.array([rng.dirichlet(0.3 + 3.0 * np.eye(3)[s - 1]) for s in states])
+        spec, data, Z = iohmm_dirichlet_case(0)
         for plan in psolve.plan_factors(spec):
             w = Z[:, plan.k]
             theta, _, status = plan.solve(plan, data.features, data.observations, w, None, spec.controls)
@@ -206,6 +211,58 @@ class TestNewtonStep:
             assert kernels.max_violation(plan.atoms, theta) == 0.0
             total = logit_total(spec, data, plan.k, w, theta)
             assert total - best <= spec.controls.p_tol * best
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_iohmm_fits_solve_every_model_exactly(self, seed, monkeypatch):
+        # group l2 over a sign box: every Newton model has its exact
+        # minimizer, so no model solve falls back to FISTA
+        calls = {"model": 0, "fista": 0}
+        real_model, real_fista = psolve._model_step, psolve._fista_model
+
+        def model_spy(*args):
+            calls["model"] += 1
+            return real_model(*args)
+
+        def fista_spy(*args):
+            calls["fista"] += 1
+            return real_fista(*args)
+
+        monkeypatch.setattr(psolve, "_model_step", model_spy)
+        monkeypatch.setattr(psolve, "_fista_model", fista_spy)
+        spec, data, Z = iohmm_dirichlet_case(seed)
+        dk.fit(spec, data)
+        for plan in psolve.plan_factors(spec):
+            plan.solve(plan, data.features, data.observations, Z[:, plan.k], None, spec.controls)
+        assert calls["model"] > 0 and calls["fista"] == 0
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_iohmm_factor_at_default_p_tol_near_tight_point(self, seed):
+        # with exact model solves proximal Newton converges superlinearly,
+        # so the drop test at the default p_tol stops close in theta to the
+        # point reached at p_tol 1e-14; with FISTA models it stopped up to
+        # 1.5e-5 away
+        spec, data, Z = iohmm_dirichlet_case(seed)
+        tight = replace(spec.controls, p_tol=1e-14)
+        for plan in psolve.plan_factors(spec):
+            w = Z[:, plan.k]
+            theta, _, status = plan.solve(plan, data.features, data.observations, w, None, spec.controls)
+            ref, _, _ = plan.solve(plan, data.features, data.observations, w, None, tight)
+            assert status == psolve.P_CONVERGED
+            np.testing.assert_allclose(theta, ref, rtol=0.0, atol=1e-7)
+
+    def test_unbounded_model_falls_back_to_fista(self, monkeypatch):
+        # H singular, and the part of c = g - H theta in its null space is
+        # larger than lambda: the model has no minimizer, and FISTA runs
+        spec = ex.iohmm_spec(1.0, 1.0, 1, 0)
+        plan = psolve.plan_factors(spec)[1]  # x_0 >= 0, x_1 free
+        H, g, theta = np.diag([2.0, 0.0]), np.array([1.0, -3.0]), np.zeros(2)
+        assert psolve._group_l2_box_model(H, g, *plan.group_box, np.ones(2, bool), *np.linalg.eigh(H)) is None
+        fista = []
+        real = psolve._fista_model
+        monkeypatch.setattr(psolve, "_fista_model", lambda *args: fista.append(1) or real(*args))
+        first, closer, exact = psolve._model_step(plan, theta, g, H, spec.controls)
+        assert fista == [1] and not exact
+        assert kernels.max_violation(plan.atoms, closer) == 0.0
 
     def test_steps_never_raise_the_objective(self):
         # from far-off starts a full Newton step overshoots; the line search
@@ -268,38 +325,64 @@ class TestNewtonStep:
         assert out["runs"][0.0]["fit"].objective_trace[-1][2] <= 95.305
 
 
+def lad_steps_and_gaps(scale):
+    """Statuses and relative gaps of five weighted LAD P-steps (m=14, n=3, K=2).
+
+    Weighted LAD is a linear program, so one of its optima interpolates n
+    rows: theta = X_S^-1 y_S for some n-subset S of the rows. Each gap is
+    measured to the best of those vertices. The observations are scaled by
+    scale.
+    """
+    rng = np.random.default_rng(14)
+    m, n = 14, 3
+    spec = dk.shared_spec(K=2, n=n, loss=dk.lp_regression(1.0), constraints=())
+    steps = []
+    for _ in range(5):
+        X = rng.normal(size=(m, n))
+        y = scale * (X @ rng.normal(size=n) + rng.laplace(size=m))
+        Z = rng.dirichlet(np.ones(2), size=m)
+        out = dk.solve_p(spec, dk.dataset(X, y), Z)
+        gaps = []
+        for k, theta in enumerate(out.thetas):
+            def lad(th):
+                return float(Z[:, k] @ np.abs(X @ th - y))
+
+            best = min(lad(np.linalg.solve(X[list(S)], y[list(S)]))
+                       for S in itertools.combinations(range(m), n))
+            gaps.append((lad(theta) - best) / best)
+        steps.append((out.statuses, gaps))
+    return steps
+
+
 class TestNewtonModelMatrices:
     """Proximal Newton P-steps of the losses whose model matrix is not a logit Hessian."""
 
     def test_lad_step_matches_vertex_enumeration(self):
-        # weighted LAD is a linear program, so one of its optima interpolates
-        # n rows: theta = X_S^-1 y_S for some n-subset S of the rows. The IRLS
-        # weight 1/|u| grows on a row whose residual must cross 0 on the way
-        # to the optimum, so an odd step stops short: here one of ten ends
-        # 1.04e-3 above it, the other nine within 3e-5
-        rng = np.random.default_rng(14)
-        m, n = 14, 3
-        spec = dk.shared_spec(K=2, n=n, loss=dk.lp_regression(1.0), constraints=())
-        for _ in range(5):
-            X = rng.normal(size=(m, n))
-            y = X @ rng.normal(size=n) + rng.laplace(size=m)
-            Z = rng.dirichlet(np.ones(2), size=m)
-            out = dk.solve_p(spec, dk.dataset(X, y), Z)
-            for k, theta in enumerate(out.thetas):
-                def lad(th):
-                    return float(Z[:, k] @ np.abs(X @ th - y))
+        # the IRLS weight 1/|u| grows on a row whose residual must cross 0 on
+        # the way to the optimum, so an odd step stops short: here one of ten
+        # ends 1.04e-3 above it, the other nine within 3e-5
+        for statuses, gaps in lad_steps_and_gaps(1.0):
+            assert statuses == [psolve.P_CONVERGED] * 2
+            assert max(gaps) <= 2e-3
 
-                best = min(lad(np.linalg.solve(X[list(S)], y[list(S)]))
-                           for S in itertools.combinations(range(m), n))
-                assert out.statuses[k] == psolve.P_CONVERGED
-                assert lad(theta) - best <= 2e-3 * best
+    def test_lad_step_gap_is_scale_free(self):
+        # LAD is homogeneous in (theta, y), and so is the Newton step; with
+        # observations scaled by 1e-5 the objectives sit near 1e-4, where an
+        # absolute drop test stopped steps up to 8.8e-3 above the optimum
+        for (_, gaps), (statuses, scaled) in zip(lad_steps_and_gaps(1.0), lad_steps_and_gaps(1e-5)):
+            assert statuses == [psolve.P_CONVERGED] * 2
+            np.testing.assert_allclose(scaled, gaps, rtol=0.0, atol=1e-6)
 
-    @pytest.mark.parametrize("case", ["huber_monotone", "square_l1", "square_ball"])
+    @pytest.mark.parametrize("case", [
+        "huber_monotone", "square_l1", "square_ball", "square_group_l2", "huber_group_l2_nonneg"])
     def test_matches_prox_gradient_fixed_point(self, case):
         loss, atoms, regs = {
             "huber_monotone": (dk.huber(0.5), (dk.nonneg(), dk.monotone_nonincreasing()), ()),
             "square_l1": (dk.square_regression(), (), (dk.l1(5.0),)),
             "square_ball": (dk.square_regression(), (dk.norm_ball2(1.0),), ()),
+            # the two models solved by their secular equation
+            "square_group_l2": (dk.square_regression(), (), (dk.group_l2(20.0),)),
+            "huber_group_l2_nonneg": (dk.huber(0.5), (dk.nonneg(),), (dk.group_l2(5.0),)),
         }[case]
         rng = np.random.default_rng(33)
         X = rng.normal(size=(50, 4))
@@ -637,6 +720,8 @@ class TestFactorPlans:
         rows = name in ("capped_regression", "forgetting")
         assert all((plan.prox is not None) == (step == "_newton_factor") for plan in plans)
         assert all((plan.rows is not None) == rows for plan in plans)
+        # group l2 over a sign box: the model is solved by its secular equation
+        assert all((plan.group_box is not None) == (name == "io_hmm") for plan in plans)
 
     def test_qp_rows_stacked_once_per_restart(self, monkeypatch):
         spec, data, _ = capped_case("regression")
