@@ -11,6 +11,7 @@ import csv
 import dataclasses
 import hashlib
 import json
+import math
 import os
 import sys
 import time
@@ -48,6 +49,23 @@ def _plain(obj):
 def canonical_json(obj) -> str:
     """Deterministic serialization; re-serializing a parse is byte-identical."""
     return json.dumps(_plain(obj), indent=2, sort_keys=True, allow_nan=False) + "\n"
+
+
+def _require_finite(value, path: str):
+    """Reject the first NaN, Infinity or -Infinity in a parsed JSON value.
+
+    json.loads accepts these constants (and reads 1e999 as Infinity), but a
+    run record echoes its config through canonical_json, which cannot hold them.
+    """
+    if isinstance(value, float) and not math.isfinite(value):
+        name = "NaN" if math.isnan(value) else ("Infinity" if value > 0 else "-Infinity")
+        raise CliInputError(f"{path}: {name} is not a finite number, and the run record is strict JSON")
+    if isinstance(value, dict):
+        for key, item in value.items():
+            _require_finite(item, f"{path}.{key}")
+    elif isinstance(value, list):
+        for i, item in enumerate(value):
+            _require_finite(item, f"{path}[{i}]")
 
 
 def _fingerprint(path: str) -> str:
@@ -418,6 +436,8 @@ def cmd_fit(config_path, data_path, out_path, seed=None, restarts=None, eps=None
         for v in report.violations:
             print(f"error: {v.path}: {v.message}", file=sys.stderr)
         return 2
+    # after validate, which names the spec field of a NaN or an empty box
+    _require_finite(cfg_echo, "config")
     t_validate = time.perf_counter()
 
     try:
@@ -440,8 +460,9 @@ def cmd_fit(config_path, data_path, out_path, seed=None, restarts=None, eps=None
             "total_s": time.perf_counter() - t0,
         },
     }
+    payload = canonical_json(record)
     with open(out_path, "w") as fh:
-        fh.write(canonical_json(record))
+        fh.write(payload)
     if not quiet:
         final = record["result"]["objective"]
         print(f"fit: {result.status} after {result.iterations} iterations, objective {final:.6g}")

@@ -35,9 +35,6 @@ LOSS_KINDS = frozenset(
 # losses whose feature is a matrix (one row per class) instead of a vector
 MATRIX_FEATURE_KINDS = frozenset({MULTINOMIAL_LOGIT})
 
-# losses whose margins pass through a sigmoid or a softmax
-LOGIT_KINDS = frozenset({BINARY_LOGIT, MULTINOMIAL_LOGIT})
-
 # constraint kinds
 FREE = "free"
 NONNEG = "nonneg"
@@ -305,14 +302,29 @@ class ValidationReport:
 # ---------------------------------------------------------------------------
 
 
-def _logit_pieces(atom: LossAtom, F, y, theta):
-    """(losses, residuals, curvatures) of a logit loss at theta, per sample.
+# the smallest |residual| an lp curvature divides by, as a share of the
+# largest: it caps the IRLS weight 1 / |u| of the rows the optimum
+# interpolates, and so the model's conditioning. Of 400 weighted LAD P-steps
+# (m=14, n=3) 4.5% ended over 1e-3 above the optimum at 1e-4 and 1% at 1e-6;
+# 1e-8 ran lp + l1 P-steps into p_max_iter.
+_LP_FLOOR = 1e-6
 
-    One F @ theta and one softmax or sigmoid give all three. The residual is
-    the derivative of each loss in its margins, s - y. The curvature is s (1 -
-    s) for binary logit and the softmax rows S for multinomial logit, whose
-    margin Hessian is diag(s) - s s'. Binary terms are written so that no exp
-    overflows and saturated margins keep their tiny residuals and curvatures.
+
+def _pieces(atom: LossAtom, F, y, theta):
+    """(losses, derivatives, curvatures) of a margin loss at theta, per sample.
+
+    Every loss but squared distance is a function of its margins F @ theta,
+    one per sample or, for multinomial logit, one per class, so one F @ theta
+    gives all three. The derivative is that of each loss in its margins, s - y
+    for the logit losses with s the sigmoid or softmax. The curvature weighs
+    each margin in the model matrix of value_grad_hessian: s (1 - s) for
+    binary logit, the softmax rows S for multinomial logit (whose margin
+    Hessian is diag(s) - s s'), 2 for square regression, and for huber and lp
+    the curvature of the quadratic that touches the loss at residual u and
+    lies above it (the IRLS weight): 2 delta / max(|u|, delta) for huber and
+    1 / |u| for lp, with |u| floored at _LP_FLOOR times the largest |u|.
+    Binary terms are written so that no exp overflows and saturated margins
+    keep their tiny derivatives and curvatures.
     """
     if atom.kind == MULTINOMIAL_LOGIT:
         U = F @ theta
@@ -322,49 +334,54 @@ def _logit_pieces(atom: LossAtom, F, y, theta):
         S = E / tot
         return np.log(tot[:, 0]) + hi[:, 0] - (y * U).sum(axis=1), S - y, S
     t = F @ theta
-    pos = t >= 0.0
-    e = np.exp(-np.abs(t))
-    small = e / (1.0 + e)  # sigmoid(-|t|), the smaller of s and 1 - s
-    # softplus(t) - y t, with max(t, 0) - y t = t (pos - y) exact at y = pos
-    losses = t * (pos - y) + np.log1p(e)
-    resid = np.where(pos, (1.0 - y) - small, small - y)
-    return losses, resid, small * (1.0 - small)
+    if atom.kind == BINARY_LOGIT:
+        # margin form: the observation offsets the slope, not the margin
+        pos = t >= 0.0
+        e = np.exp(-np.abs(t))
+        small = e / (1.0 + e)  # sigmoid(-|t|), the smaller of s and 1 - s
+        # softplus(t) - y t, with max(t, 0) - y t = t (pos - y) exact at y = pos
+        losses = t * (pos - y) + np.log1p(e)
+        return losses, np.where(pos, (1.0 - y) - small, small - y), small * (1.0 - small)
+    u = t - y
+    if atom.kind == SQUARE_REGRESSION:
+        return u * u, 2.0 * u, 2.0
+    au = np.abs(u)
+    if atom.kind == LP_REGRESSION:
+        # lp norm of a scalar residual is its absolute value for every order;
+        # with every residual 0 any positive curvature serves
+        return au, np.sign(u), 1.0 / np.maximum(au, _LP_FLOOR * (float(au.max(initial=0.0)) or 1.0))
+    if atom.kind == HUBER:
+        # the linear piece only where it holds: at delta = inf, 2 delta |u| -
+        # delta^2 would be inf - inf on every row
+        d = atom.delta
+        losses, deriv, curv = u * u, 2.0 * u, np.full_like(u, 2.0)
+        out = au > d
+        losses[out] = 2.0 * d * au[out] - d * d
+        deriv[out] = 2.0 * d * np.sign(u[out])
+        curv[out] = 2.0 * d / au[out]
+        return losses, deriv, curv
+    raise ValueError(f"unknown loss kind {atom.kind!r}")
 
 
-def _logit_grad(F, resid, w):
-    # gradient of sum_i w_i f_i when resid_i is f_i's derivative in its margins
-    wr = w[:, None] * resid if resid.ndim == 2 else w * resid
-    return F.reshape(-1, F.shape[-1]).T @ wr.ravel()
+def _margin_grad(F, deriv, w):
+    # gradient of sum_i w_i f_i when deriv_i is f_i's derivative in its margins
+    wd = w[:, None] * deriv if deriv.ndim == 2 else w * deriv
+    return F.reshape(-1, F.shape[-1]).T @ wd.ravel()
 
 
 def batch_losses(atom: LossAtom, features, observations, theta) -> np.ndarray:
     """Per-sample loss values for one factor, vectorized over samples."""
-    theta = np.asarray(theta, dtype=float)
-    F = np.asarray(features, dtype=float)
-    y = np.asarray(observations, dtype=float)
+    theta, F, y = (np.asarray(a, dtype=float) for a in (theta, features, observations))
+    n = theta.shape[0]
     if atom.kind in MATRIX_FEATURE_KINDS:
-        if F.ndim != 3 or F.shape[2] != theta.shape[0]:
-            raise ValueError(f"matrix features must be (m, p, n={theta.shape[0]}); got {F.shape}")
-        return _logit_pieces(atom, F, y, theta)[0]
-    if F.ndim != 2 or F.shape[1] != theta.shape[0]:
-        raise ValueError(f"features must be (m, n={theta.shape[0]}); got {F.shape}")
+        if F.ndim != 3 or F.shape[2] != n:
+            raise ValueError(f"matrix features must be (m, p, n={n}); got {F.shape}")
+    elif F.ndim != 2 or F.shape[1] != n:
+        raise ValueError(f"features must be (m, n={n}); got {F.shape}")
     if atom.kind == SQUARED_DISTANCE:
         diff = theta[None, :] - (F + y[:, None])
         return (diff * diff).sum(axis=1)
-    if atom.kind == BINARY_LOGIT:
-        # margin form: the observation offsets the slope, not the margin
-        return _logit_pieces(atom, F, y, theta)[0]
-    u = F @ theta - y
-    if atom.kind == SQUARE_REGRESSION:
-        return u * u
-    if atom.kind == LP_REGRESSION:
-        # lp norm of a scalar residual is its absolute value for every order
-        return np.abs(u)
-    if atom.kind == HUBER:
-        d = atom.delta
-        au = np.abs(u)
-        return np.where(au <= d, u * u, 2.0 * d * au - d * d)
-    raise ValueError(f"unknown loss kind {atom.kind!r}")
+    return _pieces(atom, F, y, theta)[0]
 
 
 def weighted_loss_grad(atom: LossAtom, features, observations, theta, weights) -> np.ndarray:
@@ -373,74 +390,36 @@ def weighted_loss_grad(atom: LossAtom, features, observations, theta, weights) -
     At nondifferentiable points of lp losses the zero subgradient convention
     sign(0) = 0 is used.
     """
-    theta = np.asarray(theta, dtype=float)
-    F = np.asarray(features, dtype=float)
-    y = np.asarray(observations, dtype=float)
-    w = np.asarray(weights, dtype=float)
-    if atom.kind in LOGIT_KINDS:
-        return _logit_grad(F, _logit_pieces(atom, F, y, theta)[1], w)
+    theta, F, y, w = (np.asarray(a, dtype=float) for a in (theta, features, observations, weights))
     if atom.kind == SQUARED_DISTANCE:
-        centers = F + y[:, None]
-        return 2.0 * (w.sum() * theta - w @ centers)
-    u = F @ theta - y
-    if atom.kind == SQUARE_REGRESSION:
-        g = 2.0 * u
-    elif atom.kind == LP_REGRESSION:
-        g = np.sign(u)
-    elif atom.kind == HUBER:
-        d = atom.delta
-        g = np.where(np.abs(u) <= d, 2.0 * u, 2.0 * d * np.sign(u))
-    else:
-        raise ValueError(f"unknown loss kind {atom.kind!r}")
-    return F.T @ (w * g)
-
-
-# the smallest |residual| an lp model matrix divides by, as a share of the
-# largest: it caps the IRLS weight 1 / |u| of the rows the optimum
-# interpolates, and so the model's conditioning. Of 400 weighted LAD P-steps
-# (m=14, n=3) 4.5% ended over 1e-3 above the optimum at 1e-4 and 1% at 1e-6;
-# 1e-8 ran lp + l1 P-steps into p_max_iter.
-_LP_FLOOR = 1e-6
+        return 2.0 * (w.sum() * theta - w @ (F + y[:, None]))
+    return _margin_grad(F, _pieces(atom, F, y, theta)[1], w)
 
 
 def value_grad_hessian(atom: LossAtom, features, observations, theta, weights):
     """(value, gradient, model matrix) of sum_i w_i * f(x_i, y_i; theta) at theta.
 
     The model matrix is the positive semidefinite curvature of a proximal
-    Newton step. It is the exact Hessian for the logit losses, 2 W I for
-    squared distance and F' diag(2 w) F for square regression. For huber and
-    lp it is F' diag(w c) F with c_i the curvature of the quadratic that
-    touches the loss at residual u_i and lies above it (the IRLS weight):
-    2 delta / max(|u_i|, delta) for huber, and 1 / |u_i| for lp with |u_i|
-    floored at _LP_FLOOR times the largest |u_i|. Value and gradient are those
-    of batch_losses and weighted_loss_grad, from one _logit_pieces for logit.
+    Newton step: 2 W I for squared distance, and F' diag(w c) F with c the
+    curvatures of `_pieces` for every other loss. That is the exact Hessian
+    for square regression and binary logit, and the IRLS curvature of the
+    quadratic that lies above the loss for huber and lp; multinomial logit
+    takes its exact Hessian, which subtracts sum_i w_i X_i' s_i s_i' X_i.
+    Value, gradient and curvatures come from one `_pieces` call, so they are
+    those of batch_losses and weighted_loss_grad bit for bit.
     """
-    theta = np.asarray(theta, dtype=float)
-    F = np.asarray(features, dtype=float)
-    y = np.asarray(observations, dtype=float)
-    w = np.asarray(weights, dtype=float)
+    theta, F, y, w = (np.asarray(a, dtype=float) for a in (theta, features, observations, weights))
     n = theta.shape[0]
-    if atom.kind in LOGIT_KINDS:
-        losses, resid, curv = _logit_pieces(atom, F, y, theta)
-        value, grad = float(w @ losses), _logit_grad(F, resid, w)
-        if atom.kind == BINARY_LOGIT:
-            return value, grad, (F.T * (w * curv)) @ F
-        Fr = F.reshape(-1, n)
-        V = np.einsum("ijk,ij->ik", F, curv)  # X_i' s_i
-        return value, grad, (Fr.T * (w[:, None] * curv).ravel()) @ Fr - (V.T * w) @ V
-    value = float(w @ batch_losses(atom, F, y, theta))
-    grad = weighted_loss_grad(atom, F, y, theta, w)
     if atom.kind == SQUARED_DISTANCE:
-        return value, grad, 2.0 * w.sum() * np.eye(n)
-    if atom.kind == SQUARE_REGRESSION:
-        c = 2.0
-    elif atom.kind == HUBER:
-        c = 2.0 * atom.delta / np.maximum(np.abs(F @ theta - y), atom.delta)
-    else:
-        au = np.abs(F @ theta - y)
-        # with every residual 0 any positive curvature serves
-        c = 1.0 / np.maximum(au, _LP_FLOOR * (float(au.max(initial=0.0)) or 1.0))
-    return value, grad, (F.T * (w * c)) @ F
+        value = float(w @ batch_losses(atom, F, y, theta))
+        return value, weighted_loss_grad(atom, F, y, theta, w), 2.0 * w.sum() * np.eye(n)
+    losses, deriv, curv = _pieces(atom, F, y, theta)
+    value, grad = float(w @ losses), _margin_grad(F, deriv, w)
+    if atom.kind != MULTINOMIAL_LOGIT:
+        return value, grad, (F.T * (w * curv)) @ F
+    Fr = F.reshape(-1, n)
+    V = np.einsum("ijk,ij->ik", F, curv)  # X_i' s_i
+    return value, grad, (Fr.T * (w[:, None] * curv).ravel()) @ Fr - (V.T * w) @ V
 
 
 def loss_matrix(spec: ModelSpec, data: Dataset, thetas) -> np.ndarray:

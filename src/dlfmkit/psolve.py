@@ -189,10 +189,11 @@ def _group_l2_box_model(H, c, lam, lo, hi, free, evals, evecs):
     most lam (Moreau). Otherwise x solves the unconstrained problem on the
     free coordinates with the others pinned at 0 (`_secular_solve`), and is
     accepted once every free coordinate keeps its sign and every pinned one
-    has a multiplier (H x + c)_i of the sign that holds it at 0; coordinates
-    that break the check swap sides, at most n in all. Returns None where
-    no exact minimizer is found: the model is unbounded on the free
-    coordinates or the swaps ran out.
+    has a multiplier (H x + c)_i of the sign that holds it at 0. Where the
+    check fails, only the least-index coordinate that breaks it swaps sides,
+    at most 2n times in all: swapping every such coordinate at once can
+    cycle. Returns None where no exact minimizer is found: the model is
+    unbounded on the free coordinates or the swaps ran out.
     """
     u = np.clip(-c, lo, hi)
     if math.sqrt(u @ u) <= lam:
@@ -202,8 +203,7 @@ def _group_l2_box_model(H, c, lam, lo, hi, free, evals, evecs):
     lower, upper = (lo == 0.0) & (hi > 0.0), (hi == 0.0) & (lo < 0.0)  # x >= 0, x <= 0
     free = (free & (lower | upper)) | both
     slack = _KKT_TOL * (lam + math.sqrt(c @ c))
-    swaps = 0
-    while True:
+    for _ in range(2 * n + 1):  # the guess, then at most 2n swaps
         eig = (evals, evecs) if free.all() else np.linalg.eigh(H[np.ix_(free, free)])
         x_free = _secular_solve(*eig, c[free], lam)
         if x_free is None:
@@ -219,10 +219,9 @@ def _group_l2_box_model(H, c, lam, lo, hi, free, evals, evecs):
         )
         if not bad.any():
             return np.clip(x, lo, hi)
-        swaps += int(bad.sum())
-        if swaps > n:
-            return None
-        free = free ^ bad
+        i = int(bad.argmax())
+        free[i] = not free[i]
+    return None
 
 
 def _model_step(plan, theta, g, H, controls):

@@ -320,6 +320,27 @@ class TestFitCommand:
         assert code == 2
         assert "constraints_per_factor[0][0].lo" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("bounds, field, name", [
+        ('"lo": 0, "hi": Infinity', "hi", "Infinity"),
+        ('"lo": -Infinity, "hi": 0', "lo", "-Infinity"),
+        ('"lo": 0, "hi": 1e999', "hi", "Infinity"),
+    ])
+    def test_infinite_literal_in_config_exits_2_before_the_fit(self, tmp_path, mix_files, capsys,
+                                                                monkeypatch, bounds, field, name):
+        # a valid box whose bound the run record could not echo as JSON
+        _, data = mix_files
+        cfg = tmp_path / "bad.json"
+        cfg.write_text('{"schema_version": 1, "model": {"K": 3, "n": 10, '
+                       '"loss": {"kind": "square_regression"}, '
+                       '"constraints": [{"kind": "box", %s}]}}' % bounds)
+        monkeypatch.setattr(cli.engine, "fit", lambda *args, **kw: pytest.fail("the fit ran"))
+        out = tmp_path / "o.json"
+        code = cli.main(["fit", "--config", str(cfg), "--data", str(data), "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"config.model.constraints[0].{field}: {name} is not a finite number" in err
+        assert not out.exists()
+
     def test_box_empty_at_infinity_exits_2_names_atom(self, tmp_path, mix_files, capsys):
         _, data = mix_files
         lo, hi = [0.0] * 10, [1.0] * 10

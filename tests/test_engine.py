@@ -146,6 +146,21 @@ class TestFit:
         assert np.array_equal(seq.labels, par.labels)
         assert all(np.array_equal(a, b) for a, b in zip(seq.thetas, par.thetas))
 
+    @pytest.mark.parametrize("delta", [np.inf, 1e308])
+    def test_huber_with_no_linear_piece_fits_as_square_regression(self, delta):
+        # no residual reaches delta, so the loss is u^2 on every row; the
+        # linear piece 2 delta |u| - delta^2 is inf - inf there
+        rng = np.random.default_rng(3)
+        X = rng.normal(size=(60, 2))
+        data = dk.dataset(X, X @ np.array([1.0, -2.0]) + 0.1 * rng.normal(size=60))
+        ref, res = (dk.fit(dk.shared_spec(K=2, n=2, loss=loss), data)
+                    for loss in (dk.square_regression(), dk.huber(delta)))
+        assert res.status == dk.GAP_CONVERGED
+        for a, b in zip(res.thetas, ref.thetas):
+            np.testing.assert_allclose(a, b, rtol=0.0, atol=1e-8)
+        assert np.array_equal(res.labels, ref.labels)
+        assert res.objective_trace[-1][2] == pytest.approx(ref.objective_trace[-1][2], rel=1e-10)
+
     def test_restarts_within_an_ulp_tie_to_the_first(self, monkeypatch):
         # the same partition reached with the factors permuted sums its losses
         # in another order; a 1-ulp lower later restart must not win

@@ -133,10 +133,8 @@ class TestLogitValueGradHessian:
         for _ in range(10):
             th = rng.normal(scale=2.0, size=F.shape[-1])
             value, grad, _ = model.value_grad_hessian(atom, F, y, th, w)
-            ref = float(w @ model.batch_losses(atom, F, y, th))
-            assert value == pytest.approx(ref, rel=1e-12, abs=0.0)
-            np.testing.assert_allclose(grad, model.weighted_loss_grad(atom, F, y, th, w),
-                                       rtol=1e-12, atol=1e-12)
+            assert value == float(w @ model.batch_losses(atom, F, y, th))
+            np.testing.assert_array_equal(grad, model.weighted_loss_grad(atom, F, y, th, w))
 
     def test_hessian_matches_finite_differences_and_is_psd(self, kind):
         rng = np.random.default_rng(42)
@@ -167,20 +165,31 @@ class TestLogitValueGradHessian:
 
 
 @pytest.mark.parametrize("atom", [dk.square_regression(), dk.squared_distance(), dk.huber(0.7),
-                                  dk.lp_regression(1.0)], ids=lambda a: a.kind)
+                                  dk.lp_regression(1.0), pytest.param(dk.huber(np.inf), id="huber_inf")],
+                         ids=lambda a: a.kind)
 class TestModelMatrices:
     """value_grad_hessian of the losses whose model matrix is not a logit Hessian."""
 
     @staticmethod
-    def batch(rng, m=40, n=3):
+    def batch(rng, atom, m=40, n=3):
+        """(features, observations, weights, theta); a finite huber batch has a
+        quarter of its rows on the kink |u| = delta exactly."""
         F = rng.normal(size=(m, n))
         y = F @ rng.normal(size=n) + rng.normal(size=m)
-        return F, y, np.where(rng.random(m) < 0.25, 0.0, rng.uniform(0.1, 2.0, size=m))
+        w = np.where(rng.random(m) < 0.25, 0.0, rng.uniform(0.1, 2.0, size=m))
+        th = rng.normal(size=n)
+        if atom.kind == model.HUBER and np.isfinite(atom.delta):
+            # margins t near +-delta: y = t -+ delta and u = t - y are then exact
+            d, kink = atom.delta, slice(0, m // 4)
+            F[kink] *= (np.where(np.arange(m // 4) % 2, -d, d) / (F[kink] @ th))[:, None]
+            t = (F @ th)[kink]
+            y[kink] = t - np.sign(t) * d
+            assert np.count_nonzero(np.abs(F @ th - y) == d) == m // 4
+        return F, y, w, th
 
     def test_value_and_gradient_match_batch_forms(self, atom):
         rng = np.random.default_rng(44)
-        F, y, w = self.batch(rng)
-        th = rng.normal(size=3)
+        F, y, w, th = self.batch(rng, atom)
         value, grad, H = model.value_grad_hessian(atom, F, y, th, w)
         assert value == float(w @ model.batch_losses(atom, F, y, th))
         np.testing.assert_array_equal(grad, model.weighted_loss_grad(atom, F, y, th, w))
@@ -192,10 +201,9 @@ class TestModelMatrices:
         # quadratics that touch each loss at its residual (IRLS weights), so
         # value + g.d + d'Hd/2 bounds the weighted loss at theta + d
         rng = np.random.default_rng(45)
-        F, y, w = self.batch(rng)
-        th = rng.normal(size=3)
+        F, y, w, th = self.batch(rng, atom)
         value, grad, H = model.value_grad_hessian(atom, F, y, th, w)
-        quadratic = atom.kind in (model.SQUARE_REGRESSION, model.SQUARED_DISTANCE)
+        quadratic = atom.kind in (model.SQUARE_REGRESSION, model.SQUARED_DISTANCE) or atom.delta == np.inf
         for scale in (1e-3, 0.1, 1.0, 10.0):
             for _ in range(20):
                 d = scale * rng.normal(size=3)
