@@ -4,7 +4,10 @@ A dense operator-splitting QP solver, Euclidean projections onto constraint
 atoms and their intersections, and proximal operators for the parameter-side
 regularizers. `canonical_atoms` reduces a constraint list to one form;
 `projector` and `prox_plan` classify that form once and return the map to
-apply; `project` and `joint_prox` apply one such map once.
+apply; `project` and `joint_prox` apply one such map once. A polyhedron
+without a closed form is projected onto by a dual active-set loop, exact in
+finitely many steps; `qp_solve` serves the Newton model QPs of the P-step
+and the oracle, not the projections.
 """
 
 from __future__ import annotations
@@ -482,22 +485,113 @@ def stack_rows(atoms, n):
     return A, lo, hi
 
 
-def _project_rows(v, A, lo, hi, tol, workspace=None):
-    prob = qp_problem(np.eye(v.size), -v, A, lo, hi)
-    sol = qp_solve(prob, tol=tol, workspace=workspace)
-    if sol.status == PRIMAL_INFEASIBLE:
-        raise ProjectionError("empty feasible set")
-    if sol.status == MAX_ITER:
-        raise ProjectionError("projection subproblem did not converge")
-    return sol.x
+def _halfspaces(A, lo, hi):
+    """The rows C x <= d of lo <= A x <= hi: one for each finite side, so an
+    equality row gives two opposite rows."""
+    up, down = hi < INF, lo > -INF
+    return np.concatenate([A[up], -A[down]]), np.concatenate([hi[up], -lo[down]])
 
 
 # feasible points are returned unchanged; keep this above the accuracy of the
-# interior QP/Dykstra solves so projecting twice is exact
+# interior active-set/Dykstra solves so projecting twice is exact
 _FEAS_TOL = 1e-8
 
-# accuracy of the QP behind polyhedral projections
+# largest residual C x - d the active-set projection leaves
 _PROJECT_TOL = 1e-10
+
+# a row whose part orthogonal to the active normals is at most this share of
+# its norm lies in their span
+_SPAN_TOL = 1e-8
+
+# the active-set projection takes at most this many steps per halfspace row
+_STEPS_PER_ROW = 5
+
+
+def _kkt_solve(N, top, bottom):
+    """(u, w) with u + N^T w = top and N u = bottom, for N of independent rows.
+
+    u is top less its part in the row space of N, moved onto N u = bottom,
+    and w the coefficients of the move. The saddle-point system is solved as
+    it stands: solving N N^T w = N top - bottom instead would square the
+    condition number of N.
+    """
+    k, n = N.shape
+    K = np.zeros((n + k, n + k))
+    K[:n, :n] = np.eye(n)
+    K[:n, n:] = N.T
+    K[n:, :n] = N
+    try:
+        sol = np.linalg.solve(K, np.concatenate([top, bottom]))
+    except np.linalg.LinAlgError:
+        raise ProjectionError("active-set projection broke down") from None
+    return sol[:n], sol[n:]
+
+
+def _project_halfspaces(v, C, d, feas_tol):
+    """Euclidean projection of v onto {x : C x <= d}, exact up to rounding.
+
+    C has at least one row. Returns v itself when no residual C v - d
+    exceeds feas_tol. Otherwise runs the dual active-set method of Goldfarb
+    & Idnani (Math. Programming 27, 1983) with the identity as Hessian. From
+    x = v and no active row, it takes the most violated row p and steps x
+    along z, the part of c_p orthogonal to the active normals N, raising
+    p's multiplier by t and lowering the active ones by t r, r = (N N^T)^-1
+    N c_p, so that the active rows stay tight. The step ends where p is
+    tight, and p joins the active set; or earlier, where an active
+    multiplier reaches 0, and that row leaves while p is tried again. Where
+    c_p lies in the span of N and no multiplier blocks, no feasible point
+    exists. After each full step, x and the multipliers are solved afresh
+    from the KKT system of the active rows, and the loop stops once every
+    residual is at most _PROJECT_TOL. Raises ProjectionError on an empty set
+    and after _STEPS_PER_ROW steps per row.
+    """
+    s = C @ v - d
+    p = int(s.argmax())  # the row being made tight
+    if s[p] <= feas_tol:
+        return v
+    x, active, lam = v, [], []  # active rows and their multipliers
+    for _ in range(_STEPS_PER_ROW * d.size):
+        c = C[p]
+        if active:
+            z, r = _kkt_solve(C[active], c, np.zeros(len(active)))
+            r = r.tolist()
+        else:
+            r, z = [], c
+        zz = float(z @ z)
+        # the full step makes p tight; there is none when c_p is in the span of N
+        spanned = len(active) == v.size or zz <= _SPAN_TOL**2 * float(c @ c)
+        full = math.inf if spanned else float(s[p]) / zz
+        # the partial step stops where the first multiplier reaches 0
+        partial, j = math.inf, -1
+        for i, (li, ri) in enumerate(zip(lam, r)):
+            if ri > 0.0 and li / ri < partial:
+                partial, j = li / ri, i
+        if full == partial == math.inf:
+            raise ProjectionError("empty feasible set")
+        if partial < full:
+            lam = [max(li - partial * ri, 0.0) for li, ri in zip(lam, r)]
+            del active[j], lam[j]
+            if not spanned:
+                x = x - partial * z
+                s = C @ x - d
+            continue
+        # after a full step, x is the projection of v onto the active rows
+        # made tight, and lam its multipliers, solved afresh: they carry no
+        # rounding from the steps, and one active set, kept in row order,
+        # gives one x
+        active = sorted(active + [p])
+        if len(active) == 1:
+            w = max((float(c @ v) - d[p]) / float(c @ c), 0.0)
+            x, lam = v - w * c, [w]
+        else:
+            x, w = _kkt_solve(C[active], v, d[active])
+            lam = np.maximum(w, 0.0).tolist()
+        s = C @ x - d
+        p = int(s.argmax())
+        if s[p] <= _PROJECT_TOL:
+            return x
+    raise ProjectionError("active-set projection did not converge")
+
 
 _MONOTONE_KINDS = (model.MONOTONE_NONINCREASING, model.MONOTONE_NONDECREASING)
 
@@ -534,15 +628,16 @@ def _closed_form(atoms):
     return _monotone_scalar_bounds(atoms)
 
 
-def _poly_projector(poly, n: int, workspace):
-    # exact projection onto canonical polyhedral atoms, no feasibility
-    # shortcut; the callers decide when a point is close enough
+def _poly_projector(poly, n: int, feas_tol: float):
+    """The exact projection onto canonical polyhedral atoms. The lone-atom
+    closed forms of _closed_form return feasible points unchanged; every
+    other map returns points within feas_tol of the set unchanged."""
     exact = _closed_form(poly)
     if exact is not None:
         return exact
     if len(poly) == 1 and poly[0].kind == model.SUM_EQUALS:
-        return functools.partial(_project_single, poly[0])
-    if (
+        exact = functools.partial(_project_single, poly[0])
+    elif (
         len(poly) == 2
         and poly[0].kind == model.BOX
         and np.all(poly[0].lo == 0.0)
@@ -550,10 +645,13 @@ def _poly_projector(poly, n: int, workspace):
         and poly[1].kind == model.SUM_EQUALS
         and poly[1].value > 0.0
     ):
-        total = poly[1].value
-        return lambda v: project_simplex(v, total)
-    A, lo, hi = stack_rows(poly, n)
-    return lambda v: _project_rows(v, A, lo, hi, _PROJECT_TOL, workspace)
+        exact = functools.partial(project_simplex, total=poly[1].value)
+    else:
+        C, d = _halfspaces(*stack_rows(poly, n))
+        if not d.size:  # every side infinite
+            return lambda v: v
+        return lambda v: _project_halfspaces(v, C, d, feas_tol)
+    return lambda v: v if max_violation(poly, v) <= feas_tol else exact(v)
 
 
 def _dykstra(first, second, v, max_iter, done=None):
@@ -573,25 +671,28 @@ def _dykstra(first, second, v, max_iter, done=None):
     return x
 
 
-def _ball_poly_projector(ball, poly, n: int, workspace):
+def _ball_poly_projector(ball, poly, n: int):
     # Dykstra alternation between a norm ball and a polyhedral intersection
-    poly_exact = _poly_projector(poly, n, workspace)
+    poly_exact = _poly_projector(poly, n, 1e-12)
     atoms = [ball, *poly]
 
     def exact(v):
         x = _dykstra(
             functools.partial(_project_single, ball),
-            lambda u: u if max_violation(poly, u) <= 1e-12 else poly_exact(u),
+            poly_exact,
             v, 5000, lambda x: max_violation(atoms, x) <= 1e-10,
         )
         if max_violation(atoms, x) > 1e-6:
             raise ProjectionError("alternating projection did not converge (empty set?)")
         return x
 
-    return exact
+    def project_point(v):
+        return v if max_violation(atoms, v) <= _FEAS_TOL else exact(v)
+
+    return project_point
 
 
-def projector(atoms, n: int, workspace: QpWorkspace | None = None):
+def projector(atoms, n: int):
     """Resolve the Euclidean projection onto an intersection of atoms once.
 
     Returns project(point) for points of R^n, with the case analysis done
@@ -600,42 +701,33 @@ def projector(atoms, n: int, workspace: QpWorkspace | None = None):
     stacked nonneg, nonpos and box atoms clip to their intersected bounds; a
     nonnegative sum constraint is the simplex; one monotone cone with scalar
     bounds clips its isotonic fit. Other intersections of polyhedral atoms
-    are solved as one QP on rows stacked here; composing the individual
-    projections would not give the intersection projection. The norm ball
-    intersected with polyhedral atoms alternates both projections
-    Dykstra-style. The closed forms of one box, one monotone cone with or
-    without scalar bounds, and one norm ball return a feasible point with
-    its values unchanged, and are applied directly. Every other map runs
-    after a feasibility test instead, which returns points within _FEAS_TOL
-    of the set as they are. A workspace speeds up repeated QP projections.
-    Crossing bounds raise ProjectionError here; every other empty set raises
-    when a point is projected.
+    are stacked here into halfspace rows, one per finite side, and each
+    point is projected onto them exactly by a dual active-set loop
+    (`_project_halfspaces`); composing the individual projections would not
+    give the intersection projection. The norm ball intersected with
+    polyhedral atoms alternates both projections Dykstra-style. The closed
+    forms of one box, one monotone cone with or without scalar bounds, and
+    one norm ball return a feasible point with its values unchanged, and
+    are applied directly. Every other map returns points within _FEAS_TOL
+    of the set as they are; the active-set loop reads that from its first
+    residuals. Crossing bounds raise ProjectionError here; every other empty
+    set raises when a point is projected.
     """
     atoms = canonical_atoms(atoms, n)
     if not atoms:
         return lambda point: np.asarray(point, dtype=float)
-
     exact = _closed_form(atoms)
-    if exact is not None:
-        return lambda point: exact(np.asarray(point, dtype=float))
-    if atoms[-1].kind != model.NORM_BALL2:
-        exact = _poly_projector(atoms, n, workspace)
-    else:
-        exact = _ball_poly_projector(atoms[-1], atoms[:-1], n, workspace)
-
-    def project_point(point):
-        v = np.asarray(point, dtype=float)
-        if max_violation(atoms, v) <= _FEAS_TOL:
-            return v
-        return exact(v)
-
-    return project_point
+    if exact is None and atoms[-1].kind == model.NORM_BALL2:
+        exact = _ball_poly_projector(atoms[-1], atoms[:-1], n)
+    elif exact is None:
+        exact = _poly_projector(atoms, n, _FEAS_TOL)
+    return lambda point: exact(np.asarray(point, dtype=float))
 
 
-def project(atoms, point, workspace: QpWorkspace | None = None) -> np.ndarray:
+def project(atoms, point) -> np.ndarray:
     """Euclidean projection of point onto the atoms: one use of projector."""
     v = np.asarray(point, dtype=float)
-    return projector(atoms, v.size, workspace)(v)
+    return projector(atoms, v.size)(v)
 
 
 # ---------------------------------------------------------------------------
@@ -742,7 +834,7 @@ def prox_plan(regs, atoms, n: int, proj):
     return lambda point, step: _dykstra_prox(regs, proj, np.asarray(point, dtype=float), step)
 
 
-def joint_prox(regs, atoms, point, step: float, workspace: QpWorkspace | None = None):
+def joint_prox(regs, atoms, point, step: float):
     """argmin_x 0.5 ||x - point||^2 + step * (regularizers)(x) over the atoms.
 
     Exact closed forms cover the cases the solvers hit: bare regularizers,
@@ -752,4 +844,4 @@ def joint_prox(regs, atoms, point, step: float, workspace: QpWorkspace | None = 
     application of prox_plan.
     """
     v = np.asarray(point, dtype=float)
-    return prox_plan(regs, atoms, v.size, projector(atoms, v.size, workspace))(v, step)
+    return prox_plan(regs, atoms, v.size, projector(atoms, v.size))(v, step)

@@ -59,7 +59,7 @@ class FactorPlan:
     regs: list  # the parameter regularizers
     project: Callable  # Euclidean projection onto the atoms
     prox: Callable | None = None  # joint prox of regs and atoms, Newton only
-    qp: kernels.QpWorkspace = field(default_factory=kernels.QpWorkspace)
+    qp: kernels.QpWorkspace = field(default_factory=kernels.QpWorkspace)  # Newton's model QP only
     rows: tuple | None = None  # stacked (A, lo, hi) of the atoms, Newton's model QP only
     exact_model: bool = False  # the exact model is the factor's own problem (a quadratic loss)
     group_box: tuple | None = None  # (lambda, lo, hi): group l2 over a sign box, model solved exactly
@@ -366,7 +366,7 @@ def plan_factors(spec: model.ModelSpec) -> list[FactorPlan]:
     """Choose each factor's P-step once, for all the iterations of a restart.
 
     Each factor keeps kernels.canonical_atoms of its atoms, one projector
-    onto them with its own QP workspace, and one of three steps.
+    onto them, and one of three steps.
     Unregularized, a squared-distance factor projects its weighted centroid
     onto its atoms, whatever they are (`_projected_centroid`), and an
     unconstrained square regression solves the normal equations of its
@@ -386,7 +386,7 @@ def plan_factors(spec: model.ModelSpec) -> list[FactorPlan]:
     for k in range(spec.K):
         loss = spec.loss_per_factor[k]
         atoms = kernels.canonical_atoms(spec.constraints_per_factor[k], spec.n)
-        project = kernels.projector(atoms, spec.n, kernels.QpWorkspace())
+        project = kernels.projector(atoms, spec.n)
         if regs:
             solve = _newton_factor
         elif loss.kind == model.SQUARED_DISTANCE:

@@ -279,10 +279,10 @@ class TestProjectSimplex:
             n = int(rng.integers(2, 6))
             v = rng.normal(0, 2, n)
             fast = kernels.project_simplex(v, 1.0)
-            rows = [a for a in atoms]
-            slow = kernels._project_rows(v.astype(float),
-                                         *kernels.stack_rows(rows, n), 1e-12, None)
-            assert np.allclose(fast, slow, atol=1e-5)
+            prob = dk.qp_problem(np.eye(n), -v, *kernels.stack_rows(atoms, n))
+            sol = dk.qp_solve(prob, tol=1e-12)
+            assert sol.status == kernels.SOLVED
+            assert np.allclose(fast, sol.x, atol=1e-5)
 
 
 class TestProject:
@@ -335,9 +335,10 @@ class TestProject:
             else:
                 atoms = [model.nonpos(), model.monotone_nondecreasing()]
             fast = dk.project(atoms, v)
-            slow = kernels._project_rows(v.astype(float),
-                                         *kernels.stack_rows(atoms, n), 1e-12, None)
-            assert np.allclose(fast, slow, atol=1e-5)
+            prob = dk.qp_problem(np.eye(n), -v, *kernels.stack_rows(atoms, n))
+            sol = dk.qp_solve(prob, tol=1e-12)
+            assert sol.status == kernels.SOLVED
+            assert np.allclose(fast, sol.x, atol=1e-5)
             assert kernels.max_violation(atoms, fast) <= 1e-12
 
     def test_ball_polyhedron_intersection(self):

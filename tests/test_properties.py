@@ -112,3 +112,45 @@ def test_group_l2_box_model_is_exact(n, curvature, scale, seed):
         assert group_l2_box_kkt_violation(H, c, lam, lo, hi, x) <= 1e-10 * size
         slack = 1e-12 * size * max(float(np.linalg.norm(x)), float(np.linalg.norm(best)))
         assert group_l2_box_objective(H, c, lam, x) <= group_l2_box_objective(H, c, lam, best) + slack
+
+
+def random_polyhedron(n, rows, seed):
+    """(A, lo, hi), rows of lo <= A x <= hi on R^n, and a point to project.
+
+    Each row is one-sided (either side), two-sided or an equality, at a
+    random offset from a random point x0, so x0 may violate it and the set
+    may be empty. About a quarter of the rows repeat an earlier row exactly.
+    """
+    rng = np.random.default_rng(seed)
+    x0 = rng.normal(size=n)
+    A = rng.normal(size=(rows, n))
+    mid = A @ x0 + rng.normal(0.3, 1.0, size=rows)
+    half = rng.uniform(0.1, 2.0, size=rows)
+    kind = rng.integers(4, size=rows)  # upper, lower, two-sided, equality
+    lo = np.where(kind == 0, -np.inf, np.where(kind == 3, mid, mid - half))
+    hi = np.where(kind == 1, np.inf, np.where(kind == 3, mid, mid + half))
+    for i in range(1, rows):
+        if rng.random() < 0.25:
+            j = int(rng.integers(i))
+            A[i], lo[i], hi[i] = A[j], lo[j], hi[j]
+    return A, lo, hi, rng.normal(0.0, 3.0, size=n)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(n=st.integers(1, 4), rows=st.integers(1, 8), seed=st.integers(0, 2**32 - 1))
+def test_polyhedral_projection_matches_active_set_oracle(n, rows, seed):
+    # the active-set projection onto lo <= A x <= hi, given as the halfspaces
+    # of one polyhedron atom, against the enumerated KKT points of its QP
+    A, lo, hi, v = random_polyhedron(n, rows, seed)
+    atoms = [model.polyhedron(np.vstack([A, -A]), np.concatenate([hi, -lo]))]
+    project = kernels.projector(atoms, n)
+    try:
+        ref = oracle.qp_active_set_oracle(dk.qp_problem(np.eye(n), -v, A, lo, hi))
+    except RuntimeError:  # no KKT point: the set is empty
+        with pytest.raises(kernels.ProjectionError):
+            project(v)
+        return
+    x = project(v)
+    assert np.abs(x - ref).max() <= 1e-8
+    assert kernels.max_violation(atoms, x) <= 1e-8
+    assert np.array_equal(project(x), x)

@@ -568,6 +568,16 @@ class TestProjectedCentroid:
                 active += float((A @ ref - b).max()) > -1e-9
         assert active >= 16  # most centroids lie outside the polytope
 
+    def test_kmeans_fit_makes_no_qp_solve_call(self, monkeypatch):
+        # the centroids are projected onto the polytope by the active-set
+        # loop of kernels.projector, which never calls qp_solve
+        spec, data, _ = capped_case("kmeans")
+        spec = replace(spec, controls=replace(spec.controls, restarts=2))
+        res, statuses = fit_with_qp_statuses(spec, data, monkeypatch)
+        assert statuses == []
+        atoms = spec.constraints_per_factor[0]
+        assert max(kernels.max_violation(atoms, th) for th in res.thetas) <= 1e-9
+
 
 class TestWeightedLeastSquares:
     """The closed-form regression step against full-row lstsq references."""
