@@ -23,7 +23,6 @@ from .kernels import (
     ProjectionError,
     QpProblem,
     QpSolution,
-    QpWorkspace,
     joint_prox,
     project,
     prox,

@@ -1,13 +1,15 @@
 """Convex kernels shared by the block solvers.
 
-A dense operator-splitting QP solver, Euclidean projections onto constraint
-atoms and their intersections, and proximal operators for the parameter-side
+Euclidean projections onto constraint atoms and their intersections, a
+dense QP solver, and proximal operators for the parameter-side
 regularizers. `canonical_atoms` reduces a constraint list to one form;
 `projector` and `prox_plan` classify that form once and return the map to
 apply; `project` and `joint_prox` apply one such map once. A polyhedron
 without a closed form is projected onto by a dual active-set loop, exact in
-finitely many steps; `qp_solve` serves the Newton model QPs of the P-step
-and the oracle, not the projections.
+finitely many steps. `qp_solve` runs the same loop in the metric of P: it
+serves the Newton model QPs of the P-step and the oracle, and solves a
+definite model exactly in one pass. qp_tol and qp_max_iter bound only its
+proximal-point loop on a semidefinite P.
 """
 
 from __future__ import annotations
@@ -25,14 +27,6 @@ INF = 1e30
 
 SOLVED = "solved"
 MAX_ITER = "max_iter"
-PRIMAL_INFEASIBLE = "primal_infeasible"
-
-# ADMM constants
-_SIGMA = 1e-6
-_ALPHA = 1.6
-_RHO_INIT = 0.1
-_RHO_EQ_SCALE = 1e3
-_CHECK_EVERY = 25
 
 
 class ProjectionError(RuntimeError):
@@ -54,13 +48,6 @@ class QpProblem:
     hi: np.ndarray
 
 
-def _float_array(a, shape):
-    # a as a float array of the given shape: the same object when it is one,
-    # so that a workspace recognizes rows it was given before
-    a = np.asarray(a, dtype=float)
-    return a if a.shape == shape else a.reshape(shape)
-
-
 def qp_problem(P, q, A, lo, hi) -> QpProblem:
     q = np.asarray(q, dtype=float)
     n = q.shape[0]
@@ -72,273 +59,16 @@ def qp_problem(P, q, A, lo, hi) -> QpProblem:
         P=np.asarray(P, dtype=float),
         q=q,
         A=A,
-        lo=_float_array(lo, (m,)),
-        hi=_float_array(hi, (m,)),
+        lo=np.asarray(lo, dtype=float).reshape(m),
+        hi=np.asarray(hi, dtype=float).reshape(m),
     )
 
 
 @dataclass(eq=False)
 class QpSolution:
     x: np.ndarray
-    y: np.ndarray  # dual for lo <= Ax <= hi (>= 0 at hi, <= 0 at lo)
-    z: np.ndarray  # auxiliary copy of Ax, feasible by construction
     status: str
-    primal_residual: float
-    dual_residual: float
-    iterations: int
-
-
-class QpWorkspace:
-    """Caches the reduced KKT inverse and iterates across repeated solves.
-
-    Reuse is valid whenever the problem dimensions are fixed; the factorization
-    is refreshed automatically when P, A, or the penalty changes. The groups
-    of identical constraint rows are found again whenever A, lo or hi is
-    another array object.
-    """
-
-    def __init__(self):
-        self.M_inv = None
-        self.P = None
-        self.A = None
-        self.rho = None
-        self.rho_base = None
-        self.x = None
-        self.y = None
-        self.z = None
-        self.rows = None
-        self.groups = None
-
-    def refresh(self, P, A, rho):
-        same = (
-            self.M_inv is not None
-            and np.array_equal(self.P, P)
-            and np.array_equal(self.A, A)
-            and np.array_equal(self.rho, rho)
-        )
-        if not same:
-            M = P + _SIGMA * np.eye(P.shape[0])
-            if A.shape[0]:
-                M = M + (A.T * rho) @ A
-            self.M_inv = np.linalg.inv(M)
-            self.P, self.A, self.rho = P, A, rho
-
-    def row_groups(self, A, lo, hi):
-        """distinct_rows(A, lo, hi), kept while the same three arrays return."""
-        if self.rows is None or any(a is not b for a, b in zip(self.rows, (A, lo, hi))):
-            self.rows, self.groups = (A, lo, hi), distinct_rows(A, lo, hi)
-        return self.groups
-
-
-def distinct_rows(A, lo, hi):
-    """Merge the constraint rows whose (A_i, lo_i, hi_i) are identical.
-
-    Returns None when all rows differ, else (keep, inverse): keep holds the
-    first row of each group of identical rows, and row i is row
-    keep[inverse[i]].
-    """
-    R = np.column_stack([A, lo, hi])
-    if R.shape[0] < 2:
-        return None
-    order = np.lexsort(R.T)  # stable: equal rows keep their order
-    ordered = R[order]
-    starts = np.concatenate([[True], np.any(ordered[1:] != ordered[:-1], axis=1)])
-    if starts.all():
-        return None
-    inverse = np.empty(order.size, dtype=int)
-    inverse[order] = np.cumsum(starts) - 1
-    return order[starts], inverse
-
-
-def _polish(prob: QpProblem, eq_rows, y, z, tol, groups=None):
-    """Exact KKT point on the active set guessed from an ADMM iterate.
-
-    A row is taken as active at lo when z - lo < -y, at hi when hi - z < y,
-    and always when it is an equality. Identical rows, given as the groups
-    of distinct_rows, would make the KKT system singular: the first row of
-    each group takes the group's summed multiplier, and the others stay
-    inactive. Returns (x, y, z, r_prim, r_dual) if the equality-constrained
-    solve is primal feasible, dual optimal and has correctly signed
-    multipliers on every row, all to tol; None otherwise.
-    """
-    P, q, A, lo, hi = prob.P, prob.q, prob.A, prob.lo, prob.hi
-    n = q.shape[0]
-    free = ~eq_rows
-    if groups is not None:
-        keep, inverse = groups
-        first = np.zeros(z.size, dtype=bool)
-        first[keep] = True
-        summed = np.bincount(inverse, weights=y, minlength=keep.size)
-        y = np.zeros_like(z)
-        y[keep] = summed
-        eq_rows, free = eq_rows & first, free & first
-    at_lo = free & (z - lo < -y)
-    at_hi = free & (hi - z < y)
-    active = eq_rows | at_lo | at_hi
-    Aa = A[active]
-    k = Aa.shape[0]
-    KKT = np.zeros((n + k, n + k))
-    KKT[:n, :n] = P
-    KKT[:n, n:] = Aa.T
-    KKT[n:, :n] = Aa
-    rhs = np.concatenate([-q, np.where(at_lo, lo, hi)[active]])
-    try:
-        sol = np.linalg.solve(KKT, rhs)
-    except np.linalg.LinAlgError:
-        return None
-    if not np.all(np.isfinite(sol)):
-        return None
-    x = sol[:n]
-    y = np.zeros_like(z)
-    y[active] = sol[n:]
-    ax = A @ x
-    z = np.clip(ax, lo, hi)
-    r_prim = float(np.abs(ax - z).max())
-    r_dual = float(np.abs(P @ x + q + A.T @ y).max())
-    signs_ok = not (np.any(y[at_hi] < -tol) or np.any(y[at_lo] > tol))
-    if r_prim <= tol and r_dual <= tol and signs_ok:
-        return x, y, z, r_prim, r_dual
-    return None
-
-
-def _start_polish(prob: QpProblem, eq_rows, groups, tol, warm):
-    """_polish before the first ADMM iteration, on up to two guessed active sets.
-
-    The first guess is the (y, z) of warm, a warm start or workspace
-    iterate, when there is one. The second comes from the unconstrained point
-    x0 = -(P + sigma I)^-1 q: its violated rows, passed as y = A x0 - z and
-    z = clip(A x0, lo, hi). Returns the first accepted polish, or None.
-    """
-    if warm is not None:
-        polished = _polish(prob, eq_rows, warm.y, warm.z, tol, groups)
-        if polished is not None:
-            return polished
-    P, q = prob.P, prob.q
-    try:
-        x0 = np.linalg.solve(P + _SIGMA * np.eye(q.shape[0]), -q)
-    except np.linalg.LinAlgError:
-        return None
-    ax0 = prob.A @ x0
-    z0 = np.clip(ax0, prob.lo, prob.hi)
-    return _polish(prob, eq_rows, ax0 - z0, z0, tol, groups)
-
-
-def qp_solve(
-    prob: QpProblem,
-    warm_start: QpSolution | None = None,
-    tol: float = 1e-8,
-    max_iter: int = 20000,
-    workspace: QpWorkspace | None = None,
-) -> QpSolution:
-    """Solve a dense QP by over-relaxed operator splitting.
-
-    Penalty starts at 0.1 and rebalances by factor 2 whenever the primal/dual
-    residual ratio exceeds 10; equality rows carry a stiffer penalty. At each
-    residual check the iterate is also polished, as in OSQP: the active set
-    is guessed from (y, z) and the equality-constrained KKT system on it is
-    solved exactly, with identical rows merged. The polished point is
-    accepted only when its primal and dual residuals are within tol and its
-    multipliers have the right signs; otherwise the iteration goes on
-    unchanged. Returns SOLVED when either point meets tol, PRIMAL_INFEASIBLE
-    when the divergence certificate of the dual update persists, MAX_ITER
-    otherwise.
-
-    Before the first iteration the polish is tried on the active set of the
-    warm start or workspace iterate, if any, then on the rows the
-    unconstrained minimizer violates. An accepted start polish is returned
-    as SOLVED with iterations == 0: an exact KKT point found without any
-    ADMM iteration. Otherwise ADMM starts from the warm start, the workspace
-    iterate, or the origin, as if no polish had been tried. Deterministic;
-    warm starts and a reusable workspace, which keeps the returned iterate,
-    the penalty and the merged rows, cut repeat-solve cost.
-    """
-    P, q, A = prob.P, prob.q, prob.A
-    lo, hi = prob.lo, prob.hi
-    n, m = q.shape[0], A.shape[0]
-
-    if m == 0:
-        x, *_ = np.linalg.lstsq(P, -q, rcond=None)
-        r_dual = float(np.abs(P @ x + q).max()) if n else 0.0
-        status = SOLVED if r_dual <= tol else MAX_ITER
-        return QpSolution(x, np.zeros(0), np.zeros(0), status, 0.0, r_dual, 0)
-
-    ws = workspace if workspace is not None else QpWorkspace()
-    eq_rows = lo >= hi  # lo == hi up to ordering; treated as equalities
-    groups = ws.row_groups(A, lo, hi)
-
-    warm = warm_start  # the iterate ADMM starts from, if any
-    if warm is None and ws.x is not None and ws.x.shape == (n,) and ws.y.shape == (m,):
-        warm = ws
-    polished = _start_polish(prob, eq_rows, groups, tol, warm)
-    if polished is not None:
-        x, y, z, r_prim, r_dual = polished
-        ws.x, ws.y, ws.z = x.copy(), y.copy(), z.copy()
-        return QpSolution(x, y, z, SOLVED, r_prim, r_dual, 0)
-    if warm is not None:
-        x, y, z = warm.x.copy(), warm.y.copy(), warm.z.copy()
-    else:
-        x, y, z = np.zeros(n), np.zeros(m), np.clip(np.zeros(m), lo, hi)
-
-    rho_base = ws.rho_base if ws.rho_base is not None else _RHO_INIT
-
-    def rho_vec(base):
-        r = np.full(m, base)
-        r[eq_rows] = base * _RHO_EQ_SCALE
-        return r
-
-    rho = rho_vec(rho_base)
-    ws.refresh(P, A, rho)
-
-    status = MAX_ITER
-    r_prim = r_dual = np.inf
-    it = 0
-    for it in range(1, max_iter + 1):
-        rhs = _SIGMA * x - q + A.T @ (rho * z - y)
-        x_t = ws.M_inv @ rhs
-        ax_t = A @ x_t
-        x = _ALPHA * x_t + (1.0 - _ALPHA) * x
-        z_pre = _ALPHA * ax_t + (1.0 - _ALPHA) * z
-        z_new = np.clip(z_pre + y / rho, lo, hi)
-        y_new = y + rho * (z_pre - z_new)
-        dy = y_new - y
-        y, z = y_new, z_new
-
-        if it % _CHECK_EVERY == 0 or it == max_iter:
-            ax = A @ x
-            r_prim = float(np.abs(ax - z).max())
-            r_dual = float(np.abs(P @ x + q + A.T @ y).max())
-            if r_prim <= tol and r_dual <= tol:
-                status = SOLVED
-                break
-            polished = _polish(prob, eq_rows, y, z, tol, groups)
-            if polished is not None:
-                x, y, z, r_prim, r_dual = polished
-                status = SOLVED
-                break
-            # primal infeasibility certificate from the dual direction
-            ndy = float(np.abs(dy).max())
-            if ndy > 1e-12:
-                dyn = dy / ndy
-                support = float(
-                    np.where(dyn > 0, np.minimum(hi, INF), 0.0) @ np.maximum(dyn, 0.0)
-                    + np.where(dyn < 0, np.maximum(lo, -INF), 0.0) @ np.minimum(dyn, 0.0)
-                )
-                if float(np.abs(A.T @ dyn).max()) <= 1e-10 and support < -1e-10:
-                    status = PRIMAL_INFEASIBLE
-                    break
-            # residual balancing
-            if r_prim > 10.0 * r_dual and rho_base < 1e6:
-                rho_base *= 2.0
-                rho = rho_vec(rho_base)
-                ws.refresh(P, A, rho)
-            elif r_dual > 10.0 * r_prim and rho_base > 1e-6:
-                rho_base /= 2.0
-                rho = rho_vec(rho_base)
-                ws.refresh(P, A, rho)
-
-    ws.x, ws.y, ws.z = x.copy(), y.copy(), z.copy()
-    ws.rho_base = rho_base
-    return QpSolution(x, y, z, status, r_prim, r_dual, it)
+    iterations: int  # proximal-point iterations; 1 where P is definite
 
 
 # ---------------------------------------------------------------------------
@@ -496,28 +226,36 @@ def _halfspaces(A, lo, hi):
 # interior active-set/Dykstra solves so projecting twice is exact
 _FEAS_TOL = 1e-8
 
-# largest residual C x - d the active-set projection leaves
+# the residual C x - d the active-set loop leaves (`_stop_tol`)
 _PROJECT_TOL = 1e-10
+_ROUNDING_TOL = 1e-12
 
 # a row whose part orthogonal to the active normals is at most this share of
 # its norm lies in their span
 _SPAN_TOL = 1e-8
 
-# the active-set projection takes at most this many steps per halfspace row
+# the active-set loop takes at most this many steps per halfspace row
 _STEPS_PER_ROW = 5
 
+# a QP's P is definite where every pivot of its Cholesky factor keeps
+# L_jj^2 > this share of P_jj, as in psolve's collinearity test
+_QP_MIN_PIVOT = 1e-12
 
-def _kkt_solve(N, top, bottom):
-    """(u, w) with u + N^T w = top and N u = bottom, for N of independent rows.
+# the proximal term of a semidefinite QP is this share of the largest P_jj
+_PROX_SHARE = 1e-8
 
-    u is top less its part in the row space of N, moved onto N u = bottom,
-    and w the coefficients of the move. The saddle-point system is solved as
-    it stands: solving N N^T w = N top - bottom instead would square the
-    condition number of N.
+
+def _kkt_solve(P, N, top, bottom):
+    """(u, w) with P u + N^T w = top and N u = bottom, for N of independent rows.
+
+    P is positive definite, or None for the identity. u minimizes
+    u.P u / 2 - top.u on N u = bottom, and w holds the multipliers of its
+    rows. The saddle-point system is solved as it stands: eliminating u
+    would square the condition number of N and multiply it by that of P.
     """
     k, n = N.shape
     K = np.zeros((n + k, n + k))
-    K[:n, :n] = np.eye(n)
+    K[:n, :n] = np.eye(n) if P is None else P
     K[:n, n:] = N.T
     K[n:, :n] = N
     try:
@@ -527,24 +265,37 @@ def _kkt_solve(N, top, bottom):
     return sol[:n], sol[n:]
 
 
-def _project_halfspaces(v, C, d, feas_tol):
-    """Euclidean projection of v onto {x : C x <= d}, exact up to rounding.
+def _stop_tol(C, x, d):
+    # the residual C x - d the active-set loop leaves: _PROJECT_TOL, plus
+    # _ROUNDING_TOL of the scale |C| |x| + |d| that its rounding reaches
+    return _PROJECT_TOL + _ROUNDING_TOL * (np.abs(C) @ np.abs(x) + np.abs(d))
+
+
+def _project_halfspaces(v, C, d, feas_tol, metric=None):
+    """Projection of v onto {x : C x <= d}, exact up to rounding.
+
+    The projection is Euclidean where metric is None. Otherwise metric is
+    (P, top, W) for a definite P with v = P^-1 top and W the rows P^-1 c_i,
+    and the projection is in the metric of P: the minimizer of
+    x.P x / 2 - top.x over the set.
 
     C has at least one row. Returns v itself when no residual C v - d
     exceeds feas_tol. Otherwise runs the dual active-set method of Goldfarb
-    & Idnani (Math. Programming 27, 1983) with the identity as Hessian. From
-    x = v and no active row, it takes the most violated row p and steps x
-    along z, the part of c_p orthogonal to the active normals N, raising
-    p's multiplier by t and lowering the active ones by t r, r = (N N^T)^-1
-    N c_p, so that the active rows stay tight. The step ends where p is
-    tight, and p joins the active set; or earlier, where an active
-    multiplier reaches 0, and that row leaves while p is tried again. Where
-    c_p lies in the span of N and no multiplier blocks, no feasible point
-    exists. After each full step, x and the multipliers are solved afresh
-    from the KKT system of the active rows, and the loop stops once every
-    residual is at most _PROJECT_TOL. Raises ProjectionError on an empty set
-    and after _STEPS_PER_ROW steps per row.
+    & Idnani (Math. Programming 27, 1983). From x = v and no active row, it
+    takes the most violated row p and steps x along -z, z = P^-1 (c_p -
+    N^T r) with N z = 0 for the active normals N, raising p's multiplier by
+    t and lowering the active ones by t r, so that the active rows stay
+    tight. The step ends where p is tight, at t = s_p / c_p.z, and p joins
+    the active set; or earlier, where an active multiplier reaches 0, and
+    that row leaves while p is tried again. Where c_p lies in the span of N
+    and no multiplier blocks, no feasible point exists. After each full
+    step, x and the multipliers are solved afresh from the KKT system of the
+    active rows, in closed form where one row is active and the projection
+    is Euclidean, with p's multiplier kept at least t; the loop stops once
+    every residual is within `_stop_tol`. Raises ProjectionError on an empty
+    set and after _STEPS_PER_ROW steps per row.
     """
+    P, top, W = (None, v, C) if metric is None else metric
     s = C @ v - d
     p = int(s.argmax())  # the row being made tight
     if s[p] <= feas_tol:
@@ -553,14 +304,15 @@ def _project_halfspaces(v, C, d, feas_tol):
     for _ in range(_STEPS_PER_ROW * d.size):
         c = C[p]
         if active:
-            z, r = _kkt_solve(C[active], c, np.zeros(len(active)))
+            z, r = _kkt_solve(P, C[active], c, np.zeros(len(active)))
             r = r.tolist()
         else:
-            r, z = [], c
-        zz = float(z @ z)
-        # the full step makes p tight; there is none when c_p is in the span of N
-        spanned = len(active) == v.size or zz <= _SPAN_TOL**2 * float(c @ c)
-        full = math.inf if spanned else float(s[p]) / zz
+            r, z = [], W[p]
+        cz = float(c @ z)
+        # the full step makes p tight; there is none when c_p is in the span
+        # of N, measured in the metric: c_p.z against c_p.P^-1 c_p
+        spanned = len(active) == v.size or cz <= _SPAN_TOL**2 * float(c @ W[p])
+        full = math.inf if spanned else float(s[p]) / cz
         # the partial step stops where the first multiplier reaches 0
         partial, j = math.inf, -1
         for i, (li, ri) in enumerate(zip(lam, r)):
@@ -580,17 +332,84 @@ def _project_halfspaces(v, C, d, feas_tol):
         # rounding from the steps, and one active set, kept in row order,
         # gives one x
         active = sorted(active + [p])
-        if len(active) == 1:
+        if len(active) == 1 and P is None:
             w = max((float(c @ v) - d[p]) / float(c @ c), 0.0)
             x, lam = v - w * c, [w]
         else:
-            x, w = _kkt_solve(C[active], v, d[active])
+            x, w = _kkt_solve(P, C[active], top, d[active])
             lam = np.maximum(w, 0.0).tolist()
+        # p's multiplier grew by at least the full step. Rounded below it,
+        # towards 0, it would let p leave again at a step of length 0, and
+        # the loop could cycle between two nearly dependent rows
+        i = active.index(p)
+        lam[i] = max(lam[i], full)
         s = C @ x - d
         p = int(s.argmax())
-        if s[p] <= _PROJECT_TOL:
+        # the tests run from the cheapest: the absolute bound, the largest
+        # residual's own bound, then every row's
+        if s[p] <= _PROJECT_TOL or (
+            s[p] <= _stop_tol(C[p], x, d[p]) and np.all(s <= _stop_tol(C, x, d))
+        ):
             return x
     raise ProjectionError("active-set projection did not converge")
+
+
+def qp_solve(prob: QpProblem, tol: float = 1e-8, max_iter: int = 20000) -> QpSolution:
+    """Solve a dense convex QP exactly, by the active-set loop of the projections.
+
+    The rows lo <= A x <= hi are taken as halfspaces, one per finite side.
+    Where P passes the Cholesky pivot test (every L_jj^2 above _QP_MIN_PIVOT
+    times P_jj), the QP's minimizer is the projection of -P^-1 q onto them
+    in the metric of P, found in one pass of `_project_halfspaces`: SOLVED,
+    with iterations 1. Any other P runs the proximal-point method
+    (Rockafellar, SIAM J. Control Optim. 14, 1976) from x = 0: iteration k
+    solves the QP with P + rho I and q - rho x_k in the same way, for rho =
+    _PROX_SHARE times the largest P_jj. rho (x_k+1 - x_k) is the gradient
+    of the QP's Lagrangian at x_k+1, so the loop returns SOLVED once its
+    largest entry is at most tol, and MAX_ITER after max_iter iterations,
+    at the last iterate, which meets the rows like every other. Raises
+    ProjectionError on an empty set or a breakdown of the loop.
+    """
+    # P and q scaled to max diag(P) = 1, which leaves the minimizer as it is
+    # and balances the blocks of the KKT systems: their multipliers would
+    # otherwise grow with P, and the rounding of the active rows with them
+    scale = float(np.diag(prob.P).max(initial=0.0))
+    if not scale > 0.0:  # P = 0, a linear program: any scale serves
+        scale = 1.0
+    P, q = prob.P / scale, prob.q / scale
+    n = q.shape[0]
+    C, d = _halfspaces(prob.A, prob.lo, prob.hi)
+    try:
+        L = np.linalg.cholesky(P)
+        definite = bool(np.all(np.diag(L) ** 2 > _QP_MIN_PIVOT * np.diag(P)))
+    except np.linalg.LinAlgError:
+        definite = False  # P is not numerically positive definite
+    if not definite:
+        rho = _PROX_SHARE
+        M = P + rho * np.eye(n)
+        try:
+            L = np.linalg.cholesky(M)
+        except np.linalg.LinAlgError:
+            raise ProjectionError("QP matrix is not positive semidefinite") from None
+    else:
+        M = P
+    W = np.linalg.solve(L.T, np.linalg.solve(L, C.T)).T  # rows M^-1 c_i
+
+    def minimize(top):
+        # argmin x.M x / 2 - top.x over the rows
+        x = np.linalg.solve(L.T, np.linalg.solve(L, top))
+        return _project_halfspaces(x, C, d, _PROJECT_TOL, (M, top, W)) if d.size else x
+
+    if definite:
+        return QpSolution(minimize(-q), SOLVED, 1)
+    x = np.zeros(n)
+    for it in range(1, max_iter + 1):
+        x_next = minimize(rho * x - q)
+        step = float(np.abs(x_next - x).max(initial=0.0))
+        x = x_next
+        if scale * rho * step <= tol:
+            return QpSolution(x, SOLVED, it)
+    return QpSolution(x, MAX_ITER, max_iter)
 
 
 _MONOTONE_KINDS = (model.MONOTONE_NONINCREASING, model.MONOTONE_NONDECREASING)

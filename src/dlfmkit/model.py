@@ -202,15 +202,18 @@ def kl_chain(weight: float) -> RegularizerAtom:
 class SolverControls:
     """Termination and subsolver knobs shared by the whole fit.
 
-    qp_tol and qp_max_iter govern only the QP that proximal Newton solves
-    for its quadratic model where a factor has polyhedral constraints and no
-    parameter regularizer; projections (including the projected centroid of
-    a squared-distance factor) solve to a fixed tolerance. p_tol and
-    p_max_iter govern the one iterative P-step: they count its proximal
-    Newton iterations, for every factor that runs it, and the step stops
-    once an accepted iteration lowers the factor's objective by at most
-    p_tol times |objective|, floored at min(1, |objective at the warm
-    start|).
+    qp_tol and qp_max_iter govern only the proximal-point loop of
+    kernels.qp_solve, which it runs for the quadratic model of proximal
+    Newton where a factor has polyhedral constraints and no parameter
+    regularizer, and the model's Hessian is singular: the loop stops once
+    the gradient of the model's Lagrangian is at most qp_tol, or after
+    qp_max_iter iterations. A definite model is solved exactly in one pass,
+    and projections (including the projected centroid of a squared-distance
+    factor) solve to a fixed tolerance. p_tol and p_max_iter govern the one
+    iterative P-step: they count its proximal Newton iterations, for every
+    factor that runs it, and the step stops once an accepted iteration
+    lowers the factor's objective by at most p_tol times |objective|,
+    floored at min(1, |objective at the warm start|).
     """
 
     eps: float = 1e-6

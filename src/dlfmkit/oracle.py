@@ -125,6 +125,26 @@ def prox_gradient_fixed_point(grad, prox, x0, lipschitz: float, max_iter: int = 
     return x
 
 
+def distinct_rows(A, lo, hi):
+    """Merge the constraint rows whose (A_i, lo_i, hi_i) are identical.
+
+    Returns None when all rows differ, else (keep, inverse): keep holds the
+    first row of each group of identical rows, and row i is row
+    keep[inverse[i]].
+    """
+    R = np.column_stack([A, lo, hi])
+    if R.shape[0] < 2:
+        return None
+    order = np.lexsort(R.T)  # stable: equal rows keep their order
+    ordered = R[order]
+    starts = np.concatenate([[True], np.any(ordered[1:] != ordered[:-1], axis=1)])
+    if starts.all():
+        return None
+    inverse = np.empty(order.size, dtype=int)
+    inverse[order] = np.cumsum(starts) - 1
+    return order[starts], inverse
+
+
 def qp_active_set_oracle(prob: kernels.QpProblem, tol: float = 1e-9) -> np.ndarray:
     """Exact QP solution by enumerating active sets of lo <= Ax <= hi.
 
@@ -138,7 +158,7 @@ def qp_active_set_oracle(prob: kernels.QpProblem, tol: float = 1e-9) -> np.ndarr
     P, q, A, lo, hi = prob.P, prob.q, prob.A, prob.lo, prob.hi
     if A.shape[0] > 8:
         raise InstanceTooLarge("active-set enumeration supports at most 8 rows")
-    groups = kernels.distinct_rows(A, lo, hi)
+    groups = distinct_rows(A, lo, hi)
     if groups is not None:
         keep = np.sort(groups[0])
         A, lo, hi = A[keep], lo[keep], hi[keep]

@@ -14,7 +14,7 @@ the fallback of the secular equation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -59,7 +59,6 @@ class FactorPlan:
     regs: list  # the parameter regularizers
     project: Callable  # Euclidean projection onto the atoms
     prox: Callable | None = None  # joint prox of regs and atoms, Newton only
-    qp: kernels.QpWorkspace = field(default_factory=kernels.QpWorkspace)  # Newton's model QP only
     rows: tuple | None = None  # stacked (A, lo, hi) of the atoms, Newton's model QP only
     exact_model: bool = False  # the exact model is the factor's own problem (a quadratic loss)
     group_box: tuple | None = None  # (lambda, lo, hi): group l2 over a sign box, model solved exactly
@@ -230,9 +229,10 @@ def _model_step(plan, theta, g, H, controls):
     Returns the prox-gradient step at theta, with step 1 / lambda_max(H), a
     closer point, and whether that point minimizes the factor's own problem.
     Where the plan stacked rows (no regularizer, no ball) and H has
-    curvature, so the model is bounded, it is the QP with P = H and
-    q = g - H theta, solved by qp_solve under qp_tol and qp_max_iter; the QP
-    point is projected, since a capped solve may end outside the atoms. A
+    curvature, the model is the QP with P = H and q = g - H theta, solved
+    by qp_solve: exactly where H is definite, and under qp_tol and
+    qp_max_iter where it is singular. The QP point is projected, which
+    moves it onto the atoms where it meets them only up to rounding. A
     SOLVED QP of an exact model (plan.exact_model) is the minimizer.
     Where the plan holds group_box (group l2 over a sign box), one eigh of H
     gives lambda_max and the exact minimizer (`_group_l2_box_model`, with
@@ -251,10 +251,7 @@ def _model_step(plan, theta, g, H, controls):
             kernels.qp_problem(H, g - H @ theta, *plan.rows),
             tol=controls.qp_tol,
             max_iter=controls.qp_max_iter,
-            workspace=plan.qp,
         )
-        if sol.status == kernels.PRIMAL_INFEASIBLE:
-            raise SubsolverFailure(plan.k, "constraint set reported infeasible")
         return first, plan.project(sol.x), plan.exact_model and sol.status == kernels.SOLVED
     if plan.group_box is not None:
         x = _group_l2_box_model(H, g - H @ theta, *plan.group_box, first != 0.0, evals, evecs)
@@ -332,9 +329,9 @@ def _newton_factor(plan, feats, obs, w, warm, controls):
     status = P_MAX_ITER
     it = 0
     for it in range(1, controls.p_max_iter + 1):
-        # FISTA is not monotone and a capped QP may end anywhere; the
-        # prox-gradient step always predicts a decrease unless theta is a
-        # fixed point
+        # FISTA is not monotone, and a model QP capped at qp_max_iter stops
+        # short of its minimizer; the prox-gradient step always predicts a
+        # decrease unless theta is a fixed point
         first, closer, exact = _model_step(plan, theta, g, H, controls)
         for v in (closer, first):
             d = v - theta

@@ -57,6 +57,30 @@ def test_brute_force_respects_constraints():
     assert res.optimum == pytest.approx(5.0, abs=1e-8)
 
 
+def nonneg_regression_case(seed):
+    """Two nonnegative regressions on R^2, m=8: the second true slope is negative."""
+    rng = np.random.default_rng(seed)
+    X = rng.normal(size=(8, 2))
+    labels = rng.integers(2, size=8)
+    y = np.where(labels == 0, X @ np.array([1.0, 2.0]), X @ np.array([-1.0, 1.0]))
+    spec = dk.shared_spec(K=2, n=2, loss=dk.square_regression(), constraints=(dk.nonneg(),),
+                          controls=dk.SolverControls(restarts=40, seed=seed))
+    return spec, dk.dataset(X, y + rng.normal(0.0, 0.1, size=8))
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_brute_force_nonneg_regression_bounds_fit(seed):
+    # a factor's subset of one row gives a singular Gram matrix, so its QP
+    # runs the proximal-point loop of qp_solve; no restart of fit may end
+    # below the enumerated optimum, and the best reaches it
+    spec, data = nonneg_regression_case(seed)
+    ref = dk.brute_force_fit(spec, data)
+    assert all(np.all(t >= -1e-9) for t in ref.thetas_at_optimum)
+    final = dk.fit(spec, data).objective_trace[-1][2]
+    assert final >= ref.optimum - 1e-9 * max(1.0, ref.optimum)
+    assert final == pytest.approx(ref.optimum, rel=1e-7, abs=1e-9)
+
+
 def test_brute_force_budget():
     data = dk.dataset(np.zeros((25, 1)), np.zeros(25))
     spec = dk.shared_spec(K=4, n=1, loss=dk.squared_distance(), constraints=())
@@ -125,3 +149,11 @@ def test_active_set_duplicated_equality_rows():
                          lo=np.ones(2), hi=np.ones(2))
     x = dk.qp_active_set_oracle(prob)
     assert np.allclose(x, [1.0, 1.0], atol=1e-12)
+
+
+def test_distinct_rows_groups_identical_rows():
+    A = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 0.0]])
+    lo, hi = np.zeros(4), np.array([1.0, 1.0, 1.0, 2.0])
+    keep, inverse = oracle.distinct_rows(A, lo, hi)
+    assert np.array_equal(keep[inverse], [0, 1, 0, 3])
+    assert oracle.distinct_rows(A[:2], lo[:2], hi[:2]) is None

@@ -136,21 +136,65 @@ def random_polyhedron(n, rows, seed):
     return A, lo, hi, rng.normal(0.0, 3.0, size=n)
 
 
+def random_metric(kind, n, log_cond, seed):
+    """P of a QP on R^n: the identity, definite with condition number
+    10^log_cond, or of rank below n, its nonzero eigenvalues from 1 to
+    10^log_cond."""
+    if kind == "identity":
+        return np.eye(n)
+    rng = np.random.default_rng(seed)
+    Q, _ = np.linalg.qr(rng.normal(size=(n, n)))
+    rank = n if kind == "definite" else int(rng.integers(n))
+    eigenvalues = np.zeros(n)
+    eigenvalues[:rank] = np.logspace(0.0, log_cond, rank)
+    return (Q * eigenvalues) @ Q.T
+
+
 @settings(max_examples=150, deadline=None, derandomize=True)
-@given(n=st.integers(1, 4), rows=st.integers(1, 8), seed=st.integers(0, 2**32 - 1))
-def test_polyhedral_projection_matches_active_set_oracle(n, rows, seed):
+@given(
+    n=st.integers(1, 4),
+    rows=st.integers(1, 8),
+    metric=st.sampled_from(["identity", "definite", "deficient"]),
+    log_cond=st.floats(0.0, 9.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_polyhedral_projection_matches_active_set_oracle(n, rows, metric, log_cond, seed):
     # the active-set projection onto lo <= A x <= hi, given as the halfspaces
-    # of one polyhedron atom, against the enumerated KKT points of its QP
+    # of one polyhedron atom, against the enumerated KKT points of its QP;
+    # then qp_solve on the projection in the metric of P, the QP with P and
+    # q = -P v, which the same loop solves
     A, lo, hi, v = random_polyhedron(n, rows, seed)
     atoms = [model.polyhedron(np.vstack([A, -A]), np.concatenate([hi, -lo]))]
     project = kernels.projector(atoms, n)
+    P = random_metric(metric, n, log_cond, seed)
+    prob = dk.qp_problem(P, -P @ v, A, lo, hi)
     try:
         ref = oracle.qp_active_set_oracle(dk.qp_problem(np.eye(n), -v, A, lo, hi))
     except RuntimeError:  # no KKT point: the set is empty
         with pytest.raises(kernels.ProjectionError):
             project(v)
+        with pytest.raises(kernels.ProjectionError):
+            dk.qp_solve(prob)
         return
     x = project(v)
     assert np.abs(x - ref).max() <= 1e-8
     assert kernels.max_violation(atoms, x) <= 1e-8
     assert np.array_equal(project(x), x)
+
+    # a singular P may end at max_iter, still feasible and near the optimum
+    sol = dk.qp_solve(prob)
+    assert kernels.max_violation(atoms, sol.x) <= 1e-8
+    # the oracle's tests are absolute: it gets P scaled to a unit diagonal
+    # maximum, which leaves the minimizer as it is
+    unit = max(float(np.diag(P).max()), 1.0)
+    try:
+        ref = oracle.qp_active_set_oracle(dk.qp_problem(P / unit, -P @ v / unit, A, lo, hi))
+    except RuntimeError:  # every KKT system the oracle solves is singular
+        return
+
+    def value(x):
+        return float(0.5 * x @ P @ x - (P @ v) @ x) / unit
+
+    assert value(sol.x) - value(ref) <= 1e-9 * max(1.0, float(v @ P @ v) / unit)
+    if metric != "deficient":  # the minimizer is unique
+        assert np.abs(sol.x - ref).max() <= 1e-6 * max(1.0, np.abs(ref).max())

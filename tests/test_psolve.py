@@ -465,23 +465,23 @@ class TestWorkspaceReuse:
 
 
 def capped_case(name):
-    """(spec, data, expect_capped) for the capped-QP tests, m=200."""
+    """(spec, data) for the capped-QP tests, m=200."""
     if name == "kmeans":
         # squared distance: a projected centroid, no QP to cap
         cfg = ex.experiment_config(ex.CONSTRAINED_KMEANS, 0, m=200)
         data, _, _ = ex.gen_constrained_kmeans(cfg)
-        return ex.kmeans_spec(True, 1, 0), data, False
+        return ex.kmeans_spec(True, 1, 0), data
     # square regression over polyhedral atoms: Newton, its model one QP
     cfg = ex.experiment_config(ex.MIXTURE_LINREG, 0, m=200)
     data, _, _ = ex.gen_mixture_linreg(cfg)
     atoms = (dk.nonneg(), dk.polyhedron(np.ones((1, 10)), np.array([1.0])))
     spec = dk.shared_spec(3, 10, dk.square_regression(), atoms,
                           controls=model.SolverControls(restarts=1, seed=0))
-    return spec, data, True
+    return spec, data
 
 
-def fit_with_qp_statuses(spec, data, monkeypatch):
-    """fit(spec, data) and the statuses of every QP it solved."""
+def record_qp_statuses(monkeypatch):
+    """The list to which every later qp_solve appends its status."""
     statuses = []
     real = kernels.qp_solve
 
@@ -491,6 +491,12 @@ def fit_with_qp_statuses(spec, data, monkeypatch):
         return sol
 
     monkeypatch.setattr(kernels, "qp_solve", spy)
+    return statuses
+
+
+def fit_with_qp_statuses(spec, data, monkeypatch):
+    """fit(spec, data) and the statuses of every QP it solved."""
+    statuses = record_qp_statuses(monkeypatch)
     return dk.fit(spec, data), statuses
 
 
@@ -501,12 +507,13 @@ def cap_qp(spec, max_iter=30):
 @pytest.mark.parametrize("case", ["kmeans", "regression"])
 class TestCappedQp:
     def test_capped_steps_stay_feasible_and_monotone(self, case, monkeypatch):
-        # 30 ADMM iterations do not finish every model QP of the constrained
-        # regression P-steps: the projection of the QP point and the Armijo
-        # rule keep the thetas in the polytope and the trace monotone
-        spec, data, expect_capped = capped_case(case)
+        # at qp_max_iter = 30 the projection of the QP point and the Armijo
+        # rule keep the thetas in the polytope and the trace monotone. No
+        # QP meets the cap: k-means solves none, and every regression model
+        # is definite, so its QP is solved in one pass
+        spec, data = capped_case(case)
         res, statuses = fit_with_qp_statuses(cap_qp(spec), data, monkeypatch)
-        assert (kernels.MAX_ITER in statuses) == expect_capped
+        assert kernels.MAX_ITER not in statuses
         flat = [v for _, after_p, after_f in res.objective_trace for v in (after_p, after_f)]
         for a, b in zip(flat, flat[1:]):
             assert b <= a + 1e-8 * max(1.0, abs(a))
@@ -514,21 +521,45 @@ class TestCappedQp:
         assert max(kernels.max_violation(atoms, th) for th in res.thetas) <= 1e-9
 
     def test_capped_step_does_not_close_the_gap(self, case, monkeypatch):
-        # a capped model QP must not stop the fit short: the gap rule may
-        # close only at the optimum the uncapped fit finds
-        spec, data, expect_capped = capped_case(case)
+        # a fit under a QP cap may close the gap only at the optimum the
+        # uncapped fit finds
+        spec, data = capped_case(case)
         capped, statuses = fit_with_qp_statuses(cap_qp(spec), data, monkeypatch)
         full = dk.fit(spec, data)
-        assert (kernels.MAX_ITER in statuses) == expect_capped
+        assert kernels.MAX_ITER not in statuses
         assert capped.status == dk.GAP_CONVERGED
         assert capped.objective_trace[-1][2] == pytest.approx(full.objective_trace[-1][2], rel=1e-9)
+
+
+def test_singular_model_qp_stops_at_the_cap(monkeypatch):
+    # 3 weighted rows for 10 features: H is singular, so the model QP runs
+    # the proximal-point loop, and qp_max_iter = 1 ends it at its first
+    # iterate with MAX_ITER. The P-step still lands in the polytope and
+    # lowers the objective, to within 1e-6 of the uncapped step's
+    spec, data = capped_case("regression")
+    spec = replace(spec, K=1, loss_per_factor=spec.loss_per_factor[:1],
+                   constraints_per_factor=spec.constraints_per_factor[:1])
+    Z = np.zeros((data.m, 1))
+    Z[:3] = 1.0
+    statuses = record_qp_statuses(monkeypatch)
+    capped = dk.solve_p(cap_qp(spec, 1), data, Z)
+    assert kernels.MAX_ITER in statuses
+    statuses.clear()
+    full = dk.solve_p(spec, data, Z)
+    assert kernels.MAX_ITER not in statuses
+    atoms = spec.constraints_per_factor[0]
+    start = psolve.plan_factors(spec)[0].project(np.zeros(spec.n))
+    loss = model.batch_losses(spec.loss_per_factor[0], data.features[:3], data.observations[:3], start).sum()
+    assert kernels.max_violation(atoms, capped.thetas[0]) <= 1e-9
+    assert capped.objective < loss
+    assert capped.objective == pytest.approx(full.objective, rel=1e-6)
 
 
 def test_exact_model_qp_ends_the_newton_step(monkeypatch):
     # square regression is quadratic, so its model is exact and a full step
     # to a SOLVED model QP reaches the minimizer. Confirming the drop with a
     # second QP made this fit solve 38 QPs, to the same final objective.
-    spec, data, _ = capped_case("regression")
+    spec, data = capped_case("regression")
     res, statuses = fit_with_qp_statuses(spec, data, monkeypatch)
     assert len(statuses) < 38
     assert res.objective_trace[-1][2] == pytest.approx(42106.775848994024, rel=1e-9)
@@ -571,7 +602,7 @@ class TestProjectedCentroid:
     def test_kmeans_fit_makes_no_qp_solve_call(self, monkeypatch):
         # the centroids are projected onto the polytope by the active-set
         # loop of kernels.projector, which never calls qp_solve
-        spec, data, _ = capped_case("kmeans")
+        spec, data = capped_case("kmeans")
         spec = replace(spec, controls=replace(spec.controls, restarts=2))
         res, statuses = fit_with_qp_statuses(spec, data, monkeypatch)
         assert statuses == []
@@ -734,7 +765,7 @@ class TestFactorPlans:
         assert all((plan.group_box is not None) == (name == "io_hmm") for plan in plans)
 
     def test_qp_rows_stacked_once_per_restart(self, monkeypatch):
-        spec, data, _ = capped_case("regression")
+        spec, data = capped_case("regression")
         stacks = []
         real = kernels.stack_rows
         monkeypatch.setattr(kernels, "stack_rows", lambda *args: stacks.append(1) or real(*args))
