@@ -19,13 +19,11 @@ from .engine import (
 )
 from .fsolve import harden, solve_f_kl, solve_f_plain
 from .kernels import (
-    INF,
     ProjectionError,
     QpProblem,
     QpSolution,
     joint_prox,
     project,
-    prox,
     qp_problem,
     qp_solve,
 )

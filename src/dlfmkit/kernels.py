@@ -4,12 +4,14 @@ Euclidean projections onto constraint atoms and their intersections, a
 dense QP solver, and proximal operators for the parameter-side
 regularizers. `canonical_atoms` reduces a constraint list to one form;
 `projector` and `prox_plan` classify that form once and return the map to
-apply; `project` and `joint_prox` apply one such map once. A polyhedron
-without a closed form is projected onto by a dual active-set loop, exact in
-finitely many steps. `qp_solve` runs the same loop in the metric of P: it
-serves the Newton model QPs of the P-step and the oracle, and solves a
-definite model exactly in one pass. qp_tol and qp_max_iter bound only its
-proximal-point loop on a semidefinite P.
+apply; `project` and `joint_prox` apply one such map once. `halfspaces`
+writes polyhedral atoms as rows C x <= d, the one form of a polyhedron
+that the projections and `qp_solve` take. A polyhedron without a closed
+form is projected onto by a dual active-set loop, exact in finitely many
+steps. `qp_solve` runs the same loop in the metric of P: it serves the
+Newton model QPs of the P-step and the oracle, and solves a definite model
+exactly in one pass. qp_tol and qp_max_iter bound only its proximal-point
+loop on a semidefinite P.
 """
 
 from __future__ import annotations
@@ -22,9 +24,6 @@ import numpy as np
 
 from . import model
 
-# bound sentinel: entries at +-INF are treated as absent bounds
-INF = 1e30
-
 SOLVED = "solved"
 MAX_ITER = "max_iter"
 
@@ -35,32 +34,32 @@ class ProjectionError(RuntimeError):
 
 @dataclass(frozen=True, eq=False)
 class QpProblem:
-    """minimize 0.5 x^T P x + q^T x  subject to  lo <= A x <= hi.
+    """minimize 0.5 x^T P x + q^T x  subject to  A x <= b.
 
-    P must be symmetric PSD. Equality rows use lo == hi; one-sided rows use
-    the +-INF sentinel.
+    P must be symmetric PSD. Each row of A x <= b is one halfspace: an
+    equality is two opposite rows, and `halfspaces` gives the rows of a
+    list of constraint atoms. Build it with `qp_problem`.
     """
 
     P: np.ndarray
     q: np.ndarray
     A: np.ndarray
-    lo: np.ndarray
-    hi: np.ndarray
+    b: np.ndarray
 
 
-def qp_problem(P, q, A, lo, hi) -> QpProblem:
+def qp_problem(P, q, A, b) -> QpProblem:
+    """The QpProblem of P, q and the rows A x <= b, as float arrays, with A
+    reshaped to rows of length q.size."""
     q = np.asarray(q, dtype=float)
     n = q.shape[0]
     A = np.asarray(A, dtype=float)
     if A.ndim != 2 or A.shape[1] != n:
         A = A.reshape(-1, n)
-    m = A.shape[0]
     return QpProblem(
         P=np.asarray(P, dtype=float),
         q=q,
         A=A,
-        lo=np.asarray(lo, dtype=float).reshape(m),
-        hi=np.asarray(hi, dtype=float).reshape(m),
+        b=np.asarray(b, dtype=float).reshape(A.shape[0]),
     )
 
 
@@ -135,6 +134,8 @@ def max_violation(atoms, v) -> float:
     return max((_atom_violation(a, v) for a in atoms), default=0.0)
 
 
+_MONOTONE_KINDS = (model.MONOTONE_NONINCREASING, model.MONOTONE_NONDECREASING)
+
 # a nonneg or nonpos atom is the box with these bounds
 _SIGN_BOUNDS = {model.NONNEG: (0.0, np.inf), model.NONPOS: (-np.inf, 0.0)}
 
@@ -184,42 +185,35 @@ def _project_single(atom: model.ConstraintAtom, v: np.ndarray) -> np.ndarray:
     raise ValueError(f"unknown constraint kind {k!r}")
 
 
-def _rows_single(atom, n):
-    # (A, lo, hi) rows for one canonical polyhedral atom
-    k = atom.kind
-    if k == model.BOX:
-        return np.eye(n), np.clip(atom.lo, -INF, INF), np.clip(atom.hi, -INF, INF)
-    if k == model.POLYHEDRON:
-        q = atom.A.shape[0]
-        return atom.A, np.full(q, -INF), atom.b
-    if k == model.MONOTONE_NONINCREASING:
-        D = np.diff(np.eye(n), axis=0)  # rows x_{i+1} - x_i
-        return D, np.full(n - 1, -INF), np.zeros(n - 1)
-    if k == model.MONOTONE_NONDECREASING:
-        D = np.diff(np.eye(n), axis=0)
-        return D, np.zeros(n - 1), np.full(n - 1, INF)
-    if k == model.SUM_EQUALS:
-        row = np.ones((1, n))
-        return row, np.array([atom.value]), np.array([atom.value])
-    raise ValueError(f"{k!r} has no halfspace representation")
+def halfspaces(atoms, n):
+    """The rows C x <= d of a list of polyhedral atoms on R^n, in canonical form.
 
-
-def stack_rows(atoms, n):
-    """Stacked (A, lo, hi) for a list of polyhedral atoms, in canonical form."""
-    parts = [_rows_single(a, n) for a in canonical_atoms(atoms, n)]
-    if not parts:
-        return np.zeros((0, n)), np.zeros(0), np.zeros(0)
-    A = np.vstack([p[0] for p in parts])
-    lo = np.concatenate([p[1] for p in parts])
-    hi = np.concatenate([p[2] for p in parts])
-    return A, lo, hi
-
-
-def _halfspaces(A, lo, hi):
-    """The rows C x <= d of lo <= A x <= hi: one for each finite side, so an
-    equality row gives two opposite rows."""
-    up, down = hi < INF, lo > -INF
-    return np.concatenate([A[up], -A[down]]), np.concatenate([hi[up], -lo[down]])
+    One row per finite side: the bound hi_i of a box gives x_i <= hi_i and
+    lo_i gives -x_i <= -lo_i, a sum constraint gives two opposite rows, and a
+    bound of +-inf gives no row. The upper sides of all atoms come first, in
+    atom order, then the lower sides.
+    """
+    upper, lower = [], []  # (A, hi) of rows A x <= hi, (A, lo) of rows A x >= lo
+    for atom in canonical_atoms(atoms, n):
+        k = atom.kind
+        if k == model.BOX:
+            upper.append((np.eye(n), atom.hi))
+            lower.append((np.eye(n), atom.lo))
+        elif k == model.POLYHEDRON:
+            upper.append((atom.A, atom.b))
+        elif k in _MONOTONE_KINDS:
+            D = np.diff(np.eye(n), axis=0)  # rows x_{i+1} - x_i
+            (upper if k == model.MONOTONE_NONINCREASING else lower).append((D, np.zeros(n - 1)))
+        elif k == model.SUM_EQUALS:
+            row = (np.ones((1, n)), np.array([atom.value]))
+            upper.append(row)
+            lower.append(row)
+        else:
+            raise ValueError(f"{k!r} has no halfspace representation")
+    C = np.vstack([np.zeros((0, n))] + [A for A, _ in upper] + [-A for A, _ in lower])
+    d = np.concatenate([np.zeros(0)] + [hi for _, hi in upper] + [-lo for _, lo in lower])
+    finite = d < np.inf
+    return C[finite], d[finite]
 
 
 # feasible points are returned unchanged; keep this above the accuracy of the
@@ -271,7 +265,7 @@ def _stop_tol(C, x, d):
     return _PROJECT_TOL + _ROUNDING_TOL * (np.abs(C) @ np.abs(x) + np.abs(d))
 
 
-def _project_halfspaces(v, C, d, feas_tol, metric=None):
+def _active_set_project(v, C, d, feas_tol, metric=None):
     """Projection of v onto {x : C x <= d}, exact up to rounding.
 
     The projection is Euclidean where metric is None. Otherwise metric is
@@ -357,18 +351,18 @@ def _project_halfspaces(v, C, d, feas_tol, metric=None):
 def qp_solve(prob: QpProblem, tol: float = 1e-8, max_iter: int = 20000) -> QpSolution:
     """Solve a dense convex QP exactly, by the active-set loop of the projections.
 
-    The rows lo <= A x <= hi are taken as halfspaces, one per finite side.
-    Where P passes the Cholesky pivot test (every L_jj^2 above _QP_MIN_PIVOT
-    times P_jj), the QP's minimizer is the projection of -P^-1 q onto them
-    in the metric of P, found in one pass of `_project_halfspaces`: SOLVED,
-    with iterations 1. Any other P runs the proximal-point method
-    (Rockafellar, SIAM J. Control Optim. 14, 1976) from x = 0: iteration k
-    solves the QP with P + rho I and q - rho x_k in the same way, for rho =
-    _PROX_SHARE times the largest P_jj. rho (x_k+1 - x_k) is the gradient
-    of the QP's Lagrangian at x_k+1, so the loop returns SOLVED once its
-    largest entry is at most tol, and MAX_ITER after max_iter iterations,
-    at the last iterate, which meets the rows like every other. Raises
-    ProjectionError on an empty set or a breakdown of the loop.
+    The rows A x <= b are used as given. Where P passes the Cholesky pivot
+    test (every L_jj^2 above _QP_MIN_PIVOT times P_jj), the QP's minimizer
+    is the projection of -P^-1 q onto them in the metric of P, found in one
+    pass of `_active_set_project`: SOLVED, with iterations 1. Any other P
+    runs the proximal-point method (Rockafellar, SIAM J. Control Optim. 14,
+    1976) from x = 0: iteration k solves the QP with P + rho I and q - rho
+    x_k in the same way, for rho = _PROX_SHARE times the largest P_jj.
+    rho (x_k+1 - x_k) is the gradient of the QP's Lagrangian at x_k+1, so
+    the loop returns SOLVED once its largest entry is at most tol, and
+    MAX_ITER after max_iter iterations, at the last iterate, which meets the
+    rows like every other. Raises ProjectionError on an empty set or a
+    breakdown of the loop.
     """
     # P and q scaled to max diag(P) = 1, which leaves the minimizer as it is
     # and balances the blocks of the KKT systems: their multipliers would
@@ -378,7 +372,7 @@ def qp_solve(prob: QpProblem, tol: float = 1e-8, max_iter: int = 20000) -> QpSol
         scale = 1.0
     P, q = prob.P / scale, prob.q / scale
     n = q.shape[0]
-    C, d = _halfspaces(prob.A, prob.lo, prob.hi)
+    C, d = prob.A, prob.b
     try:
         L = np.linalg.cholesky(P)
         definite = bool(np.all(np.diag(L) ** 2 > _QP_MIN_PIVOT * np.diag(P)))
@@ -398,7 +392,7 @@ def qp_solve(prob: QpProblem, tol: float = 1e-8, max_iter: int = 20000) -> QpSol
     def minimize(top):
         # argmin x.M x / 2 - top.x over the rows
         x = np.linalg.solve(L.T, np.linalg.solve(L, top))
-        return _project_halfspaces(x, C, d, _PROJECT_TOL, (M, top, W)) if d.size else x
+        return _active_set_project(x, C, d, _PROJECT_TOL, (M, top, W)) if d.size else x
 
     if definite:
         return QpSolution(minimize(-q), SOLVED, 1)
@@ -410,9 +404,6 @@ def qp_solve(prob: QpProblem, tol: float = 1e-8, max_iter: int = 20000) -> QpSol
         if scale * rho * step <= tol:
             return QpSolution(x, SOLVED, it)
     return QpSolution(x, MAX_ITER, max_iter)
-
-
-_MONOTONE_KINDS = (model.MONOTONE_NONINCREASING, model.MONOTONE_NONDECREASING)
 
 
 def _monotone_scalar_bounds(poly):
@@ -460,16 +451,16 @@ def _poly_projector(poly, n: int, feas_tol: float):
         len(poly) == 2
         and poly[0].kind == model.BOX
         and np.all(poly[0].lo == 0.0)
-        and np.all(poly[0].hi >= INF)
+        and np.all(poly[0].hi == np.inf)
         and poly[1].kind == model.SUM_EQUALS
         and poly[1].value > 0.0
     ):
         exact = functools.partial(project_simplex, total=poly[1].value)
     else:
-        C, d = _halfspaces(*stack_rows(poly, n))
+        C, d = halfspaces(poly, n)
         if not d.size:  # every side infinite
             return lambda v: v
-        return lambda v: _project_halfspaces(v, C, d, feas_tol)
+        return lambda v: _active_set_project(v, C, d, feas_tol)
     return lambda v: v if max_violation(poly, v) <= feas_tol else exact(v)
 
 
@@ -522,7 +513,7 @@ def projector(atoms, n: int):
     bounds clips its isotonic fit. Other intersections of polyhedral atoms
     are stacked here into halfspace rows, one per finite side, and each
     point is projected onto them exactly by a dual active-set loop
-    (`_project_halfspaces`); composing the individual projections would not
+    (`_active_set_project`); composing the individual projections would not
     give the intersection projection. The norm ball intersected with
     polyhedral atoms alternates both projections Dykstra-style. The closed
     forms of one box, one monotone cone with or without scalar bounds, and
@@ -570,16 +561,6 @@ def block_shrink(v: np.ndarray, amount: float) -> np.ndarray:
 _PROX_MAPS = {model.L1: soft_threshold, model.GROUP_L2: block_shrink}
 
 
-def prox(reg: model.RegularizerAtom, point, step: float = 1.0):
-    """Proximal operator of step * reg at point.
-
-    l1 soft-thresholds componentwise; group_l2 shrinks the block toward zero.
-    """
-    if reg.kind not in _PROX_MAPS:
-        raise ValueError(f"{reg.kind!r} has no parameter-side proximal operator")
-    return _PROX_MAPS[reg.kind](np.asarray(point, dtype=float), step * reg.weight)
-
-
 def _chained_prox(regs):
     """prox(v, step) of step * (the sum of regs), for 1-D float arrays v.
 
@@ -601,9 +582,8 @@ def is_sign_box(atom):
     # [0,inf), (-inf,inf), {0}
     if atom.kind != model.BOX:
         return False
-    return bool(
-        np.all((atom.lo == 0.0) | (atom.lo <= -INF)) and np.all((atom.hi == 0.0) | (atom.hi >= INF))
-    )
+    lo, hi = atom.lo, atom.hi
+    return bool(np.all((lo == 0.0) | (lo == -np.inf)) and np.all((hi == 0.0) | (hi == np.inf)))
 
 
 def _is_cone(atom):

@@ -40,13 +40,13 @@ def _exact_factor_solve(atom, atoms, feats, obs, n):
         # of the centroid
         return kernels.project(atoms, (feats + obs[:, None]).mean(axis=0))
     if atom.kind == model.SQUARE_REGRESSION:
-        A, lo, hi = kernels.stack_rows(atoms, n)
-        if not A.shape[0]:
+        C, d = kernels.halfspaces(atoms, n)
+        if not d.size:
             theta, *_ = np.linalg.lstsq(feats, obs, rcond=None)
             return theta
         P = 2.0 * feats.T @ feats
         q = -2.0 * feats.T @ obs
-        sol = kernels.qp_solve(kernels.qp_problem(P, q, A, lo, hi), tol=1e-10)
+        sol = kernels.qp_solve(kernels.qp_problem(P, q, C, d), tol=1e-10)
         if sol.status != kernels.SOLVED:
             raise RuntimeError(f"oracle inner QP ended with status {sol.status}")
         return sol.x
@@ -125,94 +125,52 @@ def prox_gradient_fixed_point(grad, prox, x0, lipschitz: float, max_iter: int = 
     return x
 
 
-def distinct_rows(A, lo, hi):
-    """Merge the constraint rows whose (A_i, lo_i, hi_i) are identical.
-
-    Returns None when all rows differ, else (keep, inverse): keep holds the
-    first row of each group of identical rows, and row i is row
-    keep[inverse[i]].
-    """
-    R = np.column_stack([A, lo, hi])
-    if R.shape[0] < 2:
-        return None
-    order = np.lexsort(R.T)  # stable: equal rows keep their order
-    ordered = R[order]
-    starts = np.concatenate([[True], np.any(ordered[1:] != ordered[:-1], axis=1)])
-    if starts.all():
-        return None
-    inverse = np.empty(order.size, dtype=int)
-    inverse[order] = np.cumsum(starts) - 1
-    return order[starts], inverse
-
-
 def qp_active_set_oracle(prob: kernels.QpProblem, tol: float = 1e-9) -> np.ndarray:
-    """Exact QP solution by enumerating active sets of lo <= Ax <= hi.
+    """Exact QP solution by enumerating the active sets of A x <= b.
 
-    Requires positive definite P and at most 8 constraint rows. Of rows
-    with identical (A_i, lo_i, hi_i) only the first is kept, as copies
-    would make every KKT system that pins them singular. Each candidate
-    pins a subset of rows at a bound, solves the equality-constrained KKT
-    system, and keeps KKT points (primal feasible, correctly signed
-    multipliers); the best objective wins.
+    Requires positive definite P and at most 16 rows. At the minimizer, the
+    negative gradient lies in the cone of the active rows, so by
+    Caratheodory's theorem it is carried by at most n linearly independent
+    ones. Every subset of at most n rows is pinned: its KKT system, with P
+    and q scaled to a unit max diagonal of P so that the multipliers do not
+    grow with P, gives x and the multipliers. x is a candidate where it
+    meets every row and every multiplier is nonnegative, both up to tol
+    times the size of the terms they are formed from; the candidate with
+    the least objective wins, the first of equals. A subset that pins a row
+    twice, or both sides of an equality, has a singular system (determinant
+    0) and is skipped. The systems of one subset size are solved as one
+    stack.
     """
-    P, q, A, lo, hi = prob.P, prob.q, prob.A, prob.lo, prob.hi
-    if A.shape[0] > 8:
-        raise InstanceTooLarge("active-set enumeration supports at most 8 rows")
-    groups = distinct_rows(A, lo, hi)
-    if groups is not None:
-        keep = np.sort(groups[0])
-        A, lo, hi = A[keep], lo[keep], hi[keep]
-    n, m = q.shape[0], A.shape[0]
-
-    options = []
-    for i in range(m):
-        if lo[i] >= hi[i]:
-            options.append(("eq",))  # equality row is always active
-            continue
-        opts: list = [None]
-        if lo[i] > -kernels.INF:
-            opts.append("lo")
-        if hi[i] < kernels.INF:
-            opts.append("hi")
-        options.append(tuple(opts))
-
-    def objective(x):
-        return 0.5 * x @ P @ x + q @ x
-
+    P, q, A, b = prob.P, prob.q, prob.A, prob.b
+    n, m = q.shape[0], b.shape[0]
+    if m > 16:
+        raise InstanceTooLarge("active-set enumeration supports at most 16 rows")
+    scale = float(np.diag(P).max(initial=0.0))
+    if not scale > 0.0:  # P = 0: any scale serves
+        scale = 1.0
+    Ps, qs = P / scale, q / scale
     best_x, best_val = None, np.inf
-    for combo in itertools.product(*options):
-        rows = [i for i, c in enumerate(combo) if c is not None]
-        targets = np.array(
-            [hi[i] if combo[i] in ("hi", "eq") else lo[i] for i in rows], dtype=float
-        )
-        Aact = A[rows]
-        k = len(rows)
-        KKT = np.zeros((n + k, n + k))
-        KKT[:n, :n] = P
-        KKT[:n, n:] = Aact.T
-        KKT[n:, :n] = Aact
-        rhs = np.concatenate([-q, targets])
-        try:
-            sol = np.linalg.solve(KKT, rhs)
-        except np.linalg.LinAlgError:
-            continue
-        x, nu = sol[:n], sol[n:]
-        ax = A @ x
-        if np.any(ax < lo - tol) or np.any(ax > hi + tol):
-            continue
-        ok = True
-        for j, i in enumerate(rows):
-            if combo[i] == "hi" and nu[j] < -tol:
-                ok = False
-                break
-            if combo[i] == "lo" and nu[j] > tol:
-                ok = False
-                break
-        if not ok:
-            continue
-        val = objective(x)
-        if val < best_val - 1e-15:
-            best_x, best_val = x, val
+    for k in range(min(n, m) + 1):
+        subsets = np.array(list(itertools.combinations(range(m), k)), dtype=int)
+        KKT = np.zeros((len(subsets), n + k, n + k))
+        KKT[:, :n, :n] = Ps
+        KKT[:, :n, n:] = A[subsets].transpose(0, 2, 1)
+        KKT[:, n:, :n] = A[subsets]
+        rhs = np.concatenate([np.broadcast_to(-qs, (len(subsets), n)), b[subsets]], axis=1)
+        regular = np.linalg.det(KKT) != 0.0
+        subsets = subsets[regular]
+        sol = np.linalg.solve(KKT[regular], rhs[regular][:, :, None])[:, :, 0]
+        x, nu = sol[:, :n], sol[:, n:]
+        feasible = x @ A.T - b <= tol * (1.0 + np.abs(x) @ np.abs(A).T + np.abs(b))
+        # nu_j A_j balances the terms of the scaled gradient Ps x + qs
+        grad = (np.abs(x) @ np.abs(Ps).T + np.abs(qs)).max(axis=1)
+        signed = nu >= -tol * (1.0 + grad[:, None] / np.abs(A[subsets]).max(axis=2))
+        x = x[feasible.all(axis=1) & signed.all(axis=1)]
+        if len(x):
+            vals = 0.5 * np.einsum("si,ij,sj->s", x, P, x) + x @ q
+            i = int(vals.argmin())
+            if vals[i] < best_val:
+                best_x, best_val = x[i], vals[i]
     if best_x is None:
         raise RuntimeError("no KKT point found; problem may be infeasible")
     return best_x

@@ -59,7 +59,7 @@ class FactorPlan:
     regs: list  # the parameter regularizers
     project: Callable  # Euclidean projection onto the atoms
     prox: Callable | None = None  # joint prox of regs and atoms, Newton only
-    rows: tuple | None = None  # stacked (A, lo, hi) of the atoms, Newton's model QP only
+    rows: tuple | None = None  # halfspace rows (C, d) of the atoms, Newton's model QP only
     exact_model: bool = False  # the exact model is the factor's own problem (a quadratic loss)
     group_box: tuple | None = None  # (lambda, lo, hi): group l2 over a sign box, model solved exactly
 
@@ -228,7 +228,7 @@ def _model_step(plan, theta, g, H, controls):
 
     Returns the prox-gradient step at theta, with step 1 / lambda_max(H), a
     closer point, and whether that point minimizes the factor's own problem.
-    Where the plan stacked rows (no regularizer, no ball) and H has
+    Where the plan holds rows (no regularizer, no ball) and H has
     curvature, the model is the QP with P = H and q = g - H theta, solved
     by qp_solve: exactly where H is definite, and under qp_tol and
     qp_max_iter where it is singular. The QP point is projected, which
@@ -369,13 +369,14 @@ def plan_factors(spec: model.ModelSpec) -> list[FactorPlan]:
     unconstrained square regression solves the normal equations of its
     weighted Gram matrix (`_weighted_lstsq`). Every other factor runs
     proximal Newton (`_newton_factor`) on the joint prox planned on its
-    projector. Where it has no regularizer and no ball, the atoms' rows are
-    stacked here, and its quadratic model is solved as one QP on them. Where
-    every regularizer is group l2 and the atoms are at most one sign box
-    (the clip-then-shrink case of kernels.prox_plan), the plan keeps
-    group_box, the summed weight and the box bounds, and its model is
-    solved exactly by its secular equation. Plans hold closures, which do
-    not pickle: build them in the process that runs the restart.
+    projector. Where it has no regularizer and no ball, the plan keeps the
+    atoms' halfspace rows (kernels.halfspaces), and its quadratic model is
+    solved as one QP on them. Where every regularizer is group l2 and the
+    atoms are at most one sign box (the clip-then-shrink case of
+    kernels.prox_plan), the plan keeps group_box, the summed weight and the
+    box bounds, and its model is solved exactly by its secular equation.
+    Plans hold closures, which do not pickle: build them in the process
+    that runs the restart.
     """
     regs = list(spec.p_regularizers)
     group_l2 = bool(regs) and all(r.kind == model.GROUP_L2 for r in regs)
@@ -397,7 +398,7 @@ def plan_factors(spec: model.ModelSpec) -> list[FactorPlan]:
             plan.prox = kernels.prox_plan(regs, atoms, spec.n, project)
             # the canonical form keeps its one ball, if any, last
             if not regs and not (atoms and atoms[-1].kind == model.NORM_BALL2):
-                plan.rows = kernels.stack_rows(atoms, spec.n)
+                plan.rows = kernels.halfspaces(atoms, spec.n)
                 plan.exact_model = loss.kind == model.SQUARE_REGRESSION
             elif group_l2 and len(atoms) <= 1 and all(kernels.is_sign_box(a) for a in atoms):
                 box = atoms[0] if atoms else model.box(np.full(spec.n, -np.inf), np.full(spec.n, np.inf))

@@ -14,6 +14,7 @@ import pytest
 import dlfmkit as dk
 from dlfmkit import experiments as ex
 from dlfmkit import kernels, model, oracle
+from two_sided import two_sided_qp
 
 
 def _report(name, ok, detail):
@@ -225,7 +226,7 @@ def test_criterion_7_kernel_checks():
         A = rng.normal(size=(m, n))
         mid = A @ rng.normal(size=n)
         half = np.abs(rng.normal(size=m)) + 0.1
-        prob = dk.qp_problem(P=P, q=q, A=A, lo=mid - half, hi=mid + half)
+        prob = two_sided_qp(P, q, A, mid - half, mid + half)
         ref = dk.qp_active_set_oracle(prob)
         sol = dk.qp_solve(prob)
         def fval(x):

@@ -1,10 +1,11 @@
 import pickle
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import dlfmkit as dk
-from dlfmkit import engine, kernels
+from dlfmkit import engine, kernels, psolve
 
 
 def two_line_data(rng, m=30, noise=0.0):
@@ -293,6 +294,52 @@ class TestRestartFailures:
                             lambda spec, data, restart: _nan_final(_run_restart(spec, data, restart)))
         with pytest.raises(dk.EngineFailure, match="finite"):
             dk.fit(spec, data)
+
+    @staticmethod
+    def _failing_p_steps(monkeypatch, failing):
+        """Patch psolve.solve_p to raise SubsolverFailure at the (restart,
+        iteration) pairs in failing, for sequential fits. Returns the log of
+        (restart, iteration, warm thetas, thetas out) of each call."""
+        real = psolve.solve_p
+        log = []
+
+        def solve_p(spec, data, Z, warm=None, plans=None):
+            # a restart's first P-step is the one without a warm start
+            if warm is None:
+                restart, it = (log[-1][0] + 1 if log else 0), 1
+            else:
+                restart, it = log[-1][0], log[-1][1] + 1
+            if (restart, it) in failing:
+                log.append((restart, it, warm, None))
+                raise dk.SubsolverFailure(0, "injected breakdown")
+            out = real(spec, data, Z, warm=warm, plans=plans)
+            log.append((restart, it, warm, out.thetas))
+            return out
+
+        monkeypatch.setattr(psolve, "solve_p", solve_p)
+        return log
+
+    def test_failed_p_step_keeps_the_previous_thetas(self, monkeypatch):
+        spec, data = self._problem()
+        spec = replace(spec, controls=replace(spec.controls, restarts=1))
+        log = self._failing_p_steps(monkeypatch, {(0, 2)})
+        res = dk.fit(spec, data)
+        assert res.iterations > 3
+        # iteration 2 keeps iteration 1's thetas, its after-P objective is the
+        # last after-F one, and the F-step on the same losses changes nothing
+        assert log[1][3] is None and log[2][2] is log[0][3]
+        _, _, after_f = res.objective_trace[0]
+        assert res.objective_trace[1] == (2, after_f, after_f)
+        assert [entry[1] for entry in log] == list(range(1, res.iterations + 1))
+
+    def test_two_failed_p_steps_in_a_row_drop_the_restart(self, monkeypatch):
+        spec, data = self._problem()
+        log = self._failing_p_steps(monkeypatch, {(0, 2), (0, 3)})
+        res = dk.fit(spec, data)
+        # restart 0 ends at its second failure in a row; the others run
+        assert [entry[1] for entry in log if entry[0] == 0] == [1, 2, 3]
+        assert {entry[0] for entry in log} == {0, 1, 2}
+        assert res.restart_index_of_best in (1, 2)
 
     def test_subsolver_failure_pickles(self):
         exc = pickle.loads(pickle.dumps(dk.SubsolverFailure(3, "QP broke down")))

@@ -3,6 +3,7 @@ import pytest
 
 import dlfmkit as dk
 from dlfmkit import experiments, kernels, model, oracle
+from two_sided import two_sided_qp
 
 
 def random_qp(rng, n, m):
@@ -13,7 +14,7 @@ def random_qp(rng, n, m):
     A = rng.normal(size=(m, n))
     mid = A @ rng.normal(size=n)  # anchor keeps the row boxes consistent
     half = np.abs(rng.normal(size=m)) + 0.1
-    return dk.qp_problem(P=P, q=q, A=A, lo=mid - half, hi=mid + half)
+    return two_sided_qp(P, q, A, mid - half, mid + half)
 
 
 def qp_objective(prob, x):
@@ -24,15 +25,14 @@ class TestQpSolve:
     def test_unconstrained(self):
         # no rows: plain linear solve, P x = -q
         prob = dk.qp_problem(P=2.0 * np.eye(2), q=np.array([-4.0, 2.0]),
-                             A=np.zeros((0, 2)), lo=np.zeros(0), hi=np.zeros(0))
+                             A=np.zeros((0, 2)), b=np.zeros(0))
         sol = dk.qp_solve(prob)
         assert sol.status == kernels.SOLVED
         assert np.allclose(sol.x, [2.0, -1.0], atol=1e-8)
 
     def test_equality_row(self):
-        prob = dk.qp_problem(P=2.0 * np.eye(2), q=np.array([-2.0, 0.0]),
-                             A=np.array([[1.0, 1.0]]), lo=np.array([1.0]),
-                             hi=np.array([1.0]))
+        prob = two_sided_qp(2.0 * np.eye(2), np.array([-2.0, 0.0]),
+                            np.array([[1.0, 1.0]]), np.array([1.0]), np.array([1.0]))
         sol = dk.qp_solve(prob)
         assert sol.status == kernels.SOLVED
         assert np.allclose(sol.x, [1.0, 0.0], atol=1e-6)
@@ -53,9 +53,7 @@ class TestQpSolve:
     def test_detects_infeasible(self):
         # x >= 1 and x <= -1 cannot hold
         prob = dk.qp_problem(P=np.eye(1), q=np.zeros(1),
-                             A=np.array([[1.0], [1.0]]),
-                             lo=np.array([1.0, -np.inf]),
-                             hi=np.array([np.inf, -1.0]))
+                             A=np.array([[-1.0], [1.0]]), b=np.array([-1.0, -1.0]))
         with pytest.raises(kernels.ProjectionError):
             dk.qp_solve(prob)
 
@@ -77,18 +75,17 @@ def polish_qp(rng, kind):
         for i in range(m):
             side = rng.integers(0, 3)  # keep some rows two-sided
             if side == 1:
-                lo[i] = -kernels.INF
+                lo[i] = -np.inf
             elif side == 2:
-                hi[i] = kernels.INF
+                hi[i] = np.inf
     elif kind == "duplicate":
         A = np.vstack([A, A[:2]])
         lo, hi = np.concatenate([lo, lo[:2]]), np.concatenate([hi, hi[:2]])
-    return dk.qp_problem(P=P, q=q, A=A, lo=lo, hi=hi)
+    return two_sided_qp(P, q, A, lo, hi)
 
 
 def assert_feasible(prob, sol, tol=1e-6):
-    ax = prob.A @ sol.x
-    assert np.all(ax >= prob.lo - tol) and np.all(ax <= prob.hi + tol)
+    assert np.all(prob.A @ sol.x <= prob.b + tol)
 
 
 class TestQpPolish:
@@ -101,7 +98,7 @@ class TestQpPolish:
             sol = dk.qp_solve(prob)
             assert sol.status == kernels.SOLVED, f"trial {trial}"
             assert_feasible(prob, sol)
-            if prob.A.shape[0] > 8:
+            if prob.A.shape[0] > 16:
                 continue
             try:
                 ref = dk.qp_active_set_oracle(prob)
@@ -126,8 +123,7 @@ class TestQpPolish:
         for k in range(4):
             pts = X[quadrant == k]
             W = float(len(pts))
-            prob = dk.qp_problem(P=2.0 * W * np.eye(2), q=-2.0 * W * pts.mean(axis=0),
-                                 A=A, lo=np.full(5, -kernels.INF), hi=b)
+            prob = dk.qp_problem(P=2.0 * W * np.eye(2), q=-2.0 * W * pts.mean(axis=0), A=A, b=b)
             sol = dk.qp_solve(prob)
             assert sol.status == kernels.SOLVED
             assert sol.iterations == 1
@@ -172,7 +168,7 @@ class TestProjectSimplex:
             n = int(rng.integers(2, 6))
             v = rng.normal(0, 2, n)
             fast = kernels.project_simplex(v, 1.0)
-            prob = dk.qp_problem(np.eye(n), -v, *kernels.stack_rows(atoms, n))
+            prob = dk.qp_problem(np.eye(n), -v, *kernels.halfspaces(atoms, n))
             sol = dk.qp_solve(prob, tol=1e-12)
             assert sol.status == kernels.SOLVED
             assert np.allclose(fast, sol.x, atol=1e-5)
@@ -228,7 +224,7 @@ class TestProject:
             else:
                 atoms = [model.nonpos(), model.monotone_nondecreasing()]
             fast = dk.project(atoms, v)
-            prob = dk.qp_problem(np.eye(n), -v, *kernels.stack_rows(atoms, n))
+            prob = dk.qp_problem(np.eye(n), -v, *kernels.halfspaces(atoms, n))
             sol = dk.qp_solve(prob, tol=1e-12)
             assert sol.status == kernels.SOLVED
             assert np.allclose(fast, sol.x, atol=1e-5)
@@ -275,9 +271,28 @@ class TestProject:
         with pytest.raises(kernels.ProjectionError):
             dk.project((atom,), np.array([0.5]))
 
+    def test_lone_sum_equals_matches_active_set_oracle(self, monkeypatch):
+        # one sum_equals atom is projected by its closed form, not by the
+        # active-set loop; a point within _FEAS_TOL of the set is kept
+        def no_active_set(*args, **kwargs):
+            raise AssertionError("the active-set loop ran")
+
+        monkeypatch.setattr(kernels, "_active_set_project", no_active_set)
+        rng = np.random.default_rng(17)
+        for _ in range(30):
+            n = int(rng.integers(1, 6))
+            value = float(rng.normal(0.0, 3.0))
+            v = rng.normal(0.0, 3.0, size=n)
+            got = dk.project([model.sum_equals(value)], v)
+            ref = oracle.qp_active_set_oracle(two_sided_qp(np.eye(n), -v, np.ones((1, n)), [value], [value]))
+            np.testing.assert_allclose(got, ref, rtol=0.0, atol=1e-12)
+            near = got + 1e-10 / n
+            assert np.array_equal(dk.project([model.sum_equals(value)], near), near)
+
 
 def atom_rows(atom, n):
-    """(A, lo, hi) of one raw atom, built here independently of stack_rows."""
+    """(A, lo, hi) of one raw atom, rows lo <= A x <= hi, built here
+    independently of kernels.halfspaces."""
     eye = np.eye(n)
     if atom.kind == model.NONNEG:
         return eye, np.zeros(n), np.full(n, np.inf)
@@ -335,7 +350,7 @@ class TestCanonicalProjection:
                 with pytest.raises(kernels.ProjectionError):
                     dk.project(atoms, v)
                 continue
-            prob = dk.qp_problem(np.eye(n), -v, np.vstack([p[0] for p in parts]), lo, hi)
+            prob = two_sided_qp(np.eye(n), -v, np.vstack([p[0] for p in parts]), lo, hi)
             try:
                 ref = oracle.qp_active_set_oracle(prob)
             except RuntimeError:  # no KKT point: the extra atom empties the set
@@ -370,7 +385,7 @@ class TestProx:
         assert np.allclose(out, [2.0, 0.0, 0.0])
 
     def test_l1_prox_examples(self):
-        out = dk.prox(model.l1(2.0), np.array([5.0, -0.5]), 0.5)
+        out = dk.joint_prox((model.l1(2.0),), (), np.array([5.0, -0.5]), 0.5)
         assert np.allclose(out, [4.0, 0.0])
 
     def test_l1_prox_grid(self):
@@ -379,16 +394,16 @@ class TestProx:
             v = float(rng.normal(0, 2))
             w = float(rng.uniform(0.1, 2.0))
             step = float(rng.uniform(0.1, 2.0))
-            got = dk.prox(model.l1(w), np.array([v]), step)[0]
+            got = dk.joint_prox((model.l1(w),), (), np.array([v]), step)[0]
             ref = grid_prox_1d(lambda u: w * np.abs(u), v, step)
             assert abs(got - ref) <= 1e-4
 
     def test_group_shrink(self):
-        out = dk.prox(model.group_l2(1.0), np.array([3.0, 4.0]), 1.0)
+        out = dk.joint_prox((model.group_l2(1.0),), (), np.array([3.0, 4.0]), 1.0)
         assert np.allclose(out, [2.4, 3.2])
 
     def test_group_shrink_kills_small(self):
-        out = dk.prox(model.group_l2(1.0), np.array([0.3, 0.4]), 1.0)
+        out = dk.joint_prox((model.group_l2(1.0),), (), np.array([0.3, 0.4]), 1.0)
         assert np.allclose(out, [0.0, 0.0])
 
 
@@ -445,13 +460,39 @@ def random_sign_boxes(rng, n):
         elif kind == 1:
             atoms.append(model.nonpos())
         else:
-            lo = rng.choice([0.0, -np.inf, -dk.INF], size=n)
-            hi = rng.choice([0.0, np.inf, dk.INF], size=n)
+            # an open side is drawn two times in three, as when the third
+            # choice was the 1e30 sentinel, which counted as infinite
+            lo = rng.choice([0.0, -np.inf, -np.inf], size=n)
+            hi = rng.choice([0.0, np.inf, np.inf], size=n)
             atoms.append(model.box(lo, hi))
     return atoms
 
 
 class TestProxPlan:
+    @pytest.mark.parametrize("cone", ["monotone", "polyhedral", "subspace", "sign_box_and_monotone"])
+    def test_group_l2_on_cone_matches_dykstra(self, cone, monkeypatch):
+        # group l2 over a cone that is not a sign box: the plan shrinks the
+        # projection, without the Dykstra alternation it is checked against
+        rng = np.random.default_rng(23)
+        reg = (model.group_l2(0.8),)
+        for _ in range(15):
+            n = int(rng.integers(2, 6))
+            atoms = {
+                "monotone": [model.monotone_nondecreasing()],
+                "polyhedral": [model.polyhedron(rng.normal(size=(2, n)), np.zeros(2))],
+                "subspace": [model.sum_equals(0.0)],
+                "sign_box_and_monotone": [model.nonneg(), model.monotone_nonincreasing()],
+            }[cone]
+            project = kernels.projector(atoms, n)
+            v = rng.normal(0.0, 2.0, size=n)
+            step = float(rng.uniform(0.1, 2.0))
+            with monkeypatch.context() as patch:
+                patch.setattr(kernels, "_dykstra_prox", None)
+                got = kernels.prox_plan(reg, atoms, n, project)(v, step)
+            ref = kernels._dykstra_prox(list(reg), project, v, step)
+            assert np.allclose(got, ref, rtol=0.0, atol=1e-8)
+            assert kernels.max_violation(atoms, got) <= 1e-8
+
     @pytest.mark.parametrize("regs", [
         (model.l1(0.7),),
         (model.group_l2(0.9),),
@@ -475,7 +516,8 @@ class TestProxPlan:
                 box = kernels.canonical_atoms(atoms, n)[0]
                 exact = np.clip(v, box.lo, box.hi)
                 for reg in sorted(regs, key=lambda r: r.kind != model.L1):
-                    exact = kernels.prox(reg, exact, step)
+                    shrink = kernels.soft_threshold if reg.kind == model.L1 else kernels.block_shrink
+                    exact = shrink(exact, step * reg.weight)
                 assert np.array_equal(got, exact)
 
 

@@ -3,6 +3,7 @@ import pytest
 
 import dlfmkit as dk
 from dlfmkit import oracle
+from two_sided import two_sided_qp
 
 
 def test_fd_gradient_quadratic():
@@ -98,7 +99,7 @@ def test_brute_force_rejects_regularized():
 
 def test_active_set_equality_qp():
     # min x^2 + y^2 - 2x  s.t.  x + y = 1  ->  (1, 0)
-    prob = dk.qp_problem(
+    prob = two_sided_qp(
         P=2.0 * np.eye(2),
         q=np.array([-2.0, 0.0]),
         A=np.array([[1.0, 1.0]]),
@@ -111,7 +112,7 @@ def test_active_set_equality_qp():
 
 def test_active_set_inactive_bounds():
     # unconstrained minimum (1.5, -0.5) sits inside wide bounds
-    prob = dk.qp_problem(
+    prob = two_sided_qp(
         P=2.0 * np.eye(2),
         q=np.array([-3.0, 1.0]),
         A=np.eye(2),
@@ -128,32 +129,61 @@ def test_active_set_active_bound():
         P=np.array([[2.0]]),
         q=np.array([-6.0]),
         A=np.array([[1.0]]),
-        lo=np.array([-np.inf]),
-        hi=np.array([1.0]),
+        b=np.array([1.0]),
     )
     x = dk.qp_active_set_oracle(prob)
     assert np.allclose(x, [1.0], atol=1e-12)
 
 
 def test_active_set_row_limit():
-    prob = dk.qp_problem(P=np.eye(2), q=np.zeros(2), A=np.ones((9, 2)),
-                         lo=np.zeros(9), hi=np.ones(9))
+    prob = dk.qp_problem(P=np.eye(2), q=np.zeros(2), A=np.ones((17, 2)), b=np.ones(17))
     with pytest.raises(ValueError):
         dk.qp_active_set_oracle(prob)
 
 
 def test_active_set_duplicated_equality_rows():
     # two copies of x0 = 1: every candidate pinning both was singular
-    prob = dk.qp_problem(P=np.eye(2), q=np.array([-1.0, -1.0]),
-                         A=np.array([[1.0, 0.0], [1.0, 0.0]]),
-                         lo=np.ones(2), hi=np.ones(2))
+    prob = two_sided_qp(P=np.eye(2), q=np.array([-1.0, -1.0]),
+                        A=np.array([[1.0, 0.0], [1.0, 0.0]]),
+                        lo=np.ones(2), hi=np.ones(2))
     x = dk.qp_active_set_oracle(prob)
     assert np.allclose(x, [1.0, 1.0], atol=1e-12)
 
 
-def test_distinct_rows_groups_identical_rows():
-    A = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 0.0]])
-    lo, hi = np.zeros(4), np.array([1.0, 1.0, 1.0, 2.0])
-    keep, inverse = oracle.distinct_rows(A, lo, hi)
-    assert np.array_equal(keep[inverse], [0, 1, 0, 3])
-    assert oracle.distinct_rows(A[:2], lo[:2], hi[:2]) is None
+def test_active_set_more_equality_rows_than_n():
+    # x0 = 1, x1 = 1 and x0 + x1 = 2 on R^2: three consistent equality rows.
+    # Pinning all of them at once gives a singular KKT system; a subset of
+    # n = 2 rows carries the minimizer
+    A = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+    prob = two_sided_qp(P=np.diag([1.0, 2.0]), q=np.array([3.0, -1.0]), A=A,
+                        lo=np.array([1.0, 1.0, 2.0]), hi=np.array([1.0, 1.0, 2.0]))
+    x = dk.qp_active_set_oracle(prob)
+    assert np.allclose(x, [1.0, 1.0], atol=1e-12)
+    assert np.allclose(dk.qp_solve(prob).x, x, atol=1e-12)
+
+
+def test_active_set_with_large_p_matches_qp_solve():
+    # P with eigenvalues from 1 to 3.5e8: multipliers and the rounding of
+    # the pinned rows grow with P, and tests absolute at 1e-9 rejected the
+    # minimizer's active set or accepted a point outside an equality row
+    rng = np.random.default_rng(3)
+    for _ in range(40):
+        n = int(rng.integers(2, 5))
+        Q, _ = np.linalg.qr(rng.normal(size=(n, n)))
+        P = (Q * np.logspace(0.0, np.log10(3.5e8), n)) @ Q.T
+        q = P @ rng.normal(0.0, 3.0, size=n)
+        A = rng.normal(size=(3, n))
+        mid = A @ rng.normal(size=n)
+        lo, hi = mid - rng.uniform(0.0, 1.0, size=3), mid + rng.uniform(0.0, 1.0, size=3)
+        lo[0] = hi[0] = mid[0]  # one equality row, through the feasible anchor
+        prob = two_sided_qp(P, q, A, lo, hi)
+        x = dk.qp_active_set_oracle(prob)
+        sol = dk.qp_solve(prob)
+
+        def value(y):
+            return 0.5 * y @ P @ y + q @ y
+
+        size = float(np.abs(P).max() * np.abs(x).max() ** 2 + np.abs(q) @ np.abs(x))
+        assert abs(value(x) - value(sol.x)) <= 1e-9 * max(1.0, size)
+        assert float((prob.A @ x - prob.b).max()) <= 1e-9 * max(1.0, float(np.abs(x).max()))
+        assert np.abs(x - sol.x).max() <= 1e-6 * max(1.0, np.abs(x).max())

@@ -11,6 +11,7 @@ from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 import dlfmkit as dk  # noqa: E402
 from dlfmkit import kernels, model, oracle, psolve  # noqa: E402
+from two_sided import two_sided_qp  # noqa: E402
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -167,9 +168,9 @@ def test_polyhedral_projection_matches_active_set_oracle(n, rows, metric, log_co
     atoms = [model.polyhedron(np.vstack([A, -A]), np.concatenate([hi, -lo]))]
     project = kernels.projector(atoms, n)
     P = random_metric(metric, n, log_cond, seed)
-    prob = dk.qp_problem(P, -P @ v, A, lo, hi)
+    prob = two_sided_qp(P, -P @ v, A, lo, hi)
     try:
-        ref = oracle.qp_active_set_oracle(dk.qp_problem(np.eye(n), -v, A, lo, hi))
+        ref = oracle.qp_active_set_oracle(two_sided_qp(np.eye(n), -v, A, lo, hi))
     except RuntimeError:  # no KKT point: the set is empty
         with pytest.raises(kernels.ProjectionError):
             project(v)
@@ -184,13 +185,12 @@ def test_polyhedral_projection_matches_active_set_oracle(n, rows, metric, log_co
     # a singular P may end at max_iter, still feasible and near the optimum
     sol = dk.qp_solve(prob)
     assert kernels.max_violation(atoms, sol.x) <= 1e-8
-    # the oracle's tests are absolute: it gets P scaled to a unit diagonal
-    # maximum, which leaves the minimizer as it is
-    unit = max(float(np.diag(P).max()), 1.0)
     try:
-        ref = oracle.qp_active_set_oracle(dk.qp_problem(P / unit, -P @ v / unit, A, lo, hi))
+        ref = oracle.qp_active_set_oracle(prob)
     except RuntimeError:  # every KKT system the oracle solves is singular
         return
+    # objectives are compared at the scale of a unit diagonal maximum of P
+    unit = max(float(np.diag(P).max()), 1.0)
 
     def value(x):
         return float(0.5 * x @ P @ x - (P @ v) @ x) / unit

@@ -189,12 +189,9 @@ class TestNewtonStep:
         for k, theta in enumerate(out.thetas):
             _, g, H = model.value_grad_hessian(
                 spec.loss_per_factor[k], data.features, data.observations, theta, Z[:, k])
-            A, lo, hi = kernels.stack_rows(spec.constraints_per_factor[k], spec.n)
-            # the rows are the sign box, one per coordinate, then the monotone
-            # rows; given the ordering only the last coordinate's sign row
-            # binds, and the oracle takes at most 8 rows
-            keep = np.r_[spec.n - 1, spec.n:A.shape[0]]
-            ref = dk.qp_active_set_oracle(dk.qp_problem(H, g - H @ theta, A[keep], lo[keep], hi[keep]))
+            # the rows are the monotone rows and the sign rows, 9 in all
+            C, d = kernels.halfspaces(spec.constraints_per_factor[k], spec.n)
+            ref = dk.qp_active_set_oracle(dk.qp_problem(H, g - H @ theta, C, d))
             np.testing.assert_allclose(theta, ref, rtol=0.0, atol=1e-6)
 
     def test_iohmm_not_above_long_prox_gradient(self):
@@ -592,8 +589,7 @@ class TestProjectedCentroid:
             out = dk.solve_p(spec, data, Z)
             for k in range(4):
                 w = Z[:, k]
-                prob = dk.qp_problem(2.0 * w.sum() * np.eye(2), -2.0 * w @ centers,
-                                     A, np.full(5, -dk.INF), b)
+                prob = dk.qp_problem(2.0 * w.sum() * np.eye(2), -2.0 * w @ centers, A, b)
                 ref = dk.qp_active_set_oracle(prob)
                 np.testing.assert_allclose(out.thetas[k], ref, rtol=0.0, atol=1e-8)
                 active += float((A @ ref - b).max()) > -1e-9
@@ -757,7 +753,7 @@ class TestFactorPlans:
         plans = psolve.plan_factors(spec)
         assert [plan.solve for plan in plans] == [getattr(psolve, step)] * spec.K
         # only Newton plans carry a joint prox; of them, those with no
-        # regularizer and no ball carry stacked rows, their model being a QP
+        # regularizer and no ball carry halfspace rows, their model being a QP
         rows = name in ("capped_regression", "forgetting")
         assert all((plan.prox is not None) == (step == "_newton_factor") for plan in plans)
         assert all((plan.rows is not None) == rows for plan in plans)
@@ -767,8 +763,8 @@ class TestFactorPlans:
     def test_qp_rows_stacked_once_per_restart(self, monkeypatch):
         spec, data = capped_case("regression")
         stacks = []
-        real = kernels.stack_rows
-        monkeypatch.setattr(kernels, "stack_rows", lambda *args: stacks.append(1) or real(*args))
+        real = kernels.halfspaces
+        monkeypatch.setattr(kernels, "halfspaces", lambda *args: stacks.append(1) or real(*args))
         res = dk.fit(spec, data)
         assert res.iterations > 1
         # per factor: one for validate's feasibility probe, then per restart
