@@ -43,7 +43,6 @@ from .model import (
     group_l2,
     huber,
     kl_chain,
-    kl_divergence,
     kl_chain_value,
     l1,
     loss_matrix,

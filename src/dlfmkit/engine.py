@@ -78,7 +78,9 @@ def _run_restart(spec: model.ModelSpec, data: model.Dataset, restart: int):
     spec = replace(spec, p_regularizers=p_regs, f_regularizers=f_regs)
     c = spec.controls
     rng = np.random.default_rng(splitmix64(c.seed, restart))
-    Z = init_factors(data.m, spec.K, rng)
+    # Fortran order, as loss_matrix returns R: each factor's column of Z is
+    # contiguous for the P-step, and the F-steps keep that layout
+    Z = np.asfortranarray(init_factors(data.m, spec.K, rng))
 
     lam_z = sum(r.weight for r in f_regs if r.kind == model.KL_CHAIN)
     regularized = bool(p_regs or f_regs)

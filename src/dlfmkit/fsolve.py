@@ -16,13 +16,33 @@ import math
 import numpy as np
 
 
+def _first_extremes(Rt: np.ndarray, extreme, arg) -> np.ndarray:
+    """(K, m) bool with one True per column of Rt (K, m), at arg(Rt, axis=0).
+
+    extreme is np.minimum with arg np.argmin, or np.maximum with np.argmax.
+    K vector ops over the factor axis: mark where each factor attains the
+    column's extreme, then keep the first mark of each column, so ties take
+    the smallest index. A column with a NaN attains nothing, and takes arg's
+    answer, its first NaN.
+    """
+    hit = np.equal(Rt, extreme.reduce(Rt, axis=0), order="C")
+    taken = hit[0].copy()
+    for row in hit[1:]:
+        np.greater(row, taken, out=row)  # row and not taken
+        taken |= row
+    if not taken.all():
+        miss = np.flatnonzero(~taken)
+        hit[arg(Rt[:, miss], axis=0), miss] = True
+    return hit
+
+
 def solve_f_plain(R: np.ndarray) -> np.ndarray:
-    """One-hot rows at the row-wise loss argmin; ties take the smallest index."""
-    R = np.asarray(R, dtype=float)
-    m, K = R.shape
-    Z = np.zeros((m, K))
-    Z[np.arange(m), np.argmin(R, axis=1)] = 1.0
-    return Z
+    """One-hot rows at the row-wise loss argmin; ties take the smallest index.
+
+    Z is returned in Fortran order, as loss_matrix returns R: each factor's
+    column is contiguous.
+    """
+    return _first_extremes(np.asarray(R, dtype=float).T, np.minimum, np.argmin).T.astype(float)
 
 
 _FLOOR = 1e-12
@@ -51,12 +71,14 @@ def solve_f_kl(
     sum(v - u) is 0 and its value is z[:-1] . D + log s_{m-1} - log s_0,
     with D the flat differences W[:-1] - W[1:] cut to 0 on the K-1 pairs
     that cross from one factor into the next. The gradient's log ratio is
-    the same cut difference of log z, and its ratio the exp of that. Z is
-    returned C-contiguous in the (m, K) layout.
+    the same cut difference of log z, and its ratio the exp of that. R and
+    Z_init in Fortran order, as loss_matrix and the engine keep them, make
+    the (K, m) views free, and Z is returned in that order: the (m, K)
+    transpose of the final buffer.
     """
     R = np.asarray(R, dtype=float)
     m, K = R.shape
-    r = np.ascontiguousarray(R.T).ravel()
+    r = R.T.ravel()
     n = r.size
     # buffers: the iterate and the candidate (log z is kept for the
     # iterate only), exp(W), the differences, the gradient
@@ -108,10 +130,10 @@ def solve_f_kl(
             converged = True
             break
         step = min(step * 2.0, 1.0)
-    return np.ascontiguousarray(z.reshape(K, m).T), converged
+    return z.reshape(K, m).T, converged
 
 
 def harden(Z: np.ndarray) -> np.ndarray:
     """1-based labels at the row-wise argmax; ties take the smallest index."""
-    Z = np.asarray(Z, dtype=float)
-    return np.argmax(Z, axis=1) + 1
+    hit = _first_extremes(np.asarray(Z, dtype=float).T, np.maximum, np.argmax)
+    return np.arange(1, hit.shape[0] + 1) @ hit

@@ -238,6 +238,13 @@ _QP_MIN_PIVOT = 1e-12
 # the proximal term of a semidefinite QP is this share of the largest P_jj
 _PROX_SHARE = 1e-8
 
+# the proximal-point loop of a semidefinite QP stops once its Lagrangian's
+# gradient is at most this share of |P x|_inf and |q|_inf, about 45 machine
+# epsilons: q's part in the null space of P, rounded, moves the iterates at
+# about one epsilon of that scale on every iteration, so with max P_jj near
+# 1e8 an absolute stop at the default qp_tol is never met
+_QP_ROUNDING = 1e-14
+
 
 def _kkt_solve(P, N, top, bottom):
     """(u, w) with P u + N^T w = top and N u = bottom, for N of independent rows.
@@ -359,10 +366,12 @@ def qp_solve(prob: QpProblem, tol: float = 1e-8, max_iter: int = 20000) -> QpSol
     1976) from x = 0: iteration k solves the QP with P + rho I and q - rho
     x_k in the same way, for rho = _PROX_SHARE times the largest P_jj.
     rho (x_k+1 - x_k) is the gradient of the QP's Lagrangian at x_k+1, so
-    the loop returns SOLVED once its largest entry is at most tol, and
-    MAX_ITER after max_iter iterations, at the last iterate, which meets the
-    rows like every other. Raises ProjectionError on an empty set or a
-    breakdown of the loop.
+    the loop returns SOLVED once its largest entry is at most tol, or at
+    most _QP_ROUNDING times max(|P x_k+1|_inf, |q|_inf), the level its
+    rounding reaches on the scale of P and q; and MAX_ITER after max_iter
+    iterations, at the last iterate, which meets the rows like every
+    other. Raises ProjectionError on an empty set or a breakdown of the
+    loop.
     """
     # P and q scaled to max diag(P) = 1, which leaves the minimizer as it is
     # and balances the blocks of the KKT systems: their multipliers would
@@ -396,12 +405,15 @@ def qp_solve(prob: QpProblem, tol: float = 1e-8, max_iter: int = 20000) -> QpSol
 
     if definite:
         return QpSolution(minimize(-q), SOLVED, 1)
+    q_max = float(np.abs(q).max(initial=0.0))
     x = np.zeros(n)
     for it in range(1, max_iter + 1):
         x_next = minimize(rho * x - q)
         step = float(np.abs(x_next - x).max(initial=0.0))
         x = x_next
-        if scale * rho * step <= tol:
+        # the gradient is scale * rho * step in the units of P and q
+        floor = _QP_ROUNDING * max(float(np.abs(P @ x).max(initial=0.0)), q_max)
+        if rho * step <= max(tol / scale, floor):
             return QpSolution(x, SOLVED, it)
     return QpSolution(x, MAX_ITER, max_iter)
 

@@ -206,14 +206,17 @@ class SolverControls:
     kernels.qp_solve, which it runs for the quadratic model of proximal
     Newton where a factor has polyhedral constraints and no parameter
     regularizer, and the model's Hessian is singular: the loop stops once
-    the gradient of the model's Lagrangian is at most qp_tol, or after
-    qp_max_iter iterations. A definite model is solved exactly in one pass,
-    and projections (including the projected centroid of a squared-distance
-    factor) solve to a fixed tolerance. p_tol and p_max_iter govern the one
-    iterative P-step: they count its proximal Newton iterations, for every
-    factor that runs it, and the step stops once an accepted iteration
-    lowers the factor's objective by at most p_tol times |objective|,
-    floored at min(1, |objective at the warm start|).
+    the largest entry of the gradient of the model's Lagrangian is at most
+    qp_tol, or at most 1e-14 times the larger of |P x|_inf and |q|_inf,
+    the level its rounding reaches on the scale of the model's P and q; or
+    after qp_max_iter iterations. A definite model is solved exactly in one
+    pass, and projections (including the projected centroid of a
+    squared-distance factor) solve to a fixed tolerance. p_tol and
+    p_max_iter govern the one iterative P-step: they count its proximal
+    Newton iterations, for every factor that runs it, and the step stops
+    once an accepted iteration lowers the factor's objective by at most
+    p_tol times |objective|, floored at min(1, |objective at the warm
+    start|).
     """
 
     eps: float = 1e-6
@@ -336,7 +339,11 @@ def _pieces(atom: LossAtom, F, y, theta):
         tot = E.sum(axis=1, keepdims=True)
         S = E / tot
         return np.log(tot[:, 0]) + hi[:, 0] - (y * U).sum(axis=1), S - y, S
-    t = F @ theta
+    return _margin_pieces(atom, F @ theta, y)
+
+
+def _margin_pieces(atom: LossAtom, t, y):
+    """`_pieces` of a loss with one margin per sample, at one factor's margins t."""
     if atom.kind == BINARY_LOGIT:
         # margin form: the observation offsets the slope, not the margin
         pos = t >= 0.0
@@ -425,12 +432,37 @@ def value_grad_hessian(atom: LossAtom, features, observations, theta, weights):
     return value, grad, (Fr.T * (w[:, None] * curv).ravel()) @ Fr - (V.T * w) @ V
 
 
+# losses with one margin x . theta per sample: factors with one such atom
+# share their margins' feature matrix
+_ONE_MARGIN_KINDS = frozenset({SQUARE_REGRESSION, HUBER, LP_REGRESSION, BINARY_LOGIT})
+
+
 def loss_matrix(spec: ModelSpec, data: Dataset, thetas) -> np.ndarray:
-    """(m, K) matrix of per-sample losses, one column per factor."""
-    R = np.empty((data.m, spec.K))
-    for k in range(spec.K):
-        R[:, k] = batch_losses(spec.loss_per_factor[k], data.features, data.observations, thetas[k])
-    return R
+    """(m, K) matrix of per-sample losses, one column per factor.
+
+    The matrix is the transpose of a C-contiguous (K, m) buffer, in Fortran
+    order, so each factor's column is contiguous. On 2-D features the
+    factors that share one loss atom of one margin per sample (square
+    regression, huber, lp, binary logit) take their margins from one
+    product Theta F' of their stacked thetas, and `_margin_pieces` runs on
+    each factor's row of it: on the whole (g, m) block its temporaries are
+    g times larger, and cost more to allocate than they save. Squared
+    distance, multinomial logit and features of any other shape go through
+    batch_losses factor by factor.
+    """
+    F, y = np.asarray(data.features, dtype=float), np.asarray(data.observations, dtype=float)
+    Rt = np.empty((spec.K, data.m))
+    groups: dict = {}
+    for k, atom in enumerate(spec.loss_per_factor):
+        if atom.kind in _ONE_MARGIN_KINDS and F.ndim == 2:
+            groups.setdefault(atom, []).append(k)
+        else:
+            Rt[k] = batch_losses(atom, F, y, thetas[k])
+    for atom, ks in groups.items():
+        margins = np.array([thetas[k] for k in ks], dtype=float) @ F.T
+        for k, t in zip(ks, margins):
+            Rt[k] = _margin_pieces(atom, t, y)[0]
+    return Rt.T
 
 
 # ---------------------------------------------------------------------------
@@ -438,21 +470,12 @@ def loss_matrix(spec: ModelSpec, data: Dataset, thetas) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def kl_divergence(u, v) -> float:
-    """Bregman KL sum_i (u_i log(u_i/v_i) - u_i + v_i) with 0 log 0 = 0."""
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
-    pos = u > 0.0
-    if np.any(pos & (v <= 0.0)):
-        return np.inf  # mass where the reference has none
-    out = float(v.sum() - u.sum())
-    if np.any(pos):
-        out += float((u[pos] * np.log(u[pos] / v[pos])).sum())
-    return out
-
-
 def kl_chain_value(Z: np.ndarray) -> float:
-    """sum over consecutive rows of kl_divergence(z_t, z_{t+1})."""
+    """sum over consecutive rows of KL(z_t, z_{t+1}).
+
+    KL is the Bregman divergence sum_j (u_j log(u_j / v_j) - u_j + v_j) with
+    0 log 0 = 0; mass where the next row has none makes it inf.
+    """
     Z = np.asarray(Z, dtype=float)
     U, V = Z[:-1], Z[1:]
     pos = U > 0.0

@@ -70,8 +70,8 @@ _CHOLESKY_MIN_PIVOT = 1e-8
 
 
 def _nonzero_rows(w):
-    # indices of the rows with w_i != 0; selecting on the contiguous mask is
-    # faster than np.flatnonzero on a strided column of Z
+    # indices of the rows with w_i != 0; np.nonzero on the boolean mask is
+    # several times faster than np.flatnonzero on w, contiguous or not
     return np.nonzero(w != 0)[0]
 
 
@@ -433,7 +433,9 @@ def solve_p(
 
     thetas, iters, statuses = [], [], []
     for plan in plans:
-        w = Z[:, plan.k]
+        # contiguous as the engine keeps Z; a copy otherwise, so that the
+        # sums over rows, and the thetas, do not depend on Z's layout
+        w = np.ascontiguousarray(Z[:, plan.k])
         warm_k = None if warm is None else np.asarray(warm[plan.k], dtype=float)
         try:
             if np.any(w):

@@ -39,6 +39,23 @@ class TestPlain:
             assert best <= (S * R).sum() + 1e-12
 
 
+    def test_nan_row_takes_numpy_choice(self):
+        # a row with a NaN attains no minimum; it is not dropped, and takes
+        # np.argmin's answer, its first NaN, as harden takes np.argmax's
+        R = np.array([[np.nan, 1.0, 0.0], [2.0, np.nan, np.nan], [1.0, 0.0, 0.0]])
+        Z = dk.solve_f_plain(R)
+        assert np.array_equal(Z, np.eye(3)[np.argmin(R, axis=1)])
+        assert np.array_equal(dk.harden(R), np.argmax(R, axis=1) + 1)
+
+    def test_fortran_order_for_either_input(self):
+        rng = np.random.default_rng(2)
+        R = rng.normal(size=(7, 3))
+        for given in (R, np.asfortranarray(R)):
+            Z = dk.solve_f_plain(given)
+            assert Z.flags.f_contiguous
+            assert np.array_equal(Z, np.eye(3)[np.argmin(R, axis=1)])
+
+
 class TestKlChain:
     def test_zero_weight_matches_plain(self):
         rng = np.random.default_rng(3)
@@ -196,7 +213,7 @@ class TestKlLayout:
             Z0 = rng.dirichlet(np.ones(K), size=m)
             Z, converged = dk.solve_f_kl(R, lam, Z0, tol=1e-9, max_iter=max_iter)
             Z_ref, conv_ref = reference_solve_f_kl(R, lam, Z0, 1e-9, max_iter)
-            assert Z.shape == (m, K) and Z.flags.c_contiguous
+            assert Z.shape == (m, K) and Z.flags.f_contiguous
             assert converged == conv_ref
             assert np.abs(Z - Z_ref).max() <= 1e-12
 

@@ -50,6 +50,30 @@ class TestQpSolve:
             assert gap <= 1e-6 * max(1.0, abs(qp_objective(prob, ref))), f"trial {trial}"
             assert np.allclose(sol.x, ref, atol=1e-4), f"trial {trial}"
 
+    def test_semidefinite_large_scale_stops_at_rounding(self):
+        # P of rank 2 on R^4 with eigenvalues 1 and 10^8.5, q = -P v, inside a
+        # box: q's part in the null space of P is rounding alone, and it moves
+        # the proximal-point iterates by about one epsilon of the scale of q
+        # on every iteration, above an absolute stop at qp_tol = 1e-8. Under
+        # that stop trials 8, 13 and 29 ran all 20,000 iterations.
+        rng = np.random.default_rng(0)
+        n = 4
+        for trial in range(30):
+            Q, _ = np.linalg.qr(rng.normal(size=(n, n)))
+            P = (Q * np.array([1.0, 10.0**8.5, 0.0, 0.0])) @ Q.T
+            q = -P @ rng.normal(0.0, 3.0, size=n)
+            A = np.vstack([np.eye(n), -np.eye(n), rng.normal(size=(2, n))])
+            b = np.concatenate([np.full(2 * n, 2.0), rng.uniform(0.5, 1.5, size=2)])
+            prob = dk.qp_problem(P, q, A, b)
+            sol = dk.qp_solve(prob)
+            assert sol.status == kernels.SOLVED and sol.iterations <= 1000, f"trial {trial}"
+            assert np.all(A @ sol.x <= b + 1e-8), f"trial {trial}"
+            # objectives at the scale of a unit diagonal maximum of P
+            ref = dk.qp_active_set_oracle(prob)
+            unit = float(np.diag(P).max())
+            gap = (qp_objective(prob, sol.x) - qp_objective(prob, ref)) / unit
+            assert gap <= 1e-9 * max(1.0, abs(qp_objective(prob, ref)) / unit), f"trial {trial}"
+
     def test_detects_infeasible(self):
         # x >= 1 and x <= -1 cannot hold
         prob = dk.qp_problem(P=np.eye(1), q=np.zeros(1),

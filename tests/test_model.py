@@ -244,32 +244,122 @@ class TestBatchConsistency:
                     one_row_loss(dk.huber(0.7), X[i], y[i], thetas[k]))
 
 
+class TestGroupedLossMatrix:
+    # loss_matrix takes the margins of the factors that share one loss atom
+    # from one product Theta F'; batch_losses takes each factor's own F theta
+    VECTOR_LOSSES = [dk.square_regression(), dk.lp_regression(1.0), dk.lp_regression(3.0),
+                     dk.huber(0.7), dk.binary_logit(), dk.squared_distance()]
+
+    @staticmethod
+    def per_factor(spec, data, thetas):
+        return np.column_stack([
+            model.batch_losses(spec.loss_per_factor[k], data.features, data.observations, thetas[k])
+            for k in range(spec.K)])
+
+    @staticmethod
+    def data_for(atoms, m, n, rng):
+        X = rng.normal(size=(m, n))
+        binary = any(a.kind == model.BINARY_LOGIT for a in atoms)
+        y = rng.integers(2, size=m).astype(float) if binary else rng.normal(size=m) * 3.0
+        return dk.dataset(X, y)
+
+    @pytest.mark.parametrize("atom", VECTOR_LOSSES, ids=lambda a: f"{a.kind}-{a.order}-{a.delta}")
+    def test_shared_loss_matches_batch_losses(self, atom):
+        rng = np.random.default_rng(31)
+        m, n, K = 257, 4, 3
+        data = self.data_for([atom], m, n, rng)
+        spec = dk.shared_spec(K=K, n=n, loss=atom)
+        thetas = [rng.normal(size=n) * s for s in (0.5, 2.0, 8.0)]
+        R = dk.loss_matrix(spec, data, thetas)
+        assert R.shape == (m, K) and R.flags.f_contiguous
+        ref = self.per_factor(spec, data, thetas)
+        assert np.allclose(R, ref, rtol=1e-12, atol=0.0)
+
+    def test_mixed_losses_match_batch_losses(self):
+        # two huber deltas are two atoms: two groups, each one product
+        rng = np.random.default_rng(32)
+        atoms = (dk.huber(0.5), dk.square_regression(), dk.huber(2.0), dk.lp_regression(1.0),
+                 dk.square_regression(), dk.squared_distance(), dk.huber(0.5))
+        m, n = 190, 3
+        data = self.data_for(atoms, m, n, rng)
+        spec = dk.ModelSpec(K=len(atoms), n=n, loss_per_factor=atoms,
+                            constraints_per_factor=((),) * len(atoms))
+        thetas = [rng.normal(size=n) for _ in atoms]
+        R = dk.loss_matrix(spec, data, thetas)
+        assert R.flags.f_contiguous
+        assert np.allclose(R, self.per_factor(spec, data, thetas), rtol=1e-12, atol=0.0)
+
+    def test_matrix_features_match_batch_losses(self):
+        rng = np.random.default_rng(33)
+        m, p, n, K = 40, 4, 3, 3
+        X = rng.normal(size=(m, p, n))
+        Y = np.eye(p)[rng.integers(p, size=m)]
+        data = dk.dataset(X, Y)
+        spec = dk.shared_spec(K=K, n=n, loss=dk.multinomial_logit())
+        thetas = [rng.normal(size=n) for _ in range(K)]
+        R = dk.loss_matrix(spec, data, thetas)
+        assert R.flags.f_contiguous
+        assert np.array_equal(R, self.per_factor(spec, data, thetas))
+
+    def test_lp_floor_per_factor(self):
+        # the residuals of the two lp factors differ in scale by 1e6, so a
+        # floor shared by the group would move the small factor's curvatures:
+        # each row of the product gets its own
+        rng = np.random.default_rng(34)
+        m, n = 60, 3
+        X = rng.normal(size=(m, n))
+        y = np.zeros(m)
+        atom = dk.lp_regression(1.0)
+        thetas = [rng.normal(size=n) * 1e-3, rng.normal(size=n) * 1e3]
+        margins = np.array(thetas) @ X.T
+        for k, theta in enumerate(thetas):
+            grouped = model._margin_pieces(atom, margins[k], y)
+            alone = model._pieces(atom, X, y, theta)
+            for a, b in zip(grouped, alone):
+                assert np.allclose(a, b, rtol=1e-12, atol=0.0)
+        spec = dk.shared_spec(K=2, n=n, loss=atom)
+        R = dk.loss_matrix(spec, dk.dataset(X, y), thetas)
+        assert np.allclose(R, self.per_factor(spec, dk.dataset(X, y), thetas), rtol=1e-12, atol=0.0)
+
+
+def kl_reference(u, v) -> float:
+    """Bregman KL sum_i (u_i log(u_i/v_i) - u_i + v_i) with 0 log 0 = 0, entry by entry."""
+    total = 0.0
+    for ui, vi in zip(np.ravel(u), np.ravel(v)):
+        if ui > 0.0:
+            if vi <= 0.0:
+                return np.inf  # mass where the reference has none
+            total += ui * np.log(ui / vi)
+        total += vi - ui
+    return total
+
+
 class TestKl:
+    # the chain value of two rows is the KL divergence of the first from the second
     def test_zero_on_equal(self):
-        U = np.array([[0.2, 0.8], [0.5, 0.5]])
-        assert dk.kl_divergence(U, U) == pytest.approx(0.0, abs=1e-15)
+        U = np.array([[0.2, 0.8], [0.2, 0.8]])
+        assert model.kl_chain_value(U) == pytest.approx(0.0, abs=1e-15)
 
     def test_handles_zero_entries(self):
-        u = np.array([[1.0, 0.0]])
-        v = np.array([[0.5, 0.5]])
+        Z = np.array([[1.0, 0.0], [0.5, 0.5]])
         # 1*log(2) - 1 + 0.5 + (0 - 0 + 0.5)
-        assert dk.kl_divergence(u, v) == pytest.approx(np.log(2.0))
+        assert model.kl_chain_value(Z) == pytest.approx(np.log(2.0))
 
     def test_nonnegative(self):
         rng = np.random.default_rng(4)
         for _ in range(50):
             u = rng.dirichlet(np.ones(3))
             v = rng.dirichlet(np.ones(3))
-            assert dk.kl_divergence(u[None], v[None]) >= -1e-12
+            assert model.kl_chain_value(np.vstack([u, v])) >= -1e-12
 
     def test_disjoint_support_infinite(self):
-        assert dk.kl_divergence(np.array([1.0, 0.0]), np.array([0.0, 1.0])) == np.inf
+        assert model.kl_chain_value(np.array([[1.0, 0.0], [0.0, 1.0]])) == np.inf
 
     def test_chain_value(self):
         Z = np.array([[0.9, 0.1], [0.9, 0.1], [0.2, 0.8]])
         # equal consecutive rows contribute nothing; only the switch counts
         val = model.kl_chain_value(Z)
-        byhand = dk.kl_divergence(Z[1], Z[2])
+        byhand = kl_reference(Z[1], Z[2])
         assert val == pytest.approx(byhand)
         weighted = model.f_regularizer_value((dk.kl_chain(2.0),), Z)
         assert weighted == pytest.approx(2.0 * byhand)
@@ -281,14 +371,16 @@ class TestKl:
             Z[rng.random((m, K)) < 0.2] = 0.0  # exact zeros, 0 log 0 = 0
             Z[:, 0] += 0.1  # keeps every row with some mass
             Z = Z / Z.sum(axis=1, keepdims=True)
-            byhand = sum(dk.kl_divergence(Z[t], Z[t + 1]) for t in range(m - 1))
+            byhand = sum(kl_reference(Z[t], Z[t + 1]) for t in range(m - 1))
             assert model.kl_chain_value(Z) == pytest.approx(byhand, rel=1e-12, abs=1e-14)
+            # the engine keeps Z in Fortran order
+            assert model.kl_chain_value(np.asfortranarray(Z)) == pytest.approx(byhand, rel=1e-12, abs=1e-14)
 
     def test_chain_value_infinite_on_missing_mass(self):
         Z = np.array([[0.5, 0.5], [0.6, 0.4], [1.0, 0.0], [0.5, 0.5]])
         assert model.kl_chain_value(Z) == np.inf
         # a zero entry may be followed by mass, not preceded by it
-        assert model.kl_chain_value(Z[2:]) == pytest.approx(dk.kl_divergence(Z[2], Z[3]))
+        assert model.kl_chain_value(Z[2:]) == pytest.approx(kl_reference(Z[2], Z[3]))
 
 
 class TestObjective:

@@ -14,6 +14,33 @@ from dlfmkit import kernels, model, oracle, psolve  # noqa: E402
 from two_sided import two_sided_qp  # noqa: E402
 
 
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(
+    m=st.integers(1, 60),
+    K=st.integers(1, 6),
+    levels=st.integers(1, 4),
+    share_inf=st.floats(0.0, 0.6),
+    fortran=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_plain_f_step_and_harden_match_numpy(m, K, levels, share_inf, fortran, seed):
+    # few distinct values force ties, and +-inf entries fill some rows
+    # entirely; the K vector ops over the factor axis must pick what
+    # np.argmin and np.argmax pick, the smallest index among ties
+    rng = np.random.default_rng(seed)
+    R = rng.integers(levels, size=(m, K)) * rng.uniform(0.1, 10.0)
+    inf = rng.random((m, K)) < share_inf
+    R[inf] = rng.choice([-np.inf, np.inf], size=int(inf.sum()))
+    if fortran:
+        R = np.asfortranarray(R)
+    Z = dk.solve_f_plain(R)
+    assert Z.shape == (m, K) and Z.flags.f_contiguous
+    assert np.all((Z == 0.0) | (Z == 1.0))
+    assert np.array_equal(Z.sum(axis=1), np.ones(m))  # exactly one 1 per row
+    assert np.array_equal(np.argmax(Z, axis=1), np.argmin(R, axis=1))
+    assert np.array_equal(dk.harden(R), np.argmax(R, axis=1) + 1)
+
+
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(
     m=st.integers(1, 80),

@@ -423,6 +423,26 @@ class TestZeroWeightColumns:
         assert np.allclose(out.thetas[1], [0.0], atol=1e-6)
 
 
+class TestFactorLayout:
+    @pytest.mark.parametrize("study", [ex.MIXTURE_LINREG, ex.CONSTRAINED_KMEANS, ex.IO_HMM])
+    def test_c_and_fortran_order_give_equal_thetas(self, study):
+        # the engine keeps Z in Fortran order; the P-step reads the same
+        # weight columns from either layout
+        cfg = ex.experiment_config(study, 0, m=120)
+        data, _, _ = ex.generate(cfg)
+        spec = {
+            ex.MIXTURE_LINREG: lambda: ex.mixture_spec(1, 0),
+            ex.CONSTRAINED_KMEANS: lambda: ex.kmeans_spec(True, 1, 0),
+            ex.IO_HMM: lambda: ex.iohmm_spec(cfg.lam_theta, cfg.lam_z, 1, 0),
+        }[study]()
+        Z = np.random.default_rng(3).dirichlet(np.ones(spec.K), size=data.m)
+        out_c = dk.solve_p(spec, data, np.ascontiguousarray(Z))
+        out_f = dk.solve_p(spec, data, np.asfortranarray(Z))
+        assert all(np.array_equal(a, b) for a, b in zip(out_c.thetas, out_f.thetas))
+        assert np.array_equal(out_c.R, out_f.R) and out_f.R.flags.f_contiguous
+        assert out_f.objective == pytest.approx(out_c.objective, rel=1e-12)
+
+
 class TestInfeasibleSubproblem:
     @pytest.mark.parametrize("loss", ["squared_distance", "binary_logit", "huber", "square_regression"])
     def test_raises_subsolver_failure(self, loss):
