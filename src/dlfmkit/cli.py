@@ -95,10 +95,11 @@ def _kind(d: dict, path: str) -> str:
     return d["kind"]
 
 
-def _list(value, path: str) -> list:
+def _each(value, path: str, parse) -> tuple:
+    """parse(item, item path) of each item of a JSON list."""
     if not isinstance(value, list):
         raise CliInputError(f"{path}: must be a list")
-    return value
+    return tuple(parse(item, f"{path}[{i}]") for i, item in enumerate(value))
 
 
 def _float(value, path: str) -> float:
@@ -201,10 +202,7 @@ def parse_config(text: str):
     if "losses" in mcfg:
         if "loss" in mcfg:
             raise CliInputError("config.model: give either loss or losses, not both")
-        losses = tuple(
-            _parse_loss(d, f"config.model.losses[{i}]")
-            for i, d in enumerate(_list(mcfg["losses"], "config.model.losses"))
-        )
+        losses = _each(mcfg["losses"], "config.model.losses", _parse_loss)
     elif "loss" in mcfg:
         losses = tuple([_parse_loss(mcfg["loss"], "config.model.loss")] * K)
     else:
@@ -217,31 +215,21 @@ def parse_config(text: str):
             raise CliInputError(
                 "config.model: give either constraints or constraints_per_factor, not both"
             )
-        rows = _list(mcfg["constraints_per_factor"], "config.model.constraints_per_factor")
-        if len(rows) != K:
+        rows = mcfg["constraints_per_factor"]
+        # the count is checked before any atom is parsed
+        if isinstance(rows, list) and len(rows) != K:
             raise CliInputError(f"config.model.constraints_per_factor: need exactly K={K} lists")
-        constraints = tuple(
-            tuple(
-                _parse_constraint(d, f"config.model.constraints_per_factor[{k}][{j}]")
-                for j, d in enumerate(_list(row, f"config.model.constraints_per_factor[{k}]"))
-            )
-            for k, row in enumerate(rows)
+        constraints = _each(
+            rows,
+            "config.model.constraints_per_factor",
+            lambda row, path: _each(row, path, _parse_constraint),
         )
     else:
-        shared = tuple(
-            _parse_constraint(d, f"config.model.constraints[{j}]")
-            for j, d in enumerate(_list(mcfg.get("constraints", []), "config.model.constraints"))
-        )
+        shared = _each(mcfg.get("constraints", []), "config.model.constraints", _parse_constraint)
         constraints = tuple([shared] * K)
 
-    p_regs = tuple(
-        _parse_regularizer(d, f"config.model.p_regularizers[{j}]")
-        for j, d in enumerate(_list(mcfg.get("p_regularizers", []), "config.model.p_regularizers"))
-    )
-    f_regs = tuple(
-        _parse_regularizer(d, f"config.model.f_regularizers[{j}]")
-        for j, d in enumerate(_list(mcfg.get("f_regularizers", []), "config.model.f_regularizers"))
-    )
+    p_regs = _each(mcfg.get("p_regularizers", []), "config.model.p_regularizers", _parse_regularizer)
+    f_regs = _each(mcfg.get("f_regularizers", []), "config.model.f_regularizers", _parse_regularizer)
 
     controls = _parse_controls(cfg.get("controls", {}))
 
@@ -345,45 +333,38 @@ def _fmt(v) -> str:
     return repr(float(v))
 
 
-def write_csv_dataset(path: str, data: model.Dataset):
-    feats, obs = data.features, data.observations
-    cols, header = [], []
-    if feats.ndim == 3:
-        m, p, n = feats.shape
-        for r in range(p):
-            for c in range(n):
-                header.append(f"x{r}_{c}")
-                cols.append(feats[:, r, c])
-    else:
-        for c in range(feats.shape[1]):
-            header.append(f"x{c}")
-            cols.append(feats[:, c])
-    if obs.ndim == 2:
-        for r in range(obs.shape[1]):
-            header.append(f"y{r}")
-            cols.append(obs[:, r])
-    else:
-        header.append("y")
-        cols.append(obs)
+def _write_csv(path: str, header, rows):
+    """Write a header line and one line per row of formatted cells."""
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\n")
-        for i in range(data.m):
-            fh.write(",".join(_fmt(col[i]) for col in cols) + "\n")
+        for row in rows:
+            fh.write(",".join(row) + "\n")
 
 
-def write_labels_csv(path: str, labels):
-    with open(path, "w", newline="") as fh:
-        fh.write("label\n")
-        for v in labels:
-            fh.write(f"{int(v)}\n")
+def write_csv_dataset(path: str, data: model.Dataset):
+    """Write a dataset in the header scheme load_csv_dataset reads."""
+    feats, obs = data.features, data.observations
+    if feats.ndim == 3:
+        header = [f"x{r}_{c}" for r in range(feats.shape[1]) for c in range(feats.shape[2])]
+    else:
+        header = [f"x{c}" for c in range(feats.shape[1])]
+    header += [f"y{r}" for r in range(obs.shape[1])] if obs.ndim == 2 else ["y"]
+    table = np.column_stack([feats.reshape(data.m, -1), obs.reshape(data.m, -1)])
+    _write_csv(path, header, ([_fmt(v) for v in row] for row in table))
 
 
 def write_thetas_csv(path: str, thetas):
     thetas = np.asarray(thetas, dtype=float)
-    with open(path, "w", newline="") as fh:
-        fh.write("factor," + ",".join(f"theta{c}" for c in range(thetas.shape[1])) + "\n")
-        for k, row in enumerate(thetas, start=1):
-            fh.write(f"{k}," + ",".join(_fmt(v) for v in row) + "\n")
+    header = ["factor", *(f"theta{c}" for c in range(thetas.shape[1]))]
+    _write_csv(path, header, ([str(k), *map(_fmt, row)] for k, row in enumerate(thetas, start=1)))
+
+
+def _write_labels_csv(path: str, truth, preds: dict):
+    """Columns t, truth, then one pred_{name} column per fit."""
+    header = ["t", "truth", *(f"pred_{name}" for name in preds)]
+    rows = ([str(t + 1), str(int(truth[t])), *(str(int(p[t])) for p in preds.values())]
+            for t in range(len(truth)))
+    _write_csv(path, header, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -416,15 +397,8 @@ def cmd_fit(config_path, data_path, out_path, seed=None, restarts=None, eps=None
     spec, cfg_echo, data_opts = parse_config(text)
 
     # precedence: flag > config > default
-    updates = {}
-    if seed is not None:
-        updates["seed"] = seed
-    if restarts is not None:
-        updates["restarts"] = restarts
-    if eps is not None:
-        updates["eps"] = eps
-    if max_iter is not None:
-        updates["max_iter"] = max_iter
+    flags = {"seed": seed, "restarts": restarts, "eps": eps, "max_iter": max_iter}
+    updates = {key: value for key, value in flags.items() if value is not None}
     if updates:
         spec = dataclasses.replace(spec, controls=dataclasses.replace(spec.controls, **updates))
 
@@ -440,11 +414,7 @@ def cmd_fit(config_path, data_path, out_path, seed=None, restarts=None, eps=None
     _require_finite(cfg_echo, "config")
     t_validate = time.perf_counter()
 
-    try:
-        result = engine.fit(spec, data, jobs=jobs or 1)
-    except engine.EngineFailure as exc:
-        print(f"error: solver failure: {exc}", file=sys.stderr)
-        return 3
+    result = engine.fit(spec, data, jobs=jobs or 1)  # EngineFailure exits 3 in main
     t_fit = time.perf_counter()
 
     record = {
@@ -480,27 +450,19 @@ def cmd_synth(name, seed, out_path, quiet=False) -> int:
     written = [out_path]
     stem, _ = os.path.splitext(out_path)
     if labels is not None:
-        write_labels_csv(stem + ".truth.csv", labels)
         written.append(stem + ".truth.csv")
+        _write_csv(written[-1], ["label"], ([str(int(v))] for v in labels))
     if thetas is not None:
-        write_thetas_csv(stem + ".thetas.csv", thetas)
         written.append(stem + ".thetas.csv")
+        write_thetas_csv(written[-1], thetas)
     if not quiet:
         for p in written:
             print(f"synth: wrote {p}")
     return 0
 
 
-def _write_trace_csv(path, runs: dict):
-    # columns: t, truth, then one prediction column per run
-    names = list(runs)
-    m = len(runs[names[0]]["truth"])
-    with open(path, "w", newline="") as fh:
-        fh.write("t,truth," + ",".join(f"pred_{n}" for n in names) + "\n")
-        for t in range(m):
-            row = [str(t + 1), str(int(runs[names[0]]["truth"][t]))]
-            row += [str(int(runs[n]["pred"][t])) for n in names]
-            fh.write(",".join(row) + "\n")
+def _fit_summary(fit: engine.FitResult) -> dict:
+    return {"objective": fit.objective_trace[-1][2], "status": fit.status, "iterations": fit.iterations}
 
 
 def cmd_repro(name, seed, out_dir, jobs=1, quiet=False) -> int:
@@ -510,95 +472,58 @@ def cmd_repro(name, seed, out_dir, jobs=1, quiet=False) -> int:
     t0 = time.perf_counter()
     metrics: dict = {"experiment": name, "seed": seed, "tool": {"name": "dlfmkit", "version": __version__}}
 
+    def out(filename):
+        return os.path.join(out_dir, filename)
+
     if name == experiments.CONSTRAINED_KMEANS:
         res = experiments.run_constrained_kmeans(seed, jobs=jobs)
-        pts = res["data"].features
-        lab = res["constrained"].labels
-        with open(os.path.join(out_dir, "points.csv"), "w") as fh:
-            fh.write("x0,x1,label\n")
-            for i in range(pts.shape[0]):
-                fh.write(f"{_fmt(pts[i, 0])},{_fmt(pts[i, 1])},{int(lab[i])}\n")
-        write_thetas_csv(os.path.join(out_dir, "centers_constrained.csv"), np.array(res["constrained"].thetas))
-        write_thetas_csv(os.path.join(out_dir, "centers_unconstrained.csv"), np.array(res["unconstrained"].thetas))
+        con, unc = res["constrained"], res["unconstrained"]
+        points = zip(res["data"].features, con.labels)
+        _write_csv(out("points.csv"), ["x0", "x1", "label"],
+                   ([_fmt(x[0]), _fmt(x[1]), str(int(label))] for x, label in points))
+        write_thetas_csv(out("centers_constrained.csv"), con.thetas)
+        write_thetas_csv(out("centers_unconstrained.csv"), unc.thetas)
         metrics.update(
-            {
-                "objective_constrained": res["constrained"].objective_trace[-1][2],
-                "objective_unconstrained": res["unconstrained"].objective_trace[-1][2],
-                "margins_constrained": res["margins_constrained"],
-                "margins_unconstrained": res["margins_unconstrained"],
-                "iterations": res["constrained"].iterations,
-                "status": res["constrained"].status,
-            }
-        )
-    elif name == experiments.MIXTURE_LINREG:
-        res = experiments.run_mixture_linreg(seed, jobs=jobs)
-        aligned = experiments.apply_permutation(res["fit"].labels, res["perm"])
-        _write_trace_csv(
-            os.path.join(out_dir, "labels.csv"),
-            {"fit": {"truth": res["truth"], "pred": aligned}},
-        )
-        write_thetas_csv(os.path.join(out_dir, "thetas_recovered.csv"), np.array(res["fit"].thetas))
-        write_thetas_csv(os.path.join(out_dir, "thetas_true.csv"), experiments.MIXTURE_THETAS)
-        metrics.update(
-            {
-                "accuracy": res["accuracy"],
-                "rmse_per_factor": res["rmse_per_factor"],
-                "objective": res["fit"].objective_trace[-1][2],
-                "status": res["fit"].status,
-                "iterations": res["fit"].iterations,
-            }
+            objective_constrained=con.objective_trace[-1][2],
+            objective_unconstrained=unc.objective_trace[-1][2],
+            margins_constrained=res["margins_constrained"],
+            margins_unconstrained=res["margins_unconstrained"],
+            iterations=con.iterations,
+            status=con.status,
         )
     elif name == experiments.FORGETTING_Q:
         res = experiments.run_forgetting_q(seed, jobs=jobs)
-        runs = {}
-        rows = []
-        for lam, run in res["runs"].items():
-            aligned = experiments.apply_permutation(run["fit"].labels, run["perm"])
-            tag = f"lam{lam:g}"
-            runs[tag] = {"truth": res["truth"], "pred": aligned}
-            rows.append(
-                {
-                    "lam": lam,
-                    "accuracy": run["accuracy"],
-                    "objective": run["fit"].objective_trace[-1][2],
-                    "status": run["fit"].status,
-                    "iterations": run["fit"].iterations,
-                }
-            )
-        _write_trace_csv(os.path.join(out_dir, "labels.csv"), runs)
-        best = res["runs"][max(res["runs"])]["fit"]
-        write_thetas_csv(os.path.join(out_dir, "thetas_recovered.csv"), np.array(best.thetas))
-        write_thetas_csv(os.path.join(out_dir, "thetas_true.csv"), experiments.FORGETTING_THETAS)
-        metrics["runs"] = rows
-    else:  # io_hmm
-        res = experiments.run_io_hmm(seed, jobs=jobs)
-        aligned = experiments.apply_permutation(res["fit"].labels, res["perm"])
-        _write_trace_csv(
-            os.path.join(out_dir, "labels.csv"),
-            {"fit": {"truth": res["truth"], "pred": aligned}},
-        )
-        write_thetas_csv(os.path.join(out_dir, "thetas_recovered.csv"), np.array(res["fit"].thetas))
-        with open(os.path.join(out_dir, "transition.csv"), "w") as fh:
-            fh.write(",".join(f"to{j + 1}" for j in range(3)) + "\n")
-            for row in res["transition"]:
-                fh.write(",".join(_fmt(v) for v in row) + "\n")
-        metrics.update(
-            {
-                "accuracy": res["accuracy"],
-                "transition": res["transition"],
-                "max_deviation": res["max_deviation"],
-                "objective": res["fit"].objective_trace[-1][2],
-                "status": res["fit"].status,
-                "iterations": res["fit"].iterations,
-            }
-        )
+        runs = res["runs"]
+        preds = {f"lam{lam:g}": experiments.apply_permutation(run["fit"].labels, run["perm"])
+                 for lam, run in runs.items()}
+        _write_labels_csv(out("labels.csv"), res["truth"], preds)
+        write_thetas_csv(out("thetas_recovered.csv"), runs[max(runs)]["fit"].thetas)
+        write_thetas_csv(out("thetas_true.csv"), experiments.FORGETTING_THETAS)
+        metrics["runs"] = [{"lam": lam, "accuracy": run["accuracy"], **_fit_summary(run["fit"])}
+                           for lam, run in runs.items()]
+    else:  # one fit, scored against its truth: mixture_linreg or io_hmm
+        mixture = name == experiments.MIXTURE_LINREG
+        res = (experiments.run_mixture_linreg if mixture else experiments.run_io_hmm)(seed, jobs=jobs)
+        fit = res["fit"]
+        aligned = experiments.apply_permutation(fit.labels, res["perm"])
+        _write_labels_csv(out("labels.csv"), res["truth"], {"fit": aligned})
+        write_thetas_csv(out("thetas_recovered.csv"), fit.thetas)
+        metrics.update(accuracy=res["accuracy"], **_fit_summary(fit))
+        if mixture:
+            write_thetas_csv(out("thetas_true.csv"), experiments.MIXTURE_THETAS)
+            metrics["rmse_per_factor"] = res["rmse_per_factor"]
+        else:
+            transition = res["transition"]
+            _write_csv(out("transition.csv"), [f"to{j + 1}" for j in range(len(transition))],
+                       ([_fmt(v) for v in row] for row in transition))
+            metrics.update(transition=transition, max_deviation=res["max_deviation"])
 
     metrics["wall_s"] = time.perf_counter() - t0
-    out = os.path.join(out_dir, "metrics.json")
-    with open(out, "w") as fh:
+    path = out("metrics.json")
+    with open(path, "w") as fh:
         fh.write(canonical_json(metrics))
     if not quiet:
-        print(f"repro: wrote {out}")
+        print(f"repro: wrote {path}")
     return 0
 
 
@@ -621,7 +546,7 @@ def _build_parser() -> argparse.ArgumentParser:
     fit_p.add_argument("--eps", type=float, help="override the termination tolerance")
     fit_p.add_argument("--max-iter", type=int, help="override the iteration cap")
     fit_p.add_argument("--jobs", type=int, default=1,
-                       help="worker processes for restarts (default: 1, no process pool)")
+                       help="worker processes for restarts, at most one per CPU (default: 1, no process pool)")
     fit_p.add_argument("--quiet", action="store_true", help="suppress progress output")
 
     synth_p = sub.add_parser("synth", help="write a synthetic benchmark dataset")
@@ -635,7 +560,7 @@ def _build_parser() -> argparse.ArgumentParser:
     repro_p.add_argument("--seed", type=int, default=0)
     repro_p.add_argument("--out-dir", required=True)
     repro_p.add_argument("--jobs", type=int, default=1,
-                         help="worker processes for restarts (default: 1, no process pool)")
+                         help="worker processes for restarts, at most one per CPU (default: 1, no process pool)")
     repro_p.add_argument("--quiet", action="store_true")
     return ap
 

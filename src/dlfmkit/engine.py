@@ -8,6 +8,7 @@ objective across restarts wins. Everything is deterministic given
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, replace
 from concurrent.futures import ProcessPoolExecutor
 
@@ -146,11 +147,11 @@ def fit(spec: model.ModelSpec, data: model.Dataset, jobs: int = 1) -> FitResult:
 
     The best run is the one with the smallest final objective; finals within
     a relative _TIE_RTOL of it tie, and the smallest restart index wins.
-    Restarts are independent, so jobs > 1 may fan them out over processes
-    without changing the result. A restart that breaks down in a subsolver
-    or projection, or ends on a non-finite objective, is dropped from the
-    selection. Raises ValueError on validation violations and EngineFailure
-    if no restart is left.
+    Restarts are independent, so jobs > 1 may fan them out over processes,
+    at most one per restart and one per CPU, without changing the result. A
+    restart that breaks down in a subsolver or projection, or ends on a
+    non-finite objective, is dropped from the selection. Raises ValueError
+    on validation violations and EngineFailure if no restart is left.
     """
     report = model.validate(spec, data)
     if not report.ok:
@@ -161,7 +162,7 @@ def fit(spec: model.ModelSpec, data: model.Dataset, jobs: int = 1) -> FitResult:
     results: list[FitResult | None] = [None] * restarts
     errors: list[Exception] = []
     if jobs > 1 and restarts > 1:
-        with ProcessPoolExecutor(max_workers=min(jobs, restarts)) as pool:
+        with ProcessPoolExecutor(max_workers=min(jobs, restarts, os.cpu_count() or 1)) as pool:
             futures = [pool.submit(_run_restart, spec, data, r) for r in range(restarts)]
             for r, fut in enumerate(futures):
                 try:

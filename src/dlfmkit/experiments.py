@@ -73,7 +73,6 @@ class ExperimentConfig:
     p_init: np.ndarray | None = None
     switch_period: int = 0
     classes: int = 0  # rows of each matrix feature
-    lam: float = 0.0  # chain weight for the bandit study
     lam_theta: float = 0.0
     lam_z: float = 0.0
 
@@ -102,7 +101,6 @@ def experiment_config(name: str, seed: int = 0, **overrides) -> ExperimentConfig
             reward_probs=FORGETTING_REWARD_PROBS,
             switch_period=20,
             classes=3,
-            lam=1.0,
         )
     elif name == IO_HMM:
         base = dict(

@@ -136,10 +136,11 @@ def qp_active_set_oracle(prob: kernels.QpProblem, tol: float = 1e-9) -> np.ndarr
     grow with P, gives x and the multipliers. x is a candidate where it
     meets every row and every multiplier is nonnegative, both up to tol
     times the size of the terms they are formed from; the candidate with
-    the least objective wins, the first of equals. A subset that pins a row
-    twice, or both sides of an equality, has a singular system (determinant
-    0) and is skipped. The systems of one subset size are solved as one
-    stack.
+    the least objective wins, the first of equals. A subset whose system is
+    numerically singular (rank below n + k at the SVD rank tolerance) is
+    skipped: one that pins a row twice or both sides of an equality, or pins
+    too few rows to fix x where P is singular. The systems of one subset
+    size are solved as one stack.
     """
     P, q, A, b = prob.P, prob.q, prob.A, prob.b
     n, m = q.shape[0], b.shape[0]
@@ -157,7 +158,7 @@ def qp_active_set_oracle(prob: kernels.QpProblem, tol: float = 1e-9) -> np.ndarr
         KKT[:, :n, n:] = A[subsets].transpose(0, 2, 1)
         KKT[:, n:, :n] = A[subsets]
         rhs = np.concatenate([np.broadcast_to(-qs, (len(subsets), n)), b[subsets]], axis=1)
-        regular = np.linalg.det(KKT) != 0.0
+        regular = np.linalg.matrix_rank(KKT) == n + k
         subsets = subsets[regular]
         sol = np.linalg.solve(KKT[regular], rhs[regular][:, :, None])[:, :, 0]
         x, nu = sol[:, :n], sol[:, n:]

@@ -1,3 +1,4 @@
+import functools
 import json
 import re
 
@@ -5,7 +6,7 @@ import numpy as np
 import pytest
 
 import dlfmkit as dk
-from dlfmkit import cli
+from dlfmkit import cli, experiments as ex
 
 
 MIX_CONFIG = {
@@ -92,6 +93,17 @@ class TestConfigParsing:
         assert spec.loss_per_factor[0].delta == 0.5
         assert spec.constraints_per_factor[0][0].kind == "nonneg"
         assert spec.constraints_per_factor[1] == ()
+
+    @pytest.mark.parametrize("rows, message", [
+        ([[{"kind": "bogus"}]], "constraints_per_factor: need exactly K=3 lists"),
+        ({"kind": "nonneg"}, "constraints_per_factor: must be a list"),
+        ([[], {"kind": "nonneg"}, []], r"constraints_per_factor\[1\]: must be a list"),
+    ], ids=["count_before_atoms", "not_a_list", "row_not_a_list"])
+    def test_per_factor_constraints_first_error(self, rows, message):
+        cfg = json.loads(json.dumps(MIX_CONFIG))
+        cfg["model"]["constraints_per_factor"] = rows
+        with pytest.raises(cli.CliInputError, match=message):
+            cli.parse_config(json.dumps(cfg))
 
     def test_regularizers_parsed(self):
         cfg = {
@@ -260,6 +272,40 @@ class TestFitCommand:
         assert rec["result"]["restart_index_of_best"] < 2
         assert rec["result"]["seed_used"] == dk.splitmix64(9, rec["result"]["restart_index_of_best"])
 
+    def test_matrix_features_with_kl_chain(self, tmp_path):
+        # the forgetting study as a config: x{r}_{c} and y{r} columns, a KL
+        # chain over the ordered rows, monotone per-factor constraints
+        data = tmp_path / "forget.csv"
+        assert cli.main(["synth", "forgetting_q", "--seed", "0", "--out", str(data), "--quiet"]) == 0
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "schema_version": 1,
+            "model": {
+                "K": 2, "n": 5, "loss": {"kind": "multinomial_logit"},
+                "constraints_per_factor": [
+                    [{"kind": "nonneg"}, {"kind": "monotone_nonincreasing"}],
+                    [{"kind": "nonpos"}, {"kind": "monotone_nondecreasing"}],
+                ],
+                "f_regularizers": [{"kind": "kl_chain", "weight": 1.0}],
+            },
+            "controls": {"restarts": 2, "seed": 0},
+            "data": {"ordered": True},
+        }))
+        out = tmp_path / "run.json"
+        code = cli.main(["fit", "--config", str(cfg), "--data", str(data),
+                         "--out", str(out), "--quiet"])
+        assert code == 0
+        result = json.loads(out.read_text())["result"]
+        assert result["status"] in (dk.GAP_CONVERGED, dk.OBJECTIVE_STALLED, dk.MAX_ITER)
+        assert len(result["labels"]) == 200 and set(result["labels"]) <= {1, 2}
+        assert np.allclose(np.sum(result["Z"], axis=1), 1.0)
+        falling, rising = (np.array(t) for t in result["thetas"])
+        assert falling.shape == rising.shape == (5,)
+        assert falling.min() >= -1e-9 and np.diff(falling).max() <= 1e-9
+        assert rising.max() <= 1e-9 and np.diff(rising).min() >= -1e-9
+        finals = [v for _, after_p, after_f in result["objective_trace"] for v in (after_p, after_f)]
+        assert all(b <= a + 1e-8 * max(1.0, abs(a)) for a, b in zip(finals, finals[1:]))
+
     def test_missing_config_exits_2(self, tmp_path, capsys):
         code = cli.main(["fit", "--config", str(tmp_path / "absent.json"),
                          "--data", str(tmp_path / "d.csv"), "--out", str(tmp_path / "o.json")])
@@ -382,3 +428,44 @@ class TestReproCommand:
     def test_unknown_name_rejected(self, tmp_path, capsys):
         with pytest.raises(SystemExit):
             cli.main(["repro", "nope", "--out-dir", str(tmp_path)])
+
+    @pytest.fixture()
+    def one_restart(self, monkeypatch):
+        # the study drivers at one restart each; the artifacts keep their shapes
+        for driver in ("run_mixture_linreg", "run_forgetting_q", "run_io_hmm"):
+            monkeypatch.setattr(cli.experiments, driver,
+                                functools.partial(getattr(ex, driver), restarts=1))
+
+    @pytest.mark.parametrize("name, files, keys", [
+        ("mixture_linreg",
+         {"labels.csv": ("t,truth,pred_fit", 500),
+          "thetas_recovered.csv": ("factor," + ",".join(f"theta{c}" for c in range(10)), 3),
+          "thetas_true.csv": ("factor," + ",".join(f"theta{c}" for c in range(10)), 3)},
+         {"accuracy", "rmse_per_factor", "objective", "status", "iterations"}),
+        ("forgetting_q",
+         {"labels.csv": ("t,truth,pred_lam0,pred_lam1", 200),
+          "thetas_recovered.csv": ("factor," + ",".join(f"theta{c}" for c in range(5)), 2),
+          "thetas_true.csv": ("factor," + ",".join(f"theta{c}" for c in range(5)), 2)},
+         {"runs"}),
+        ("io_hmm",
+         {"labels.csv": ("t,truth,pred_fit", 500),
+          "thetas_recovered.csv": ("factor,theta0,theta1", 3),
+          "transition.csv": ("to1,to2,to3", 3)},
+         {"accuracy", "transition", "max_deviation", "objective", "status", "iterations"}),
+    ])
+    def test_study_artifacts(self, tmp_path, one_restart, name, files, keys):
+        out = tmp_path / name
+        code = cli.main(["repro", name, "--seed", "13", "--out-dir", str(out), "--quiet"])
+        assert code == 0
+        assert {p.name for p in out.iterdir()} == {*files, "metrics.json"}
+        for filename, (header, rows) in files.items():
+            lines = (out / filename).read_text().splitlines()
+            assert lines[0] == header
+            assert len(lines) == 1 + rows
+        metrics = json.loads((out / "metrics.json").read_text())
+        assert set(metrics) == {"experiment", "seed", "tool", "wall_s", *keys}
+        assert metrics["experiment"] == name and metrics["seed"] == 13
+        if name == "forgetting_q":
+            assert [run["lam"] for run in metrics["runs"]] == [0.0, 1.0]
+            for run in metrics["runs"]:
+                assert set(run) == {"lam", "accuracy", "objective", "status", "iterations"}

@@ -1,3 +1,4 @@
+import concurrent.futures
 import pickle
 from dataclasses import replace
 
@@ -127,6 +128,41 @@ class TestFit:
         assert seq.restart_index_of_best == par.restart_index_of_best
         assert np.array_equal(seq.labels, par.labels)
         assert seq.objective_trace == par.objective_trace
+
+    @pytest.mark.parametrize("cpus, jobs, restarts, workers", [
+        (2, 64, 64, 2),   # capped at the CPU count
+        (2, 3, 2, 2),     # at most one worker per restart
+        (4, 3, 8, 3),     # at most jobs workers
+        (None, 4, 4, 1),  # an unknown CPU count allows one
+    ])
+    def test_pool_workers_capped(self, monkeypatch, cpus, jobs, restarts, workers):
+        # the pool only records its size and runs each restart in this process
+        sizes = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, *args):
+                fut = concurrent.futures.Future()
+                fut.set_result(fn(*args))
+                return fut
+
+        monkeypatch.setattr(engine, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(engine.os, "cpu_count", lambda: cpus)
+        rng = np.random.default_rng(7)
+        data, _ = two_line_data(rng, m=12, noise=0.2)
+        spec = dk.shared_spec(K=2, n=2, loss=dk.square_regression(), constraints=(),
+                              controls=dk.SolverControls(restarts=restarts, seed=3, max_iter=5))
+        res = dk.fit(spec, data, jobs=jobs)
+        assert sizes == [workers]
+        assert res.objective_trace == dk.fit(spec, data, jobs=1).objective_trace
 
     def test_lad_l1_fit(self):
         # lp runs proximal Newton on its IRLS model matrix, inside BCD

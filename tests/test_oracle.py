@@ -187,3 +187,22 @@ def test_active_set_with_large_p_matches_qp_solve():
         assert abs(value(x) - value(sol.x)) <= 1e-9 * max(1.0, size)
         assert float((prob.A @ x - prob.b).max()) <= 1e-9 * max(1.0, float(np.abs(x).max()))
         assert np.abs(x - sol.x).max() <= 1e-6 * max(1.0, np.abs(x).max())
+
+
+def test_active_set_skips_numerically_singular_systems():
+    # P of rank 1 on R^3 and one two-sided row: every KKT system is singular,
+    # yet P alone rounds to a nonzero determinant (-9.5e-34). Solving it gave
+    # a point 35.6 outside the row at objective -4.8e17, where qp_solve finds
+    # a feasible -0.334; no candidate is left, and the oracle says so
+    P = np.array([[0.6153573562352205, -0.3927354160565128, -0.28714381995323923],
+                  [-0.3927354160565128, 0.25065290186621825, 0.1832618826356971],
+                  [-0.28714381995323923, 0.1832618826356971, 0.13398974189856136]])
+    q = np.array([-0.6407520928138966, 0.40894292919471537, 0.29899375006948864])
+    a = np.array([0.8142084964935903, -0.40593445274061396, 0.23015071764451447])
+    prob = dk.qp_problem(P=P, q=q, A=np.vstack([a, -a]),
+                         b=np.array([0.9704637312201184, 0.9850434691900419]))
+    with pytest.raises(RuntimeError, match="no KKT point"):
+        dk.qp_active_set_oracle(prob)
+    sol = dk.qp_solve(prob)
+    assert float((prob.A @ sol.x - prob.b).max()) <= 1e-9
+    assert 0.5 * sol.x @ P @ sol.x + q @ sol.x == pytest.approx(-0.3336, abs=1e-4)
