@@ -316,7 +316,7 @@ class ValidationReport:
 _LP_FLOOR = 1e-6
 
 
-def _pieces(atom: LossAtom, F, y, theta):
+def _pieces(atom: LossAtom, F, y, theta, losses_only=False):
     """(losses, derivatives, curvatures) of a margin loss at theta, per sample.
 
     Every loss but squared distance is a function of its margins F @ theta,
@@ -330,43 +330,55 @@ def _pieces(atom: LossAtom, F, y, theta):
     lies above it (the IRLS weight): 2 delta / max(|u|, delta) for huber and
     1 / |u| for lp, with |u| floored at _LP_FLOOR times the largest |u|.
     Binary terms are written so that no exp overflows and saturated margins
-    keep their tiny derivatives and curvatures.
+    keep their tiny derivatives and curvatures. With losses_only, the losses
+    alone are returned, computed as in the triple, and nothing after them.
     """
     if atom.kind == MULTINOMIAL_LOGIT:
         U = F @ theta
         hi = U.max(axis=1, keepdims=True)
         E = np.exp(U - hi)
         tot = E.sum(axis=1, keepdims=True)
+        losses = np.log(tot[:, 0]) + hi[:, 0] - (y * U).sum(axis=1)
+        if losses_only:
+            return losses
         S = E / tot
-        return np.log(tot[:, 0]) + hi[:, 0] - (y * U).sum(axis=1), S - y, S
-    return _margin_pieces(atom, F @ theta, y)
+        return losses, S - y, S
+    return _margin_pieces(atom, F @ theta, y, losses_only)
 
 
-def _margin_pieces(atom: LossAtom, t, y):
+def _margin_pieces(atom: LossAtom, t, y, losses_only=False):
     """`_pieces` of a loss with one margin per sample, at one factor's margins t."""
     if atom.kind == BINARY_LOGIT:
         # margin form: the observation offsets the slope, not the margin
         pos = t >= 0.0
         e = np.exp(-np.abs(t))
-        small = e / (1.0 + e)  # sigmoid(-|t|), the smaller of s and 1 - s
         # softplus(t) - y t, with max(t, 0) - y t = t (pos - y) exact at y = pos
         losses = t * (pos - y) + np.log1p(e)
+        if losses_only:
+            return losses
+        small = e / (1.0 + e)  # sigmoid(-|t|), the smaller of s and 1 - s
         return losses, np.where(pos, (1.0 - y) - small, small - y), small * (1.0 - small)
     u = t - y
     if atom.kind == SQUARE_REGRESSION:
-        return u * u, 2.0 * u, 2.0
+        losses = u * u
+        return losses if losses_only else (losses, 2.0 * u, 2.0)
     au = np.abs(u)
     if atom.kind == LP_REGRESSION:
         # lp norm of a scalar residual is its absolute value for every order;
         # with every residual 0 any positive curvature serves
+        if losses_only:
+            return au
         return au, np.sign(u), 1.0 / np.maximum(au, _LP_FLOOR * (float(au.max(initial=0.0)) or 1.0))
     if atom.kind == HUBER:
         # the linear piece only where it holds: at delta = inf, 2 delta |u| -
         # delta^2 would be inf - inf on every row
         d = atom.delta
-        losses, deriv, curv = u * u, 2.0 * u, np.full_like(u, 2.0)
+        losses = u * u
         out = au > d
         losses[out] = 2.0 * d * au[out] - d * d
+        if losses_only:
+            return losses
+        deriv, curv = 2.0 * u, np.full_like(u, 2.0)
         deriv[out] = 2.0 * d * np.sign(u[out])
         curv[out] = 2.0 * d / au[out]
         return losses, deriv, curv
@@ -391,7 +403,7 @@ def batch_losses(atom: LossAtom, features, observations, theta) -> np.ndarray:
     if atom.kind == SQUARED_DISTANCE:
         diff = theta[None, :] - (F + y[:, None])
         return (diff * diff).sum(axis=1)
-    return _pieces(atom, F, y, theta)[0]
+    return _pieces(atom, F, y, theta, losses_only=True)
 
 
 def weighted_loss_grad(atom: LossAtom, features, observations, theta, weights) -> np.ndarray:
@@ -444,11 +456,11 @@ def loss_matrix(spec: ModelSpec, data: Dataset, thetas) -> np.ndarray:
     order, so each factor's column is contiguous. On 2-D features the
     factors that share one loss atom of one margin per sample (square
     regression, huber, lp, binary logit) take their margins from one
-    product Theta F' of their stacked thetas, and `_margin_pieces` runs on
-    each factor's row of it: on the whole (g, m) block its temporaries are
-    g times larger, and cost more to allocate than they save. Squared
-    distance, multinomial logit and features of any other shape go through
-    batch_losses factor by factor.
+    product Theta F' of their stacked thetas, and `_margin_pieces` takes
+    each factor's losses alone from its row: on the whole (g, m) block its
+    temporaries are g times larger, and cost more to allocate than they
+    save. Squared distance, multinomial logit and features of any other
+    shape go through batch_losses factor by factor.
     """
     F, y = np.asarray(data.features, dtype=float), np.asarray(data.observations, dtype=float)
     Rt = np.empty((spec.K, data.m))
@@ -461,7 +473,7 @@ def loss_matrix(spec: ModelSpec, data: Dataset, thetas) -> np.ndarray:
     for atom, ks in groups.items():
         margins = np.array([thetas[k] for k in ks], dtype=float) @ F.T
         for k, t in zip(ks, margins):
-            Rt[k] = _margin_pieces(atom, t, y)[0]
+            Rt[k] = _margin_pieces(atom, t, y, losses_only=True)
     return Rt.T
 
 

@@ -79,14 +79,24 @@ def _weighted_gram(feats, obs, w):
     """Weighted Gram G = X' diag(w) X and b = X' diag(w) y over the rows with
     w_i != 0 (the others add nothing), returned as (G, b, X, y, w) of those rows.
 
-    The rows are gathered contiguous and scaled there. Where every selected
-    weight is 1, as on the one-hot rows of a plain F-step, they are not
-    scaled at all, and X' X takes NumPy's symmetric product.
+    Rows are gathered, by `take`, only where some weight is 0. Where every
+    weight is nonzero, as in the first P-step of a restart from Dirichlet
+    draws, feats, obs and w are used as they are, with no copy. Fractional
+    weights are applied once, into a C-contiguous (n, m) buffer X' diag(w),
+    whose rows are contiguous whatever the layout of X, and G and b are its
+    products with X and y. Where every weight is 1, as on the one-hot rows of
+    a plain F-step, the rows are not scaled at all, and X' X takes NumPy's
+    symmetric product.
     """
     idx = _nonzero_rows(w)
-    X, y, wi = feats.take(idx, axis=0), obs.take(idx, axis=0), w.take(idx)
-    Xw = X if np.all(wi == 1.0) else X * wi[:, None]
-    return Xw.T @ X, Xw.T @ y, X, y, wi
+    if idx.size == w.size:
+        X, y, wi = feats, obs, w
+    else:
+        X, y, wi = feats.take(idx, axis=0), obs.take(idx, axis=0), w.take(idx)
+    if np.all(wi == 1.0):
+        return X.T @ X, X.T @ y, X, y, wi
+    XwT = np.multiply(X.T, wi, out=np.empty(X.shape[::-1]))
+    return XwT @ X, XwT @ y, X, y, wi
 
 
 def _projected_centroid(plan, feats, obs, w, warm, controls):

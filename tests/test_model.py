@@ -322,6 +322,47 @@ class TestGroupedLossMatrix:
         assert np.allclose(R, self.per_factor(spec, dk.dataset(X, y), thetas), rtol=1e-12, atol=0.0)
 
 
+class TestLossesOnly:
+    """The losses-only path of _pieces and _margin_pieces, which loss_matrix and
+    batch_losses take, against the losses of the full triple, bit for bit."""
+
+    CASES = [
+        pytest.param(dk.square_regression(), "normal", id="square_regression"),
+        pytest.param(dk.huber(0.7), "normal", id="huber"),
+        pytest.param(dk.huber(np.inf), "normal", id="huber_inf"),
+        pytest.param(dk.lp_regression(1.0), "normal", id="lp"),
+        pytest.param(dk.lp_regression(3.0), "zero_residuals", id="lp_zero_residuals"),
+        pytest.param(dk.binary_logit(), "normal", id="binary_logit"),
+        pytest.param(dk.multinomial_logit(), "normal", id="multinomial_logit"),
+    ]
+
+    @pytest.mark.parametrize("atom, residuals", CASES)
+    def test_equals_full_triple(self, atom, residuals):
+        rng = np.random.default_rng(41)
+        m, n, p = 200, 4, 3
+        theta = rng.normal(size=n) * 3.0  # saturated logit margins too
+        if atom.kind == model.MULTINOMIAL_LOGIT:
+            F = rng.normal(size=(m, p, n))
+            y = np.eye(p)[rng.integers(p, size=m)]
+        else:
+            F = rng.normal(size=(m, n))
+            if atom.kind == model.BINARY_LOGIT:
+                y = rng.integers(2, size=m).astype(float)
+            elif residuals == "zero_residuals":
+                y = F @ theta
+            else:
+                y = rng.normal(size=m) * 2.0
+        alone = model._pieces(atom, F, y, theta, losses_only=True)
+        assert np.array_equal(alone, model._pieces(atom, F, y, theta)[0])
+        assert np.array_equal(alone, model.batch_losses(atom, F, y, theta))
+        if atom.kind != model.MULTINOMIAL_LOGIT:
+            t = F @ theta
+            margin = model._margin_pieces(atom, t, y, losses_only=True)
+            assert np.array_equal(margin, model._margin_pieces(atom, t, y)[0])
+        if residuals == "zero_residuals":
+            assert not alone.any()
+
+
 def kl_reference(u, v) -> float:
     """Bregman KL sum_i (u_i log(u_i/v_i) - u_i + v_i) with 0 log 0 = 0, entry by entry."""
     total = 0.0

@@ -704,11 +704,13 @@ class TestWeightedLeastSquares:
 class TestWeightedGram:
     """psolve._weighted_gram against dense all-row references."""
 
-    @pytest.mark.parametrize("weights", ["zero_and_fractional", "zero_and_unit", "all_unit"])
-    def test_matches_dense_reference(self, weights):
+    WEIGHTS = ["zero_and_fractional", "zero_and_unit", "all_unit", "all_fractional"]
+
+    @staticmethod
+    def check(weights, order):
         rng = np.random.default_rng(17)
         m, n = 300, 7
-        X = rng.normal(size=(m, n))
+        X = np.asarray(rng.normal(size=(m, n)), order=order)
         y = rng.normal(size=m)
         Z = np.zeros((m, 2))  # w is a strided column, as in solve_p
         if weights == "zero_and_fractional":
@@ -716,8 +718,10 @@ class TestWeightedGram:
             Z[rng.random(m) < 0.3, 0] = 0.0
         elif weights == "zero_and_unit":
             Z[:, 0] = rng.random(m) < 0.6
-        else:
+        elif weights == "all_unit":
             Z[:, 0] = 1.0
+        else:  # every weight nonzero, as in a restart's first P-step
+            Z[:, 0] = rng.uniform(0.01, 1.0, size=m)
         w = Z[:, 0]
         G, b, Xs, ys, ws = psolve._weighted_gram(X, y, w)
         G_ref, b_ref = X.T @ np.diag(w) @ X, X.T @ (w * y)
@@ -725,8 +729,18 @@ class TestWeightedGram:
         assert np.linalg.norm(b - b_ref) <= 1e-12 * np.linalg.norm(b_ref)
         keep = w != 0
         assert np.array_equal(Xs, X[keep]) and np.array_equal(ys, y[keep]) and np.array_equal(ws, w[keep])
-        if weights != "zero_and_fractional":
+        if keep.all():  # every row selected: the features are used with no row copy
+            assert np.shares_memory(Xs, X) and np.shares_memory(ys, y)
+        if weights in ("zero_and_unit", "all_unit"):
             assert np.array_equal(G, G.T)  # unscaled rows: the symmetric product
+
+    @pytest.mark.parametrize("weights", WEIGHTS)
+    def test_matches_dense_reference(self, weights):
+        self.check(weights, "C")
+
+    @pytest.mark.parametrize("weights", WEIGHTS)
+    def test_fortran_ordered_features(self, weights):
+        self.check(weights, "F")
 
 
 def pool_case(name):
