@@ -22,6 +22,7 @@ from .kernels import (
     ProjectionError,
     QpProblem,
     QpSolution,
+    SingularQp,
     joint_prox,
     project,
     qp_problem,

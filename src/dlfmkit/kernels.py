@@ -8,10 +8,9 @@ apply; `project` and `joint_prox` apply one such map once. `halfspaces`
 writes polyhedral atoms as rows C x <= d, the one form of a polyhedron
 that the projections and `qp_solve` take. A polyhedron without a closed
 form is projected onto by a dual active-set loop, exact in finitely many
-steps. `qp_solve` runs the same loop in the metric of P: it serves the
-Newton model QPs of the P-step and the oracle, and solves a definite model
-exactly in one pass. qp_tol and qp_max_iter bound only its proximal-point
-loop on a semidefinite P.
+steps. `qp_solve` solves the Newton model QPs of the P-step exactly, in one
+pass of the same loop in Cholesky-transformed coordinates; a P that is not
+numerically definite raises SingularQp.
 """
 
 from __future__ import annotations
@@ -25,20 +24,24 @@ import numpy as np
 from . import model
 
 SOLVED = "solved"
-MAX_ITER = "max_iter"
 
 
 class ProjectionError(RuntimeError):
     """Projection subproblem failed (infeasible or solver breakdown)."""
 
 
+class SingularQp(ProjectionError):
+    """A QP's P fails the Cholesky pivot test: it is not numerically definite."""
+
+
 @dataclass(frozen=True, eq=False)
 class QpProblem:
     """minimize 0.5 x^T P x + q^T x  subject to  A x <= b.
 
-    P must be symmetric PSD. Each row of A x <= b is one halfspace: an
-    equality is two opposite rows, and `halfspaces` gives the rows of a
-    list of constraint atoms. Build it with `qp_problem`.
+    P must be symmetric positive definite: `qp_solve` raises SingularQp on
+    any other. Each row of A x <= b is one halfspace: an equality is two
+    opposite rows, and `halfspaces` gives the rows of a list of constraint
+    atoms. Build it with `qp_problem`.
     """
 
     P: np.ndarray
@@ -48,26 +51,26 @@ class QpProblem:
 
 
 def qp_problem(P, q, A, b) -> QpProblem:
-    """The QpProblem of P, q and the rows A x <= b, as float arrays, with A
-    reshaped to rows of length q.size."""
-    q = np.asarray(q, dtype=float)
-    n = q.shape[0]
-    A = np.asarray(A, dtype=float)
-    if A.ndim != 2 or A.shape[1] != n:
-        A = A.reshape(-1, n)
-    return QpProblem(
-        P=np.asarray(P, dtype=float),
-        q=q,
-        A=A,
-        b=np.asarray(b, dtype=float).reshape(A.shape[0]),
-    )
+    """The QpProblem of P, q and the rows A x <= b, as float arrays.
+
+    Raises ValueError unless q is a vector of some length n, P is (n, n), A
+    is (k, n) and b is (k,).
+    """
+    P, q, A, b = (np.asarray(a, dtype=float) for a in (P, q, A, b))
+    n = q.size
+    if q.ndim != 1 or P.shape != (n, n) or A.ndim != 2 or A.shape[1] != n or b.shape != A.shape[:1]:
+        raise ValueError(
+            f"a QP needs q of shape (n,), P (n, n), A (k, n) and b (k,); "
+            f"got q {q.shape}, P {P.shape}, A {A.shape}, b {b.shape}"
+        )
+    return QpProblem(P=P, q=q, A=A, b=b)
 
 
 @dataclass(eq=False)
 class QpSolution:
     x: np.ndarray
     status: str
-    iterations: int  # proximal-point iterations; 1 where P is definite
+    iterations: int  # passes of the active-set loop: always 1
 
 
 # ---------------------------------------------------------------------------
@@ -235,28 +238,17 @@ _STEPS_PER_ROW = 5
 # L_jj^2 > this share of P_jj, as in psolve's collinearity test
 _QP_MIN_PIVOT = 1e-12
 
-# the proximal term of a semidefinite QP is this share of the largest P_jj
-_PROX_SHARE = 1e-8
 
-# the proximal-point loop of a semidefinite QP stops once its Lagrangian's
-# gradient is at most this share of |P x|_inf and |q|_inf, about 45 machine
-# epsilons: q's part in the null space of P, rounded, moves the iterates at
-# about one epsilon of that scale on every iteration, so with max P_jj near
-# 1e8 an absolute stop at the default qp_tol is never met
-_QP_ROUNDING = 1e-14
+def _kkt_solve(N, top, bottom):
+    """(u, w) with u + N^T w = top and N u = bottom, for N of independent rows.
 
-
-def _kkt_solve(P, N, top, bottom):
-    """(u, w) with P u + N^T w = top and N u = bottom, for N of independent rows.
-
-    P is positive definite, or None for the identity. u minimizes
-    u.P u / 2 - top.u on N u = bottom, and w holds the multipliers of its
-    rows. The saddle-point system is solved as it stands: eliminating u
-    would square the condition number of N and multiply it by that of P.
+    u is the projection of top onto N u = bottom, and w holds the
+    multipliers of its rows. The saddle-point system is solved as it
+    stands: eliminating u would square the condition number of N.
     """
     k, n = N.shape
     K = np.zeros((n + k, n + k))
-    K[:n, :n] = np.eye(n) if P is None else P
+    K[:n, :n] = np.eye(n)
     K[:n, n:] = N.T
     K[n:, :n] = N
     try:
@@ -272,31 +264,25 @@ def _stop_tol(C, x, d):
     return _PROJECT_TOL + _ROUNDING_TOL * (np.abs(C) @ np.abs(x) + np.abs(d))
 
 
-def _active_set_project(v, C, d, feas_tol, metric=None):
-    """Projection of v onto {x : C x <= d}, exact up to rounding.
-
-    The projection is Euclidean where metric is None. Otherwise metric is
-    (P, top, W) for a definite P with v = P^-1 top and W the rows P^-1 c_i,
-    and the projection is in the metric of P: the minimizer of
-    x.P x / 2 - top.x over the set.
+def _active_set_project(v, C, d, feas_tol):
+    """Euclidean projection of v onto {x : C x <= d}, exact up to rounding.
 
     C has at least one row. Returns v itself when no residual C v - d
     exceeds feas_tol. Otherwise runs the dual active-set method of Goldfarb
     & Idnani (Math. Programming 27, 1983). From x = v and no active row, it
-    takes the most violated row p and steps x along -z, z = P^-1 (c_p -
-    N^T r) with N z = 0 for the active normals N, raising p's multiplier by
-    t and lowering the active ones by t r, so that the active rows stay
-    tight. The step ends where p is tight, at t = s_p / c_p.z, and p joins
-    the active set; or earlier, where an active multiplier reaches 0, and
-    that row leaves while p is tried again. Where c_p lies in the span of N
-    and no multiplier blocks, no feasible point exists. After each full
-    step, x and the multipliers are solved afresh from the KKT system of the
-    active rows, in closed form where one row is active and the projection
-    is Euclidean, with p's multiplier kept at least t; the loop stops once
-    every residual is within `_stop_tol`. Raises ProjectionError on an empty
-    set and after _STEPS_PER_ROW steps per row.
+    takes the most violated row p and steps x along -z, z = c_p - N^T r
+    with N z = 0 for the active normals N, raising p's multiplier by t and
+    lowering the active ones by t r, so that the active rows stay tight.
+    The step ends where p is tight, at t = s_p / c_p.z, and p joins the
+    active set; or earlier, where an active multiplier reaches 0, and that
+    row leaves while p is tried again. Where c_p lies in the span of N and
+    no multiplier blocks, no feasible point exists. After each full step, x
+    and the multipliers are solved afresh from the KKT system of the active
+    rows, in closed form where one row is active, with p's multiplier kept
+    at least t; the loop stops once every residual is within `_stop_tol`.
+    Raises ProjectionError on an empty set and after _STEPS_PER_ROW steps
+    per row.
     """
-    P, top, W = (None, v, C) if metric is None else metric
     s = C @ v - d
     p = int(s.argmax())  # the row being made tight
     if s[p] <= feas_tol:
@@ -305,14 +291,14 @@ def _active_set_project(v, C, d, feas_tol, metric=None):
     for _ in range(_STEPS_PER_ROW * d.size):
         c = C[p]
         if active:
-            z, r = _kkt_solve(P, C[active], c, np.zeros(len(active)))
+            z, r = _kkt_solve(C[active], c, np.zeros(len(active)))
             r = r.tolist()
         else:
-            r, z = [], W[p]
+            r, z = [], c
         cz = float(c @ z)
         # the full step makes p tight; there is none when c_p is in the span
-        # of N, measured in the metric: c_p.z against c_p.P^-1 c_p
-        spanned = len(active) == v.size or cz <= _SPAN_TOL**2 * float(c @ W[p])
+        # of N: its part z orthogonal to N is rounding of |c_p|
+        spanned = len(active) == v.size or cz <= _SPAN_TOL**2 * float(c @ c)
         full = math.inf if spanned else float(s[p]) / cz
         # the partial step stops where the first multiplier reaches 0
         partial, j = math.inf, -1
@@ -333,11 +319,11 @@ def _active_set_project(v, C, d, feas_tol, metric=None):
         # rounding from the steps, and one active set, kept in row order,
         # gives one x
         active = sorted(active + [p])
-        if len(active) == 1 and P is None:
+        if len(active) == 1:
             w = max((float(c @ v) - d[p]) / float(c @ c), 0.0)
             x, lam = v - w * c, [w]
         else:
-            x, w = _kkt_solve(P, C[active], top, d[active])
+            x, w = _kkt_solve(C[active], v, d[active])
             lam = np.maximum(w, 0.0).tolist()
         # p's multiplier grew by at least the full step. Rounded below it,
         # towards 0, it would let p leave again at a step of length 0, and
@@ -355,67 +341,35 @@ def _active_set_project(v, C, d, feas_tol, metric=None):
     raise ProjectionError("active-set projection did not converge")
 
 
-def qp_solve(prob: QpProblem, tol: float = 1e-8, max_iter: int = 20000) -> QpSolution:
-    """Solve a dense convex QP exactly, by the active-set loop of the projections.
+def qp_solve(prob: QpProblem) -> QpSolution:
+    """Solve a dense strictly convex QP exactly, in one pass of the active-set loop.
 
-    The rows A x <= b are used as given. Where P passes the Cholesky pivot
-    test (every L_jj^2 above _QP_MIN_PIVOT times P_jj), the QP's minimizer
-    is the projection of -P^-1 q onto them in the metric of P, found in one
-    pass of `_active_set_project`: SOLVED, with iterations 1. Any other P
-    runs the proximal-point method (Rockafellar, SIAM J. Control Optim. 14,
-    1976) from x = 0: iteration k solves the QP with P + rho I and q - rho
-    x_k in the same way, for rho = _PROX_SHARE times the largest P_jj.
-    rho (x_k+1 - x_k) is the gradient of the QP's Lagrangian at x_k+1, so
-    the loop returns SOLVED once its largest entry is at most tol, or at
-    most _QP_ROUNDING times max(|P x_k+1|_inf, |q|_inf), the level its
-    rounding reaches on the scale of P and q; and MAX_ITER after max_iter
-    iterations, at the last iterate, which meets the rows like every
-    other. Raises ProjectionError on an empty set or a breakdown of the
-    loop.
+    The rows A x <= b are used as given. P must pass the Cholesky pivot
+    test, every L_jj^2 above _QP_MIN_PIVOT times P_jj for P = L L^T; any
+    other P raises SingularQp. In u = L^T x the objective is
+    |u + L^-1 q|^2 / 2 up to a constant, so the minimizer is x = L^-T u for
+    u the Euclidean projection of -L^-1 q onto the rows (A L^-T) u <= b,
+    found by `_active_set_project`: the coordinates in which Goldfarb &
+    Idnani state their method. Returns SOLVED, with iterations 1. Raises
+    ProjectionError on an empty set or a breakdown of the loop.
     """
     # P and q scaled to max diag(P) = 1, which leaves the minimizer as it is
-    # and balances the blocks of the KKT systems: their multipliers would
-    # otherwise grow with P, and the rounding of the active rows with them
+    # and keeps u and the rows of A L^-T near the scale of x and A, on which
+    # the stop tests of the active-set loop are set
     scale = float(np.diag(prob.P).max(initial=0.0))
-    if not scale > 0.0:  # P = 0, a linear program: any scale serves
+    if not scale > 0.0:  # P = 0 fails the pivot test at any scale
         scale = 1.0
     P, q = prob.P / scale, prob.q / scale
-    n = q.shape[0]
-    C, d = prob.A, prob.b
     try:
         L = np.linalg.cholesky(P)
-        definite = bool(np.all(np.diag(L) ** 2 > _QP_MIN_PIVOT * np.diag(P)))
     except np.linalg.LinAlgError:
-        definite = False  # P is not numerically positive definite
-    if not definite:
-        rho = _PROX_SHARE
-        M = P + rho * np.eye(n)
-        try:
-            L = np.linalg.cholesky(M)
-        except np.linalg.LinAlgError:
-            raise ProjectionError("QP matrix is not positive semidefinite") from None
-    else:
-        M = P
-    W = np.linalg.solve(L.T, np.linalg.solve(L, C.T)).T  # rows M^-1 c_i
-
-    def minimize(top):
-        # argmin x.M x / 2 - top.x over the rows
-        x = np.linalg.solve(L.T, np.linalg.solve(L, top))
-        return _active_set_project(x, C, d, _PROJECT_TOL, (M, top, W)) if d.size else x
-
-    if definite:
-        return QpSolution(minimize(-q), SOLVED, 1)
-    q_max = float(np.abs(q).max(initial=0.0))
-    x = np.zeros(n)
-    for it in range(1, max_iter + 1):
-        x_next = minimize(rho * x - q)
-        step = float(np.abs(x_next - x).max(initial=0.0))
-        x = x_next
-        # the gradient is scale * rho * step in the units of P and q
-        floor = _QP_ROUNDING * max(float(np.abs(P @ x).max(initial=0.0)), q_max)
-        if rho * step <= max(tol / scale, floor):
-            return QpSolution(x, SOLVED, it)
-    return QpSolution(x, MAX_ITER, max_iter)
+        L = None  # P is not numerically positive definite
+    if L is None or not np.all(np.diag(L) ** 2 > _QP_MIN_PIVOT * np.diag(P)):
+        raise SingularQp("QP matrix is not numerically positive definite")
+    u = -np.linalg.solve(L, q)
+    if prob.b.size:
+        u = _active_set_project(u, np.linalg.solve(L, prob.A.T).T, prob.b, _PROJECT_TOL)
+    return QpSolution(np.linalg.solve(L.T, u), SOLVED, 1)
 
 
 def _monotone_scalar_bounds(poly):

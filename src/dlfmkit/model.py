@@ -202,16 +202,13 @@ def kl_chain(weight: float) -> RegularizerAtom:
 class SolverControls:
     """Termination and subsolver knobs shared by the whole fit.
 
-    qp_tol and qp_max_iter govern only the proximal-point loop of
-    kernels.qp_solve, which it runs for the quadratic model of proximal
-    Newton where a factor has polyhedral constraints and no parameter
-    regularizer, and the model's Hessian is singular: the loop stops once
-    the largest entry of the gradient of the model's Lagrangian is at most
-    qp_tol, or at most 1e-14 times the larger of |P x|_inf and |q|_inf,
-    the level its rounding reaches on the scale of the model's P and q; or
-    after qp_max_iter iterations. A definite model is solved exactly in one
-    pass, and projections (including the projected centroid of a
-    squared-distance factor) solve to a fixed tolerance. p_tol and
+    qp_tol and qp_max_iter are validated, but no solver reads them: every
+    quadratic model of proximal Newton that is solved as a QP is solved
+    exactly in one pass, and projections (including the projected centroid
+    of a squared-distance factor) solve to a fixed tolerance. The two
+    fields stay until config schema version 2: version 1 takes them, and
+    the benchmark checks that its frozen copy of the package builds the
+    same controls, field for field. p_tol and
     p_max_iter govern the one iterative P-step: they count its proximal
     Newton iterations, for every factor that runs it, and the step stops
     once an accepted iteration lowers the factor's objective by at most

@@ -44,12 +44,10 @@ def _exact_factor_solve(atom, atoms, feats, obs, n):
         if not d.size:
             theta, *_ = np.linalg.lstsq(feats, obs, rcond=None)
             return theta
+        # the Gram matrix is singular on subsets of fewer than n rows
         P = 2.0 * feats.T @ feats
         q = -2.0 * feats.T @ obs
-        sol = kernels.qp_solve(kernels.qp_problem(P, q, C, d), tol=1e-10)
-        if sol.status != kernels.SOLVED:
-            raise RuntimeError(f"oracle inner QP ended with status {sol.status}")
-        return sol.x
+        return qp_active_set_oracle(kernels.qp_problem(P, q, C, d))
     raise ValueError(f"brute force needs an exactly solvable loss; got {atom.kind!r}")
 
 
@@ -57,8 +55,9 @@ def brute_force_fit(spec: model.ModelSpec, data: model.Dataset, budget: float = 
     """Global optimum of the one-hot assignment problem by full enumeration.
 
     Every one of the K^m assignments is solved exactly per factor (least
-    squares, centroids, or a tightly-toleranced QP). Regularized specs are
-    rejected; empty factors are allowed and contribute zero loss.
+    squares, centroids, or the enumerated active sets of its QP, with
+    qp_active_set_oracle). Regularized specs are rejected; empty factors
+    are allowed and contribute zero loss.
     """
     if spec.p_regularizers or spec.f_regularizers:
         raise ValueError("brute force handles unregularized specs only")
@@ -128,9 +127,9 @@ def prox_gradient_fixed_point(grad, prox, x0, lipschitz: float, max_iter: int = 
 def qp_active_set_oracle(prob: kernels.QpProblem, tol: float = 1e-9) -> np.ndarray:
     """Exact QP solution by enumerating the active sets of A x <= b.
 
-    Requires positive definite P and at most 16 rows. At the minimizer, the
-    negative gradient lies in the cone of the active rows, so by
-    Caratheodory's theorem it is carried by at most n linearly independent
+    Requires positive semidefinite P and at most 16 rows. At the
+    minimizer, the negative gradient lies in the cone of the active rows, so
+    by Caratheodory's theorem it is carried by at most n linearly independent
     ones. Every subset of at most n rows is pinned: its KKT system, with P
     and q scaled to a unit max diagonal of P so that the multipliers do not
     grow with P, gives x and the multipliers. x is a candidate where it

@@ -6,9 +6,10 @@ regularizers, and `solve_p` runs the chosen steps on each iteration's factor
 weights. The three steps are two closed forms (a projected centroid, the
 normal equations) and proximal Newton for every factor that has none. Its
 quadratic model is solved exactly where it can be: as one QP where no
-regularizer acts and the atoms are polyhedral, and by its secular equation
-where group l2 acts over a sign box. FISTA solves every other model, and is
-the fallback of the secular equation.
+regularizer acts and the atoms are polyhedral, damped by a proximal term
+where its Hessian is singular, and by its secular equation where group l2
+acts over a sign box. FISTA solves every other model, and is the fallback
+of the secular equation.
 """
 
 from __future__ import annotations
@@ -148,6 +149,9 @@ _NULL_EIGENVALUE = 1e-12
 _SECULAR_MAX_ITER = 100
 # relative slack of the sign tests of the group-l2 model's KKT check
 _KKT_TOL = 1e-10
+# the proximal term of a model QP whose Hessian is singular is this share of
+# the largest H_jj
+_PROX_SHARE = 1e-8
 
 
 def _secular_solve(evals, evecs, c, lam):
@@ -233,17 +237,20 @@ def _group_l2_box_model(H, c, lam, lo, hi, free, evals, evecs):
     return None
 
 
-def _model_step(plan, theta, g, H, controls):
+def _model_step(plan, theta, g, H):
     """Argmin over the atoms of the model g.d + d.H d / 2 + regs(theta + d).
 
     Returns the prox-gradient step at theta, with step 1 / lambda_max(H), a
     closer point, and whether that point minimizes the factor's own problem.
     Where the plan holds rows (no regularizer, no ball) and H has
     curvature, the model is the QP with P = H and q = g - H theta, solved
-    by qp_solve: exactly where H is definite, and under qp_tol and
-    qp_max_iter where it is singular. The QP point is projected, which
-    moves it onto the atoms where it meets them only up to rounding. A
-    SOLVED QP of an exact model (plan.exact_model) is the minimizer.
+    exactly by qp_solve. Where H is singular (kernels.SingularQp), the model
+    takes P = H + rho I and q = g - P theta for rho = _PROX_SHARE times the
+    largest H_jj: a proximal Newton step centred at theta, whose metric
+    need only be positive definite (Lee, Sun & Saunders, SIAM J. Optim.
+    2014). The QP point is projected, which moves it onto the atoms where
+    it meets them only up to rounding. The undamped QP of an exact model
+    (plan.exact_model) is the minimizer.
     Where the plan holds group_box (group l2 over a sign box), one eigh of H
     gives lambda_max and the exact minimizer (`_group_l2_box_model`, with
     the free coordinates guessed from the prox-gradient step). Otherwise, or
@@ -257,12 +264,14 @@ def _model_step(plan, theta, g, H, controls):
     step = 1.0 / max(lam, _MIN_CURVATURE)
     first = plan.prox(theta - step * g, step)
     if plan.rows is not None and lam > _MIN_CURVATURE:
-        sol = kernels.qp_solve(
-            kernels.qp_problem(H, g - H @ theta, *plan.rows),
-            tol=controls.qp_tol,
-            max_iter=controls.qp_max_iter,
-        )
-        return first, plan.project(sol.x), plan.exact_model and sol.status == kernels.SOLVED
+        try:
+            x = kernels.qp_solve(kernels.qp_problem(H, g - H @ theta, *plan.rows)).x
+            exact = plan.exact_model
+        except kernels.SingularQp:
+            P = H + _PROX_SHARE * float(np.diag(H).max()) * np.eye(H.shape[0])
+            x = kernels.qp_solve(kernels.qp_problem(P, g - P @ theta, *plan.rows)).x
+            exact = False
+        return first, plan.project(x), exact
     if plan.group_box is not None:
         x = _group_l2_box_model(H, g - H @ theta, *plan.group_box, first != 0.0, evals, evecs)
         if x is not None:
@@ -339,10 +348,10 @@ def _newton_factor(plan, feats, obs, w, warm, controls):
     status = P_MAX_ITER
     it = 0
     for it in range(1, controls.p_max_iter + 1):
-        # FISTA is not monotone, and a model QP capped at qp_max_iter stops
-        # short of its minimizer; the prox-gradient step always predicts a
-        # decrease unless theta is a fixed point
-        first, closer, exact = _model_step(plan, theta, g, H, controls)
+        # FISTA is not monotone, so its point may predict no decrease; the
+        # prox-gradient step always predicts a decrease unless theta is a
+        # fixed point
+        first, closer, exact = _model_step(plan, theta, g, H)
         for v in (closer, first):
             d = v - theta
             delta = float(g @ d) + model.p_regularizer_value(regs, [v]) - reg

@@ -50,12 +50,15 @@ class TestQpSolve:
             assert gap <= 1e-6 * max(1.0, abs(qp_objective(prob, ref))), f"trial {trial}"
             assert np.allclose(sol.x, ref, atol=1e-4), f"trial {trial}"
 
-    def test_semidefinite_large_scale_stops_at_rounding(self):
-        # P of rank 2 on R^4 with eigenvalues 1 and 10^8.5, q = -P v, inside a
-        # box: q's part in the null space of P is rounding alone, and it moves
-        # the proximal-point iterates by about one epsilon of the scale of q
-        # on every iteration, above an absolute stop at qp_tol = 1e-8. Under
-        # that stop trials 8, 13 and 29 ran all 20,000 iterations.
+    def test_semidefinite_large_scale_raises_singular_qp(self):
+        # P of rank 2 on R^4 with eigenvalues 1 and 10^8.5 fails the pivot
+        # test at every draw, as it stands and scaled to a unit diagonal
+        # maximum, and so does P = 0. psolve damps such a Newton model
+        # before it solves it; one that escapes ends one restart, as every
+        # ProjectionError does
+        assert issubclass(kernels.SingularQp, kernels.ProjectionError)
+        with pytest.raises(kernels.SingularQp):
+            dk.qp_solve(dk.qp_problem(np.zeros((2, 2)), np.ones(2), np.zeros((0, 2)), np.zeros(0)))
         rng = np.random.default_rng(0)
         n = 4
         for trial in range(30):
@@ -64,15 +67,21 @@ class TestQpSolve:
             q = -P @ rng.normal(0.0, 3.0, size=n)
             A = np.vstack([np.eye(n), -np.eye(n), rng.normal(size=(2, n))])
             b = np.concatenate([np.full(2 * n, 2.0), rng.uniform(0.5, 1.5, size=2)])
-            prob = dk.qp_problem(P, q, A, b)
-            sol = dk.qp_solve(prob)
-            assert sol.status == kernels.SOLVED and sol.iterations <= 1000, f"trial {trial}"
-            assert np.all(A @ sol.x <= b + 1e-8), f"trial {trial}"
-            # objectives at the scale of a unit diagonal maximum of P
-            ref = dk.qp_active_set_oracle(prob)
-            unit = float(np.diag(P).max())
-            gap = (qp_objective(prob, sol.x) - qp_objective(prob, ref)) / unit
-            assert gap <= 1e-9 * max(1.0, abs(qp_objective(prob, ref)) / unit), f"trial {trial}"
+            with pytest.raises(kernels.SingularQp):
+                dk.qp_solve(dk.qp_problem(P, q, A, b))
+            with pytest.raises(kernels.SingularQp):
+                dk.qp_solve(dk.qp_problem(P / float(np.diag(P).max()), q, A, b))
+
+    def test_problem_shapes_are_checked(self):
+        # a reshape would read A of shape (2, 3) for n = 2 as a different
+        # (3, 2) matrix; every array must have its own shape
+        P, q, A, b = np.eye(2), np.zeros(2), np.ones((3, 2)), np.ones(3)
+        assert dk.qp_problem(P, q, A, b).A.shape == (3, 2)
+        for bad in [(P, q, np.ones((2, 3)), np.ones(3)), (P, q, A.ravel(), b),
+                    (P, q, A, np.ones(2)), (np.eye(3), q, A, b), (P[:, :1], q, A, b),
+                    (P, np.zeros((2, 1)), A, b)]:
+            with pytest.raises(ValueError):
+                dk.qp_problem(*bad)
 
     def test_detects_infeasible(self):
         # x >= 1 and x <= -1 cannot hold
@@ -116,6 +125,11 @@ class TestQpPolish:
     @pytest.mark.parametrize("kind", ["equality", "one_sided", "duplicate", "singular_P"])
     def test_matches_active_set_oracle(self, kind):
         rng = np.random.default_rng(7)
+        if kind == "singular_P":  # P of rank n - 1 fails the pivot test
+            for _ in range(40):
+                with pytest.raises(kernels.SingularQp):
+                    dk.qp_solve(polish_qp(rng, kind))
+            return
         compared = 0
         for trial in range(40):
             prob = polish_qp(rng, kind)
@@ -124,15 +138,11 @@ class TestQpPolish:
             assert_feasible(prob, sol)
             if prob.A.shape[0] > 16:
                 continue
-            try:
-                ref = dk.qp_active_set_oracle(prob)
-            except RuntimeError:
-                continue  # every candidate KKT system singular: oracle does not apply
+            ref = dk.qp_active_set_oracle(prob)
             compared += 1
             gap = qp_objective(prob, sol.x) - qp_objective(prob, ref)
             assert abs(gap) <= 1e-6 * max(1.0, abs(qp_objective(prob, ref))), f"trial {trial}"
-            if kind != "singular_P":
-                assert np.allclose(sol.x, ref, atol=1e-5), f"trial {trial}"
+            assert np.allclose(sol.x, ref, atol=1e-5), f"trial {trial}"
         assert compared >= 20
 
     def test_kmeans_step_solves_in_few_iterations(self):
@@ -193,7 +203,7 @@ class TestProjectSimplex:
             v = rng.normal(0, 2, n)
             fast = kernels.project_simplex(v, 1.0)
             prob = dk.qp_problem(np.eye(n), -v, *kernels.halfspaces(atoms, n))
-            sol = dk.qp_solve(prob, tol=1e-12)
+            sol = dk.qp_solve(prob)
             assert sol.status == kernels.SOLVED
             assert np.allclose(fast, sol.x, atol=1e-5)
 
@@ -249,7 +259,7 @@ class TestProject:
                 atoms = [model.nonpos(), model.monotone_nondecreasing()]
             fast = dk.project(atoms, v)
             prob = dk.qp_problem(np.eye(n), -v, *kernels.halfspaces(atoms, n))
-            sol = dk.qp_solve(prob, tol=1e-12)
+            sol = dk.qp_solve(prob)
             assert sol.status == kernels.SOLVED
             assert np.allclose(fast, sol.x, atol=1e-5)
             assert kernels.max_violation(atoms, fast) <= 1e-12

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import dlfmkit as dk
-from dlfmkit import oracle
+from dlfmkit import kernels, oracle
 from two_sided import two_sided_qp
 
 
@@ -71,15 +71,27 @@ def nonneg_regression_case(seed):
 
 @pytest.mark.parametrize("seed", range(3))
 def test_brute_force_nonneg_regression_bounds_fit(seed):
-    # a factor's subset of one row gives a singular Gram matrix, so its QP
-    # runs the proximal-point loop of qp_solve; no restart of fit may end
-    # below the enumerated optimum, and the best reaches it
+    # a factor's subset of one row gives a singular Gram matrix: the oracle
+    # enumerates the active sets of its QP, and fit damps its Newton model;
+    # no restart of fit may end below the enumerated optimum, and the best
+    # reaches it
     spec, data = nonneg_regression_case(seed)
     ref = dk.brute_force_fit(spec, data)
     assert all(np.all(t >= -1e-9) for t in ref.thetas_at_optimum)
     final = dk.fit(spec, data).objective_trace[-1][2]
     assert final >= ref.optimum - 1e-9 * max(1.0, ref.optimum)
     assert final == pytest.approx(ref.optimum, rel=1e-7, abs=1e-9)
+
+
+def test_brute_force_makes_no_qp_solve_call(monkeypatch):
+    # the oracle shares no code with the kernel of the Newton model QPs that
+    # it checks: constrained square regression enumerates active sets
+    calls = []
+    real = kernels.qp_solve
+    monkeypatch.setattr(kernels, "qp_solve", lambda *a: calls.append(1) or real(*a))
+    spec, data = nonneg_regression_case(0)
+    dk.brute_force_fit(spec, data)
+    assert calls == []
 
 
 def test_brute_force_budget():
@@ -192,8 +204,8 @@ def test_active_set_with_large_p_matches_qp_solve():
 def test_active_set_skips_numerically_singular_systems():
     # P of rank 1 on R^3 and one two-sided row: every KKT system is singular,
     # yet P alone rounds to a nonzero determinant (-9.5e-34). Solving it gave
-    # a point 35.6 outside the row at objective -4.8e17, where qp_solve finds
-    # a feasible -0.334; no candidate is left, and the oracle says so
+    # a point 35.6 outside the row at objective -4.8e17; no candidate is
+    # left, and the oracle says so. qp_solve takes a definite P only
     P = np.array([[0.6153573562352205, -0.3927354160565128, -0.28714381995323923],
                   [-0.3927354160565128, 0.25065290186621825, 0.1832618826356971],
                   [-0.28714381995323923, 0.1832618826356971, 0.13398974189856136]])
@@ -203,6 +215,5 @@ def test_active_set_skips_numerically_singular_systems():
                          b=np.array([0.9704637312201184, 0.9850434691900419]))
     with pytest.raises(RuntimeError, match="no KKT point"):
         dk.qp_active_set_oracle(prob)
-    sol = dk.qp_solve(prob)
-    assert float((prob.A @ sol.x - prob.b).max()) <= 1e-9
-    assert 0.5 * sol.x @ P @ sol.x + q @ sol.x == pytest.approx(-0.3336, abs=1e-4)
+    with pytest.raises(kernels.SingularQp):
+        dk.qp_solve(prob)

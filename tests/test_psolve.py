@@ -257,7 +257,7 @@ class TestNewtonStep:
         fista = []
         real = psolve._fista_model
         monkeypatch.setattr(psolve, "_fista_model", lambda *args: fista.append(1) or real(*args))
-        first, closer, exact = psolve._model_step(plan, theta, g, H, spec.controls)
+        first, closer, exact = psolve._model_step(plan, theta, g, H)
         assert fista == [1] and not exact
         assert kernels.max_violation(plan.atoms, closer) == 0.0
 
@@ -498,12 +498,17 @@ def capped_case(name):
 
 
 def record_qp_statuses(monkeypatch):
-    """The list to which every later qp_solve appends its status."""
+    """The list to which every later qp_solve appends its status, or
+    "singular" where it raises SingularQp."""
     statuses = []
     real = kernels.qp_solve
 
     def spy(*args, **kwargs):
-        sol = real(*args, **kwargs)
+        try:
+            sol = real(*args, **kwargs)
+        except kernels.SingularQp:
+            statuses.append("singular")
+            raise
         statuses.append(sol.status)
         return sol
 
@@ -517,59 +522,56 @@ def fit_with_qp_statuses(spec, data, monkeypatch):
     return dk.fit(spec, data), statuses
 
 
-def cap_qp(spec, max_iter=30):
-    return replace(spec, controls=replace(spec.controls, qp_max_iter=max_iter))
+def cap_qp(spec):
+    # qp_tol and qp_max_iter are validated, but no solver reads them
+    return replace(spec, controls=replace(spec.controls, qp_tol=0.5, qp_max_iter=1))
 
 
 @pytest.mark.parametrize("case", ["kmeans", "regression"])
 class TestCappedQp:
     def test_capped_steps_stay_feasible_and_monotone(self, case, monkeypatch):
-        # at qp_max_iter = 30 the projection of the QP point and the Armijo
-        # rule keep the thetas in the polytope and the trace monotone. No
-        # QP meets the cap: k-means solves none, and every regression model
-        # is definite, so its QP is solved in one pass
+        # at qp_max_iter = 1 and qp_tol = 0.5 the thetas stay in the
+        # polytope and the trace monotone. K-means solves no QP, and every
+        # regression model is definite, so each QP is solved in one pass
         spec, data = capped_case(case)
         res, statuses = fit_with_qp_statuses(cap_qp(spec), data, monkeypatch)
-        assert kernels.MAX_ITER not in statuses
+        assert set(statuses) == ({kernels.SOLVED} if case == "regression" else set())
         flat = [v for _, after_p, after_f in res.objective_trace for v in (after_p, after_f)]
         for a, b in zip(flat, flat[1:]):
             assert b <= a + 1e-8 * max(1.0, abs(a))
         atoms = spec.constraints_per_factor[0]
         assert max(kernels.max_violation(atoms, th) for th in res.thetas) <= 1e-9
 
-    def test_capped_step_does_not_close_the_gap(self, case, monkeypatch):
-        # a fit under a QP cap may close the gap only at the optimum the
-        # uncapped fit finds
+    def test_capped_fit_is_bit_identical_to_default(self, case):
+        # qp_solve takes no tolerance and no cap: the fit does not depend
+        # on qp_tol or qp_max_iter
         spec, data = capped_case(case)
-        capped, statuses = fit_with_qp_statuses(cap_qp(spec), data, monkeypatch)
-        full = dk.fit(spec, data)
-        assert kernels.MAX_ITER not in statuses
-        assert capped.status == dk.GAP_CONVERGED
-        assert capped.objective_trace[-1][2] == pytest.approx(full.objective_trace[-1][2], rel=1e-9)
+        capped, full = dk.fit(cap_qp(spec), data), dk.fit(spec, data)
+        assert capped.objective_trace == full.objective_trace
+        assert np.array_equal(capped.Z, full.Z) and np.array_equal(capped.labels, full.labels)
+        for a, b in zip(capped.thetas, full.thetas):
+            assert np.array_equal(a, b)
 
 
-def test_singular_model_qp_stops_at_the_cap(monkeypatch):
-    # 3 weighted rows for 10 features: H is singular, so the model QP runs
-    # the proximal-point loop, and qp_max_iter = 1 ends it at its first
-    # iterate with MAX_ITER. The P-step still lands in the polytope and
-    # lowers the objective, to within 1e-6 of the uncapped step's
+def test_singular_model_qp_is_damped(monkeypatch):
+    # 1 or 3 weighted rows for 10 features: H is singular, so qp_solve
+    # raises SingularQp and the model is solved again with P = H + rho I,
+    # centred at theta. The P-step lands in the polytope, at the objectives
+    # reached by solving the undamped models to convergence by the
+    # proximal-point method
     spec, data = capped_case("regression")
     spec = replace(spec, K=1, loss_per_factor=spec.loss_per_factor[:1],
                    constraints_per_factor=spec.constraints_per_factor[:1])
-    Z = np.zeros((data.m, 1))
-    Z[:3] = 1.0
-    statuses = record_qp_statuses(monkeypatch)
-    capped = dk.solve_p(cap_qp(spec, 1), data, Z)
-    assert kernels.MAX_ITER in statuses
-    statuses.clear()
-    full = dk.solve_p(spec, data, Z)
-    assert kernels.MAX_ITER not in statuses
     atoms = spec.constraints_per_factor[0]
-    start = psolve.plan_factors(spec)[0].project(np.zeros(spec.n))
-    loss = model.batch_losses(spec.loss_per_factor[0], data.features[:3], data.observations[:3], start).sum()
-    assert kernels.max_violation(atoms, capped.thetas[0]) <= 1e-9
-    assert capped.objective < loss
-    assert capped.objective == pytest.approx(full.objective, rel=1e-6)
+    statuses = record_qp_statuses(monkeypatch)
+    for rows, objective in [(1, 451.934126522431), (3, 841.114849864229)]:
+        Z = np.zeros((data.m, 1))
+        Z[:rows] = 1.0
+        statuses.clear()
+        out = dk.solve_p(spec, data, Z)
+        assert statuses[:2] == ["singular", kernels.SOLVED]
+        assert kernels.max_violation(atoms, out.thetas[0]) <= 1e-9
+        assert out.objective == pytest.approx(objective, rel=1e-9)
 
 
 def test_exact_model_qp_ends_the_newton_step(monkeypatch):
