@@ -8,9 +8,10 @@ apply; `project` and `joint_prox` apply one such map once. `halfspaces`
 writes polyhedral atoms as rows C x <= d, the one form of a polyhedron
 that the projections and `qp_solve` take. A polyhedron without a closed
 form is projected onto by a dual active-set loop, exact in finitely many
-steps. `qp_solve` solves the Newton model QPs of the P-step exactly, in one
-pass of the same loop in Cholesky-transformed coordinates; a P that is not
-numerically definite raises SingularQp.
+steps. `qp_solve` solves a QP exactly, in one pass of the same loop in
+Cholesky-transformed coordinates; a P that is not numerically definite
+raises SingularQp. `regularized_qp` adds l1, group l2 and a ball to a QP,
+solved by QPs: one per orthant, and a search in the damping mu I of P.
 """
 
 from __future__ import annotations
@@ -71,6 +72,7 @@ class QpSolution:
     x: np.ndarray
     status: str
     iterations: int  # passes of the active-set loop: always 1
+    y: np.ndarray  # multipliers of the rows: P x + q + A^T y = 0
 
 
 # ---------------------------------------------------------------------------
@@ -219,8 +221,8 @@ def halfspaces(atoms, n):
     return C[finite], d[finite]
 
 
-# feasible points are returned unchanged; keep this above the accuracy of the
-# interior active-set/Dykstra solves so projecting twice is exact
+# feasible points are returned unchanged; keep this above the residual the
+# active-set loop leaves (_stop_tol) so projecting twice is exact
 _FEAS_TOL = 1e-8
 
 # the residual C x - d the active-set loop leaves (`_stop_tol`)
@@ -237,6 +239,11 @@ _STEPS_PER_ROW = 5
 # a QP's P is definite where every pivot of its Cholesky factor keeps
 # L_jj^2 > this share of P_jj, as in psolve's collinearity test
 _QP_MIN_PIVOT = 1e-12
+
+
+# the search of `_qp_norm_search` runs in log mu within +-_MAX_LOG_MU, and ends
+# once its equation holds, or its bracket is narrowed, to _SEARCH_TOL
+_MAX_LOG_MU, _SEARCH_TOL, _SEARCH_MAX_ITER, _TINY = 700.0, 1e-14, 100, 1e-300
 
 
 def _kkt_solve(N, top, bottom):
@@ -265,14 +272,16 @@ def _stop_tol(C, x, d):
 
 
 def _active_set_project(v, C, d, feas_tol):
-    """Euclidean projection of v onto {x : C x <= d}, exact up to rounding.
+    """Euclidean projection x of v onto {x : C x <= d}, exact up to rounding.
 
-    C has at least one row. Returns v itself when no residual C v - d
-    exceeds feas_tol. Otherwise runs the dual active-set method of Goldfarb
-    & Idnani (Math. Programming 27, 1983). From x = v and no active row, it
-    takes the most violated row p and steps x along -z, z = c_p - N^T r
-    with N z = 0 for the active normals N, raising p's multiplier by t and
-    lowering the active ones by t r, so that the active rows stay tight.
+    C has at least one row. Returns x, the active rows in row order and
+    their multipliers w, x + C_active^T w = v; v and none where no residual
+    C v - d exceeds feas_tol. Otherwise runs the dual active-set method of
+    Goldfarb & Idnani (Math. Programming 27, 1983). From x = v and no active
+    row, it takes the most violated row p and steps x along -z,
+    z = c_p - N^T r with N z = 0 for the active normals N, raising p's
+    multiplier by t and lowering the active ones by t r, so that the active
+    rows stay tight.
     The step ends where p is tight, at t = s_p / c_p.z, and p joins the
     active set; or earlier, where an active multiplier reaches 0, and that
     row leaves while p is tried again. Where c_p lies in the span of N and
@@ -286,7 +295,7 @@ def _active_set_project(v, C, d, feas_tol):
     s = C @ v - d
     p = int(s.argmax())  # the row being made tight
     if s[p] <= feas_tol:
-        return v
+        return v, [], []
     x, active, lam = v, [], []  # active rows and their multipliers
     for _ in range(_STEPS_PER_ROW * d.size):
         c = C[p]
@@ -337,7 +346,7 @@ def _active_set_project(v, C, d, feas_tol):
         if s[p] <= _PROJECT_TOL or (
             s[p] <= _stop_tol(C[p], x, d[p]) and np.all(s <= _stop_tol(C, x, d))
         ):
-            return x
+            return x, active, lam
     raise ProjectionError("active-set projection did not converge")
 
 
@@ -350,8 +359,9 @@ def qp_solve(prob: QpProblem) -> QpSolution:
     |u + L^-1 q|^2 / 2 up to a constant, so the minimizer is x = L^-T u for
     u the Euclidean projection of -L^-1 q onto the rows (A L^-T) u <= b,
     found by `_active_set_project`: the coordinates in which Goldfarb &
-    Idnani state their method. Returns SOLVED, with iterations 1. Raises
-    ProjectionError on an empty set or a breakdown of the loop.
+    Idnani state their method. Returns SOLVED, with iterations 1, and the
+    multipliers y of the rows. Raises ProjectionError on an empty set or a
+    breakdown of the loop.
     """
     # P and q scaled to max diag(P) = 1, which leaves the minimizer as it is
     # and keeps u and the rows of A L^-T near the scale of x and A, on which
@@ -367,9 +377,102 @@ def qp_solve(prob: QpProblem) -> QpSolution:
     if L is None or not np.all(np.diag(L) ** 2 > _QP_MIN_PIVOT * np.diag(P)):
         raise SingularQp("QP matrix is not numerically positive definite")
     u = -np.linalg.solve(L, q)
+    y = np.zeros(prob.b.size)  # the multipliers of the rows of P / scale and q / scale
     if prob.b.size:
-        u = _active_set_project(u, np.linalg.solve(L, prob.A.T).T, prob.b, _PROJECT_TOL)
-    return QpSolution(np.linalg.solve(L.T, u), SOLVED, 1)
+        u, active, lam = _active_set_project(u, np.linalg.solve(L, prob.A.T).T, prob.b, _PROJECT_TOL)
+        y[active] = lam
+    return QpSolution(np.linalg.solve(L.T, u), SOLVED, 1, scale * y)
+
+
+def _qp_norm_search(M, q, C, d, l2, radius):
+    """argmin x.M x / 2 + q.x + l2 ||x|| over C x <= d and ||x|| <= radius.
+
+    Returns the QpSolution (x(mu), row multipliers y) of the QP with
+    P = M + mu I for the least mu with ||x(mu)|| <= radius and
+    mu ||x(mu)|| >= l2, where x(mu) meets the KKT conditions. ||x(mu)|| is
+    nonincreasing in mu: doubling steps in t = log mu from the root where
+    M = (trace M / n) I bracket it, and Illinois regula falsi closes in.
+    x = 0 where 0 meets the rows and -q lies within l2 of their normal cone
+    at 0 (Moreau). Where no mu up to e^_MAX_LOG_MU meets the ball, the set
+    is empty: ProjectionError.
+    """
+    n = q.size
+
+    def solve(mu):
+        return qp_solve(qp_problem(M + mu * np.eye(n) if mu else M, q, C, d))
+
+    sol = solve(0.0)
+    nrm = math.sqrt(sol.x @ sol.x)
+    if not l2 and nrm <= radius:
+        return sol
+    if l2 and np.all(d >= 0.0):
+        tight = d == 0.0  # the rows through 0, whose normals span its normal cone
+        u, active, w = _active_set_project(-q, C[tight], d[tight], _PROJECT_TOL) if tight.any() else (-q, [], [])
+        if math.sqrt(u @ u) <= l2:
+            y = np.zeros(d.size)
+            y[np.flatnonzero(tight)[active]] = w
+            return QpSolution(np.zeros(n), SOLVED, 1, y)
+
+    def excess(t):  # at least 0 from the mu sought on, negative below it
+        sol = solve(math.exp(t))
+        size = max(math.sqrt(sol.x @ sol.x), _TINY)
+        return min(math.log(radius / size), t + math.log(size / l2) if l2 else math.inf), sol
+
+    lam = float(np.trace(M)) / n  # where M = lam I, x(mu) = x(0) lam / (lam + mu)
+    root = max(l2 / (lam * nrm - l2) if lam * nrm > l2 else 1.0, nrm / radius - 1.0, _SEARCH_TOL)
+    t = math.log(lam * root)
+    lo, hi, step, side = None, None, 1.0, 0  # ends (t, excess), step out, end last moved
+    for _ in range(_SEARCH_MAX_ITER):
+        if abs(t) > _MAX_LOG_MU:
+            if hi is None:
+                raise ProjectionError("empty feasible set")
+            break  # mu = 0 but in name
+        f, sol = excess(t)
+        if abs(f) <= _SEARCH_TOL:
+            return sol
+        if f > 0.0:
+            if side == 1 and lo:  # an end kept twice has its excess halved
+                lo = (lo[0], 0.5 * lo[1])
+            hi, past, side = (t, f), sol, 1
+        else:
+            if side == -1 and hi:
+                hi = (hi[0], 0.5 * hi[1])
+            lo, side = (t, f), -1
+        if lo is None or hi is None:
+            t, step = t - math.copysign(step, f), 2.0 * step
+            continue
+        (ta, fa), (tb, fb) = lo, hi
+        if tb - ta <= _SEARCH_TOL * max(1.0, abs(tb)):
+            break
+        t = tb - fb * (tb - ta) / (fb - fa)
+        t = t if ta < t < tb else 0.5 * (ta + tb)
+    return past
+
+
+def regularized_qp(M, q, C, d, l1, l2, radius, start):
+    """argmin x.M x / 2 + q.x + l1 ||x||_1 + l2 ||x||_2 over C x <= d, ||x|| <= radius.
+
+    M must pass qp_solve's pivot test (else SingularQp); radius may be inf,
+    l1 and l2 0. On the orthant of signs s, l1 ||x||_1 is l1 s.x, and the
+    rows -s_i x_i <= 0 join C x <= d (`_qp_norm_search`). The loop starts on
+    the orthant of start, a point of the set read where l1 > 0 (its zeros
+    take the signs of -q), and ends once each sign row's multiplier y_i is
+    at most 2 l1, so that l1 s_i - y_i is a subgradient. Else the least i
+    that is not, at x_i = 0, flips s_i: the new orthant holds the last
+    point, and its minimum is lower. Returns None after 2n flips.
+    """
+    if not l1:
+        return _qp_norm_search(M, q, C, d, l2, radius).x
+    n = q.size
+    s = np.where(start != 0.0, np.sign(start), np.where(q > 0.0, -1.0, 1.0))
+    d = np.concatenate([d, np.zeros(n)])
+    for _ in range(2 * n + 1):  # the start, then at most 2n flips
+        sol = _qp_norm_search(M, q + l1 * s, np.vstack([C, -np.diag(s)]), d, l2, radius)
+        bad = sol.y[-n:] > 2.0 * l1
+        if not bad.any():
+            return sol.x
+        s[int(bad.argmax())] *= -1.0
+    return None
 
 
 def _monotone_scalar_bounds(poly):
@@ -404,10 +507,10 @@ def _closed_form(atoms):
     return _monotone_scalar_bounds(atoms)
 
 
-def _poly_projector(poly, n: int, feas_tol: float):
+def _poly_projector(poly, n: int):
     """The exact projection onto canonical polyhedral atoms. The lone-atom
     closed forms of _closed_form return feasible points unchanged; every
-    other map returns points within feas_tol of the set unchanged."""
+    other map returns points within _FEAS_TOL of the set unchanged."""
     exact = _closed_form(poly)
     if exact is not None:
         return exact
@@ -426,46 +529,18 @@ def _poly_projector(poly, n: int, feas_tol: float):
         C, d = halfspaces(poly, n)
         if not d.size:  # every side infinite
             return lambda v: v
-        return lambda v: _active_set_project(v, C, d, feas_tol)
-    return lambda v: v if max_violation(poly, v) <= feas_tol else exact(v)
+        return lambda v: _active_set_project(v, C, d, _FEAS_TOL)[0]
+    return lambda v: v if max_violation(poly, v) <= _FEAS_TOL else exact(v)
 
 
-def _dykstra(first, second, v, max_iter, done=None):
-    # Dykstra alternation between two proximal maps, from v; stops once an
-    # iterate moves by at most 1e-12 and done(x) holds, else after max_iter
-    x = v.copy()
-    p_corr = np.zeros_like(v)
-    q_corr = np.zeros_like(v)
-    for _ in range(max_iter):
-        y = first(x + p_corr)
-        p_corr = x + p_corr - y
-        x_new = second(y + q_corr)
-        q_corr = y + q_corr - x_new
-        if float(np.abs(x_new - x).max()) <= 1e-12 and (done is None or done(x_new)):
-            return x_new
-        x = x_new
-    return x
-
-
-def _ball_poly_projector(ball, poly, n: int):
-    # Dykstra alternation between a norm ball and a polyhedral intersection
-    poly_exact = _poly_projector(poly, n, 1e-12)
-    atoms = [ball, *poly]
-
-    def exact(v):
-        x = _dykstra(
-            functools.partial(_project_single, ball),
-            poly_exact,
-            v, 5000, lambda x: max_violation(atoms, x) <= 1e-10,
-        )
-        if max_violation(atoms, x) > 1e-6:
-            raise ProjectionError("alternating projection did not converge (empty set?)")
-        return x
-
-    def project_point(v):
-        return v if max_violation(atoms, v) <= _FEAS_TOL else exact(v)
-
-    return project_point
+def regularized_qp_terms(regs, atoms, n: int):
+    """regularized_qp's C, d, l1, l2, radius for regs and canonical atoms on R^n:
+    the rows of every atom but the ball, the summed l1 and group-l2 weights,
+    and the ball's radius, inf where there is none."""
+    ball = bool(atoms) and atoms[-1].kind == model.NORM_BALL2
+    C, d = halfspaces(atoms[:-1] if ball else atoms, n)
+    l1, l2 = (sum(float(r.weight) for r in regs if r.kind == kind) for kind in (model.L1, model.GROUP_L2))
+    return C, d, l1, l2, atoms[-1].radius if ball else math.inf
 
 
 def projector(atoms, n: int):
@@ -481,22 +556,26 @@ def projector(atoms, n: int):
     point is projected onto them exactly by a dual active-set loop
     (`_active_set_project`); composing the individual projections would not
     give the intersection projection. The norm ball intersected with
-    polyhedral atoms alternates both projections Dykstra-style. The closed
-    forms of one box, one monotone cone with or without scalar bounds, and
-    one norm ball return a feasible point with its values unchanged, and
-    are applied directly. Every other map returns points within _FEAS_TOL
-    of the set as they are; the active-set loop reads that from its first
-    residuals. Crossing bounds raise ProjectionError here; every other empty
-    set raises when a point is projected.
+    polyhedral atoms is regularized_qp with M = I. The closed forms of one
+    box, one monotone cone with or without scalar bounds, and one norm ball
+    return a feasible point with its values unchanged, and are applied
+    directly. Every other map returns points within _FEAS_TOL of the set as
+    they are; the active-set loop reads that from its first residuals.
+    Crossing bounds raise ProjectionError here; every other empty set
+    raises when a point is projected.
     """
     atoms = canonical_atoms(atoms, n)
     if not atoms:
         return lambda point: np.asarray(point, dtype=float)
     exact = _closed_form(atoms)
     if exact is None and atoms[-1].kind == model.NORM_BALL2:
-        exact = _ball_poly_projector(atoms[-1], atoms[:-1], n)
+        terms, eye = regularized_qp_terms((), atoms, n), np.eye(n)
+
+        def exact(v):
+            return v if max_violation(atoms, v) <= _FEAS_TOL else regularized_qp(eye, -v, *terms, None)
+
     elif exact is None:
-        exact = _poly_projector(atoms, n, _FEAS_TOL)
+        exact = _poly_projector(atoms, n)
     return lambda point: exact(np.asarray(point, dtype=float))
 
 
@@ -523,26 +602,6 @@ def block_shrink(v: np.ndarray, amount: float) -> np.ndarray:
     return v * (1.0 - amount / nrm)
 
 
-# the proximal map of each parameter regularizer, at weight `amount`
-_PROX_MAPS = {model.L1: soft_threshold, model.GROUP_L2: block_shrink}
-
-
-def _chained_prox(regs):
-    """prox(v, step) of step * (the sum of regs), for 1-D float arrays v.
-
-    The prox of l1 + group_l2 composes exactly: soft-threshold, then shrink.
-    The maps are ordered and bound to their weights here, once.
-    """
-    maps = [(_PROX_MAPS[r.kind], r.weight) for r in sorted(regs, key=lambda r: r.kind != model.L1)]
-
-    def chained(v, step):
-        for prox_map, weight in maps:
-            v = prox_map(v, step * weight)
-        return v
-
-    return chained
-
-
 def is_sign_box(atom):
     # a canonical box whose every coordinate interval is one of (-inf,0],
     # [0,inf), (-inf,inf), {0}
@@ -552,61 +611,49 @@ def is_sign_box(atom):
     return bool(np.all((lo == 0.0) | (lo == -np.inf)) and np.all((hi == 0.0) | (hi == np.inf)))
 
 
-def _is_cone(atom):
-    if atom.kind in _MONOTONE_KINDS:
-        return True
-    if atom.kind == model.BOX:
-        return is_sign_box(atom)
-    if atom.kind == model.POLYHEDRON:
-        return bool(np.all(atom.b == 0.0))
-    if atom.kind == model.SUM_EQUALS:
-        return atom.value == 0.0
-    return False
-
-
-def _dykstra_prox(regs, project_point, v, step):
-    # Dykstra alternation between the regularizer prox and the projection
-    chained = _chained_prox(regs)
-    return _dykstra(lambda u: chained(u, step), project_point, v, 2000)
-
-
 def prox_plan(regs, atoms, n: int, proj):
     """Resolve the joint prox of regularizers and atoms on R^n once.
 
     Returns prox(point, step), the map joint_prox applies, with the case
     analysis done here, on canonical_atoms(atoms, n), rather than on every
     call. proj is projector(atoms, n), which the plan reuses. A solver that
-    applies one prox many times builds the plan once per factor.
+    applies one prox many times builds the plan once per factor. Over a
+    sign box, or no atom, the prox clips, soft-thresholds and shrinks, which
+    keep zeroed coordinates at 0: exact. Any other is regularized_qp with
+    M = I, started from the projection; its orthant cap raises
+    ProjectionError.
     """
     atoms = canonical_atoms(atoms, n)
     if not regs:
         return lambda point, step: proj(point)
-    kinds = {r.kind for r in regs}
-    chained = _chained_prox(regs)
-    if all(is_sign_box(a) for a in atoms):
-        # a sign box, or no atom at all, zeroes out coordinates;
-        # soft-threshold and shrink keep them zeroed, so prox-after-project is
-        # exact, and the projection onto the box is the clip to its bounds
+    sign_box = all(is_sign_box(a) for a in atoms)  # its prox is a closed form, with no rows
+    C, d, l1, l2, radius = regularized_qp_terms(regs, () if sign_box else atoms, n)
+    if sign_box:
         lo, hi = (atoms[0].lo, atoms[0].hi) if atoms else (-np.inf, np.inf)
-        return lambda point, step: chained(np.clip(point, lo, hi), step)
-    if kinds == {model.GROUP_L2} and all(_is_cone(a) for a in atoms):
-        # scaling stays in the cone and preserves orthogonality of the
-        # projection residual, so shrink-after-project is exact
-        return lambda point, step: chained(proj(point), step)
-    if kinds == {model.L1} and all(a.kind == model.BOX for a in atoms):
-        # separable 1-d problems: clip the unconstrained prox
-        return lambda point, step: proj(chained(np.asarray(point, dtype=float), step))
-    return lambda point, step: _dykstra_prox(regs, proj, np.asarray(point, dtype=float), step)
+
+        def box_prox(point, step):
+            v = np.clip(point, lo, hi)
+            v = soft_threshold(v, step * l1) if l1 else v
+            return block_shrink(v, step * l2) if l2 else v
+
+        return box_prox
+    eye = np.eye(n)
+
+    def prox(point, step):
+        v = np.asarray(point, dtype=float)
+        x = regularized_qp(eye, -v, C, d, step * l1, step * l2, radius, proj(v) if l1 else None)
+        if x is None:
+            raise ProjectionError("the orthant loop of the joint prox did not converge")
+        return x
+
+    return prox
 
 
 def joint_prox(regs, atoms, point, step: float):
     """argmin_x 0.5 ||x - point||^2 + step * (regularizers)(x) over the atoms.
 
-    Exact closed forms cover the cases the solvers hit: bare regularizers,
-    bare constraints, separable boxes with l1, and cone constraints (where
-    projecting first and then shrinking is exact). Anything else falls back
-    to Dykstra alternation between the two proximal maps. This is one
-    application of prox_plan.
+    One application of prox_plan: a closed form with no regularizer or over
+    a sign box, and regularized_qp, exact, otherwise.
     """
     v = np.asarray(point, dtype=float)
     return prox_plan(regs, atoms, v.size, projector(atoms, v.size))(v, step)

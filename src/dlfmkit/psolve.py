@@ -5,11 +5,11 @@ step once per restart, from its loss, its constraint atoms and the parameter
 regularizers, and `solve_p` runs the chosen steps on each iteration's factor
 weights. The three steps are two closed forms (a projected centroid, the
 normal equations) and proximal Newton for every factor that has none. Its
-quadratic model is solved exactly where it can be: as one QP where no
-regularizer acts and the atoms are polyhedral, damped by a proximal term
-where its Hessian is singular, and by its secular equation where group l2
-acts over a sign box. FISTA solves every other model, and is the fallback
-of the secular equation.
+quadratic model is solved exactly: by its secular equation where group l2
+acts over a sign box, and otherwise by kernels.regularized_qp, the QP of
+the polyhedral atoms with an orthant loop for l1 and a search in the
+damping for group l2 and the ball. A model whose Hessian is singular is
+damped by a proximal term first.
 """
 
 from __future__ import annotations
@@ -60,7 +60,7 @@ class FactorPlan:
     regs: list  # the parameter regularizers
     project: Callable  # Euclidean projection onto the atoms
     prox: Callable | None = None  # joint prox of regs and atoms, Newton only
-    rows: tuple | None = None  # halfspace rows (C, d) of the atoms, Newton's model QP only
+    qp_args: tuple | None = None  # (C, d, l1, l2, radius) of the model's regularized_qp, Newton only
     exact_model: bool = False  # the exact model is the factor's own problem (a quadratic loss)
     group_box: tuple | None = None  # (lambda, lo, hi): group l2 over a sign box, model solved exactly
 
@@ -125,16 +125,6 @@ def _weighted_lstsq(plan, feats, obs, w, warm, controls):
     return theta, 1, P_CONVERGED
 
 
-def _lambda_max(M) -> float:
-    """Largest eigenvalue of a symmetric PSD matrix; rounding below 0 reads 0."""
-    return max(float(np.linalg.eigvalsh(M)[-1]), 0.0)
-
-
-# FISTA iterations on one Newton step's quadratic model, at most
-_MODEL_MAX_ITER = 100
-# the model solve stops once an iterate moves by less than this share of the
-# prox-gradient step at theta: the forcing term of an inexact Newton method
-_MODEL_FORCING = 0.1
 # curvature assumed where the Hessian has less (no weighted rows, saturated
 # margins), so that the model's steps stay finite
 _MIN_CURVATURE = 1e-12
@@ -242,74 +232,39 @@ def _model_step(plan, theta, g, H):
 
     Returns the prox-gradient step at theta, with step 1 / lambda_max(H), a
     closer point, and whether that point minimizes the factor's own problem.
-    Where the plan holds rows (no regularizer, no ball) and H has
-    curvature, the model is the QP with P = H and q = g - H theta, solved
-    exactly by qp_solve. Where H is singular (kernels.SingularQp), the model
-    takes P = H + rho I and q = g - P theta for rho = _PROX_SHARE times the
-    largest H_jj: a proximal Newton step centred at theta, whose metric
-    need only be positive definite (Lee, Sun & Saunders, SIAM J. Optim.
-    2014). The QP point is projected, which moves it onto the atoms where
-    it meets them only up to rounding. The undamped QP of an exact model
-    (plan.exact_model) is the minimizer.
     Where the plan holds group_box (group l2 over a sign box), one eigh of H
     gives lambda_max and the exact minimizer (`_group_l2_box_model`, with
-    the free coordinates guessed from the prox-gradient step). Otherwise, or
-    where that finds no minimizer, `_fista_model` solves the model inexactly.
+    the free coordinates guessed from the prox-gradient step). Otherwise,
+    or where it finds none, the point is kernels.regularized_qp with M = H,
+    q = g - H theta and the plan's qp_args, started from the prox-gradient
+    step; where H is singular (kernels.SingularQp), with M = H + rho I and
+    q = g - M theta for rho = _PROX_SHARE times the largest H_jj: a
+    proximal Newton step centred at theta, whose metric need only be
+    positive definite (Lee, Sun & Saunders, SIAM J. Optim. 2014). The point
+    is projected, onto atoms it meets up to rounding. The undamped model of
+    an exact model (plan.exact_model) is the minimizer. Where H has no
+    curvature, or the orthant loop hits its cap, it is the prox-gradient
+    step.
     """
     if plan.group_box is not None:
         evals, evecs = np.linalg.eigh(H)
-        lam = max(float(evals[-1]), 0.0)
     else:
-        lam = _lambda_max(H)
+        evals = np.linalg.eigvalsh(H)
+    lam = max(float(evals[-1]), 0.0)  # rounding below 0 reads 0
     step = 1.0 / max(lam, _MIN_CURVATURE)
     first = plan.prox(theta - step * g, step)
-    if plan.rows is not None and lam > _MIN_CURVATURE:
-        try:
-            x = kernels.qp_solve(kernels.qp_problem(H, g - H @ theta, *plan.rows)).x
-            exact = plan.exact_model
-        except kernels.SingularQp:
-            P = H + _PROX_SHARE * float(np.diag(H).max()) * np.eye(H.shape[0])
-            x = kernels.qp_solve(kernels.qp_problem(P, g - P @ theta, *plan.rows)).x
-            exact = False
-        return first, plan.project(x), exact
     if plan.group_box is not None:
         x = _group_l2_box_model(H, g - H @ theta, *plan.group_box, first != 0.0, evals, evecs)
         if x is not None:
             return first, x, plan.exact_model
-    return first, _fista_model(plan, theta, g, H, first, step, lam), False
-
-
-def _fista_model(plan, theta, g, H, first, step, lam):
-    """The model of `_model_step`, solved inexactly by FISTA on the joint prox.
-
-    FISTA starts from the better of the prox-gradient step first and the
-    prox of the unconstrained Newton point theta - H^+ g, which is exact
-    when no atom or regularizer binds and spares FISTA the ill-conditioned
-    directions, and stops on the forcing term; it touches only n-vectors.
-    """
-    prox, regs = plan.prox, plan.regs
-    v = first
-    if lam > _MIN_CURVATURE:  # else H^+ g may overflow
-
-        def model_value(x):
-            d = x - theta
-            return float(g @ d + 0.5 * d @ H @ d) + model.p_regularizer_value(regs, [x])
-
-        newton = prox(theta - np.linalg.lstsq(H, g, rcond=None)[0], step)
-        if model_value(newton) < model_value(first):
-            v = newton
-    # sqrt(d @ d) is np.linalg.norm(d) of a 1-D d, bit for bit, at less cost
-    d = first - theta
-    tol = _MODEL_FORCING * math.sqrt(d @ d)
-    v_prev, t = v, 1.0
-    for _ in range(_MODEL_MAX_ITER - 1):
-        t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
-        u = v + ((t - 1.0) / t_next) * (v - v_prev)
-        v_prev, v, t = v, prox(u - step * (g + H @ (u - theta)), step), t_next
-        d = v - v_prev
-        if math.sqrt(d @ d) <= tol:
-            break
-    return v
+    x = None
+    if lam > _MIN_CURVATURE:
+        try:
+            x, exact = kernels.regularized_qp(H, g - H @ theta, *plan.qp_args, first), plan.exact_model
+        except kernels.SingularQp:
+            P = H + _PROX_SHARE * float(np.diag(H).max()) * np.eye(H.shape[0])
+            x, exact = kernels.regularized_qp(P, g - P @ theta, *plan.qp_args, first), False
+    return (first, first, False) if x is None else (first, plan.project(x), exact)
 
 
 def _newton_factor(plan, feats, obs, w, warm, controls):
@@ -318,8 +273,8 @@ def _newton_factor(plan, feats, obs, w, warm, controls):
     Each iteration takes the value, gradient and model matrix at theta from
     one model.value_grad_hessian (the method needs the matrix positive
     semidefinite, not the exact Hessian), minimizes the quadratic model plus
-    the regularizers over the atoms (`_model_step`: exactly where it is a
-    QP or group l2 over a sign box, else inexactly), and backtracks along
+    the regularizers over the atoms (`_model_step`: exactly, unless H has
+    no curvature or the orthant loop hits its cap), and backtracks along
     d = v - theta until the Armijo rule on the model's predicted decrease
     holds. theta + a d stays feasible by convexity, and the rule never
     accepts a step that raises the objective. A full step to the minimizer
@@ -348,9 +303,9 @@ def _newton_factor(plan, feats, obs, w, warm, controls):
     status = P_MAX_ITER
     it = 0
     for it in range(1, controls.p_max_iter + 1):
-        # FISTA is not monotone, so its point may predict no decrease; the
-        # prox-gradient step always predicts a decrease unless theta is a
-        # fixed point
+        # a damped or projected model point, or rounding, may predict no
+        # decrease; the prox-gradient step always predicts one unless theta
+        # is a fixed point
         first, closer, exact = _model_step(plan, theta, g, H)
         for v in (closer, first):
             d = v - theta
@@ -388,12 +343,12 @@ def plan_factors(spec: model.ModelSpec) -> list[FactorPlan]:
     unconstrained square regression solves the normal equations of its
     weighted Gram matrix (`_weighted_lstsq`). Every other factor runs
     proximal Newton (`_newton_factor`) on the joint prox planned on its
-    projector. Where it has no regularizer and no ball, the plan keeps the
-    atoms' halfspace rows (kernels.halfspaces), and its quadratic model is
-    solved as one QP on them. Where every regularizer is group l2 and the
-    atoms are at most one sign box (the clip-then-shrink case of
-    kernels.prox_plan), the plan keeps group_box, the summed weight and the
-    box bounds, and its model is solved exactly by its secular equation.
+    projector. The plan keeps qp_args, kernels.regularized_qp_terms of the
+    regularizers and atoms, on which its quadratic model is solved exactly.
+    Where every regularizer is group l2 and the atoms are at most one sign
+    box (the clip-then-shrink case of kernels.prox_plan), the plan also
+    keeps group_box, the summed weight and the box bounds, and its model is
+    solved by its secular equation first.
     Plans hold closures, which do not pickle: build them in the process
     that runs the restart.
     """
@@ -415,14 +370,11 @@ def plan_factors(spec: model.ModelSpec) -> list[FactorPlan]:
         plan = FactorPlan(k, solve, loss, atoms, regs, project)
         if solve is _newton_factor:
             plan.prox = kernels.prox_plan(regs, atoms, spec.n, project)
-            # the canonical form keeps its one ball, if any, last
-            if not regs and not (atoms and atoms[-1].kind == model.NORM_BALL2):
-                plan.rows = kernels.halfspaces(atoms, spec.n)
-                plan.exact_model = loss.kind == model.SQUARE_REGRESSION
-            elif group_l2 and len(atoms) <= 1 and all(kernels.is_sign_box(a) for a in atoms):
+            plan.qp_args = kernels.regularized_qp_terms(regs, atoms, spec.n)
+            plan.exact_model = loss.kind == model.SQUARE_REGRESSION
+            if group_l2 and len(atoms) <= 1 and all(kernels.is_sign_box(a) for a in atoms):
                 box = atoms[0] if atoms else model.box(np.full(spec.n, -np.inf), np.full(spec.n, np.inf))
                 plan.group_box = (sum(r.weight for r in regs), box.lo, box.hi)
-                plan.exact_model = loss.kind == model.SQUARE_REGRESSION
         plans.append(plan)
     return plans
 

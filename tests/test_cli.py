@@ -1,6 +1,7 @@
 import functools
 import json
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -250,6 +251,22 @@ class TestFitCommand:
         assert len(rec["result"]["labels"]) == 500
         assert rec["dataset"]["fingerprint"]
         assert rec["timing"]["fit_s"] > 0
+
+    def test_readme_config_fits(self, tmp_path, mix_files):
+        # the README's config example, verbatim: l1 over nonneg factors and
+        # a KL chain, which needs the data declared ordered
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = re.search(r"### Config schema \(version 1\)\n\n```json\n(.*?)```", readme, re.S).group(1)
+        cfg, out = tmp_path / "readme.json", tmp_path / "run.json"
+        cfg.write_text(block)
+        _, data = mix_files
+        code = cli.main(["fit", "--config", str(cfg), "--data", str(data), "--out", str(out),
+                         "--restarts", "1", "--max-iter", "5", "--jobs", "1", "--quiet"])
+        assert code == 0
+        rec = json.loads(out.read_text())
+        assert rec["config"] == json.loads(block) | {"controls": rec["config"]["controls"]}
+        assert len(rec["result"]["thetas"]) == 3
+        assert min(min(theta) for theta in rec["result"]["thetas"]) >= 0.0
 
     def test_rerun_identical_result(self, tmp_path, mix_files):
         cfg, data = mix_files

@@ -471,19 +471,6 @@ class TestJointProx:
         out = dk.joint_prox((), (model.nonneg(),), np.array([-1.0, 2.0]), 1.0)
         assert np.allclose(out, [0.0, 2.0])
 
-    def test_fallback_alternation_feasible(self):
-        # regularizer with a genuinely coupled set: use ball + l1
-        regs = (model.l1(0.5),)
-        atoms = (model.norm_ball2(1.0),)
-        v = np.array([2.0, 2.0])
-        out = dk.joint_prox(regs, atoms, v, 1.0)
-        assert np.linalg.norm(out) <= 1.0 + 1e-8
-        # objective at output no worse than at the plain projection
-        def total(u):
-            return 0.5 * np.sum((u - v) ** 2) + 0.5 * np.abs(u).sum()
-        assert total(out) <= total(v / np.linalg.norm(v)) + 1e-8
-
-
 def random_sign_boxes(rng, n):
     """Two to four nonneg/nonpos/box atoms whose intervals are sign intervals."""
     atoms = []
@@ -504,9 +491,11 @@ def random_sign_boxes(rng, n):
 
 class TestProxPlan:
     @pytest.mark.parametrize("cone", ["monotone", "polyhedral", "subspace", "sign_box_and_monotone"])
-    def test_group_l2_on_cone_matches_dykstra(self, cone, monkeypatch):
-        # group l2 over a cone that is not a sign box: the plan shrinks the
-        # projection, without the Dykstra alternation it is checked against
+    def test_group_l2_on_cone_matches_dykstra(self, cone):
+        # group l2 over a cone that is not a sign box: shrinking keeps a
+        # point of a cone in it, and keeps the projection residual
+        # orthogonal, so the prox is the shrunk projection. The name is that
+        # of the Dykstra alternation the prox was once checked against
         rng = np.random.default_rng(23)
         reg = (model.group_l2(0.8),)
         for _ in range(15):
@@ -520,10 +509,8 @@ class TestProxPlan:
             project = kernels.projector(atoms, n)
             v = rng.normal(0.0, 2.0, size=n)
             step = float(rng.uniform(0.1, 2.0))
-            with monkeypatch.context() as patch:
-                patch.setattr(kernels, "_dykstra_prox", None)
-                got = kernels.prox_plan(reg, atoms, n, project)(v, step)
-            ref = kernels._dykstra_prox(list(reg), project, v, step)
+            got = kernels.prox_plan(reg, atoms, n, project)(v, step)
+            ref = kernels.block_shrink(project(v), step * 0.8)
             assert np.allclose(got, ref, rtol=0.0, atol=1e-8)
             assert kernels.max_violation(atoms, got) <= 1e-8
 
@@ -533,18 +520,22 @@ class TestProxPlan:
         (model.l1(0.4), model.group_l2(0.6)),
     ], ids=["l1", "group_l2", "both"])
     def test_sign_boxes_match_dykstra(self, regs):
+        # the closed form against regularized_qp, which replaced the Dykstra
+        # alternation of the name as the reference
         rng = np.random.default_rng(11)
         n = 5
         for _ in range(10):
             atoms = random_sign_boxes(rng, n)
-            prox = kernels.prox_plan(regs, atoms, n, kernels.projector(atoms, n))  # one plan, many points
+            project = kernels.projector(atoms, n)
+            prox = kernels.prox_plan(regs, atoms, n, project)  # one plan, many points
+            C, d, l1, l2, radius = kernels.regularized_qp_terms(regs, kernels.canonical_atoms(atoms, n), n)
             for _ in range(3):
                 v = rng.normal(0.0, 2.0, size=n)
                 step = float(rng.uniform(0.1, 2.0))
                 got = prox(v, step)
-                ref = kernels._dykstra_prox(list(regs), kernels.projector(atoms, n), v, step)
+                ref = kernels.regularized_qp(np.eye(n), -v, C, d, step * l1, step * l2, radius, project(v))
                 assert kernels.max_violation(atoms, got) == 0.0
-                assert np.allclose(got, ref, atol=1e-8)
+                assert np.allclose(got, ref, rtol=0.0, atol=1e-8)
                 # the plan is the clip to the intersected bounds, then each
                 # regularizer's prox, l1 first
                 box = kernels.canonical_atoms(atoms, n)[0]
@@ -553,6 +544,151 @@ class TestProxPlan:
                     shrink = kernels.soft_threshold if reg.kind == model.L1 else kernels.block_shrink
                     exact = shrink(exact, step * reg.weight)
                 assert np.array_equal(got, exact)
+
+    def test_capped_dykstra_case_is_exactly_zero(self):
+        # l1(0.4) + group_l2(0.6) over the box lo = 0, hi = (0, 0, 0, inf,
+        # inf) at step 1.65: the prox (clip, then shrink) is 0. Dykstra
+        # alternation stopped at its 2,000-iteration cap with 3.5e-8 in
+        # coordinate 4; the kernel, called directly, is exact
+        n, step = 5, 1.65
+        atoms = [model.box(np.zeros(n), np.array([0.0, 0.0, 0.0, np.inf, np.inf]))]
+        v = np.array([-0.27, -0.76, 0.93, 1.65, -0.41])
+        C, d = kernels.halfspaces(atoms, n)
+        x = kernels.regularized_qp(np.eye(n), -v, C, d, step * 0.4, step * 0.6, np.inf, dk.project(atoms, v))
+        assert x[4] == 0.0
+        assert np.array_equal(x, np.zeros(n))
+
+
+def epigraph_l1_qp(M, q, l1, C, d):
+    """The QP of min x.M x / 2 + q.x + l1 |x|_1 over C x <= d in (x, t), with
+    rows x - t <= 0 and -x - t <= 0, and P = diag(M, 0)."""
+    n = q.size
+    P = np.zeros((2 * n, 2 * n))
+    P[:n, :n] = M
+    eye = np.eye(n)
+    A = np.vstack([np.hstack([eye, -eye]), np.hstack([-eye, -eye]), np.hstack([C, np.zeros((len(d), n))])])
+    b = np.concatenate([np.zeros(2 * n), d])
+    return dk.qp_problem(P, np.concatenate([q, np.full(n, l1)]), A, b)
+
+
+def random_rows(rng, n, kind, point=None):
+    """Up to 4 rows C x <= d on R^n that a point meets: at random offsets,
+    all through that point, or with a first row that is a sign row."""
+    k = int(rng.integers(0 if kind == "offset" else 1, 5))
+    x0 = rng.normal(size=n) if point is None else point
+    C = rng.normal(size=(k, n))
+    d = C @ x0 + (0.0 if kind == "one_point" else rng.uniform(0.0, 1.0, size=k))
+    if kind == "sign_row":
+        i, side = int(rng.integers(n)), float(rng.choice([-1.0, 1.0]))
+        C[0] = 0.0
+        C[0, i] = side  # side x_i <= 0, which x0 meets with x0_i on the other side
+        x0[i] = -side * abs(x0[i])
+        d = np.concatenate([[0.0], C[1:] @ x0 + rng.uniform(0.0, 1.0, size=k - 1)])
+    return C, d
+
+
+def random_metric(rng, n, kind):
+    if kind == "identity":  # a prox: M = I / step
+        return np.eye(n) / rng.uniform(0.1, 2.0)
+    B = rng.normal(size=(n, n))
+    return B @ B.T + 0.1 * np.eye(n)
+
+
+def normal_cone_distance(q, C, d):
+    """||projection of -q onto the tangent cone {y : C_0 y <= 0} at 0||, C_0 the rows with d = 0."""
+    tight = d == 0.0
+    if not tight.any():
+        return float(np.linalg.norm(q))
+    u = kernels._active_set_project(-q, C[tight], d[tight], 0.0)[0]
+    return float(np.linalg.norm(u))
+
+
+class TestRegularizedQp:
+    @pytest.mark.parametrize("metric", ["definite", "identity"])
+    @pytest.mark.parametrize("rows", ["offset", "one_point", "sign_row"])
+    def test_l1_over_polyhedra_matches_epigraph_oracle(self, metric, rows):
+        # the orthant loop against the active-set oracle on the epigraph
+        # lift; every draw ends within the cap, started from the
+        # projection of -q or of a random point, as psolve and prox_plan
+        # start it from a point of the set
+        rng = np.random.default_rng({"offset": 3, "one_point": 5, "sign_row": 7}[rows] + (metric == "identity"))
+        for trial in range(60):
+            n = int(rng.integers(1, 4))
+            C, d = random_rows(rng, n, rows)
+            M = random_metric(rng, n, metric)
+            q = rng.normal(0.0, 2.0, size=n)
+            l1 = float(rng.uniform(0.05, 1.5))
+            ref = oracle.qp_active_set_oracle(epigraph_l1_qp(M, q, l1, C, d))[:n]
+            seed = -q if trial % 2 else rng.normal(0.0, 2.0, size=n)
+            start = kernels._active_set_project(seed, C, d, 0.0)[0] if d.size else seed
+            x = kernels.regularized_qp(M, q, C, d, l1, 0.0, np.inf, start)
+            assert x is not None, f"trial {trial}: orthant cap"
+            assert np.abs(x - ref).max() <= 1e-8 * max(1.0, np.abs(ref).max()), f"trial {trial}"
+            assert np.all(C @ x - d <= 1e-8), f"trial {trial}"
+
+    @pytest.mark.parametrize("metric", ["definite", "identity"])
+    @pytest.mark.parametrize("terms", ["group_l2", "ball", "both"])
+    def test_group_l2_and_ball_meet_projected_gradient_fixed_point(self, metric, terms):
+        # the mu-search against its optimality conditions. At x != 0 the
+        # objective is smooth, with gradient G = M x + q + l2 x / ||x||, and
+        # on the sphere ||x|| = r the ball may be replaced by its tangent
+        # halfspace x.y <= x.x: x is the minimizer exactly when it is the
+        # projection of x - G / lambda_max(M) onto those rows. At x = 0
+        # the distance of -q to the normal cone at 0 is at most l2. A set
+        # that misses the ball is reported empty
+        rng = np.random.default_rng({"group_l2": 13, "ball": 17, "both": 19}[terms] + (metric == "identity"))
+        empty = solved = 0
+        for trial in range(60):
+            n = int(rng.integers(1, 5))
+            kind = ["offset", "one_point", "sign_row"][trial % 3]
+            C, d = random_rows(rng, n, kind, np.zeros(n) if trial % 4 == 0 else None)
+            M = random_metric(rng, n, metric)
+            q = rng.normal(0.0, 2.0, size=n)
+            l2 = float(rng.uniform(0.05, 2.0)) if terms != "ball" else 0.0
+            radius = float(rng.uniform(0.2, 2.0)) if terms != "group_l2" else np.inf
+            nearest = kernels._active_set_project(np.zeros(n), C, d, 0.0)[0] if d.size else np.zeros(n)
+            if np.linalg.norm(nearest) > radius * (1.0 + 1e-9):
+                with pytest.raises(kernels.ProjectionError):
+                    kernels.regularized_qp(M, q, C, d, 0.0, l2, radius, None)
+                empty += 1
+                continue
+            x = kernels.regularized_qp(M, q, C, d, 0.0, l2, radius, None)
+            solved += 1
+            assert np.all(np.isfinite(x))
+            assert np.all(C @ x - d <= 1e-8), f"trial {trial}"
+            nrm = float(np.linalg.norm(x))
+            assert nrm <= radius * (1.0 + 1e-12), f"trial {trial}"
+            if not x.any():
+                assert np.all(d >= 0.0) and normal_cone_distance(q, C, d) <= l2 * (1.0 + 1e-9), f"trial {trial}"
+                continue
+            G = M @ x + q + l2 * x / nrm
+            A, b = C, d
+            if nrm >= radius * (1.0 - 1e-9):
+                A, b = np.vstack([C, x]), np.append(d, x @ x)
+            z = x - G / float(np.linalg.eigvalsh(M)[-1])
+            if b.size:
+                z = kernels._active_set_project(z, A, b, 0.0)[0]
+            assert np.abs(z - x).max() <= 1e-8 * max(1.0, np.abs(x).max()), f"trial {trial}"
+        assert solved >= 30 and (empty > 0) == (terms != "group_l2")
+
+    def test_l1_over_ball_is_exact(self):
+        # prox of l1(0.5) over the unit ball at (2, 2): soft-thresholding
+        # gives (1.5, 1.5), and scaling it onto the ball (1/sqrt 2, 1/sqrt 2)
+        out = dk.joint_prox((model.l1(0.5),), (model.norm_ball2(1.0),), np.array([2.0, 2.0]), 1.0)
+        np.testing.assert_allclose(out, np.full(2, 1.0 / np.sqrt(2.0)), rtol=0.0, atol=1e-12)
+
+    def test_multipliers_meet_kkt(self):
+        # qp_solve hands back the multipliers y of the rows: P x + q + A^T y
+        # = 0, y >= 0, and y_i > 0 only on a tight row
+        rng = np.random.default_rng(42)
+        for trial in range(50):
+            prob = random_qp(rng, int(rng.integers(1, 5)), int(rng.integers(1, 7)))
+            sol = dk.qp_solve(prob)
+            scale = 1.0 + np.abs(prob.P).max() * np.abs(sol.x).max() + np.abs(prob.q).max()
+            assert np.abs(prob.P @ sol.x + prob.q + prob.A.T @ sol.y).max() <= 1e-8 * scale, f"trial {trial}"
+            assert np.all(sol.y >= 0.0)
+            slack = prob.b - prob.A @ sol.x
+            assert np.all((sol.y == 0.0) | (slack <= 1e-8 * (1.0 + np.abs(prob.b)))), f"trial {trial}"
 
 
 class TestClosedFormProjection:

@@ -487,6 +487,18 @@ class TestValidate:
         assert not rep.ok
         assert any("empty" in v.message for v in rep.violations)
 
+    def test_rejects_polyhedron_outside_ball(self):
+        # x_0 >= 2 misses the unit ball, and x_0 >= 1 touches it at (1, 0):
+        # the ball intersected with polyhedra is projected onto exactly, and
+        # its search finds no point of an empty set
+        for bound, ok in [(2.0, False), (1.0, True)]:
+            spec = dk.shared_spec(
+                K=1, n=2, loss=dk.square_regression(),
+                constraints=(dk.polyhedron(np.array([[-1.0, 0.0]]), np.array([-bound])), dk.norm_ball2(1.0)))
+            rep = dk.validate(spec, self._data())
+            assert rep.ok == ok
+            assert any("empty" in v.message for v in rep.violations) != ok
+
     def test_rejects_chain_on_unordered(self):
         spec = dk.shared_spec(K=2, n=2, loss=dk.square_regression(), constraints=(),
                               f_regularizers=(dk.kl_chain(1.0),))

@@ -151,6 +151,16 @@ def prox_gradient_reference(plan, data, w, curvature):
     return value + model.p_regularizer_value(plan.regs, [ref])
 
 
+def assert_damped_model_point(plan, H, g, theta, x):
+    """x is the minimizer of the Newton model damped to P = H + rho I over
+    plan's sign box: the fixed point of its prox-gradient step, with the
+    closed-form sign-box prox, up to rounding of its scale."""
+    P = H + psolve._PROX_SHARE * float(np.diag(H).max()) * np.eye(H.shape[0])
+    step = 1.0 / float(np.linalg.eigvalsh(P)[-1])
+    z = plan.prox(x - step * (g + P @ (x - theta)), step)
+    assert np.abs(z - x).max() <= 1e-8 * max(1.0, np.abs(x).max())
+
+
 def iohmm_dirichlet_case(seed):
     """(spec, data, Z): io_hmm at m=300 with Dirichlet weights that favour each row's true state."""
     cfg = ex.experiment_config(ex.IO_HMM, seed, m=300)
@@ -211,26 +221,26 @@ class TestNewtonStep:
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_iohmm_fits_solve_every_model_exactly(self, seed, monkeypatch):
-        # group l2 over a sign box: every Newton model has its exact
-        # minimizer, so no model solve falls back to FISTA
-        calls = {"model": 0, "fista": 0}
-        real_model, real_fista = psolve._model_step, psolve._fista_model
+        # group l2 over a sign box: the secular equation gives every Newton
+        # model's exact minimizer, so no model falls back to regularized_qp
+        calls = {"model": 0, "fallback": 0}
+        real_model, real_fallback = psolve._model_step, kernels.regularized_qp
 
         def model_spy(*args):
             calls["model"] += 1
             return real_model(*args)
 
-        def fista_spy(*args):
-            calls["fista"] += 1
-            return real_fista(*args)
+        def fallback_spy(*args):
+            calls["fallback"] += 1
+            return real_fallback(*args)
 
         monkeypatch.setattr(psolve, "_model_step", model_spy)
-        monkeypatch.setattr(psolve, "_fista_model", fista_spy)
+        monkeypatch.setattr(kernels, "regularized_qp", fallback_spy)
         spec, data, Z = iohmm_dirichlet_case(seed)
         dk.fit(spec, data)
         for plan in psolve.plan_factors(spec):
             plan.solve(plan, data.features, data.observations, Z[:, plan.k], None, spec.controls)
-        assert calls["model"] > 0 and calls["fista"] == 0
+        assert calls["model"] > 0 and calls["fallback"] == 0
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_iohmm_factor_at_default_p_tol_near_tight_point(self, seed):
@@ -247,19 +257,41 @@ class TestNewtonStep:
             assert status == psolve.P_CONVERGED
             np.testing.assert_allclose(theta, ref, rtol=0.0, atol=1e-7)
 
-    def test_unbounded_model_falls_back_to_fista(self, monkeypatch):
+    def test_unbounded_model_takes_the_damped_exact_point(self):
         # H singular, and the part of c = g - H theta in its null space is
-        # larger than lambda: the model has no minimizer, and FISTA runs
+        # larger than lambda: the model has no minimizer. regularized_qp
+        # raises SingularQp on H, and the model damped to H + rho I has one:
+        # the prox-gradient fixed point of the damped model, finite and in
+        # the box
         spec = ex.iohmm_spec(1.0, 1.0, 1, 0)
         plan = psolve.plan_factors(spec)[1]  # x_0 >= 0, x_1 free
         H, g, theta = np.diag([2.0, 0.0]), np.array([1.0, -3.0]), np.zeros(2)
         assert psolve._group_l2_box_model(H, g, *plan.group_box, np.ones(2, bool), *np.linalg.eigh(H)) is None
-        fista = []
-        real = psolve._fista_model
-        monkeypatch.setattr(psolve, "_fista_model", lambda *args: fista.append(1) or real(*args))
         first, closer, exact = psolve._model_step(plan, theta, g, H)
-        assert fista == [1] and not exact
+        assert not exact and np.all(np.isfinite(closer))
         assert kernels.max_violation(plan.atoms, closer) == 0.0
+        assert_damped_model_point(plan, H, g, theta, closer)
+
+    def test_box_bounded_deficient_model_takes_the_damped_exact_point(self, monkeypatch):
+        # H = (1, 1)(1, 1)' is singular, and c = g - H theta has a part of
+        # sqrt 2 > lambda in its null space: on the free coordinates that
+        # the prox-gradient step guesses, both, _group_l2_box_model finds no
+        # minimizer, though the sign box bounds the model at x = (0, 3). The
+        # model is now solved damped, to within rho of that point, where it
+        # fell back to FISTA
+        spec = dk.shared_spec(1, 2, dk.binary_logit(), (dk.nonneg(),), p_regularizers=(dk.group_l2(1.0),))
+        plan = psolve.plan_factors(spec)[0]
+        H, g, theta = np.ones((2, 2)), np.array([-2.0, -4.0]), np.zeros(2)
+        fallback = []
+        real = kernels.regularized_qp
+        monkeypatch.setattr(kernels, "regularized_qp", lambda *args: fallback.append(1) or real(*args))
+        first, closer, exact = psolve._model_step(plan, theta, g, H)
+        assert np.all(first > 0.0)
+        assert psolve._group_l2_box_model(H, g, *plan.group_box, first != 0.0, *np.linalg.eigh(H)) is None
+        assert fallback == [1, 1] and not exact  # H raised SingularQp, then H + rho I
+        assert kernels.max_violation(plan.atoms, closer) == 0.0
+        np.testing.assert_allclose(closer, [0.0, 3.0], rtol=0.0, atol=1e-7)
+        assert_damped_model_point(plan, H, g, theta, closer)
 
     def test_steps_never_raise_the_objective(self):
         # from far-off starts a full Newton step overshoots; the line search
@@ -388,6 +420,10 @@ class TestNewtonModelMatrices:
         spec = dk.shared_spec(K=2, n=4, loss=loss, constraints=atoms, p_regularizers=regs)
         out = dk.solve_p(spec, data, Z)
         assert out.statuses == [psolve.P_CONVERGED] * 2
+        if loss.kind == model.SQUARE_REGRESSION:
+            # the model of a quadratic loss is exact, and solved exactly:
+            # one full step reaches the minimizer and ends the solve
+            assert out.inner_iterations == [1, 1]
         for plan, theta in zip(psolve.plan_factors(spec), out.thetas):
             w = Z[:, plan.k]
             assert plan.solve is psolve._newton_factor
@@ -788,11 +824,10 @@ class TestFactorPlans:
         }[name]()
         plans = psolve.plan_factors(spec)
         assert [plan.solve for plan in plans] == [getattr(psolve, step)] * spec.K
-        # only Newton plans carry a joint prox; of them, those with no
-        # regularizer and no ball carry halfspace rows, their model being a QP
-        rows = name in ("capped_regression", "forgetting")
+        # only Newton plans carry a joint prox and the terms of their model's
+        # regularized_qp
         assert all((plan.prox is not None) == (step == "_newton_factor") for plan in plans)
-        assert all((plan.rows is not None) == rows for plan in plans)
+        assert all((plan.qp_args is not None) == (step == "_newton_factor") for plan in plans)
         # group l2 over a sign box: the model is solved by its secular equation
         assert all((plan.group_box is not None) == (name == "io_hmm") for plan in plans)
 
