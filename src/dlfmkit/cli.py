@@ -386,8 +386,14 @@ def _fit_result_payload(res: engine.FitResult) -> dict:
     }
 
 
+def _require_jobs(jobs: int):
+    if jobs < 1:
+        raise CliInputError(f"--jobs: must be >= 1, got {jobs}")
+
+
 def cmd_fit(config_path, data_path, out_path, seed=None, restarts=None, eps=None,
-            max_iter=None, jobs=None, quiet=False) -> int:
+            max_iter=None, jobs=1, quiet=False) -> int:
+    _require_jobs(jobs)
     t0 = time.perf_counter()
     try:
         with open(config_path) as fh:
@@ -414,7 +420,7 @@ def cmd_fit(config_path, data_path, out_path, seed=None, restarts=None, eps=None
     _require_finite(cfg_echo, "config")
     t_validate = time.perf_counter()
 
-    result = engine.fit(spec, data, jobs=jobs or 1)  # EngineFailure exits 3 in main
+    result = engine.fit(spec, data, jobs=jobs)  # EngineFailure exits 3 in main
     t_fit = time.perf_counter()
 
     record = {
@@ -468,6 +474,7 @@ def _fit_summary(fit: engine.FitResult) -> dict:
 def cmd_repro(name, seed, out_dir, jobs=1, quiet=False) -> int:
     if name not in experiments.EXPERIMENT_NAMES:
         raise CliInputError(f"unknown experiment {name!r}")
+    _require_jobs(jobs)
     os.makedirs(out_dir, exist_ok=True)
     t0 = time.perf_counter()
     metrics: dict = {"experiment": name, "seed": seed, "tool": {"name": "dlfmkit", "version": __version__}}

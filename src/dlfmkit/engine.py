@@ -97,8 +97,7 @@ def _run_restart(spec: model.ModelSpec, data: model.Dataset, restart: int):
     for it in range(1, c.max_iter + 1):
         try:
             out = psolve.solve_p(spec, data, Z, warm=thetas, plans=plans)
-            thetas, R = out.thetas, out.R
-            preg = model.p_regularizer_value(spec.p_regularizers, thetas)
+            thetas, R, preg = out.thetas, out.R, out.p_reg
             after_p = out.objective + freg
             failed_last = False
         except psolve.SubsolverFailure:
@@ -151,8 +150,11 @@ def fit(spec: model.ModelSpec, data: model.Dataset, jobs: int = 1) -> FitResult:
     at most one per restart and one per CPU, without changing the result. A
     restart that breaks down in a subsolver or projection, or ends on a
     non-finite objective, is dropped from the selection. Raises ValueError
-    on validation violations and EngineFailure if no restart is left.
+    on validation violations or jobs < 1, and EngineFailure if no restart
+    is left.
     """
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
     report = model.validate(spec, data)
     if not report.ok:
         lines = "; ".join(f"{v.path}: {v.message}" for v in report.violations)

@@ -3,10 +3,14 @@
 Without a chain regularizer the problem is a linear program over a product
 of simplices whose optimum is the row-wise argmin vertex. With a KL chain
 term it is solved by entropic mirror descent on all rows jointly (Beck &
-Teboulle, Oper. Res. Lett. 2003), as one kernel on a flat factor-major
-buffer that keeps log z next to z. Its objective is evaluated in the log
+Teboulle, Oper. Res. Lett. 2003), as one kernel on flat factor-major
+buffers that keep log z next to z. Its objective is evaluated in the log
 domain, where the chain's value is a dot product of z with the flat log
 differences, cut to 0 on the pairs that cross from one factor into the next.
+The kernel allocates its buffers and their views once per call and writes
+every step through them: z has two slots, the iterate's and the
+candidate's, swapped by index, and a rejected candidate takes the log of
+only the two end sums that the chain's value reads.
 """
 
 from __future__ import annotations
@@ -75,47 +79,67 @@ def solve_f_kl(
     Z_init in Fortran order, as loss_matrix and the engine keep them, make
     the (K, m) views free, and Z is returned in that order: the (m, K)
     transpose of the final buffer.
+
+    Every buffer and view is made once per call. W is one buffer: each
+    candidate is written over the iterate's, which the step reads only
+    through log z. z has two slots, the iterate's and the candidate's,
+    swapped by index. A candidate's objective needs only log s_0 and
+    log s_{m-1}; the full log s is taken in place, once the candidate is
+    accepted, for the next log z.
     """
     R = np.asarray(R, dtype=float)
     m, K = R.shape
     r = R.T.ravel()
     n = r.size
-    # buffers: the iterate and the candidate (log z is kept for the
-    # iterate only), exp(W), the differences, the gradient
-    W = np.log(np.maximum(np.asarray(Z_init, dtype=float).T.ravel(), _FLOOR))
-    W_cand, z, z_cand, L = np.empty(n), np.empty(n), np.empty(n), np.empty(n)
-    E, D, G, s = np.empty(n), np.empty(n - 1), np.empty(n), np.empty(m)
+    # the candidate's W, log z, the gradient, the differences, the sums
+    W, L, G, D, s = np.empty(n), np.empty(n), np.empty(n), np.empty(n - 1), np.empty(m)
+    W_km, W_head, W_tail = W.reshape(K, m), W[:-1], W[1:]
+    L_km, L_head, L_tail = L.reshape(K, m), L[:-1], L[1:]
+    G_km, G_head, G_tail = G.reshape(K, m), G[:-1], G[1:]
+    D_cut = D[m - 1::m]  # pairs (k, m-1) -> (k+1, 0)
+    s_min, s_ends = np.empty(m), np.empty(2)
+    z = (np.empty(n), np.empty(n))
+    z_km = tuple(v.reshape(K, m) for v in z)
+    z_head = tuple(v[:-1] for v in z)
 
-    def evaluate(W, z):
-        # z = exp(W) renormalized; returns (objective, log s)
-        np.exp(W, out=E)
-        np.add.reduce(E.reshape(K, m), axis=0, out=s)
-        np.divide(E.reshape(K, m), s, out=z.reshape(K, m))
-        log_s = np.log(s)
-        np.subtract(W[:-1], W[1:], out=D)
-        D[m - 1::m] = 0.0  # pairs (k, m-1) -> (k+1, 0)
-        chain = float(z[:-1] @ D) - (log_s[0] - log_s[-1])
-        return float(r @ z) + lam * chain, log_s
+    def evaluate(i):
+        # z[i] = exp(W) renormalized, with its sums in s; returns the objective
+        np.exp(W, out=z[i])
+        np.add.reduce(z_km[i], axis=0, out=s)
+        np.divide(z_km[i], s, out=z_km[i])
+        s_ends[0], s_ends[1] = s[0], s[-1]
+        np.log(s_ends, out=s_ends)
+        np.subtract(W_head, W_tail, out=D)
+        D_cut.fill(0.0)
+        chain = float(z_head[i] @ D) - (s_ends[0] - s_ends[1])
+        return float(r @ z[i]) + lam * chain
 
-    val, log_s = evaluate(W, z)
+    np.log(np.maximum(np.asarray(Z_init, dtype=float).T.ravel(), _FLOOR), out=W)
+    cur = 0
+    val = evaluate(cur)
     step = 1.0
     converged = False
     for _ in range(max_iter):
-        np.subtract(W.reshape(K, m), log_s, out=L.reshape(K, m))
-        np.subtract(L[:-1], L[1:], out=D)
-        D[m - 1::m] = 0.0
-        np.multiply(D, lam, out=G[:-1])
+        # s holds the sums of the iterate, the last point evaluated
+        np.log(s, out=s)
+        np.subtract(W_km, s, out=L_km)
+        np.subtract(L_head, L_tail, out=D)
+        D_cut.fill(0.0)
+        np.multiply(D, lam, out=G_head)
         G[-1] = 0.0
-        G[1:] += lam * (1.0 - np.exp(D))
+        np.exp(D, out=D)
+        np.subtract(1.0, D, out=D)
+        np.multiply(D, lam, out=D)
+        G_tail += D
         G += r
-        Gs = G.reshape(K, m)
-        Gs -= Gs.min(axis=0)  # per-sample shifts cancel after renorm
+        np.minimum.reduce(G_km, axis=0, out=s_min)
+        G_km -= s_min  # per-sample shifts cancel after renorm
         accepted = False
         while step > 1e-18:
-            np.multiply(G, -step, out=W_cand)
-            W_cand += L
-            np.maximum(W_cand, _LOG_FLOOR, out=W_cand)
-            cand_val, cand_log_s = evaluate(W_cand, z_cand)
+            np.multiply(G, -step, out=W)
+            W += L
+            np.maximum(W, _LOG_FLOOR, out=W)
+            cand_val = evaluate(1 - cur)
             if cand_val <= val:
                 accepted = True
                 break
@@ -124,13 +148,12 @@ def solve_f_kl(
             converged = True
             break
         drop = val - cand_val
-        W, W_cand, z, z_cand = W_cand, W, z_cand, z
-        val, log_s = cand_val, cand_log_s
+        cur, val = 1 - cur, cand_val
         if drop <= tol * max(1.0, abs(val)):
             converged = True
             break
         step = min(step * 2.0, 1.0)
-    return z.reshape(K, m).T, converged
+    return z_km[cur].T, converged
 
 
 def harden(Z: np.ndarray) -> np.ndarray:

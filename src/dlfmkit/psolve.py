@@ -45,6 +45,7 @@ class PSolveOutcome:
     thetas: list
     objective: float  # weighted losses plus parameter regularizers at exit
     R: np.ndarray  # (m, K) loss matrix at the exit thetas
+    p_reg: float  # the parameter regularizers' value at the exit thetas
     inner_iterations: list
     statuses: list
 
@@ -427,5 +428,7 @@ def solve_p(
         statuses.append(status)
 
     R = model.loss_matrix(spec, data, thetas)
-    obj = float((Z * R).sum()) + model.p_regularizer_value(spec.p_regularizers, thetas)
-    return PSolveOutcome(thetas=thetas, objective=obj, R=R, inner_iterations=iters, statuses=statuses)
+    p_reg = model.p_regularizer_value(spec.p_regularizers, thetas)
+    obj = float((Z * R).sum()) + p_reg
+    return PSolveOutcome(thetas=thetas, objective=obj, R=R, p_reg=p_reg,
+                         inner_iterations=iters, statuses=statuses)

@@ -51,6 +51,20 @@ class TestArgumentParsing:
         assert fit_args.jobs == 1
         assert repro_args.jobs == 1
 
+    @pytest.mark.parametrize("jobs", ["0", "-2"])
+    def test_jobs_below_one_exits_2_names_flag(self, tmp_path, mix_files, capsys, jobs):
+        # rejected before any work: no record is written, no study is run
+        cfg, data = mix_files
+        out = tmp_path / "o.json"
+        code = cli.main(["fit", "--config", str(cfg), "--data", str(data),
+                         "--out", str(out), "--jobs", jobs, "--quiet"])
+        assert code == 2 and not out.exists()
+        assert "--jobs" in capsys.readouterr().err
+        out_dir = tmp_path / "study"
+        code = cli.main(["repro", "io_hmm", "--out-dir", str(out_dir), "--jobs", jobs, "--quiet"])
+        assert code == 2 and not out_dir.exists()
+        assert "--jobs" in capsys.readouterr().err
+
 
 class TestConfigParsing:
     def test_minimal(self):

@@ -164,6 +164,15 @@ class TestFit:
         assert sizes == [workers]
         assert res.objective_trace == dk.fit(spec, data, jobs=1).objective_trace
 
+    @pytest.mark.parametrize("jobs", [0, -2])
+    def test_jobs_below_one_rejected(self, jobs):
+        rng = np.random.default_rng(7)
+        data, _ = two_line_data(rng, m=12, noise=0.2)
+        spec = dk.shared_spec(K=2, n=2, loss=dk.square_regression(), constraints=(),
+                              controls=dk.SolverControls(restarts=2, seed=3, max_iter=5))
+        with pytest.raises(ValueError, match="jobs must be >= 1"):
+            dk.fit(spec, data, jobs=jobs)
+
     def test_lad_l1_fit(self):
         # lp runs proximal Newton on its IRLS model matrix, inside BCD
         rng = np.random.default_rng(9)

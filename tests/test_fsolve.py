@@ -218,6 +218,108 @@ class TestKlLayout:
             assert np.abs(Z - Z_ref).max() <= 1e-12
 
 
+# the kernel before its buffers were made once per call, kept verbatim with
+# its floor constants: the current kernel must match it byte for byte
+_FLOOR = 1e-12
+_LOG_FLOOR = math.log(_FLOOR)
+
+
+def previous_solve_f_kl(
+    R: np.ndarray,
+    lam: float,
+    Z_init: np.ndarray,
+    tol: float = 1e-9,
+    max_iter: int = 50000,
+) -> tuple[np.ndarray, bool]:
+    R = np.asarray(R, dtype=float)
+    m, K = R.shape
+    r = R.T.ravel()
+    n = r.size
+    # buffers: the iterate and the candidate (log z is kept for the
+    # iterate only), exp(W), the differences, the gradient
+    W = np.log(np.maximum(np.asarray(Z_init, dtype=float).T.ravel(), _FLOOR))
+    W_cand, z, z_cand, L = np.empty(n), np.empty(n), np.empty(n), np.empty(n)
+    E, D, G, s = np.empty(n), np.empty(n - 1), np.empty(n), np.empty(m)
+
+    def evaluate(W, z):
+        # z = exp(W) renormalized; returns (objective, log s)
+        np.exp(W, out=E)
+        np.add.reduce(E.reshape(K, m), axis=0, out=s)
+        np.divide(E.reshape(K, m), s, out=z.reshape(K, m))
+        log_s = np.log(s)
+        np.subtract(W[:-1], W[1:], out=D)
+        D[m - 1::m] = 0.0  # pairs (k, m-1) -> (k+1, 0)
+        chain = float(z[:-1] @ D) - (log_s[0] - log_s[-1])
+        return float(r @ z) + lam * chain, log_s
+
+    val, log_s = evaluate(W, z)
+    step = 1.0
+    converged = False
+    for _ in range(max_iter):
+        np.subtract(W.reshape(K, m), log_s, out=L.reshape(K, m))
+        np.subtract(L[:-1], L[1:], out=D)
+        D[m - 1::m] = 0.0
+        np.multiply(D, lam, out=G[:-1])
+        G[-1] = 0.0
+        G[1:] += lam * (1.0 - np.exp(D))
+        G += r
+        Gs = G.reshape(K, m)
+        Gs -= Gs.min(axis=0)  # per-sample shifts cancel after renorm
+        accepted = False
+        while step > 1e-18:
+            np.multiply(G, -step, out=W_cand)
+            W_cand += L
+            np.maximum(W_cand, _LOG_FLOOR, out=W_cand)
+            cand_val, cand_log_s = evaluate(W_cand, z_cand)
+            if cand_val <= val:
+                accepted = True
+                break
+            step *= 0.5
+        if not accepted:
+            converged = True
+            break
+        drop = val - cand_val
+        W, W_cand, z, z_cand = W_cand, W, z_cand, z
+        val, log_s = cand_val, cand_log_s
+        if drop <= tol * max(1.0, abs(val)):
+            converged = True
+            break
+        step = min(step * 2.0, 1.0)
+    return z.reshape(K, m).T, converged
+
+
+def kl_draws(seed, count):
+    """Random F-problems (R, lam, Z_init, tol, max_iter) over the kernel's range.
+
+    Every fourth draw has m in {1, 2, 3}, the others m up to 400; K runs
+    through 1..5, tol through {0, 1e-9, 1e-6}, and R alternates C and
+    Fortran order. lam spans 1e-3..1e3 and the cost scale 1e-2..1e4, both
+    log-uniform, and half of the starts carry exact zeros.
+    """
+    rng = np.random.default_rng(seed)
+    for j in range(count):
+        m = (1, 2, 3)[j // 4 % 3] if j % 4 == 0 else int(np.exp(rng.uniform(np.log(4), np.log(400))))
+        K = 1 + j % 5
+        R = rng.normal(size=(m, K)) * 10.0 ** rng.uniform(-2, 4)
+        if j % 2:
+            R = np.asfortranarray(R)
+        Z0 = np.asfortranarray(rng.dirichlet(np.ones(K), size=m))
+        if rng.random() < 0.5:
+            Z0[rng.random(Z0.shape) < 0.3] = 0.0
+        yield R, float(10.0 ** rng.uniform(-3, 3)), Z0, (0.0, 1e-9, 1e-6)[j % 3], int(rng.integers(1, 301))
+
+
+class TestKlBitIdentity:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_previous_kernel_bytes(self, seed):
+        for R, lam, Z0, tol, max_iter in kl_draws(seed, 80):
+            Z, converged = dk.solve_f_kl(R, lam, Z0, tol=tol, max_iter=max_iter)
+            Z_ref, conv_ref = previous_solve_f_kl(R, lam, Z0, tol=tol, max_iter=max_iter)
+            assert Z.shape == Z_ref.shape and Z.flags.f_contiguous
+            assert Z.tobytes() == Z_ref.tobytes()
+            assert converged == conv_ref
+
+
 class TestHarden:
     def test_one_based_labels(self):
         Z = np.array([[0.9, 0.1], [0.2, 0.8]])

@@ -103,6 +103,9 @@ class TestProxGradientPath:
         th = out.thetas[0]
         assert abs(th[0]) > 1.0
         assert abs(th[1]) < 1e-6 and abs(th[2]) < 1e-6
+        # the outcome carries the regularizer value that its objective adds
+        assert out.p_reg == 5.0 * float(np.abs(th).sum())
+        assert out.objective == float(out.R.sum()) + out.p_reg
 
     def test_descent_from_warm_start(self):
         rng = np.random.default_rng(21)
