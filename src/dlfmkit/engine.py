@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, replace
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -164,6 +163,9 @@ def fit(spec: model.ModelSpec, data: model.Dataset, jobs: int = 1) -> FitResult:
     results: list[FitResult | None] = [None] * restarts
     errors: list[Exception] = []
     if jobs > 1 and restarts > 1:
+        # imported here, so that importing the package loads no process-pool modules
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=min(jobs, restarts, os.cpu_count() or 1)) as pool:
             futures = [pool.submit(_run_restart, spec, data, r) for r in range(restarts)]
             for r, fut in enumerate(futures):

@@ -8,6 +8,7 @@ input-output HMM with logistic emissions.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 from dataclasses import dataclass
 
@@ -185,17 +186,59 @@ def gen_forgetting_q(cfg: ExperimentConfig):
     return model.dataset(feats, obs, ordered=True), labels, cfg.true_thetas
 
 
+def _choice_cdf(p, K: int) -> list[float]:
+    """The CDF that `Generator.choice(K, p=p)` inverts, as Python floats.
+
+    One such draw takes one uniform u and returns `bisect_right(cdf, u)`, so
+    inverting pre-drawn uniforms gives the same index from the same stream.
+    Raises ValueError where `choice` would: p not of length K, a negative or
+    NaN entry, or a sum off 1 by more than choice's tolerance.
+    """
+    p = np.asarray(p)
+    atol = np.sqrt(np.finfo(np.float64).eps)
+    if np.issubdtype(p.dtype, np.floating):
+        atol = max(atol, np.sqrt(np.finfo(p.dtype).eps))
+    p = p.astype(float)
+    if p.shape != (K,):
+        raise ValueError(f"probabilities must have shape ({K},), got {p.shape}")
+    total = p.sum()
+    if np.isnan(total):
+        raise ValueError("probabilities contain NaN")
+    if np.any(p < 0):
+        raise ValueError("probabilities are not non-negative")
+    if abs(total - 1.0) > atol:
+        raise ValueError(f"probabilities sum to {total!r}, not 1")
+    cdf = p.cumsum()
+    cdf /= cdf[-1]
+    return cdf.tolist()
+
+
+def _markov_chain(u, p_init, transition, K: int) -> np.ndarray:
+    """0-based states of a K-state chain, one per uniform in u.
+
+    State t is `rng.choice(K, p=row)` for p_init at t = 0 and for the row of
+    state t-1 after it, with u[t] as the uniform that call would draw.
+    """
+    init = _choice_cdf(p_init, K)
+    rows = [_choice_cdf(transition[k], K) for k in range(K)]
+
+    def step(state, x):
+        return bisect.bisect_right(rows[state], x)
+
+    u = u.tolist()
+    return np.array(list(itertools.accumulate(u[1:], step, initial=bisect.bisect_right(init, u[0]))))
+
+
 def gen_io_hmm(cfg: ExperimentConfig):
     """Markov-switching logistic responses to uniform scalar inputs.
 
     Inputs carry a trailing bias coordinate; the hidden state follows the
     configured chain and selects the logistic parameter for each response.
+    The chain inverts one batch of m uniforms, the stream that m calls of
+    `rng.choice` would consume, so it draws the same states.
     """
     rng = np.random.default_rng(cfg.seed)
-    states = np.zeros(cfg.m, dtype=int)
-    states[0] = rng.choice(cfg.K, p=cfg.p_init)
-    for t in range(1, cfg.m):
-        states[t] = rng.choice(cfg.K, p=cfg.transition[states[t - 1]])
+    states = _markov_chain(rng.random(cfg.m), cfg.p_init, cfg.transition, cfg.K)
     xbar = rng.uniform(cfg.lo, cfg.hi, size=cfg.m)
     X = np.column_stack([xbar, np.ones(cfg.m)])
     logits = np.einsum("ij,ij->i", X, cfg.true_thetas[states])

@@ -1,5 +1,8 @@
 import concurrent.futures
+import os
 import pickle
+import subprocess
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -154,7 +157,7 @@ class TestFit:
                 fut.set_result(fn(*args))
                 return fut
 
-        monkeypatch.setattr(engine, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
         monkeypatch.setattr(engine.os, "cpu_count", lambda: cpus)
         rng = np.random.default_rng(7)
         data, _ = two_line_data(rng, m=12, noise=0.2)
@@ -163,6 +166,16 @@ class TestFit:
         res = dk.fit(spec, data, jobs=jobs)
         assert sizes == [workers]
         assert res.objective_trace == dk.fit(spec, data, jobs=1).objective_trace
+
+    def test_import_loads_no_process_pool(self):
+        # fit imports the pool only when it makes one, so a jobs=1 script
+        # does not pay for loading concurrent.futures.process and multiprocessing
+        code = ("import sys, dlfmkit, dlfmkit.cli; "
+                "print([m for m in ('concurrent.futures.process', 'multiprocessing') if m in sys.modules])")
+        src = os.path.dirname(os.path.dirname(dk.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "[]"
 
     @pytest.mark.parametrize("jobs", [0, -2])
     def test_jobs_below_one_rejected(self, jobs):

@@ -3,6 +3,37 @@ import pytest
 
 import dlfmkit as dk
 from dlfmkit import experiments as ex
+from dlfmkit import model
+
+
+def previous_gen_io_hmm(cfg):
+    """gen_io_hmm as it was when it drew its chain with one rng.choice per sample."""
+    rng = np.random.default_rng(cfg.seed)
+    states = np.zeros(cfg.m, dtype=int)
+    states[0] = rng.choice(cfg.K, p=cfg.p_init)
+    for t in range(1, cfg.m):
+        states[t] = rng.choice(cfg.K, p=cfg.transition[states[t - 1]])
+    xbar = rng.uniform(cfg.lo, cfg.hi, size=cfg.m)
+    X = np.column_stack([xbar, np.ones(cfg.m)])
+    logits = np.einsum("ij,ij->i", X, cfg.true_thetas[states])
+    y = (rng.uniform(size=cfg.m) < 1.0 / (1.0 + np.exp(-logits))).astype(float)
+    return model.dataset(X, y, ordered=True), states + 1, cfg.true_thetas
+
+
+def assert_same_io_hmm(cfg):
+    data, labels, thetas = ex.gen_io_hmm(cfg)
+    ref_data, ref_labels, ref_thetas = previous_gen_io_hmm(cfg)
+    for a, b in ((data.features, ref_data.features), (data.observations, ref_data.observations),
+                 (labels, ref_labels)):
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert a.tobytes() == b.tobytes()
+    assert data.ordered and thetas is ref_thetas
+
+
+# a zero entry in every row, so consecutive CDF values tie and side="right" decides
+ZERO_ENTRY_P_TR = np.array([[0.5, 0.0, 0.5], [0.2, 0.8, 0.0], [0.0, 0.3, 0.7]])
+# rows whose sums round below 1, so dividing the CDF by its last entry moves it
+ROUNDED_P_TR = np.array([[0.3, 0.35, 0.35], [0.05, 0.05, 1 - 0.05 - 0.05], [0.15, 0.2, 1 - 0.15 - 0.2]])
 
 
 class TestKmeansGenerator:
@@ -90,6 +121,80 @@ class TestIoHmmGenerator:
             cfg = ex.experiment_config(ex.IO_HMM, seed=seed)
             _, labels, _ = ex.generate(cfg)
             assert labels[0] == 1
+
+    @pytest.mark.parametrize("m", [1, 2, 500, 5000])
+    def test_matches_per_sample_choice_loop(self, m):
+        for seed in range(50):
+            assert_same_io_hmm(ex.experiment_config(ex.IO_HMM, seed=seed, m=m))
+
+    @pytest.mark.parametrize("overrides", [
+        dict(transition=ZERO_ENTRY_P_TR),
+        dict(transition=ZERO_ENTRY_P_TR, p_init=np.array([0.0, 0.0, 1.0])),
+        dict(p_init=np.array([0.2, 0.5, 0.3])),
+        dict(p_init=[0.25, 0.0, 0.75], transition=[[0.3, 0.35, 0.35], [0.0, 1.0, 0.0], [0.6, 0.0, 0.4]]),
+        # rows that sum to 1 only within float32's tolerance, which choice applies to them
+        dict(p_init=np.array([0.2, 0.5, 0.3], dtype=np.float32), transition=ex.IOHMM_P_TR.astype(np.float32)),
+    ], ids=["zero_transition_entries", "zero_entries_start_last", "nonuniform_p_init", "lists", "float32"])
+    def test_matches_per_sample_choice_loop_on_overrides(self, overrides):
+        for seed in range(20):
+            for m in (1, 2, 500):
+                assert_same_io_hmm(ex.experiment_config(ex.IO_HMM, seed=seed, m=m, **overrides))
+
+    @pytest.mark.parametrize("transition", [ZERO_ENTRY_P_TR, ROUNDED_P_TR], ids=["zero_entries", "rounded_sums"])
+    def test_chain_inverts_uniforms_like_choice(self, transition):
+        # uniforms on and next to every CDF value, raw and normalized: one on a
+        # value shared with a zero-probability state goes past it, as
+        # Generator.choice's searchsorted(side="right") does, and the CDFs are
+        # choice's own, cumsum divided by its last entry
+        def choice_cdf(p):
+            cdf = np.cumsum(p)
+            cdf /= cdf[-1]
+            return cdf
+
+        rows = [*transition, ex.IOHMM_P_INIT]
+        special = {0.0}
+        for row in rows:
+            for c in [*np.cumsum(row)[:-1], *choice_cdf(row)[:-1]]:
+                special.update((np.nextafter(c, -1.0), c, np.nextafter(c, 2.0)))
+        pool = np.array(sorted(x for x in special if 0.0 <= x < 1.0))
+        u = np.random.default_rng(0).choice(pool, size=3000)
+        ref = [int(np.searchsorted(choice_cdf(ex.IOHMM_P_INIT), u[0], side="right"))]
+        for x in u[1:]:
+            ref.append(int(np.searchsorted(choice_cdf(transition[ref[-1]]), x, side="right")))
+        states = ex._markov_chain(u, ex.IOHMM_P_INIT, transition, 3)
+        assert states.dtype == np.dtype(int)
+        assert states.tolist() == ref
+        assert len(set(zip(ref, ref[1:]))) == sum(int(v > 0) for v in np.ravel(transition))
+        for p_init in rows:  # the first state, from each row as the initial law
+            first = [ex._markov_chain(np.array([x]), p_init, transition, 3)[0] for x in pool]
+            assert first == [int(np.searchsorted(choice_cdf(p_init), x, side="right")) for x in pool]
+
+    @pytest.mark.parametrize("overrides", [
+        dict(p_init=np.array([0.5, 0.5])),
+        dict(transition=np.array([[0.5, 0.5], [0.5, 0.5], [0.5, 0.5]])),
+        dict(p_init=np.array([1.1, -0.1, 0.0])),
+        dict(transition=np.array([[0.9, 0.2, -0.1], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])),
+        dict(p_init=np.array([np.nan, 0.5, 0.5])),
+        dict(transition=np.array([[np.nan, 0.5, 0.5], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])),
+        dict(p_init=np.array([0.5, 0.5, 0.1])),
+        dict(transition=np.array([[0.5, 0.5, 0.1], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])),
+    ], ids=["init_length", "row_length", "init_negative", "row_negative", "init_nan", "row_nan",
+            "init_sum_1.1", "row_sum_1.1"])
+    def test_rejects_what_choice_rejects(self, overrides):
+        # the chain starts in state 0, so the per-sample loop reaches row 0 at t=1
+        cfg = ex.experiment_config(ex.IO_HMM, seed=0, m=10, **overrides)
+        with pytest.raises(ValueError):
+            previous_gen_io_hmm(cfg)
+        with pytest.raises(ValueError):
+            ex.gen_io_hmm(cfg)
+
+    def test_accepts_rows_that_sum_to_one_up_to_rounding(self):
+        row = np.array([0.3, 0.35, 0.35])
+        assert row.sum() != 1.0
+        within = np.array([0.3, 0.35, 0.35 + 1e-9])
+        P = np.array([row, within, [0.0, 0.0, 1.0]])
+        for seed in range(5):
+            assert_same_io_hmm(ex.experiment_config(ex.IO_HMM, seed=seed, m=200, p_init=row, transition=P))
 
 
 class TestAlignedAccuracy:
