@@ -162,28 +162,33 @@ def gen_forgetting_q(cfg: ExperimentConfig):
     holds the last n signals as columns (zero-padded at the start), and the
     learner samples its arm from a softmax over signal-weighted scores. The
     active parameter vector alternates every switch_period trials.
+    Each trial takes two uniforms from one batch of 2m: the arm's, inverted
+    as `rng.choice(p, p=probs)` inverts it, then the reward's, the double
+    that `rng.uniform()` returns; so the data are those of one `choice` and
+    one `uniform` call per trial.
     """
     rng = np.random.default_rng(cfg.seed)
     p = cfg.classes
-    hist = [np.zeros(p) for _ in range(cfg.n)]  # u(t), u(t-1), ...
+    u = rng.random(2 * cfg.m).tolist()
     feats = np.zeros((cfg.m, p, cfg.n))
     obs = np.zeros((cfg.m, p))
-    labels = np.zeros(cfg.m, dtype=int)
+    labels = (np.arange(cfg.m) // cfg.switch_period) % 2 + 1
     for t in range(cfg.m):
-        X = np.column_stack(hist)
-        label = ((t // cfg.switch_period) % 2) + 1
-        theta = cfg.true_thetas[label - 1]
-        probs = _softmax(X @ theta)
-        arm = rng.choice(p, p=probs)
-        rewarded = rng.uniform() < cfg.reward_probs[arm]
-        feats[t] = X
+        X = feats[t]
+        if t:  # the signals shift one lag back, and u(t) is the last reward
+            X[:, 1:] = feats[t - 1, :, :-1]
+            X[arm, 0] = float(rewarded)
+        probs = _softmax(X @ cfg.true_thetas[labels[t] - 1])
+        arm = bisect.bisect_right(_choice_cdf(probs, p), u[2 * t])
+        rewarded = u[2 * t + 1] < cfg.reward_probs[arm]
         obs[t, arm] = 1.0
-        labels[t] = label
-        u_next = np.zeros(p)
-        if rewarded:
-            u_next[arm] = 1.0
-        hist = [u_next] + hist[:-1]
     return model.dataset(feats, obs, ordered=True), labels, cfg.true_thetas
+
+
+# the tolerance on the sum of float64 probabilities that `Generator.choice`
+# applies, sqrt(eps) = 2^-26, written out: np.finfo at import would load
+# numpy's float limits into every process, which only this generator reads
+_CHOICE_ATOL = 2.0**-26
 
 
 def _choice_cdf(p, K: int) -> list[float]:
@@ -195,8 +200,8 @@ def _choice_cdf(p, K: int) -> list[float]:
     NaN entry, or a sum off 1 by more than choice's tolerance.
     """
     p = np.asarray(p)
-    atol = np.sqrt(np.finfo(np.float64).eps)
-    if np.issubdtype(p.dtype, np.floating):
+    atol = _CHOICE_ATOL
+    if p.dtype != np.float64 and np.issubdtype(p.dtype, np.floating):
         atol = max(atol, np.sqrt(np.finfo(p.dtype).eps))
     p = p.astype(float)
     if p.shape != (K,):

@@ -271,12 +271,39 @@ def _stop_tol(C, x, d):
     return _PROJECT_TOL + _ROUNDING_TOL * (np.abs(C) @ np.abs(x) + np.abs(d))
 
 
-def _active_set_project(v, C, d, feas_tol):
+def _stopped(C, x, d, s):
+    """Whether every residual s = C x - d is within `_stop_tol`: the test
+    that ends the active-set loop. The tests run from the cheapest: the
+    absolute bound, the largest residual's own bound, then every row's."""
+    p = int(s.argmax())
+    return bool(s[p] <= _PROJECT_TOL or (s[p] <= _stop_tol(C[p], x, d[p]) and np.all(s <= _stop_tol(C, x, d))))
+
+
+def _tight_point(v, C, d, active):
+    """The projection x of v onto the rows `active`, in row order, made
+    tight, and their multipliers clipped at 0: in closed form for one row,
+    else from the KKT system. Raises ProjectionError where that system is
+    singular."""
+    if len(active) == 1:
+        c = C[active[0]]
+        w = max((float(c @ v) - d[active[0]]) / float(c @ c), 0.0)
+        return v - w * c, [w]
+    x, w = _kkt_solve(C[active], v, d[active])
+    return x, np.maximum(w, 0.0).tolist()
+
+
+def _active_set_project(v, C, d, feas_tol, start=()):
     """Euclidean projection x of v onto {x : C x <= d}, exact up to rounding.
 
     C has at least one row. Returns x, the active rows in row order and
     their multipliers w, x + C_active^T w = v; v and none where no residual
-    C v - d exceeds feas_tol. Otherwise runs the dual active-set method of
+    C v - d exceeds feas_tol. Otherwise, where start names rows (a warm
+    start: say the active rows of a nearby point's projection), the point
+    of those rows made tight (`_tight_point`) is returned when every
+    multiplier is > 0 and its residuals pass the loop's stop test
+    (`_stopped`): the KKT conditions of the projection, met at the point
+    that the loop computes after a full step onto the same rows. Where a
+    start fails, or none is given, runs the dual active-set method of
     Goldfarb & Idnani (Math. Programming 27, 1983). From x = v and no active
     row, it takes the most violated row p and steps x along -z,
     z = c_p - N^T r with N z = 0 for the active normals N, raising p's
@@ -286,9 +313,11 @@ def _active_set_project(v, C, d, feas_tol):
     active set; or earlier, where an active multiplier reaches 0, and that
     row leaves while p is tried again. Where c_p lies in the span of N and
     no multiplier blocks, no feasible point exists. After each full step, x
-    and the multipliers are solved afresh from the KKT system of the active
-    rows, in closed form where one row is active, with p's multiplier kept
-    at least t; the loop stops once every residual is within `_stop_tol`.
+    and the multipliers are solved afresh by `_tight_point` on the active
+    rows, with p's multiplier kept at least t; the loop stops once every
+    residual is within `_stop_tol`. So a warm start that passes returns the
+    bytes the loop returns where it ends on the same rows; its multipliers
+    are the KKT ones, where the loop may keep p's at its step t.
     Raises ProjectionError on an empty set and after _STEPS_PER_ROW steps
     per row.
     """
@@ -296,6 +325,14 @@ def _active_set_project(v, C, d, feas_tol):
     p = int(s.argmax())  # the row being made tight
     if s[p] <= feas_tol:
         return v, [], []
+    if start:
+        start = sorted(start)
+        try:
+            x, lam = _tight_point(v, C, d, start)
+        except ProjectionError:  # rows that are not independent
+            lam = []
+        if lam and min(lam) > 0.0 and _stopped(C, x, d, C @ x - d):
+            return x, start, lam
     x, active, lam = v, [], []  # active rows and their multipliers
     for _ in range(_STEPS_PER_ROW * d.size):
         c = C[p]
@@ -328,25 +365,16 @@ def _active_set_project(v, C, d, feas_tol):
         # rounding from the steps, and one active set, kept in row order,
         # gives one x
         active = sorted(active + [p])
-        if len(active) == 1:
-            w = max((float(c @ v) - d[p]) / float(c @ c), 0.0)
-            x, lam = v - w * c, [w]
-        else:
-            x, w = _kkt_solve(C[active], v, d[active])
-            lam = np.maximum(w, 0.0).tolist()
+        x, lam = _tight_point(v, C, d, active)
         # p's multiplier grew by at least the full step. Rounded below it,
         # towards 0, it would let p leave again at a step of length 0, and
         # the loop could cycle between two nearly dependent rows
         i = active.index(p)
         lam[i] = max(lam[i], full)
         s = C @ x - d
-        p = int(s.argmax())
-        # the tests run from the cheapest: the absolute bound, the largest
-        # residual's own bound, then every row's
-        if s[p] <= _PROJECT_TOL or (
-            s[p] <= _stop_tol(C[p], x, d[p]) and np.all(s <= _stop_tol(C, x, d))
-        ):
+        if _stopped(C, x, d, s):
             return x, active, lam
+        p = int(s.argmax())
     raise ProjectionError("active-set projection did not converge")
 
 
@@ -507,10 +535,33 @@ def _closed_form(atoms):
     return _monotone_scalar_bounds(atoms)
 
 
+def _sum_and_monotone(poly):
+    """Exact projection onto sum_equals(s) intersected with one monotone
+    cone, in either order: the isotonic fit, shifted uniformly to sum s.
+    The all-ones vector lies in the cone's lineality space and the isotonic
+    fit keeps the sum, so the shift keeps both its order and its optimality.
+    Returns that map when the canonical atoms poly are those two atoms, None
+    otherwise."""
+    kinds = [a.kind for a in poly]
+    if len(poly) != 2 or model.SUM_EQUALS not in kinds or not set(kinds) & set(_MONOTONE_KINDS):
+        return None
+    total = poly[kinds.index(model.SUM_EQUALS)].value
+    pava = pava_nondecreasing if model.MONOTONE_NONDECREASING in kinds else pava_nonincreasing
+
+    def project(v):
+        x = pava(v)
+        return x + (total - x.sum()) / x.size
+
+    return project
+
+
 def _poly_projector(poly, n: int):
     """The exact projection onto canonical polyhedral atoms. The lone-atom
     closed forms of _closed_form return feasible points unchanged; every
-    other map returns points within _FEAS_TOL of the set unchanged."""
+    other map returns points within _FEAS_TOL of the set unchanged. The map
+    onto halfspace rows starts each active-set loop from the rows its last
+    projection of an infeasible point made tight, so it keeps state: build
+    one per sequence of related points."""
     exact = _closed_form(poly)
     if exact is not None:
         return exact
@@ -525,11 +576,19 @@ def _poly_projector(poly, n: int):
         and poly[1].value > 0.0
     ):
         exact = functools.partial(project_simplex, total=poly[1].value)
-    else:
+    elif (exact := _sum_and_monotone(poly)) is None:
         C, d = halfspaces(poly, n)
         if not d.size:  # every side infinite
             return lambda v: v
-        return lambda v: _active_set_project(v, C, d, _FEAS_TOL)[0]
+        last = []  # the active rows of the last infeasible point's projection
+
+        def project_rows(v):
+            nonlocal last
+            x, active, _ = _active_set_project(v, C, d, _FEAS_TOL, last)
+            last = active or last
+            return x
+
+        return project_rows
     return lambda v: v if max_violation(poly, v) <= _FEAS_TOL else exact(v)
 
 
@@ -551,11 +610,16 @@ def projector(atoms, n: int):
     atom uses its closed form (clipping, scaling, isotonic pooling), so
     stacked nonneg, nonpos and box atoms clip to their intersected bounds; a
     nonnegative sum constraint is the simplex; one monotone cone with scalar
-    bounds clips its isotonic fit. Other intersections of polyhedral atoms
+    bounds clips its isotonic fit; a sum constraint with one monotone cone
+    shifts its isotonic fit. Other intersections of polyhedral atoms
     are stacked here into halfspace rows, one per finite side, and each
     point is projected onto them exactly by a dual active-set loop
     (`_active_set_project`); composing the individual projections would not
-    give the intersection projection. The norm ball intersected with
+    give the intersection projection. That map keeps the active rows of its
+    last projection of an infeasible point and starts the next loop from
+    them: a warm start that returns the cold loop's point where it holds,
+    and runs the loop cold where not. Each call of projector builds its own
+    map, with its own rows. The norm ball intersected with
     polyhedral atoms is regularized_qp with M = I. The closed forms of one
     box, one monotone cone with or without scalar bounds, and one norm ball
     return a feasible point with its values unchanged, and are applied

@@ -456,21 +456,33 @@ def loss_matrix(spec: ModelSpec, data: Dataset, thetas) -> np.ndarray:
     product Theta F' of their stacked thetas, and `_margin_pieces` takes
     each factor's losses alone from its row: on the whole (g, m) block its
     temporaries are g times larger, and cost more to allocate than they
-    save. Squared distance, multinomial logit and features of any other
-    shape go through batch_losses factor by factor.
+    save. The squared-distance factors on 2-D features build the points
+    F + y once per call, and each takes its losses from its own difference
+    to them, the sums of batch_losses bit for bit; one stacked (g, m, n)
+    difference would again make temporaries g times larger. Multinomial
+    logit and features of any other shape go through batch_losses factor by
+    factor.
     """
     F, y = np.asarray(data.features, dtype=float), np.asarray(data.observations, dtype=float)
     Rt = np.empty((spec.K, data.m))
     groups: dict = {}
+    distance = []  # the squared-distance factors
     for k, atom in enumerate(spec.loss_per_factor):
         if atom.kind in _ONE_MARGIN_KINDS and F.ndim == 2:
             groups.setdefault(atom, []).append(k)
+        elif atom.kind == SQUARED_DISTANCE and F.ndim == 2:
+            distance.append(k)
         else:
             Rt[k] = batch_losses(atom, F, y, thetas[k])
     for atom, ks in groups.items():
         margins = np.array([thetas[k] for k in ks], dtype=float) @ F.T
         for k, t in zip(ks, margins):
             Rt[k] = _margin_pieces(atom, t, y, losses_only=True)
+    if distance:
+        points = F + y[:, None]
+        for k in distance:
+            diff = np.asarray(thetas[k], dtype=float) - points
+            Rt[k] = (diff * diff).sum(axis=1)
     return Rt.T
 
 

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import dlfmkit as dk
-from dlfmkit import engine, kernels, psolve
+from dlfmkit import engine, experiments, kernels, psolve
 
 
 def two_line_data(rng, m=30, noise=0.0):
@@ -131,6 +131,19 @@ class TestFit:
         assert seq.restart_index_of_best == par.restart_index_of_best
         assert np.array_equal(seq.labels, par.labels)
         assert seq.objective_trace == par.objective_trace
+
+    def test_parallel_matches_sequential_on_constrained_kmeans(self):
+        # each restart builds its own projectors, whose warm-started
+        # active-set loops then see the same points in either process
+        cfg = experiments.experiment_config(experiments.CONSTRAINED_KMEANS, 5, m=200)
+        data, _, _ = experiments.generate(cfg)
+        spec = experiments.kmeans_spec(True, 4, 5)
+        seq = dk.fit(spec, data, jobs=1)
+        par = dk.fit(spec, data, jobs=2)
+        assert seq.restart_index_of_best == par.restart_index_of_best
+        assert seq.objective_trace == par.objective_trace
+        assert np.array_equal(seq.Z, par.Z) and np.array_equal(seq.labels, par.labels)
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(seq.thetas, par.thetas))
 
     @pytest.mark.parametrize("cpus, jobs, restarts, workers", [
         (2, 64, 64, 2),   # capped at the CPU count

@@ -20,6 +20,40 @@ def previous_gen_io_hmm(cfg):
     return model.dataset(X, y, ordered=True), states + 1, cfg.true_thetas
 
 
+def previous_gen_forgetting_q(cfg):
+    """gen_forgetting_q as it was when each trial called rng.choice and rng.uniform."""
+    rng = np.random.default_rng(cfg.seed)
+    p = cfg.classes
+    hist = [np.zeros(p) for _ in range(cfg.n)]  # u(t), u(t-1), ...
+    feats = np.zeros((cfg.m, p, cfg.n))
+    obs = np.zeros((cfg.m, p))
+    labels = np.zeros(cfg.m, dtype=int)
+    for t in range(cfg.m):
+        X = np.column_stack(hist)
+        label = ((t // cfg.switch_period) % 2) + 1
+        theta = cfg.true_thetas[label - 1]
+        probs = ex._softmax(X @ theta)
+        arm = rng.choice(p, p=probs)
+        rewarded = rng.uniform() < cfg.reward_probs[arm]
+        feats[t] = X
+        obs[t, arm] = 1.0
+        labels[t] = label
+        u_next = np.zeros(p)
+        if rewarded:
+            u_next[arm] = 1.0
+        hist = [u_next] + hist[:-1]
+    return model.dataset(feats, obs, ordered=True), labels, cfg.true_thetas
+
+
+def assert_same_data(got, ref):
+    (data, labels, thetas), (ref_data, ref_labels, ref_thetas) = got, ref
+    for a, b in ((data.features, ref_data.features), (data.observations, ref_data.observations),
+                 (labels, ref_labels)):
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert a.tobytes() == b.tobytes()
+    assert data.ordered and thetas is ref_thetas
+
+
 def assert_same_io_hmm(cfg):
     data, labels, thetas = ex.gen_io_hmm(cfg)
     ref_data, ref_labels, ref_thetas = previous_gen_io_hmm(cfg)
@@ -99,6 +133,22 @@ class TestForgettingGenerator:
         assert data.observations.shape == (200, 3)
         assert set(np.unique(data.observations)) == {0.0, 1.0}
         assert np.allclose(data.observations.sum(axis=1), 1.0)
+
+    @pytest.mark.parametrize("m", [1, 2, 200, 2000])
+    def test_matches_per_trial_choice_loop(self, m):
+        for seed in range(12 if m == 2000 else 40):
+            cfg = ex.experiment_config(ex.FORGETTING_Q, seed=seed, m=m)
+            assert_same_data(ex.gen_forgetting_q(cfg), previous_gen_forgetting_q(cfg))
+
+    @pytest.mark.parametrize("overrides", [
+        dict(n=1, true_thetas=ex.FORGETTING_THETAS[:, :1]),
+        dict(switch_period=3),
+        dict(classes=2, reward_probs=np.array([0.9, 0.1])),
+    ], ids=["one_lag", "short_period", "two_arms"])
+    def test_matches_per_trial_choice_loop_on_overrides(self, overrides):
+        for seed in range(10):
+            cfg = ex.experiment_config(ex.FORGETTING_Q, seed=seed, m=300, **overrides)
+            assert_same_data(ex.gen_forgetting_q(cfg), previous_gen_forgetting_q(cfg))
 
 
 class TestIoHmmGenerator:

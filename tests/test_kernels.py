@@ -324,6 +324,121 @@ class TestProject:
             assert np.array_equal(dk.project([model.sum_equals(value)], near), near)
 
 
+class TestSumAndMonotone:
+    """sum_equals(s) with one monotone cone is projected by PAVA and a
+    uniform shift, the all-ones vector being in the cone's lineality space."""
+
+    ORDERS = [
+        (model.sum_equals(0.3), model.monotone_nondecreasing()),
+        (model.monotone_nondecreasing(), model.sum_equals(0.3)),
+        (model.sum_equals(0.3), model.monotone_nonincreasing()),
+        (model.monotone_nonincreasing(), model.sum_equals(0.3)),
+    ]
+
+    @pytest.mark.parametrize("v", [(1e7, 0.0, -1e7), (2e6, 0.0, -1e6), (1e8, 0.0, -1e8)])
+    @pytest.mark.parametrize("atoms", ORDERS[:2], ids=["sum_first", "monotone_first"])
+    def test_large_points_project_exactly(self, atoms, v):
+        # the active-set loop reported an empty set at 1e7 and ran out of
+        # steps at 2e6 and 1e8, where the projection is (0.1, 0.1, 0.1)
+        got = kernels.projector(atoms, 3)(np.array(v))
+        np.testing.assert_allclose(got, [0.1, 0.1, 0.1], rtol=0.0, atol=1e-16 * max(map(abs, v)))
+
+    @pytest.mark.parametrize("atoms", ORDERS, ids=["up_sum_first", "up_monotone_first",
+                                                   "down_sum_first", "down_monotone_first"])
+    def test_matches_active_set_oracle(self, atoms, monkeypatch):
+        rng = np.random.default_rng(53)
+        total = atoms[[a.kind for a in atoms].index(model.SUM_EQUALS)].value
+        for _ in range(40):
+            n = int(rng.integers(1, 6))
+            C, d = kernels.halfspaces(atoms, n)
+            v = rng.normal(0.0, 3.0, size=n)
+            loop = kernels._active_set_project(v, C, d, kernels._FEAS_TOL)[0]
+            ref = oracle.qp_active_set_oracle(dk.qp_problem(np.eye(n), -v, C, d))
+            with monkeypatch.context() as patch:
+                patch.setattr(kernels, "_active_set_project", None)  # the closed form runs alone
+                project = kernels.projector(atoms, n)
+                got = project(v)
+                assert np.array_equal(project(got), got)
+            np.testing.assert_allclose(got, loop, rtol=0.0, atol=1e-14 * (1.0 + np.abs(v).max()))
+            np.testing.assert_allclose(got, ref, rtol=0.0, atol=1e-9)
+            assert abs(got.sum() - total) <= 1e-14 * (1.0 + np.abs(v).sum())
+
+
+class TestWarmStart:
+    """_active_set_project from the rows a previous projection made tight:
+    the cold loop's bytes where the start passes, its answer where not."""
+
+    # x <= 0 and y <= 0
+    C, d = np.eye(2), np.zeros(2)
+
+    def both(self, v, start):
+        warm = kernels._active_set_project(v, self.C, self.d, kernels._FEAS_TOL, start)
+        cold = kernels._active_set_project(v, self.C, self.d, kernels._FEAS_TOL)
+        assert warm[0].tobytes() == cold[0].tobytes() and warm[1] == cold[1]
+        return warm
+
+    def test_right_rows_return_the_loop_point(self, monkeypatch):
+        # a vertex: the loop solves two points, the warm start one
+        solved = []
+        tight_point = kernels._tight_point
+
+        def counting(*args):
+            solved.append(list(args[3]))
+            return tight_point(*args)
+
+        monkeypatch.setattr(kernels, "_tight_point", counting)
+        x, active, lam = self.both(np.array([1.0, 2.0]), [1, 0])
+        assert np.array_equal(x, [0.0, 0.0]) and active == [0, 1] and lam == [1.0, 2.0]
+        assert solved == [[0, 1], [1], [0, 1]]
+
+    def test_wrong_rows_fall_back(self):
+        # v meets row 1: its multiplier is 0, and its point, v, violates row 0
+        x, active, _ = self.both(np.array([1.0, -1.0]), [1])
+        assert np.array_equal(x, [0.0, -1.0]) and active == [0]
+
+    def test_negative_multiplier_falls_back(self):
+        # rows 0 and 1 made tight give the feasible (0, 0), but row 1's
+        # multiplier is -1: the projection is (0, -1) on row 0 alone
+        x, active, _ = self.both(np.array([1.0, -1.0]), [0, 1])
+        assert np.array_equal(x, [0.0, -1.0]) and active == [0]
+
+    def test_other_row_violated_falls_back(self):
+        x, active, _ = self.both(np.array([1.0, 1.0]), [0])
+        assert np.array_equal(x, [0.0, 0.0]) and active == [0, 1]
+
+    def test_dependent_rows_fall_back(self):
+        # a row named twice, or rows that repeat, make the KKT system singular
+        C, d = np.array([[1.0, 1.0], [1.0, 1.0], [0.0, 1.0]]), np.array([0.0, 0.0, 0.0])
+        v = np.array([1.0, 2.0])
+        cold = kernels._active_set_project(v, C, d, kernels._FEAS_TOL)
+        for start in ([0, 0], [0, 1]):
+            warm = kernels._active_set_project(v, C, d, kernels._FEAS_TOL, start)
+            assert warm[0].tobytes() == cold[0].tobytes() and warm[1] == cold[1]
+
+    def test_feasible_point_returned_as_is(self):
+        v = np.array([-1.0, -2.0])
+        x, active, lam = kernels._active_set_project(v, self.C, self.d, kernels._FEAS_TOL, [0, 1])
+        assert x is v and active == [] and lam == []
+
+    def test_projectors_share_no_state(self, monkeypatch):
+        starts = []
+        project_rows = kernels._active_set_project
+
+        def spy(v, C, d, feas_tol, start=()):
+            starts.append(list(start))
+            return project_rows(v, C, d, feas_tol, start)
+
+        monkeypatch.setattr(kernels, "_active_set_project", spy)
+        atoms = [model.polyhedron(np.array([[1.0, 0.0], [0.0, 1.0]]), np.zeros(2))]
+        first, second = kernels.projector(atoms, 2), kernels.projector(atoms, 2)
+        first(np.array([1.0, 2.0]))
+        first(np.array([-1.0, -1.0]))  # feasible: the rows are kept
+        first(np.array([1.0, -1.0]))
+        second(np.array([1.0, 2.0]))
+        first(np.array([2.0, 1.0]))
+        assert starts == [[], [0, 1], [0, 1], [], [0]]
+
+
 def atom_rows(atom, n):
     """(A, lo, hi) of one raw atom, rows lo <= A x <= hi, built here
     independently of kernels.halfspaces."""

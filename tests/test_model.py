@@ -289,6 +289,21 @@ class TestGroupedLossMatrix:
         assert R.flags.f_contiguous
         assert np.allclose(R, self.per_factor(spec, data, thetas), rtol=1e-12, atol=0.0)
 
+    @pytest.mark.parametrize("n", [1, 2, 7, 8, 9, 33])
+    def test_squared_distance_stack_is_batch_losses_bit_for_bit(self, n):
+        # the points F + y are built once per call, and each factor's row of
+        # squares is summed as batch_losses sums it, below, at and above the
+        # 8-wide blocks of numpy's pairwise sum
+        rng = np.random.default_rng(35 + n)
+        m, K = 131, 4
+        atoms = (dk.squared_distance(), dk.square_regression(), dk.squared_distance(), dk.squared_distance())
+        data = dk.dataset(rng.normal(size=(m, n)) * 7.0, rng.normal(size=m))
+        spec = dk.ModelSpec(K=K, n=n, loss_per_factor=atoms, constraints_per_factor=((),) * K)
+        thetas = [rng.normal(size=n) * s for s in (0.1, 1.0, 3.0, 30.0)]
+        R = dk.loss_matrix(spec, data, thetas)
+        assert R.flags.f_contiguous
+        assert np.array_equal(R, self.per_factor(spec, data, thetas))
+
     def test_matrix_features_match_batch_losses(self):
         rng = np.random.default_rng(33)
         m, p, n, K = 40, 4, 3, 3

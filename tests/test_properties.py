@@ -225,3 +225,38 @@ def test_polyhedral_projection_matches_active_set_oracle(n, rows, metric, log_co
 
     assert value(sol.x) - value(ref) <= 1e-9 * max(1.0, float(v @ P @ v) / unit)
     assert np.abs(sol.x - ref).max() <= 1e-6 * max(1.0, np.abs(ref).max())
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(
+    n=st.integers(1, 4),
+    rows=st.integers(1, 8),
+    steps=st.integers(2, 12),
+    spread=st.floats(1e-3, 1.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_warm_projections_of_nearby_points_match_cold_loop(n, rows, steps, spread, seed):
+    # a walk of nearby points, each projected by the active-set loop started
+    # from the rows of the previous projection, and by the projector, which
+    # keeps those rows itself: each equals the cold loop byte for byte and
+    # the enumerated KKT points of its QP
+    A, lo, hi, v = random_polyhedron(n, rows, seed)
+    atoms = [model.polyhedron(np.vstack([A, -A]), np.concatenate([hi, -lo]))]
+    C, d = kernels.halfspaces(atoms, n)
+    project = kernels.projector(atoms, n)
+    rng = np.random.default_rng(seed)
+    start = []
+    for v in v + np.cumsum(rng.normal(0.0, spread, size=(steps, n)), axis=0):
+        try:
+            ref = oracle.qp_active_set_oracle(two_sided_qp(np.eye(n), -v, A, lo, hi))
+        except RuntimeError:  # no KKT point: the set is empty
+            with pytest.raises(kernels.ProjectionError):
+                project(v)
+            return
+        x, active, lam = kernels._active_set_project(v, C, d, kernels._FEAS_TOL, start)
+        cold, cold_active, _ = kernels._active_set_project(v, C, d, kernels._FEAS_TOL)
+        assert x.tobytes() == cold.tobytes() and active == cold_active
+        assert project(v).tobytes() == cold.tobytes()
+        assert np.abs(x - ref).max() <= 1e-8
+        assert all(w >= 0.0 for w in lam)
+        start = active or start
