@@ -71,8 +71,9 @@ def gap(after_p: float, after_f: float) -> float:
 
 def _run_restart(spec: model.ModelSpec, data: model.Dataset, restart: int):
     # weight-0 regularizers are absent: they would otherwise turn a closed-form
-    # P-step into proximal Newton, add an orthant loop or a damping search
-    # to Newton's model QP, and pick the regularized stopping rule
+    # P-step into proximal Newton, add an orthant loop or a face-by-face
+    # secular solve to Newton's model QP, and pick the regularized stopping
+    # rule
     p_regs = tuple(r for r in spec.p_regularizers if r.weight > 0.0)
     f_regs = tuple(r for r in spec.f_regularizers if r.weight > 0.0)
     spec = replace(spec, p_regularizers=p_regs, f_regularizers=f_regs)

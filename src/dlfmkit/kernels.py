@@ -10,8 +10,10 @@ that the projections and `qp_solve` take. A polyhedron without a closed
 form is projected onto by a dual active-set loop, exact in finitely many
 steps. `qp_solve` solves a QP exactly, in one pass of the same loop in
 Cholesky-transformed coordinates; a P that is not numerically definite
-raises SingularQp. `regularized_qp` adds l1, group l2 and a ball to a QP,
-solved by QPs: one per orthant, and a search in the damping mu I of P.
+raises SingularQp. `regularized_qp` adds l1, group l2 and a ball to a QP:
+l1 by one such solve per orthant, and group l2 and the ball by a primal
+active-set loop over the polyhedron's faces, each face solved exactly by
+its secular equation.
 """
 
 from __future__ import annotations
@@ -241,9 +243,11 @@ _STEPS_PER_ROW = 5
 _QP_MIN_PIVOT = 1e-12
 
 
-# the search of `_qp_norm_search` runs in log mu within +-_MAX_LOG_MU, and ends
-# once its equation holds, or its bracket is narrowed, to _SEARCH_TOL
-_MAX_LOG_MU, _SEARCH_TOL, _SEARCH_MAX_ITER, _TINY = 700.0, 1e-14, 100, 1e-300
+# a face's reduced M has a null space where its eigenvalues are at most this
+# share of the largest; Newton's method on a secular equation takes at most
+# _SECULAR_MAX_ITER steps (from the left of the root it rises monotonically
+# and converges quadratically, in a handful)
+_NULL_EIGENVALUE, _SECULAR_MAX_ITER = 1e-12, 100
 
 
 def _kkt_solve(N, top, bottom):
@@ -378,6 +382,23 @@ def _active_set_project(v, C, d, feas_tol, start=()):
     raise ProjectionError("active-set projection did not converge")
 
 
+def _pivot_test(P):
+    """(scale, L) with P / scale = L L^T, scale = max diag(P): the Cholesky
+    pivot test of qp_solve and `_norm_qp`. Raises SingularQp unless every
+    L_jj^2 exceeds _QP_MIN_PIVOT times (P / scale)_jj."""
+    diag = P.diagonal().tolist()  # n is small: the tests run on Python floats
+    scale = max(diag, default=0.0)
+    if not scale > 0.0:  # P = 0 fails the pivot test at any scale
+        scale = 1.0
+    try:
+        L = np.linalg.cholesky(P / scale)
+    except np.linalg.LinAlgError:
+        L = None  # P is not numerically positive definite
+    if L is None or not all(l * l > _QP_MIN_PIVOT * (p / scale) for l, p in zip(L.diagonal().tolist(), diag)):
+        raise SingularQp("QP matrix is not numerically positive definite")
+    return scale, L
+
+
 def qp_solve(prob: QpProblem) -> QpSolution:
     """Solve a dense strictly convex QP exactly, in one pass of the active-set loop.
 
@@ -394,17 +415,8 @@ def qp_solve(prob: QpProblem) -> QpSolution:
     # P and q scaled to max diag(P) = 1, which leaves the minimizer as it is
     # and keeps u and the rows of A L^-T near the scale of x and A, on which
     # the stop tests of the active-set loop are set
-    scale = float(np.diag(prob.P).max(initial=0.0))
-    if not scale > 0.0:  # P = 0 fails the pivot test at any scale
-        scale = 1.0
-    P, q = prob.P / scale, prob.q / scale
-    try:
-        L = np.linalg.cholesky(P)
-    except np.linalg.LinAlgError:
-        L = None  # P is not numerically positive definite
-    if L is None or not np.all(np.diag(L) ** 2 > _QP_MIN_PIVOT * np.diag(P)):
-        raise SingularQp("QP matrix is not numerically positive definite")
-    u = -np.linalg.solve(L, q)
+    scale, L = _pivot_test(prob.P)
+    u = -np.linalg.solve(L, prob.q / scale)
     y = np.zeros(prob.b.size)  # the multipliers of the rows of P / scale and q / scale
     if prob.b.size:
         u, active, lam = _active_set_project(u, np.linalg.solve(L, prob.A.T).T, prob.b, _PROJECT_TOL)
@@ -412,94 +424,190 @@ def qp_solve(prob: QpProblem) -> QpSolution:
     return QpSolution(np.linalg.solve(L.T, u), SOLVED, 1, scale * y)
 
 
-def _qp_norm_search(M, q, C, d, l2, radius):
+def _secular_root(terms, t, target):
+    """The root right of t of F(t) = target^2, F(t) = sum b / (a + e t)^2
+    over terms (b, a, e) with b > 0, e >= 0 and a + e t > 0 from t on.
+
+    1 / sqrt(F) is a power mean (of order -2) of the a + e t, so it is
+    concave, and it rises: Newton's method on 1 / sqrt(F) = 1 / target from
+    t left of the root climbs to it monotonically and converges
+    quadratically (More & Sorensen, 1983). The terms are Python floats:
+    they are few, and NumPy's per-call cost would be most of the work.
+    """
+    for _ in range(_SECULAR_MAX_ITER):
+        f = df = 0.0  # F(t) and -F'(t) / 2
+        for b, a, e in terms:
+            den = a + e * t
+            u = b / (den * den)
+            f += u
+            df += u * e / den
+        t_next = t + f * (math.sqrt(f) / target - 1.0) / df
+        if t_next <= t:  # rounding stops the rise at the root
+            return t
+        t = t_next
+    raise ProjectionError("secular equation did not converge")
+
+
+def _face_minimizer(M, q, l2, radius, x0, N):
+    """argmin x.M x / 2 + q.x + l2 ||x|| over x = x0 + N y, ||x|| <= radius,
+    and the damping mu at which M x + q + mu x is normal to the face.
+
+    x0 is the face's min-norm point and N an orthonormal basis of its
+    directions (0 and None, read as I, for the whole space), so
+    ||x||^2 = a + ||y||^2 with a = ||x0||^2. With N'M N = V diag(w) V' and
+    beta = V'N'(M x0 + q), y(mu) = -V (beta / (w + mu)), and the minimizer
+    is x(mu) for the least mu >= 0 with mu ||x|| >= l2 and ||x|| <= radius.
+    In s = 1 / mu the first is the secular equation
+    a / s^2 + sum beta^2 / (1 + w s)^2 = l2^2, and in mu the second
+    a + sum beta^2 / (w + mu)^2 = radius^2, each solved by `_secular_root`.
+    x = 0 where a = 0 and ||beta|| <= l2. A face that meets the ball at x0
+    alone gives x0. Raises SingularQp where the part of beta in the null
+    space of N'M N is at least l2 (or not 0, at l2 = 0).
+    """
+    if N is None:  # the whole space, with no product by I
+        a, (w, V), c = 0.0, np.linalg.eigh(M), q
+    else:
+        a = float(x0 @ x0)
+        if not N.shape[1]:  # the face is one point
+            return x0, l2 / math.sqrt(a) if a else 0.0
+        w, V = np.linalg.eigh(N.T @ M @ N)
+        c = N.T @ (M @ x0 + q if a else q)
+    beta = V.T @ c
+    w = np.maximum(w, 0.0)
+    # n is small, so the sums run on Python floats
+    b2, wl = (beta * beta).tolist(), w.tolist()
+    if not a and sum(b2) <= l2 * l2:
+        return x0, 0.0
+    null = sum(b for b, e in zip(b2, wl) if e <= _NULL_EIGENVALUE * wl[-1])
+    if null and null >= l2 * l2:
+        raise SingularQp("the model is unbounded on a face of its set")
+    terms = [(b, e) for b, e in zip(b2, wl) if b]
+    if l2:
+        s = _secular_root([(b, 1.0, e) for b, e in terms] + ([(a, 0.0, 1.0)] if a else []), math.sqrt(a) / l2, l2)
+        y, mu = -s * (V @ (beta / (1.0 + w * s))), 1.0 / s
+    else:
+        y, mu = -(V @ (beta / np.where(w > 0.0, w, 1.0))), 0.0  # beta = 0 where w = 0
+    if a + y @ y > radius * radius:
+        if a >= radius * radius:
+            return x0, l2 / math.sqrt(a) if a else 0.0
+        mu = _secular_root([(b, e, 1.0) for b, e in terms] + ([(a, 1.0, 0.0)] if a else []), mu, radius)
+        y = -(V @ (beta / (w + mu)))
+    return (y if N is None else x0 + N @ y), mu
+
+
+def _face(C, d, W):
+    """The face C_W x = d_W of the independent rows W (a nonempty list):
+    its min-norm point x0, an orthonormal basis N of its directions, and
+    the map from a vector g normal to the face to the multipliers y_W with
+    C_W' y_W = -g. Coordinates that no row of W touches keep their own
+    axes in N; on the others, x0 and N come from a QR factorization of
+    C_W'."""
+    n, k = C.shape[1], len(W)
+    CW, dW = C[W], d[W]
+    touched = CW.any(axis=0)
+    Q, R = np.linalg.qr(CW[:, touched].T, mode="complete")
+    Q1, R = Q[:, :k], R[:k]
+    tangent = np.zeros((n, Q.shape[0] - k))
+    tangent[touched] = Q[:, k:]
+    x0 = np.zeros(n)
+    if dW.any():
+        x0[touched] = Q1 @ np.linalg.solve(R.T, dW)
+    return x0, np.hstack([np.eye(n)[:, ~touched], tangent]), lambda g: -np.linalg.solve(R, Q1.T @ g[touched])
+
+
+def _norm_qp(M, q, C, d, l2, radius, start):
     """argmin x.M x / 2 + q.x + l2 ||x|| over C x <= d and ||x|| <= radius.
 
-    Returns the QpSolution (x(mu), row multipliers y) of the QP with
-    P = M + mu I for the least mu with ||x(mu)|| <= radius and
-    mu ||x(mu)|| >= l2, where x(mu) meets the KKT conditions. ||x(mu)|| is
-    nonincreasing in mu: doubling steps in t = log mu from the root where
-    M = (trace M / n) I bracket it, and Illinois regula falsi closes in.
-    x = 0 where 0 meets the rows and -q lies within l2 of their normal cone
-    at 0 (Moreau). Where no mu up to e^_MAX_LOG_MU meets the ball, the set
-    is empty: ProjectionError.
+    Returns the QpSolution (x, multipliers y of the rows). M must pass
+    qp_solve's pivot test (else SingularQp); without l2, qp_solve's point
+    is the answer where it lies in the ball. Otherwise a primal active-set
+    loop runs over the faces C_W x = d_W of the polyhedron (Goldfarb &
+    Idnani, Math. Programming 27, 1983, for the frame), each solved exactly
+    by `_face_minimizer`, ball included. W starts empty: the minimizer over
+    the whole space is the answer where it meets the rows, each within
+    `_stop_tol`. Where it does not, x = 0 with l2 where 0 meets the rows
+    and -q lies within l2 of their normal cone at 0 (Moreau); else the loop
+    steps from start where it is a point of the set, and from the
+    polyhedron's min-norm point otherwise, which outside the ball leaves
+    the set empty (ProjectionError). A step to a face's minimizer that
+    crosses rows stops at the first (the least index on ties), which joins
+    W, so the rows of W stay independent. At a minimizer in the set the
+    multipliers y_W of C_W' y_W = -(M x + q + mu x) are read: it is optimal
+    once none is below -_PROJECT_TOL (l2 + ||q||), rounding of 0, and else
+    the least-index row with one below leaves W (Bland). Raises
+    ProjectionError after _STEPS_PER_ROW steps per row.
     """
-    n = q.size
-
-    def solve(mu):
-        return qp_solve(qp_problem(M + mu * np.eye(n) if mu else M, q, C, d))
-
-    sol = solve(0.0)
-    nrm = math.sqrt(sol.x @ sol.x)
-    if not l2 and nrm <= radius:
-        return sol
-    if l2 and np.all(d >= 0.0):
-        tight = d == 0.0  # the rows through 0, whose normals span its normal cone
-        u, active, w = _active_set_project(-q, C[tight], d[tight], _PROJECT_TOL) if tight.any() else (-q, [], [])
-        if math.sqrt(u @ u) <= l2:
-            y = np.zeros(d.size)
-            y[np.flatnonzero(tight)[active]] = w
-            return QpSolution(np.zeros(n), SOLVED, 1, y)
-
-    def excess(t):  # at least 0 from the mu sought on, negative below it
-        sol = solve(math.exp(t))
-        size = max(math.sqrt(sol.x @ sol.x), _TINY)
-        return min(math.log(radius / size), t + math.log(size / l2) if l2 else math.inf), sol
-
-    lam = float(np.trace(M)) / n  # where M = lam I, x(mu) = x(0) lam / (lam + mu)
-    root = max(l2 / (lam * nrm - l2) if lam * nrm > l2 else 1.0, nrm / radius - 1.0, _SEARCH_TOL)
-    t = math.log(lam * root)
-    lo, hi, step, side = None, None, 1.0, 0  # ends (t, excess), step out, end last moved
-    for _ in range(_SEARCH_MAX_ITER):
-        if abs(t) > _MAX_LOG_MU:
-            if hi is None:
-                raise ProjectionError("empty feasible set")
-            break  # mu = 0 but in name
-        f, sol = excess(t)
-        if abs(f) <= _SEARCH_TOL:
+    if not l2:
+        sol = qp_solve(qp_problem(M, q, C, d))
+        if math.sqrt(sol.x @ sol.x) <= radius:
             return sol
-        if f > 0.0:
-            if side == 1 and lo:  # an end kept twice has its excess halved
-                lo = (lo[0], 0.5 * lo[1])
-            hi, past, side = (t, f), sol, 1
-        else:
-            if side == -1 and hi:
-                hi = (hi[0], 0.5 * hi[1])
-            lo, side = (t, f), -1
-        if lo is None or hi is None:
-            t, step = t - math.copysign(step, f), 2.0 * step
+    else:
+        _pivot_test(M)
+    n, W, x = q.size, [], None
+    for _ in range(_STEPS_PER_ROW * d.size + 1):
+        x0, N, multipliers = _face(C, d, W) if W else (np.zeros(n), None, None)
+        xs, mu = _face_minimizer(M, q, l2, radius, x0, N)
+        s_next = C @ xs - d
+        if W:
+            s_next[W] = 0.0  # the face's rows
+        crossed = d.size and not _stopped(C, xs, d, s_next)
+        if crossed and x is None:  # the first face, the whole space, leaves the set
+            if l2 and (d >= 0.0).all():
+                tight = d == 0.0  # the rows through 0, whose normals span its normal cone
+                u, active, w = _active_set_project(-q, C[tight], d[tight], _PROJECT_TOL) if tight.any() else (-q, [], [])
+                if math.sqrt(u @ u) <= l2:
+                    y = np.zeros(d.size)
+                    y[np.flatnonzero(tight)[active]] = w
+                    return QpSolution(np.zeros(n), SOLVED, 1, y)
+            x = None if start is None else np.asarray(start, dtype=float)
+            if x is None or (C @ x - d > _FEAS_TOL).any() or math.sqrt(x @ x) > radius + _FEAS_TOL:
+                x = _active_set_project(np.zeros(n), C, d, _PROJECT_TOL)[0]
+                if math.sqrt(x @ x) > radius:
+                    raise ProjectionError("empty feasible set")
+        if crossed:
+            rows = np.flatnonzero(s_next > _stop_tol(C, xs, d))
+            before = np.maximum(d[rows] - C[rows] @ x, 0.0)  # the slack at x, 0 where rounding crossed
+            j = int((before / (s_next[rows] + before)).argmin())
+            x = x + float(before[j] / (s_next[rows[j]] + before[j])) * (xs - x)
+            W = sorted(W + [int(rows[j])])
             continue
-        (ta, fa), (tb, fb) = lo, hi
-        if tb - ta <= _SEARCH_TOL * max(1.0, abs(tb)):
-            break
-        t = tb - fb * (tb - ta) / (fb - fa)
-        t = t if ta < t < tb else 0.5 * (ta + tb)
-    return past
+        x, y = xs, np.zeros(d.size)
+        if not W:
+            return QpSolution(x, SOLVED, 1, y)
+        y_W = multipliers(M @ x + q + mu * x)
+        low = y_W < -_PROJECT_TOL * (l2 + math.sqrt(q @ q))
+        if not low.any():
+            y[W] = np.maximum(y_W, 0.0)
+            return QpSolution(x, SOLVED, 1, y)
+        del W[int(low.argmax())]
+    raise ProjectionError("active-set loop of the norm QP did not converge")
 
 
 def regularized_qp(M, q, C, d, l1, l2, radius, start):
     """argmin x.M x / 2 + q.x + l1 ||x||_1 + l2 ||x||_2 over C x <= d, ||x|| <= radius.
 
     M must pass qp_solve's pivot test (else SingularQp); radius may be inf,
-    l1 and l2 0. On the orthant of signs s, l1 ||x||_1 is l1 s.x, and the
-    rows -s_i x_i <= 0 join C x <= d (`_qp_norm_search`). The loop starts on
-    the orthant of start, a point of the set read where l1 > 0 (its zeros
-    take the signs of -q), and ends once each sign row's multiplier y_i is
-    at most 2 l1, so that l1 s_i - y_i is a subgradient. Else the least i
-    that is not, at x_i = 0, flips s_i: the new orthant holds the last
-    point, and its minimum is lower. Returns None after 2n flips.
+    l1 and l2 0, and start a point of the set or None. On the orthant of
+    signs s, l1 ||x||_1 is l1 s.x, and the rows -s_i x_i <= 0 join C x <= d
+    (`_norm_qp`, started from start). The loop starts on the orthant of
+    start, which must be given where l1 > 0 (its zeros take the signs of
+    -q), and ends once each sign row's multiplier y_i is at most 2 l1, so
+    that l1 s_i - y_i is a subgradient. Else the least i that is not, at
+    x_i = 0, flips s_i: the new orthant holds the last point, which starts
+    its loop, and its minimum is lower. Returns None after 2n flips.
     """
     if not l1:
-        return _qp_norm_search(M, q, C, d, l2, radius).x
+        return _norm_qp(M, q, C, d, l2, radius, start).x
     n = q.size
     s = np.where(start != 0.0, np.sign(start), np.where(q > 0.0, -1.0, 1.0))
     d = np.concatenate([d, np.zeros(n)])
     for _ in range(2 * n + 1):  # the start, then at most 2n flips
-        sol = _qp_norm_search(M, q + l1 * s, np.vstack([C, -np.diag(s)]), d, l2, radius)
+        sol = _norm_qp(M, q + l1 * s, np.vstack([C, -np.diag(s)]), d, l2, radius, start)
         bad = sol.y[-n:] > 2.0 * l1
         if not bad.any():
             return sol.x
         s[int(bad.argmax())] *= -1.0
+        start = sol.x
     return None
 
 
@@ -620,7 +728,8 @@ def projector(atoms, n: int):
     them: a warm start that returns the cold loop's point where it holds,
     and runs the loop cold where not. Each call of projector builds its own
     map, with its own rows. The norm ball intersected with
-    polyhedral atoms is regularized_qp with M = I. The closed forms of one
+    polyhedral atoms is regularized_qp with M = I, from the polyhedron's
+    min-norm point. The closed forms of one
     box, one monotone cone with or without scalar bounds, and one norm ball
     return a feasible point with its values unchanged, and are applied
     directly. Every other map returns points within _FEAS_TOL of the set as
@@ -666,15 +775,6 @@ def block_shrink(v: np.ndarray, amount: float) -> np.ndarray:
     return v * (1.0 - amount / nrm)
 
 
-def is_sign_box(atom):
-    # a canonical box whose every coordinate interval is one of (-inf,0],
-    # [0,inf), (-inf,inf), {0}
-    if atom.kind != model.BOX:
-        return False
-    lo, hi = atom.lo, atom.hi
-    return bool(np.all((lo == 0.0) | (lo == -np.inf)) and np.all((hi == 0.0) | (hi == np.inf)))
-
-
 def prox_plan(regs, atoms, n: int, proj):
     """Resolve the joint prox of regularizers and atoms on R^n once.
 
@@ -690,7 +790,10 @@ def prox_plan(regs, atoms, n: int, proj):
     atoms = canonical_atoms(atoms, n)
     if not regs:
         return lambda point, step: proj(point)
-    sign_box = all(is_sign_box(a) for a in atoms)  # its prox is a closed form, with no rows
+    # a box whose every coordinate interval is one of (-inf, 0], [0, inf),
+    # (-inf, inf) and {0}: its prox is a closed form, with no rows
+    sign_box = all(a.kind == model.BOX and np.isin(a.lo, (0.0, -np.inf)).all() and np.isin(a.hi, (0.0, np.inf)).all()
+                   for a in atoms)
     C, d, l1, l2, radius = regularized_qp_terms(regs, () if sign_box else atoms, n)
     if sign_box:
         lo, hi = (atoms[0].lo, atoms[0].hi) if atoms else (-np.inf, np.inf)
@@ -705,7 +808,7 @@ def prox_plan(regs, atoms, n: int, proj):
 
     def prox(point, step):
         v = np.asarray(point, dtype=float)
-        x = regularized_qp(eye, -v, C, d, step * l1, step * l2, radius, proj(v) if l1 else None)
+        x = regularized_qp(eye, -v, C, d, step * l1, step * l2, radius, proj(v))
         if x is None:
             raise ProjectionError("the orthant loop of the joint prox did not converge")
         return x

@@ -5,16 +5,15 @@ step once per restart, from its loss, its constraint atoms and the parameter
 regularizers, and `solve_p` runs the chosen steps on each iteration's factor
 weights. The three steps are two closed forms (a projected centroid, the
 normal equations) and proximal Newton for every factor that has none. Its
-quadratic model is solved exactly: by its secular equation where group l2
-acts over a sign box, and otherwise by kernels.regularized_qp, the QP of
-the polyhedral atoms with an orthant loop for l1 and a search in the
-damping for group l2 and the ball. A model whose Hessian is singular is
-damped by a proximal term first.
+quadratic model is solved exactly by kernels.regularized_qp: the QP of the
+polyhedral atoms, with an orthant loop for l1, and a face-by-face
+active-set loop, each face solved by its secular equation, for group l2
+and the ball. A model whose Hessian is singular is damped by a proximal
+term first.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -63,7 +62,6 @@ class FactorPlan:
     prox: Callable | None = None  # joint prox of regs and atoms, Newton only
     qp_args: tuple | None = None  # (C, d, l1, l2, radius) of the model's regularized_qp, Newton only
     exact_model: bool = False  # the exact model is the factor's own problem (a quadratic loss)
-    group_box: tuple | None = None  # (lambda, lo, hi): group l2 over a sign box, model solved exactly
 
 
 # smallest accepted L_jj^2 / G_jj, the share of column j's weighted energy
@@ -133,99 +131,9 @@ _MIN_CURVATURE = 1e-12
 _ARMIJO = 1e-4
 # halvings of the Newton step before no descent is taken to exist
 _MAX_HALVINGS = 60
-# eigenvalues of H at most this share of the largest span its null space
-_NULL_EIGENVALUE = 1e-12
-# Newton iterations on the secular equation, at most; from s = 0 they rise
-# monotonically and converge quadratically, in a handful
-_SECULAR_MAX_ITER = 100
-# relative slack of the sign tests of the group-l2 model's KKT check
-_KKT_TOL = 1e-10
 # the proximal term of a model QP whose Hessian is singular is this share of
 # the largest H_jj
 _PROX_SHARE = 1e-8
-
-
-def _secular_solve(evals, evecs, c, lam):
-    """argmin_x x.H x / 2 + c.x + lam ||x|| on R^n, H = evecs diag(evals) evecs'.
-
-    The minimizer is 0 where ||c|| <= lam, and otherwise
-    x = -(H + mu I)^-1 c with mu ||x|| = lam: the trust-region secular
-    equation (More & Sorensen, 1983). In s = 1 / mu and beta = evecs' c it
-    reads q(s) = sum_i beta_i^2 / (1 + evals_i s)^2 = lam^2, and Newton's
-    method on the concave increasing 1 / sqrt(q(s)) rises from s = 0
-    monotonically to the root. Returns None where the model is unbounded:
-    the part of c in the null space of H is at least lam.
-    """
-    beta = evecs.T @ c
-    b2 = beta * beta
-    lam2 = lam * lam
-    if b2.sum() <= lam2:
-        return np.zeros_like(c)
-    w = np.maximum(evals, 0.0)
-    if b2[w <= _NULL_EIGENVALUE * w[-1]].sum() >= lam2:
-        return None
-    # n is small, so the iterations run on Python floats: NumPy's per-call
-    # cost would be most of their work
-    terms = list(zip(b2.tolist(), w.tolist()))
-    s = 0.0
-    for _ in range(_SECULAR_MAX_ITER):
-        q = dq = 0.0  # q(s) and -q'(s) / 2
-        for b2_i, w_i in terms:
-            den = 1.0 + w_i * s
-            t = b2_i / (den * den)
-            q += t
-            dq += t * w_i / den
-        # the Newton step of 1 / sqrt(q) - 1 / lam
-        s_next = s + q * (math.sqrt(q) / lam - 1.0) / dq
-        if s_next <= s:  # rounding stops the rise at the root
-            return -s * (evecs @ (beta / (1.0 + w * s)))
-        s = s_next
-    return None
-
-
-def _group_l2_box_model(H, c, lam, lo, hi, free, evals, evecs):
-    """argmin of x.H x / 2 + c.x + lam ||x|| over the sign box lo <= x <= hi.
-
-    Every coordinate interval is one of (-inf, 0], [0, inf), (-inf, inf)
-    and {0}; evals, evecs are np.linalg.eigh(H), and free guesses the
-    coordinates of the minimizer off 0. x = 0 is the minimizer exactly when
-    ||clip(-c, lo, hi)||, the distance of -c to the box's polar cone, is at
-    most lam (Moreau). Otherwise x solves the unconstrained problem on the
-    free coordinates with the others pinned at 0 (`_secular_solve`), and is
-    accepted once every free coordinate keeps its sign and every pinned one
-    has a multiplier (H x + c)_i of the sign that holds it at 0. Where the
-    check fails, only the least-index coordinate that breaks it swaps sides,
-    at most 2n times in all: swapping every such coordinate at once can
-    cycle. Returns None where no exact minimizer is found: the model is
-    unbounded on the free coordinates or the swaps ran out.
-    """
-    u = np.clip(-c, lo, hi)
-    if math.sqrt(u @ u) <= lam:
-        return np.zeros_like(c)
-    n = c.size
-    both = (lo < 0.0) & (hi > 0.0)
-    lower, upper = (lo == 0.0) & (hi > 0.0), (hi == 0.0) & (lo < 0.0)  # x >= 0, x <= 0
-    free = (free & (lower | upper)) | both
-    slack = _KKT_TOL * (lam + math.sqrt(c @ c))
-    for _ in range(2 * n + 1):  # the guess, then at most 2n swaps
-        eig = (evals, evecs) if free.all() else np.linalg.eigh(H[np.ix_(free, free)])
-        x_free = _secular_solve(*eig, c[free], lam)
-        if x_free is None:
-            return None
-        x = np.zeros(n)
-        x[free] = x_free
-        r = H @ x + c
-        tol = _KKT_TOL * math.sqrt(x @ x)
-        bad = np.where(
-            free,
-            (lower & (x < -tol)) | (upper & (x > tol)),
-            (lower & (r < -slack)) | (upper & (r > slack)),
-        )
-        if not bad.any():
-            return np.clip(x, lo, hi)
-        i = int(bad.argmax())
-        free[i] = not free[i]
-    return None
 
 
 def _model_step(plan, theta, g, H):
@@ -233,31 +141,19 @@ def _model_step(plan, theta, g, H):
 
     Returns the prox-gradient step at theta, with step 1 / lambda_max(H), a
     closer point, and whether that point minimizes the factor's own problem.
-    Where the plan holds group_box (group l2 over a sign box), one eigh of H
-    gives lambda_max and the exact minimizer (`_group_l2_box_model`, with
-    the free coordinates guessed from the prox-gradient step). Otherwise,
-    or where it finds none, the point is kernels.regularized_qp with M = H,
-    q = g - H theta and the plan's qp_args, started from the prox-gradient
-    step; where H is singular (kernels.SingularQp), with M = H + rho I and
-    q = g - M theta for rho = _PROX_SHARE times the largest H_jj: a
-    proximal Newton step centred at theta, whose metric need only be
-    positive definite (Lee, Sun & Saunders, SIAM J. Optim. 2014). The point
-    is projected, onto atoms it meets up to rounding. The undamped model of
-    an exact model (plan.exact_model) is the minimizer. Where H has no
-    curvature, or the orthant loop hits its cap, it is the prox-gradient
-    step.
+    The point is kernels.regularized_qp with M = H, q = g - H theta and the
+    plan's qp_args, started from the prox-gradient step; where H is
+    singular (kernels.SingularQp), with M = H + rho I and q = g - M theta
+    for rho = _PROX_SHARE times the largest H_jj: a proximal Newton step
+    centred at theta, whose metric need only be positive definite (Lee, Sun
+    & Saunders, SIAM J. Optim. 2014). The point is projected, onto atoms it
+    meets up to rounding. The undamped model of an exact model
+    (plan.exact_model) is the minimizer. Where H has no curvature, or the
+    orthant loop hits its cap, it is the prox-gradient step.
     """
-    if plan.group_box is not None:
-        evals, evecs = np.linalg.eigh(H)
-    else:
-        evals = np.linalg.eigvalsh(H)
-    lam = max(float(evals[-1]), 0.0)  # rounding below 0 reads 0
+    lam = max(float(np.linalg.eigvalsh(H)[-1]), 0.0)  # rounding below 0 reads 0
     step = 1.0 / max(lam, _MIN_CURVATURE)
     first = plan.prox(theta - step * g, step)
-    if plan.group_box is not None:
-        x = _group_l2_box_model(H, g - H @ theta, *plan.group_box, first != 0.0, evals, evecs)
-        if x is not None:
-            return first, x, plan.exact_model
     x = None
     if lam > _MIN_CURVATURE:
         try:
@@ -346,15 +242,10 @@ def plan_factors(spec: model.ModelSpec) -> list[FactorPlan]:
     proximal Newton (`_newton_factor`) on the joint prox planned on its
     projector. The plan keeps qp_args, kernels.regularized_qp_terms of the
     regularizers and atoms, on which its quadratic model is solved exactly.
-    Where every regularizer is group l2 and the atoms are at most one sign
-    box (the clip-then-shrink case of kernels.prox_plan), the plan also
-    keeps group_box, the summed weight and the box bounds, and its model is
-    solved by its secular equation first.
     Plans hold closures, which do not pickle: build them in the process
     that runs the restart.
     """
     regs = list(spec.p_regularizers)
-    group_l2 = bool(regs) and all(r.kind == model.GROUP_L2 for r in regs)
     plans = []
     for k in range(spec.K):
         loss = spec.loss_per_factor[k]
@@ -373,9 +264,6 @@ def plan_factors(spec: model.ModelSpec) -> list[FactorPlan]:
             plan.prox = kernels.prox_plan(regs, atoms, spec.n, project)
             plan.qp_args = kernels.regularized_qp_terms(regs, atoms, spec.n)
             plan.exact_model = loss.kind == model.SQUARE_REGRESSION
-            if group_l2 and len(atoms) <= 1 and all(kernels.is_sign_box(a) for a in atoms):
-                box = atoms[0] if atoms else model.box(np.full(spec.n, -np.inf), np.full(spec.n, np.inf))
-                plan.group_box = (sum(r.weight for r in regs), box.lo, box.hi)
         plans.append(plan)
     return plans
 

@@ -786,6 +786,46 @@ class TestRegularizedQp:
             assert np.abs(z - x).max() <= 1e-8 * max(1.0, np.abs(x).max()), f"trial {trial}"
         assert solved >= 30 and (empty > 0) == (terms != "group_l2")
 
+    @pytest.mark.parametrize("metric", ["definite", "identity"])
+    @pytest.mark.parametrize("terms", ["group_l2", "ball", "both"])
+    def test_starts_tight_on_offset_rows_match_the_start_free_point(self, metric, terms):
+        # the face loop from a point of the set that is tight on rows with
+        # d != 0 (the projection of a far point onto the rows, on the
+        # sphere in a third of the ball draws) ends where it ends from the
+        # polyhedron's min-norm point, and meets the fixed-point check above
+        rng = np.random.default_rng({"group_l2": 23, "ball": 29, "both": 31}[terms] + (metric == "identity"))
+        started = 0
+        for trial in range(80):
+            n = int(rng.integers(2, 5))
+            C, d = random_rows(rng, n, "offset")
+            M = random_metric(rng, n, metric)
+            q = rng.normal(0.0, 2.0, size=n)
+            l2 = float(rng.uniform(0.05, 2.0)) if terms != "ball" else 0.0
+            start = kernels._active_set_project(rng.normal(0.0, 5.0, size=n), C, d, 0.0)[0] if d.size else None
+            tight = start is not None and bool(np.any((np.abs(C @ start - d) <= 1e-9) & (d != 0.0)))
+            if not tight:
+                continue
+            radius = np.inf
+            if terms != "group_l2":
+                radius = float(np.linalg.norm(start)) * (1.0 if trial % 3 == 0 else float(rng.uniform(1.0, 1.5)))
+            started += 1
+            x = kernels.regularized_qp(M, q, C, d, 0.0, l2, radius, start)
+            ref = kernels.regularized_qp(M, q, C, d, 0.0, l2, radius, None)
+            assert np.abs(x - ref).max() <= 1e-10 * max(1.0, np.abs(ref).max()), f"trial {trial}"
+            assert np.all(C @ x - d <= 1e-8), f"trial {trial}"
+            nrm = float(np.linalg.norm(x))
+            assert nrm <= radius * (1.0 + 1e-12), f"trial {trial}"
+            if not x.any():
+                assert np.all(d >= 0.0) and normal_cone_distance(q, C, d) <= l2 * (1.0 + 1e-9), f"trial {trial}"
+                continue
+            G = M @ x + q + l2 * x / nrm
+            A, b = C, d
+            if nrm >= radius * (1.0 - 1e-9):
+                A, b = np.vstack([C, x]), np.append(d, x @ x)
+            z = kernels._active_set_project(x - G / float(np.linalg.eigvalsh(M)[-1]), A, b, 0.0)[0]
+            assert np.abs(z - x).max() <= 1e-8 * max(1.0, np.abs(x).max()), f"trial {trial}"
+        assert started >= 30
+
     def test_l1_over_ball_is_exact(self):
         # prox of l1(0.5) over the unit ball at (2, 2): soft-thresholding
         # gives (1.5, 1.5), and scaling it onto the ball (1/sqrt 2, 1/sqrt 2)

@@ -10,7 +10,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 import dlfmkit as dk  # noqa: E402
-from dlfmkit import kernels, model, oracle, psolve  # noqa: E402
+from dlfmkit import kernels, model, oracle  # noqa: E402
 from two_sided import two_sided_qp  # noqa: E402
 
 
@@ -93,12 +93,13 @@ def group_l2_box_kkt_violation(H, c, lam, lo, hi, x):
     scale=st.floats(1e-2, 1e2),
     seed=st.integers(0, 2**32 - 1),
 )
-# swapping every coordinate that fails its sign check at once cycles here
+# a draw on which flipping every coordinate that fails its sign check at once cycles
 @example(n=2, curvature="definite", scale=1.0, seed=520)
 def test_group_l2_box_model_is_exact(n, curvature, scale, seed):
     # the model of a group-l2 factor over a sign box, min x.H x / 2 + c.x +
-    # lam ||x|| over lo <= x <= hi, against its own optimality conditions
-    # and the objective of a long constant-step proximal gradient run
+    # lam ||x|| over lo <= x <= hi, solved by regularized_qp on the box's
+    # halfspaces, against its own optimality conditions and the objective
+    # of a long constant-step proximal gradient run
     rng = np.random.default_rng(seed)
     kinds = rng.integers(4, size=n)  # free, >= 0, <= 0, {0}
     lo = np.where((kinds == 0) | (kinds == 2), -np.inf, 0.0)
@@ -113,29 +114,25 @@ def test_group_l2_box_model_is_exact(n, curvature, scale, seed):
         null = np.linalg.svd(A, full_matrices=True)[0][:, rank:]
         part = null @ (null.T @ c)
         c = c - part + part * (0.9 * lam / max(float(np.linalg.norm(part)), lam))
-    evals, evecs = np.linalg.eigh(H)
-    guess = rng.random(n) < 0.5
-    x = psolve._group_l2_box_model(H, c, lam, lo, hi, guess, evals, evecs)
-    if rank == 0:
-        # c.x + lam ||x|| over a cone: 0 or unbounded, which has no exact solution
-        bounded = float(np.linalg.norm(np.clip(-c, lo, hi))) <= lam
-        assert (x is not None) == bounded
-        if bounded:
-            assert not x.any()
-        return
     box = model.box(lo, hi)
+    C, d = kernels.halfspaces([box], n)
+    start = np.clip(rng.normal(size=n) * scale, lo, hi)  # a random point of the box
+    if curvature != "definite":
+        # a singular H fails the pivot test, as on every other model: the
+        # Newton step damps it
+        with pytest.raises(kernels.SingularQp):
+            kernels.regularized_qp(H, c, C, d, 0.0, lam, np.inf, start)
+        return
     proj = kernels.projector([box], n)
+    lam_max = float(np.linalg.eigvalsh(H)[-1])
     best = oracle.prox_gradient_fixed_point(
         lambda v: H @ v + c, kernels.prox_plan([model.group_l2(lam)], [box], n, proj),
-        np.zeros(n), float(evals[-1]), max_iter=5000)
-    size = float(np.linalg.norm(c)) + lam + float(evals[-1]) * float(np.linalg.norm(best))
-    # a definite model is solved from any guess of the free coordinates
-    candidates = [x, psolve._group_l2_box_model(H, c, lam, lo, hi, best != 0.0, evals, evecs)]
-    if curvature == "definite":
-        assert all(x is not None for x in candidates)
+        np.zeros(n), lam_max, max_iter=5000)
+    size = float(np.linalg.norm(c)) + lam + lam_max * float(np.linalg.norm(best))
+    # the minimizer from a random start and from the box's min-norm point,
+    # projected onto the box as the Newton step projects its model point
+    candidates = [proj(kernels.regularized_qp(H, c, C, d, 0.0, lam, np.inf, x0)) for x0 in (start, None)]
     for x in candidates:
-        if x is None:
-            continue
         assert np.all((lo <= x) & (x <= hi))
         assert group_l2_box_kkt_violation(H, c, lam, lo, hi, x) <= 1e-10 * size
         slack = 1e-12 * size * max(float(np.linalg.norm(x)), float(np.linalg.norm(best)))

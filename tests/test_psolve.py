@@ -224,26 +224,34 @@ class TestNewtonStep:
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_iohmm_fits_solve_every_model_exactly(self, seed, monkeypatch):
-        # group l2 over a sign box: the secular equation gives every Newton
-        # model's exact minimizer, so no model falls back to regularized_qp
-        calls = {"model": 0, "fallback": 0}
-        real_model, real_fallback = psolve._model_step, kernels.regularized_qp
+        # group l2 over a sign box: every Newton model reaches
+        # regularized_qp once, undamped, and its face loop returns the exact
+        # minimizer; no model raises or takes the prox-gradient step
+        calls = {"model": 0, "qp": 0, "raised": 0, "none": 0}
+        real_model, real_qp = psolve._model_step, kernels.regularized_qp
 
         def model_spy(*args):
             calls["model"] += 1
             return real_model(*args)
 
-        def fallback_spy(*args):
-            calls["fallback"] += 1
-            return real_fallback(*args)
+        def qp_spy(*args):
+            calls["qp"] += 1
+            try:
+                x = real_qp(*args)
+            except kernels.ProjectionError:
+                calls["raised"] += 1
+                raise
+            calls["none"] += x is None
+            return x
 
         monkeypatch.setattr(psolve, "_model_step", model_spy)
-        monkeypatch.setattr(kernels, "regularized_qp", fallback_spy)
+        monkeypatch.setattr(kernels, "regularized_qp", qp_spy)
         spec, data, Z = iohmm_dirichlet_case(seed)
         dk.fit(spec, data)
         for plan in psolve.plan_factors(spec):
             plan.solve(plan, data.features, data.observations, Z[:, plan.k], None, spec.controls)
-        assert calls["model"] > 0 and calls["fallback"] == 0
+        assert calls["model"] > 0 and calls["qp"] == calls["model"]
+        assert calls["raised"] == calls["none"] == 0
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_iohmm_factor_at_default_p_tol_near_tight_point(self, seed):
@@ -269,7 +277,6 @@ class TestNewtonStep:
         spec = ex.iohmm_spec(1.0, 1.0, 1, 0)
         plan = psolve.plan_factors(spec)[1]  # x_0 >= 0, x_1 free
         H, g, theta = np.diag([2.0, 0.0]), np.array([1.0, -3.0]), np.zeros(2)
-        assert psolve._group_l2_box_model(H, g, *plan.group_box, np.ones(2, bool), *np.linalg.eigh(H)) is None
         first, closer, exact = psolve._model_step(plan, theta, g, H)
         assert not exact and np.all(np.isfinite(closer))
         assert kernels.max_violation(plan.atoms, closer) == 0.0
@@ -277,11 +284,10 @@ class TestNewtonStep:
 
     def test_box_bounded_deficient_model_takes_the_damped_exact_point(self, monkeypatch):
         # H = (1, 1)(1, 1)' is singular, and c = g - H theta has a part of
-        # sqrt 2 > lambda in its null space: on the free coordinates that
-        # the prox-gradient step guesses, both, _group_l2_box_model finds no
-        # minimizer, though the sign box bounds the model at x = (0, 3). The
-        # model is now solved damped, to within rho of that point, where it
-        # fell back to FISTA
+        # sqrt 2 > lambda in its null space: unbounded on the whole space,
+        # though the sign box bounds the model at x = (0, 3). H fails the
+        # pivot test, and the model is solved damped, to within rho of that
+        # point
         spec = dk.shared_spec(1, 2, dk.binary_logit(), (dk.nonneg(),), p_regularizers=(dk.group_l2(1.0),))
         plan = psolve.plan_factors(spec)[0]
         H, g, theta = np.ones((2, 2)), np.array([-2.0, -4.0]), np.zeros(2)
@@ -290,7 +296,6 @@ class TestNewtonStep:
         monkeypatch.setattr(kernels, "regularized_qp", lambda *args: fallback.append(1) or real(*args))
         first, closer, exact = psolve._model_step(plan, theta, g, H)
         assert np.all(first > 0.0)
-        assert psolve._group_l2_box_model(H, g, *plan.group_box, first != 0.0, *np.linalg.eigh(H)) is None
         assert fallback == [1, 1] and not exact  # H raised SingularQp, then H + rho I
         assert kernels.max_violation(plan.atoms, closer) == 0.0
         np.testing.assert_allclose(closer, [0.0, 3.0], rtol=0.0, atol=1e-7)
@@ -831,8 +836,6 @@ class TestFactorPlans:
         # regularized_qp
         assert all((plan.prox is not None) == (step == "_newton_factor") for plan in plans)
         assert all((plan.qp_args is not None) == (step == "_newton_factor") for plan in plans)
-        # group l2 over a sign box: the model is solved by its secular equation
-        assert all((plan.group_box is not None) == (name == "io_hmm") for plan in plans)
 
     def test_qp_rows_stacked_once_per_restart(self, monkeypatch):
         spec, data = capped_case("regression")
