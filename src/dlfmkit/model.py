@@ -388,8 +388,35 @@ def _margin_grad(F, deriv, w):
     return F.reshape(-1, F.shape[-1]).T @ wd.ravel()
 
 
+def _squared_distances(F, y, thetas) -> np.ndarray:
+    """(g, m) block of ||theta_k - (x_i + y_i)||^2 for the g rows of thetas.
+
+    The points x_i + y_i are built once, as an (n, m) C-contiguous block
+    (the bytes of F + y[:, None], transposed), and the squares are summed
+    over n passes along its rows: subtract, square in place, add. Each pass
+    runs over all g m entries at once, where a sum over each point's n
+    coordinates would run m short rows per centre. The sum starts at 0 and
+    goes left to right over the coordinates, and numpy sums rows of n <= 7
+    left to right from their first entry: as 0 + a = a for every square a,
+    there the values are those of (diff * diff).sum(axis=1) byte for byte.
+    At n >= 8, where numpy's sum is pairwise, they differ by rounding.
+    """
+    T = np.asarray(thetas, dtype=float)
+    P = np.add(F.T, y, order="C")
+    out = np.zeros((T.shape[0], P.shape[1]))
+    for t, p in zip(T.T, P):
+        d = t[:, None] - p
+        d *= d
+        out += d
+    return out
+
+
 def batch_losses(atom: LossAtom, features, observations, theta) -> np.ndarray:
-    """Per-sample loss values for one factor, vectorized over samples."""
+    """Per-sample loss values for one factor, vectorized over samples.
+
+    Squared distances come from `_squared_distances` with one centre, the
+    evaluator that loss_matrix runs on all its squared-distance factors.
+    """
     theta, F, y = (np.asarray(a, dtype=float) for a in (theta, features, observations))
     n = theta.shape[0]
     if atom.kind in MATRIX_FEATURE_KINDS:
@@ -398,8 +425,7 @@ def batch_losses(atom: LossAtom, features, observations, theta) -> np.ndarray:
     elif F.ndim != 2 or F.shape[1] != n:
         raise ValueError(f"features must be (m, n={n}); got {F.shape}")
     if atom.kind == SQUARED_DISTANCE:
-        diff = theta[None, :] - (F + y[:, None])
-        return (diff * diff).sum(axis=1)
+        return _squared_distances(F, y, theta[None])[0]
     return _pieces(atom, F, y, theta, losses_only=True)
 
 
@@ -456,12 +482,12 @@ def loss_matrix(spec: ModelSpec, data: Dataset, thetas) -> np.ndarray:
     product Theta F' of their stacked thetas, and `_margin_pieces` takes
     each factor's losses alone from its row: on the whole (g, m) block its
     temporaries are g times larger, and cost more to allocate than they
-    save. The squared-distance factors on 2-D features build the points
-    F + y once per call, and each takes its losses from its own difference
-    to them, the sums of batch_losses bit for bit; one stacked (g, m, n)
-    difference would again make temporaries g times larger. Multinomial
-    logit and features of any other shape go through batch_losses factor by
-    factor.
+    save. The squared-distance factors on 2-D features take their rows from
+    one `_squared_distances` call, n passes over the factor-major points
+    (x_i + y_i), the evaluator batch_losses runs with one centre: on n <= 7
+    their values are those of each factor's (diff * diff).sum(axis=1) byte
+    for byte. Multinomial logit and features of any other shape go through
+    batch_losses factor by factor.
     """
     F, y = np.asarray(data.features, dtype=float), np.asarray(data.observations, dtype=float)
     Rt = np.empty((spec.K, data.m))
@@ -479,10 +505,7 @@ def loss_matrix(spec: ModelSpec, data: Dataset, thetas) -> np.ndarray:
         for k, t in zip(ks, margins):
             Rt[k] = _margin_pieces(atom, t, y, losses_only=True)
     if distance:
-        points = F + y[:, None]
-        for k in distance:
-            diff = np.asarray(thetas[k], dtype=float) - points
-            Rt[k] = (diff * diff).sum(axis=1)
+        Rt[distance] = _squared_distances(F, y, [thetas[k] for k in distance])
     return Rt.T
 
 
@@ -691,13 +714,20 @@ def validate(spec: ModelSpec, data: Dataset) -> ValidationReport:
             ):
                 out.append(Violation("data.observations", "binary labels must lie in {0, 1}"))
 
+    # one feasibility probe per distinct constraint list: shared_spec hands
+    # every factor the same tuple, and the probe builds a projector
+    nonempty: dict = {}
     for k, atoms in enumerate(spec.constraints_per_factor):
         bad = False
         for j, atom in enumerate(atoms):
             before = len(out)
             _check_constraint_atom(atom, spec.n, f"constraints_per_factor[{k}][{j}]", out)
             bad = bad or len(out) > before
-        if not bad and atoms and not _feasible_set_nonempty(atoms, spec.n):
+        if bad or not atoms:
+            continue
+        if id(atoms) not in nonempty:
+            nonempty[id(atoms)] = _feasible_set_nonempty(atoms, spec.n)
+        if not nonempty[id(atoms)]:
             out.append(Violation(f"constraints_per_factor[{k}]", "empty feasible set"))
 
     for j, reg in enumerate(spec.p_regularizers):

@@ -298,7 +298,7 @@ def solve_p(
         w = np.ascontiguousarray(Z[:, plan.k])
         warm_k = None if warm is None else np.asarray(warm[plan.k], dtype=float)
         try:
-            if np.any(w):
+            if w.any():
                 theta, it, status = plan.solve(plan, feats, obs, w, warm_k, c)
             elif plan.regs:
                 # the step is Newton; with no rows only the regularizers act
@@ -309,7 +309,7 @@ def solve_p(
                 it, status = 0, P_SKIPPED
         except kernels.ProjectionError as exc:
             raise SubsolverFailure(plan.k, str(exc)) from exc
-        if not np.all(np.isfinite(theta)):
+        if not np.isfinite(theta).all():
             raise SubsolverFailure(plan.k, "step produced non-finite parameters")
         thetas.append(theta)
         iters.append(it)

@@ -337,6 +337,68 @@ class TestGroupedLossMatrix:
         assert np.allclose(R, self.per_factor(spec, dk.dataset(X, y), thetas), rtol=1e-12, atol=0.0)
 
 
+# the per-factor squared distances of loss_matrix before the factor-major
+# evaluator, kept verbatim: each factor's own difference to the points F + y,
+# its squares summed along each point's row
+def previous_squared_distances(F, y, thetas) -> np.ndarray:
+    points = F + y[:, None]
+    Rt = np.empty((len(thetas), F.shape[0]))
+    for k in range(len(thetas)):
+        diff = np.asarray(thetas[k], dtype=float) - points
+        Rt[k] = (diff * diff).sum(axis=1)
+    return Rt
+
+
+class TestSquaredDistances:
+    # loss_matrix (all squared-distance factors at once) and batch_losses (one
+    # centre) take their squared distances from model._squared_distances
+    ATOMS = (dk.huber(0.5), dk.squared_distance(), dk.square_regression(), dk.squared_distance(),
+             dk.squared_distance(), dk.lp_regression(1.0))
+    DISTANCE = [1, 3, 4]
+
+    @staticmethod
+    def draws(n, order, seed, m=97):
+        rng = np.random.default_rng(seed)
+        F = np.asarray(rng.normal(size=(m, n)) * 7.0, order=order)
+        assert F.flags[f"{order}_CONTIGUOUS"]
+        thetas = [rng.normal(size=n) * s for s in (0.1, 1.0, 3.0, 30.0, 2.0, 0.5)]
+        return F, rng.normal(size=m), thetas
+
+    def paths(self, F, y, thetas):
+        """(computed, previous) pairs of (g, m) blocks: the evaluator at g = 1
+        and g = 4, batch_losses per centre, and loss_matrix on ATOMS."""
+        n = F.shape[1]
+        yield model._squared_distances(F, y, thetas[:1]), previous_squared_distances(F, y, thetas[:1])
+        yield model._squared_distances(F, y, thetas[:4]), previous_squared_distances(F, y, thetas[:4])
+        for theta in thetas:
+            got = model.batch_losses(dk.squared_distance(), F, y, theta)
+            yield got[None], previous_squared_distances(F, y, [theta])
+        K = len(self.ATOMS)
+        spec = dk.ModelSpec(K=K, n=n, loss_per_factor=self.ATOMS, constraints_per_factor=((),) * K)
+        R = dk.loss_matrix(spec, dk.dataset(F, y), thetas)
+        for k in set(range(K)) - set(self.DISTANCE):
+            assert np.array_equal(R[:, k], model.batch_losses(self.ATOMS[k], F, y, thetas[k]))
+        yield R.T[self.DISTANCE], previous_squared_distances(F, y, [thetas[k] for k in self.DISTANCE])
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_previous_bytes(self, n, order):
+        # numpy sums rows of n <= 7 left to right, as the column passes do
+        F, y, thetas = self.draws(n, order, 50 + n)
+        for got, ref in self.paths(F, y, thetas):
+            assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("n", [3, 8, 9, 33])
+    def test_previous_within_summation_rounding(self, n, order):
+        # the squares are the same; two orders of summing n nonnegative terms
+        # differ by at most n eps of the sum
+        F, y, thetas = self.draws(n, order, 60 + n)
+        for got, ref in self.paths(F, y, thetas):
+            assert got.shape == ref.shape
+            assert np.all(np.abs(got - ref) <= n * np.finfo(float).eps * ref)
+
+
 class TestLossesOnly:
     """The losses-only path of _pieces and _margin_pieces, which loss_matrix and
     batch_losses take, against the losses of the full triple, bit for bit."""
@@ -501,6 +563,21 @@ class TestValidate:
         rep = dk.validate(spec, self._data())
         assert not rep.ok
         assert any("empty" in v.message for v in rep.violations)
+
+    def test_shared_empty_set_probed_once(self, monkeypatch):
+        # shared_spec hands all K factors one constraint tuple: one probe, and
+        # still one violation per factor
+        probes = []
+        real = model._feasible_set_nonempty
+        monkeypatch.setattr(model, "_feasible_set_nonempty",
+                            lambda atoms, n: probes.append(atoms) or real(atoms, n))
+        spec = dk.shared_spec(
+            K=4, n=2, loss=dk.squared_distance(),
+            constraints=(dk.polyhedron(np.array([[1.0, 0.0], [-1.0, 0.0]]), np.array([-1.0, -1.0])),))
+        rep = dk.validate(spec, self._data())
+        assert len(probes) == 1
+        assert [(v.path, v.message) for v in rep.violations] == [
+            (f"constraints_per_factor[{k}]", "empty feasible set") for k in range(4)]
 
     def test_rejects_polyhedron_outside_ball(self):
         # x_0 >= 2 misses the unit ball, and x_0 >= 1 touches it at (1, 0):

@@ -844,9 +844,12 @@ class TestFactorPlans:
         monkeypatch.setattr(kernels, "halfspaces", lambda *args: stacks.append(1) or real(*args))
         res = dk.fit(spec, data)
         assert res.iterations > 1
-        # per factor: one for validate's feasibility probe, then per restart
-        # one for the projector and one for the Newton model QP
-        assert len(stacks) == spec.K * (1 + 2 * spec.controls.restarts)
+        # one for validate's feasibility probe of each distinct constraint
+        # list (the shared spec has one), then per factor and restart one for
+        # the projector and one for the Newton model QP
+        lists = len({id(atoms) for atoms in spec.constraints_per_factor})
+        assert lists == 1
+        assert len(stacks) == lists + spec.K * 2 * spec.controls.restarts
 
     def test_one_projector_per_factor_and_restart(self, monkeypatch):
         spec, data = pool_case("kmeans")
@@ -860,9 +863,11 @@ class TestFactorPlans:
         monkeypatch.setattr(kernels, "projector", spy)
         res = dk.fit(spec, data)
         assert res.iterations > 1
-        # one per factor and restart, then one per factor for validate's
-        # feasibility probe
-        assert len(builds) == spec.K * spec.controls.restarts + spec.K
+        # one per factor and restart, then one for validate's feasibility
+        # probe of each distinct constraint list (the shared spec has one)
+        lists = len({id(atoms) for atoms in spec.constraints_per_factor})
+        assert lists == 1
+        assert len(builds) == spec.K * spec.controls.restarts + lists
 
     @pytest.mark.parametrize("name", ["mixture", "kmeans", "forgetting", "io_hmm"])
     def test_pool_matches_sequential(self, name):
