@@ -6,19 +6,20 @@ regularizers. `canonical_atoms` reduces a constraint list to one form;
 `projector` and `prox_plan` classify that form once and return the map to
 apply; `project` and `joint_prox` apply one such map once. `halfspaces`
 writes polyhedral atoms as rows C x <= d, the one form of a polyhedron
-that the projections and `qp_solve` take. A polyhedron without a closed
-form is projected onto by a dual active-set loop, exact in finitely many
-steps. `qp_solve` solves a QP exactly, in one pass of the same loop in
-Cholesky-transformed coordinates; a P that is not numerically definite
-raises SingularQp. `regularized_qp` adds l1, group l2 and a ball to a QP:
-l1 by one such solve per orthant, and group l2 and the ball by a primal
-active-set loop over the polyhedron's faces, each face solved exactly by
-its secular equation.
+that the projections and `qp_solve` take. A lone box is clipped and a lone
+norm ball scaled; every other polyhedron, monotone cones and the simplex
+among them, is projected onto by one dual active-set loop, exact in
+finitely many steps however far the point lies from the set. `qp_solve`
+solves a QP exactly, in one pass of the same loop in Cholesky-transformed
+coordinates; a P that is not numerically definite raises SingularQp.
+`regularized_qp` adds l1, group l2 and a ball to a QP: l1 by one such
+solve per orthant, and group l2 and the ball by a primal active-set loop
+over the polyhedron's faces, each face solved exactly by its secular
+equation.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -80,36 +81,6 @@ class QpSolution:
 # ---------------------------------------------------------------------------
 # projections
 # ---------------------------------------------------------------------------
-
-
-def pava_nondecreasing(v: np.ndarray) -> np.ndarray:
-    """Isotonic (nondecreasing) projection by pooling adjacent violators."""
-    vals: list[float] = []
-    cnts: list[int] = []
-    for x in np.asarray(v, dtype=float):
-        vals.append(float(x))
-        cnts.append(1)
-        while len(vals) > 1 and vals[-2] > vals[-1]:
-            v2, c2 = vals.pop(), cnts.pop()
-            v1, c1 = vals.pop(), cnts.pop()
-            vals.append((v1 * c1 + v2 * c2) / (c1 + c2))
-            cnts.append(c1 + c2)
-    return np.repeat(vals, cnts)
-
-
-def pava_nonincreasing(v: np.ndarray) -> np.ndarray:
-    return -pava_nondecreasing(-np.asarray(v, dtype=float))
-
-
-def project_simplex(v: np.ndarray, total: float = 1.0) -> np.ndarray:
-    """Projection onto {x >= 0, sum x = total} by the sorted-threshold rule."""
-    v = np.asarray(v, dtype=float)
-    u = np.sort(v)[::-1]
-    css = np.cumsum(u)
-    idx = np.arange(1, v.size + 1)
-    rho = int(np.nonzero(u - (css - total) / idx > 0)[0][-1]) + 1
-    tau = (css[rho - 1] - total) / rho
-    return np.maximum(v - tau, 0.0)
 
 
 def _atom_violation(atom: model.ConstraintAtom, v: np.ndarray) -> float:
@@ -175,23 +146,6 @@ def canonical_atoms(atoms, n: int) -> list:
     return box + middle + ball
 
 
-def _project_single(atom: model.ConstraintAtom, v: np.ndarray) -> np.ndarray:
-    # closed-form projection onto one canonical non-POLYHEDRON atom
-    k = atom.kind
-    if k == model.BOX:
-        return np.clip(v, atom.lo, atom.hi)
-    if k == model.MONOTONE_NONINCREASING:
-        return pava_nonincreasing(v)
-    if k == model.MONOTONE_NONDECREASING:
-        return pava_nondecreasing(v)
-    if k == model.NORM_BALL2:
-        nrm = float(np.linalg.norm(v))
-        return v if nrm <= atom.radius else v * (atom.radius / nrm)
-    if k == model.SUM_EQUALS:
-        return v + (atom.value - v.sum()) / v.size
-    raise ValueError(f"unknown constraint kind {k!r}")
-
-
 def halfspaces(atoms, n):
     """The rows C x <= d of a list of polyhedral atoms on R^n, in canonical form.
 
@@ -223,8 +177,10 @@ def halfspaces(atoms, n):
     return C[finite], d[finite]
 
 
-# feasible points are returned unchanged; keep this above the residual the
-# active-set loop leaves (_stop_tol) so projecting twice is exact
+# the projection onto a polyhedron other than a lone box returns points
+# within this of the set unchanged, the loop reading it from their first
+# residuals; keep it above the residual the loop leaves (_stop_tol) so
+# projecting twice is exact
 _FEAS_TOL = 1e-8
 
 # the residual C x - d the active-set loop leaves (`_stop_tol`)
@@ -319,9 +275,16 @@ def _active_set_project(v, C, d, feas_tol, start=()):
     no multiplier blocks, no feasible point exists. After each full step, x
     and the multipliers are solved afresh by `_tight_point` on the active
     rows, with p's multiplier kept at least t; the loop stops once every
-    residual is within `_stop_tol`. So a warm start that passes returns the
-    bytes the loop returns where it ends on the same rows; its multipliers
-    are the KKT ones, where the loop may keep p's at its step t.
+    residual is within `_stop_tol`. That x is solved from v, so far from the
+    set its rounding is at the scale of v, and a row in the span of the
+    active ones (the other side of an equality, say) can read as violated
+    at the scale of x. So where the largest residual is within `_stop_tol`
+    at the scale |x| + |v|, x is solved once more, as the projection of x
+    itself onto the active rows (`_kkt_solve`, multipliers unclipped), whose
+    rounding is at the scale of the set, and tested again; the loop goes on
+    from that x where the test still fails. So a warm start that passes
+    returns the bytes the loop returns where it ends on the same rows; its
+    multipliers are the KKT ones, where the loop may keep p's at its step t.
     Raises ProjectionError on an empty set and after _STEPS_PER_ROW steps
     per row.
     """
@@ -379,6 +342,14 @@ def _active_set_project(v, C, d, feas_tol, start=()):
         if _stopped(C, x, d, s):
             return x, active, lam
         p = int(s.argmax())
+        if s[p] <= _stop_tol(C[p], np.abs(x) + np.abs(v), d[p]):
+            # the residual may be only v's rounding: x projected onto its
+            # own active rows carries rounding at the set's scale instead
+            x = _kkt_solve(C[active], x, d[active])[0]
+            s = C @ x - d
+            if _stopped(C, x, d, s):
+                return x, active, lam
+            p = int(s.argmax())
     raise ProjectionError("active-set projection did not converge")
 
 
@@ -611,95 +582,6 @@ def regularized_qp(M, q, C, d, l1, l2, radius, start):
     return None
 
 
-def _monotone_scalar_bounds(poly):
-    """Exact projection onto one monotone cone intersected with uniform bounds.
-
-    Clipping an isotonic fit at scalar bounds preserves the ordering and the
-    pooled-block optimality conditions, so clip(pava(v)) is the intersection
-    projection. Bounds that differ across coordinates do not qualify:
-    clipping there can break the ordering. Returns that map when the
-    canonical atoms poly are a box with one bound pair on every coordinate
-    followed by a monotone atom, None otherwise.
-    """
-    if len(poly) != 2 or poly[0].kind != model.BOX or poly[1].kind not in _MONOTONE_KINDS:
-        return None
-    lo, hi = poly[0].lo, poly[0].hi
-    if np.any(lo != lo[0]) or np.any(hi != hi[0]):
-        return None
-    lo, hi = lo[0], hi[0]
-    if poly[1].kind == model.MONOTONE_NONINCREASING:
-        return lambda v: np.clip(pava_nonincreasing(v), lo, hi)
-    return lambda v: np.clip(pava_nondecreasing(v), lo, hi)
-
-
-def _closed_form(atoms):
-    """The exact projection onto canonical atoms when it is a closed form
-    that returns every feasible point with its values unchanged: clipping to
-    one box, isotonic pooling onto one monotone cone, pooling then clipping
-    onto a monotone cone with scalar bounds, or scaling onto one norm ball.
-    None otherwise."""
-    if len(atoms) == 1 and atoms[0].kind not in (model.POLYHEDRON, model.SUM_EQUALS):
-        return functools.partial(_project_single, atoms[0])
-    return _monotone_scalar_bounds(atoms)
-
-
-def _sum_and_monotone(poly):
-    """Exact projection onto sum_equals(s) intersected with one monotone
-    cone, in either order: the isotonic fit, shifted uniformly to sum s.
-    The all-ones vector lies in the cone's lineality space and the isotonic
-    fit keeps the sum, so the shift keeps both its order and its optimality.
-    Returns that map when the canonical atoms poly are those two atoms, None
-    otherwise."""
-    kinds = [a.kind for a in poly]
-    if len(poly) != 2 or model.SUM_EQUALS not in kinds or not set(kinds) & set(_MONOTONE_KINDS):
-        return None
-    total = poly[kinds.index(model.SUM_EQUALS)].value
-    pava = pava_nondecreasing if model.MONOTONE_NONDECREASING in kinds else pava_nonincreasing
-
-    def project(v):
-        x = pava(v)
-        return x + (total - x.sum()) / x.size
-
-    return project
-
-
-def _poly_projector(poly, n: int):
-    """The exact projection onto canonical polyhedral atoms. The lone-atom
-    closed forms of _closed_form return feasible points unchanged; every
-    other map returns points within _FEAS_TOL of the set unchanged. The map
-    onto halfspace rows starts each active-set loop from the rows its last
-    projection of an infeasible point made tight, so it keeps state: build
-    one per sequence of related points."""
-    exact = _closed_form(poly)
-    if exact is not None:
-        return exact
-    if len(poly) == 1 and poly[0].kind == model.SUM_EQUALS:
-        exact = functools.partial(_project_single, poly[0])
-    elif (
-        len(poly) == 2
-        and poly[0].kind == model.BOX
-        and np.all(poly[0].lo == 0.0)
-        and np.all(poly[0].hi == np.inf)
-        and poly[1].kind == model.SUM_EQUALS
-        and poly[1].value > 0.0
-    ):
-        exact = functools.partial(project_simplex, total=poly[1].value)
-    elif (exact := _sum_and_monotone(poly)) is None:
-        C, d = halfspaces(poly, n)
-        if not d.size:  # every side infinite
-            return lambda v: v
-        last = []  # the active rows of the last infeasible point's projection
-
-        def project_rows(v):
-            nonlocal last
-            x, active, _ = _active_set_project(v, C, d, _FEAS_TOL, last)
-            last = active or last
-            return x
-
-        return project_rows
-    return lambda v: v if max_violation(poly, v) <= _FEAS_TOL else exact(v)
-
-
 def regularized_qp_terms(regs, atoms, n: int):
     """regularized_qp's C, d, l1, l2, radius for regs and canonical atoms on R^n:
     the rows of every atom but the ball, the summed l1 and group-l2 weights,
@@ -714,41 +596,57 @@ def projector(atoms, n: int):
     """Resolve the Euclidean projection onto an intersection of atoms once.
 
     Returns project(point) for points of R^n, with the case analysis done
-    here, on canonical_atoms(atoms, n), rather than on every call. A lone
-    atom uses its closed form (clipping, scaling, isotonic pooling), so
-    stacked nonneg, nonpos and box atoms clip to their intersected bounds; a
-    nonnegative sum constraint is the simplex; one monotone cone with scalar
-    bounds clips its isotonic fit; a sum constraint with one monotone cone
-    shifts its isotonic fit. Other intersections of polyhedral atoms
-    are stacked here into halfspace rows, one per finite side, and each
-    point is projected onto them exactly by a dual active-set loop
+    here, on canonical_atoms(atoms, n), rather than on every call. There are
+    three cases. A lone box clips, so stacked nonneg, nonpos and box atoms
+    clip to their intersected bounds, and a lone norm ball scales; both
+    return a feasible point with its values unchanged. A norm ball with
+    other atoms is regularized_qp with M = I, from the polyhedron's min-norm
+    point. Every other set is a polyhedron: its atoms are stacked into
+    halfspace rows, one per finite side (`halfspaces`), and each point is
+    projected onto them exactly by the dual active-set loop
     (`_active_set_project`); composing the individual projections would not
     give the intersection projection. That map keeps the active rows of its
     last projection of an infeasible point and starts the next loop from
     them: a warm start that returns the cold loop's point where it holds,
     and runs the loop cold where not. Each call of projector builds its own
-    map, with its own rows. The norm ball intersected with
-    polyhedral atoms is regularized_qp with M = I, from the polyhedron's
-    min-norm point. The closed forms of one
-    box, one monotone cone with or without scalar bounds, and one norm ball
-    return a feasible point with its values unchanged, and are applied
-    directly. Every other map returns points within _FEAS_TOL of the set as
-    they are; the active-set loop reads that from its first residuals.
-    Crossing bounds raise ProjectionError here; every other empty set
-    raises when a point is projected.
+    map, with its own rows. The last two maps return points within
+    _FEAS_TOL of the set as they are; the active-set loop reads that from
+    its first residuals. Crossing bounds raise ProjectionError here; every
+    other empty set raises when a point is projected.
     """
     atoms = canonical_atoms(atoms, n)
-    if not atoms:
-        return lambda point: np.asarray(point, dtype=float)
-    exact = _closed_form(atoms)
-    if exact is None and atoms[-1].kind == model.NORM_BALL2:
+    kinds = [a.kind for a in atoms]
+    if kinds == [model.BOX]:
+        (box,) = atoms
+
+        def exact(v):
+            return np.clip(v, box.lo, box.hi)
+
+    elif kinds == [model.NORM_BALL2]:
+        (ball,) = atoms
+
+        def exact(v):
+            nrm = float(np.linalg.norm(v))
+            return v if nrm <= ball.radius else v * (ball.radius / nrm)
+
+    elif kinds[-1:] == [model.NORM_BALL2]:
         terms, eye = regularized_qp_terms((), atoms, n), np.eye(n)
 
         def exact(v):
             return v if max_violation(atoms, v) <= _FEAS_TOL else regularized_qp(eye, -v, *terms, None)
 
-    elif exact is None:
-        exact = _poly_projector(atoms, n)
+    else:
+        C, d = halfspaces(atoms, n)
+        if not d.size:  # no atom, or every side infinite
+            return lambda point: np.asarray(point, dtype=float)
+        rows = []  # the active rows of the last infeasible point's projection
+
+        def exact(v):
+            nonlocal rows
+            x, active, _ = _active_set_project(v, C, d, _FEAS_TOL, rows)
+            rows = active or rows
+            return x
+
     return lambda point: exact(np.asarray(point, dtype=float))
 
 

@@ -437,7 +437,7 @@ def weighted_loss_grad(atom: LossAtom, features, observations, theta, weights) -
     """
     theta, F, y, w = (np.asarray(a, dtype=float) for a in (theta, features, observations, weights))
     if atom.kind == SQUARED_DISTANCE:
-        return 2.0 * (w.sum() * theta - w @ (F + y[:, None]))
+        return 2.0 * (w.sum() * theta - (w @ F + w @ y))
     return _margin_grad(F, _pieces(atom, F, y, theta)[1], w)
 
 

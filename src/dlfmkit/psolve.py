@@ -101,8 +101,9 @@ def _weighted_gram(feats, obs, w):
 
 def _projected_centroid(plan, feats, obs, w, warm, controls):
     # sum_i w_i ||theta - c_i||^2 = W ||theta - c||^2 + const for the
-    # weighted centroid c, so its minimizer is the projection of c
-    centroid = (w @ (feats + obs[:, None])) / w.sum()
+    # weighted centroid c of the points c_i = x_i + y_i, so its minimizer is
+    # the projection of c; w @ x + w @ y builds no (m, n) points
+    centroid = (w @ feats + w @ obs) / w.sum()
     return plan.project(centroid), 1, P_CONVERGED
 
 

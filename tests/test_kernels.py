@@ -165,44 +165,57 @@ class TestQpPolish:
 
 
 class TestPava:
+    """Projections onto the monotone cones: isotonic regression, which the
+    active-set loop of `projector` solves exactly."""
+
+    @staticmethod
+    def isotonic(atom, v):
+        v = np.asarray(v, dtype=float)
+        return kernels.projector([atom], v.size)(v)
+
     def test_nondecreasing_pools(self):
-        out = kernels.pava_nondecreasing(np.array([3.0, 1.0, 2.0]))
+        out = self.isotonic(model.monotone_nondecreasing(), [3.0, 1.0, 2.0])
         assert np.allclose(out, [2.0, 2.0, 2.0])
 
     def test_nondecreasing_partial(self):
-        out = kernels.pava_nondecreasing(np.array([1.0, 3.0, 2.0]))
+        out = self.isotonic(model.monotone_nondecreasing(), [1.0, 3.0, 2.0])
         assert np.allclose(out, [1.0, 2.5, 2.5])
 
     def test_nonincreasing_mirror(self):
         v = np.array([0.5, 2.0, -1.0, 0.0])
-        out = kernels.pava_nonincreasing(v)
+        out = self.isotonic(model.monotone_nonincreasing(), v)
         assert np.all(np.diff(out) <= 1e-12)
         # mirror identity: nonincreasing fit is the reversed nondecreasing fit
-        ref = kernels.pava_nondecreasing(v[::-1])[::-1]
+        ref = self.isotonic(model.monotone_nondecreasing(), v[::-1])[::-1]
         assert np.allclose(out, ref)
 
     def test_sorted_input_unchanged(self):
         v = np.array([-1.0, 0.0, 2.0, 7.0])
-        assert np.allclose(kernels.pava_nondecreasing(v), v)
+        assert np.allclose(self.isotonic(model.monotone_nondecreasing(), v), v)
 
 
 class TestProjectSimplex:
+    """Projections onto the simplex {x >= 0, sum x = 1} through `projector`."""
+
+    atoms = (model.sum_equals(1.0), model.nonneg())
+
     def test_interior_point_unchanged(self):
         v = np.array([0.2, 0.3, 0.5])
-        assert np.allclose(kernels.project_simplex(v, 1.0), v)
+        assert np.allclose(kernels.projector(self.atoms, 3)(v), v)
 
     def test_symmetric(self):
-        assert np.allclose(kernels.project_simplex(np.array([2.0, 2.0]), 1.0),
-                           [0.5, 0.5])
+        # at (1e16, 1e16) the sorted-threshold rule found no positive
+        # coordinate in its rounding and raised a raw IndexError
+        for v in ([2.0, 2.0], [1e16, 1e16]):
+            assert np.allclose(kernels.projector(self.atoms, 2)(np.array(v)), [0.5, 0.5])
 
     def test_matches_qp(self):
         rng = np.random.default_rng(9)
-        atoms = (model.sum_equals(1.0), model.nonneg())
         for _ in range(40):
             n = int(rng.integers(2, 6))
             v = rng.normal(0, 2, n)
-            fast = kernels.project_simplex(v, 1.0)
-            prob = dk.qp_problem(np.eye(n), -v, *kernels.halfspaces(atoms, n))
+            fast = kernels.projector(self.atoms, n)(v)
+            prob = dk.qp_problem(np.eye(n), -v, *kernels.halfspaces(self.atoms, n))
             sol = dk.qp_solve(prob)
             assert sol.status == kernels.SOLVED
             assert np.allclose(fast, sol.x, atol=1e-5)
@@ -300,18 +313,52 @@ class TestProject:
             got = dk.project([model.sum_equals(scale), model.polyhedron(A, scale * b)], scale * u)
             np.testing.assert_allclose(got, scale * unit, rtol=0.0, atol=1e-12 * scale)
 
+    @staticmethod
+    def boxed_family(name, rng, n):
+        """A nonempty polyhedral set on R^n in the box [-5, 5]^n: each
+        polyhedron is drawn around a known point of the set."""
+        if name == "sum_polyhedron":
+            x, A = rng.dirichlet(np.ones(n)), rng.normal(size=(2, n))
+            atoms = [model.sum_equals(1.0), model.polyhedron(A, A @ x + rng.uniform(0.1, 1.0, size=2))]
+        elif name == "monotone_polyhedron":
+            x, A = np.sort(rng.uniform(-1.0, 1.0, size=n)), rng.normal(size=(2, n))
+            atoms = [model.monotone_nondecreasing(), model.polyhedron(A, A @ x + rng.uniform(0.1, 1.0, size=2))]
+        elif name == "simplex":
+            atoms = [model.nonneg(), model.sum_equals(1.0)]
+        elif name == "sum_monotone":
+            atoms = [model.sum_equals(0.3), model.monotone_nonincreasing()]
+        else:
+            atoms = [model.nonneg(), model.monotone_nondecreasing()]
+        return [model.box(-5.0, 5.0)] + atoms
+
+    @pytest.mark.parametrize("scale", [1e4, 1e8, 1e12, 1e16])
+    @pytest.mark.parametrize("family", ["sum_polyhedron", "monotone_polyhedron", "simplex",
+                                        "sum_monotone", "nonneg_monotone"])
+    def test_far_points_project_exactly(self, family, scale):
+        # x was solved from v, so it carried v's rounding, and the loop read
+        # that rounding on rows in the span of the active ones as violated:
+        # from 1e8 on it raised ProjectionError on most of these draws. The
+        # projection x of v is also that of the unit-scale point on the ray
+        # from x through v, which the oracle solves at unit scale
+        rng = np.random.default_rng(67)
+        for trial in range(12):
+            n = int(rng.integers(2, 6))
+            atoms = self.boxed_family(family, rng, n)
+            v = scale * rng.normal(size=n)
+            x = dk.project(atoms, v)
+            size = np.abs(v).max()
+            assert kernels.max_violation(atoms, x) <= 1e-12 * size, f"trial {trial}"
+            u = x + (v - x) / np.linalg.norm(v - x)
+            ref = oracle.qp_active_set_oracle(dk.qp_problem(np.eye(n), -u, *kernels.halfspaces(atoms, n)))
+            np.testing.assert_allclose(x, ref, rtol=0.0, atol=1e-12 * size + 1e-9, err_msg=f"trial {trial}")
+
     def test_infeasible_box_raises(self):
         atom = model.box(np.array([1.0]), np.array([0.0]))
         with pytest.raises(kernels.ProjectionError):
             dk.project((atom,), np.array([0.5]))
 
-    def test_lone_sum_equals_matches_active_set_oracle(self, monkeypatch):
-        # one sum_equals atom is projected by its closed form, not by the
-        # active-set loop; a point within _FEAS_TOL of the set is kept
-        def no_active_set(*args, **kwargs):
-            raise AssertionError("the active-set loop ran")
-
-        monkeypatch.setattr(kernels, "_active_set_project", no_active_set)
+    def test_lone_sum_equals_matches_active_set_oracle(self):
+        # a point within _FEAS_TOL of the set is kept
         rng = np.random.default_rng(17)
         for _ in range(30):
             n = int(rng.integers(1, 6))
@@ -325,8 +372,7 @@ class TestProject:
 
 
 class TestSumAndMonotone:
-    """sum_equals(s) with one monotone cone is projected by PAVA and a
-    uniform shift, the all-ones vector being in the cone's lineality space."""
+    """sum_equals(s) with one monotone cone, projected by the active-set loop."""
 
     ORDERS = [
         (model.sum_equals(0.3), model.monotone_nondecreasing()),
@@ -345,21 +391,17 @@ class TestSumAndMonotone:
 
     @pytest.mark.parametrize("atoms", ORDERS, ids=["up_sum_first", "up_monotone_first",
                                                    "down_sum_first", "down_monotone_first"])
-    def test_matches_active_set_oracle(self, atoms, monkeypatch):
+    def test_matches_active_set_oracle(self, atoms):
         rng = np.random.default_rng(53)
         total = atoms[[a.kind for a in atoms].index(model.SUM_EQUALS)].value
         for _ in range(40):
             n = int(rng.integers(1, 6))
             C, d = kernels.halfspaces(atoms, n)
             v = rng.normal(0.0, 3.0, size=n)
-            loop = kernels._active_set_project(v, C, d, kernels._FEAS_TOL)[0]
             ref = oracle.qp_active_set_oracle(dk.qp_problem(np.eye(n), -v, C, d))
-            with monkeypatch.context() as patch:
-                patch.setattr(kernels, "_active_set_project", None)  # the closed form runs alone
-                project = kernels.projector(atoms, n)
-                got = project(v)
-                assert np.array_equal(project(got), got)
-            np.testing.assert_allclose(got, loop, rtol=0.0, atol=1e-14 * (1.0 + np.abs(v).max()))
+            project = kernels.projector(atoms, n)
+            got = project(v)
+            assert np.array_equal(project(got), got)
             np.testing.assert_allclose(got, ref, rtol=0.0, atol=1e-9)
             assert abs(got.sum() - total) <= 1e-14 * (1.0 + np.abs(v).sum())
 
@@ -847,16 +889,16 @@ class TestRegularizedQp:
 
 
 class TestClosedFormProjection:
-    """Closed-form projections run without a feasibility test: a feasible
-    point keeps its values, and a point just outside is projected, not kept."""
+    """The closed forms of a lone box (clipping) and a lone ball (scaling)
+    run without a feasibility test: a feasible point keeps its values, and a
+    point just outside is projected, not kept. Every polyhedral set keeps
+    points within _FEAS_TOL of it, as the active-set loop reads them."""
 
     n = 5
 
     @staticmethod
     def feasible_point(atoms, n):
-        v = np.array([1.5, 0.5, 0.5, -0.25, -1.0])  # nonincreasing, with a tie
-        if any(a.kind == model.MONOTONE_NONDECREASING for a in atoms):
-            v = v[::-1].copy()
+        v = np.array([1.5, 0.5, 0.5, -0.25, -1.0])
         if any(a.kind == model.NONNEG for a in atoms):
             v = v - v.min()  # one coordinate on the bound
         return v
@@ -864,11 +906,8 @@ class TestClosedFormProjection:
     @pytest.mark.parametrize("atoms", [
         (model.box(-1.0, 1.5),),
         (model.nonneg(), model.box(-np.inf, 2.5)),
-        (model.monotone_nonincreasing(),),
-        (model.monotone_nondecreasing(), model.nonneg()),
-        (model.box(-1.0, 1.5), model.monotone_nonincreasing()),
         (model.norm_ball2(3.0),),
-    ], ids=["box", "sign_box", "monotone", "monotone_nonneg", "monotone_box", "ball"])
+    ], ids=["box", "sign_box", "ball"])
     def test_feasible_kept_and_near_feasible_projected(self, atoms):
         n = self.n
         project = kernels.projector(atoms, n)
@@ -878,14 +917,10 @@ class TestClosedFormProjection:
 
         out = v.copy()
         last = kernels.canonical_atoms(atoms, n)[-1]
-        kind = last.kind
-        if kind == model.NORM_BALL2:
+        if last.kind == model.NORM_BALL2:
             out *= (3.0 + 1e-9) / np.linalg.norm(out)
-        elif kind == model.BOX:
+        else:
             out[0] = last.hi[0] + 1e-9
-        else:  # break the ordering of the tied pair by 1e-9
-            i = int(np.flatnonzero(np.diff(v) == 0.0)[0]) + 1
-            out[i] += 1e-9 if kind == model.MONOTONE_NONINCREASING else -1e-9
         assert 5e-10 < kernels.max_violation(atoms, out) < kernels._FEAS_TOL
         got = project(out)
         assert kernels.max_violation(atoms, got) <= 1e-15
