@@ -178,8 +178,9 @@ def gen_forgetting_q(cfg: ExperimentConfig):
         if t:  # the signals shift one lag back, and u(t) is the last reward
             X[:, 1:] = feats[t - 1, :, :-1]
             X[arm, 0] = float(rewarded)
-        probs = _softmax(X @ cfg.true_thetas[labels[t] - 1])
-        arm = bisect.bisect_right(_choice_cdf(probs, p), u[2 * t])
+        # a softmax row is a valid choice row by construction, so the
+        # checks of _choice_cdf are skipped
+        arm = bisect.bisect_right(_cdf(_softmax(X @ cfg.true_thetas[labels[t] - 1])), u[2 * t])
         rewarded = u[2 * t + 1] < cfg.reward_probs[arm]
         obs[t, arm] = 1.0
     return model.dataset(feats, obs, ordered=True), labels, cfg.true_thetas
@@ -213,6 +214,11 @@ def _choice_cdf(p, K: int) -> list[float]:
         raise ValueError("probabilities are not non-negative")
     if abs(total - 1.0) > atol:
         raise ValueError(f"probabilities sum to {total!r}, not 1")
+    return _cdf(p)
+
+
+def _cdf(p) -> list[float]:
+    """`_choice_cdf` of a float64 row p that passes its checks."""
     cdf = p.cumsum()
     cdf /= cdf[-1]
     return cdf.tolist()

@@ -2,14 +2,16 @@
 
 Euclidean projections onto constraint atoms and their intersections, a
 dense QP solver, and proximal operators for the parameter-side
-regularizers. `canonical_atoms` reduces a constraint list to one form;
-`projector` and `prox_plan` classify that form once and return the map to
-apply; `project` and `joint_prox` apply one such map once. `halfspaces`
-writes polyhedral atoms as rows C x <= d, the one form of a polyhedron
-that the projections and `qp_solve` take. A lone box is clipped and a lone
-norm ball scaled; every other polyhedron, monotone cones and the simplex
-among them, is projected onto by one dual active-set loop, exact in
-finitely many steps however far the point lies from the set. `qp_solve`
+regularizers. `canonical_atoms` reduces a constraint list to one form, and
+`halfspaces` writes polyhedral atoms as rows C x <= d, the one form of a
+polyhedron that the projections and `qp_solve` take; `constraint_form`
+does both once per list. `projector` and `prox_plan` classify such a form
+once and return the map to apply; `project` and `joint_prox` apply one
+such map once. A lone box is clipped and a lone norm ball scaled; every
+other polyhedron, monotone cones and the simplex among them, is projected
+onto by one dual active-set loop, exact in finitely many steps however far
+the point lies from the set, and each projector starts it from the active
+set, KKT matrix included, of its last projection. `qp_solve`
 solves a QP exactly, in one pass of the same loop in Cholesky-transformed
 coordinates; a P that is not numerically definite raises SingularQp.
 `regularized_qp` adds l1, group l2 and a ball to a QP: l1 by one such
@@ -154,8 +156,13 @@ def halfspaces(atoms, n):
     bound of +-inf gives no row. The upper sides of all atoms come first, in
     atom order, then the lower sides.
     """
+    return _stacked_rows(canonical_atoms(atoms, n), n)
+
+
+def _stacked_rows(atoms, n):
+    """halfspaces of polyhedral atoms already in canonical form."""
     upper, lower = [], []  # (A, hi) of rows A x <= hi, (A, lo) of rows A x >= lo
-    for atom in canonical_atoms(atoms, n):
+    for atom in atoms:
         k = atom.kind
         if k == model.BOX:
             upper.append((np.eye(n), atom.hi))
@@ -175,6 +182,31 @@ def halfspaces(atoms, n):
     d = np.concatenate([np.zeros(0)] + [hi for _, hi in upper] + [-lo for _, lo in lower])
     finite = d < np.inf
     return C[finite], d[finite]
+
+
+@dataclass(frozen=True, eq=False)
+class ConstraintForm:
+    """A constraint list on R^n compiled once, for every map built on it.
+
+    atoms is its canonical form (`canonical_atoms`); C x <= d are the
+    halfspace rows of every atom but the norm ball, whose radius is kept (inf
+    where there is none). Build it with `constraint_form`.
+    """
+
+    n: int
+    atoms: list
+    C: np.ndarray
+    d: np.ndarray
+    radius: float
+
+
+def constraint_form(atoms, n: int) -> ConstraintForm:
+    """The ConstraintForm of a list of constraint atoms on R^n: canonicalized
+    and stacked into rows once. Crossing bounds raise ProjectionError."""
+    atoms = canonical_atoms(atoms, n)
+    ball = bool(atoms) and atoms[-1].kind == model.NORM_BALL2
+    C, d = _stacked_rows(atoms[:-1] if ball else atoms, n)
+    return ConstraintForm(n, atoms, C, d, atoms[-1].radius if ball else math.inf)
 
 
 # the projection onto a polyhedron other than a lone box returns points
@@ -206,23 +238,51 @@ _QP_MIN_PIVOT = 1e-12
 _NULL_EIGENVALUE, _SECULAR_MAX_ITER = 1e-12, 100
 
 
-def _kkt_solve(N, top, bottom):
-    """(u, w) with u + N^T w = top and N u = bottom, for N of independent rows.
+class _ActiveSet:
+    """Rows of C x <= d held tight, in row order: their normals N = C[rows],
+    bounds b = d[rows] and the KKT matrix of N, built on its first solve and
+    kept for every later one. A solve calls np.linalg.solve on that matrix,
+    so it gives the bytes of a matrix built afresh."""
 
-    u is the projection of top onto N u = bottom, and w holds the
-    multipliers of its rows. The saddle-point system is solved as it
-    stands: eliminating u would square the condition number of N.
-    """
-    k, n = N.shape
-    K = np.zeros((n + k, n + k))
-    K[:n, :n] = np.eye(n)
-    K[:n, n:] = N.T
-    K[n:, :n] = N
-    try:
-        sol = np.linalg.solve(K, np.concatenate([top, bottom]))
-    except np.linalg.LinAlgError:
-        raise ProjectionError("active-set projection broke down") from None
-    return sol[:n], sol[n:]
+    __slots__ = ("rows", "N", "b", "_K")
+
+    def __init__(self, C, d, rows):
+        self.rows, self.b, self._K = rows, d[rows], None
+        # one row is made tight in closed form, from its row of C as it lies
+        # in memory: the rounding of a dot product depends on the stride
+        self.N = C[rows] if len(rows) > 1 else C[rows[0]:rows[0] + 1]
+
+    def solve(self, top, bottom):
+        """(u, w) with u + N^T w = top and N u = bottom, for N of independent rows.
+
+        u is the projection of top onto N u = bottom, and w holds the
+        multipliers of its rows. The saddle-point system is solved as it
+        stands: eliminating u would square the condition number of N.
+        Raises ProjectionError where it is singular.
+        """
+        k, n = self.N.shape
+        if self._K is None:
+            K = np.zeros((n + k, n + k))
+            K[:n, :n] = np.eye(n)
+            K[:n, n:] = self.N.T
+            K[n:, :n] = self.N
+            self._K = K
+        try:
+            sol = np.linalg.solve(self._K, np.concatenate([top, bottom]))
+        except np.linalg.LinAlgError:
+            raise ProjectionError("active-set projection broke down") from None
+        return sol[:n], sol[n:]
+
+    def tight_point(self, v):
+        """The projection x of v onto the rows made tight, and their
+        multipliers clipped at 0: in closed form for one row, else from the
+        KKT system. Raises ProjectionError where that system is singular."""
+        if len(self.rows) == 1:
+            c = self.N[0]
+            w = max((float(c @ v) - self.b[0]) / float(c @ c), 0.0)
+            return v - w * c, [w]
+        x, w = self.solve(v, self.b)
+        return x, np.maximum(w, 0.0).tolist()
 
 
 def _stop_tol(C, x, d):
@@ -239,79 +299,96 @@ def _stopped(C, x, d, s):
     return bool(s[p] <= _PROJECT_TOL or (s[p] <= _stop_tol(C[p], x, d[p]) and np.all(s <= _stop_tol(C, x, d))))
 
 
-def _tight_point(v, C, d, active):
-    """The projection x of v onto the rows `active`, in row order, made
-    tight, and their multipliers clipped at 0: in closed form for one row,
-    else from the KKT system. Raises ProjectionError where that system is
-    singular."""
-    if len(active) == 1:
-        c = C[active[0]]
-        w = max((float(c @ v) - d[active[0]]) / float(c @ c), 0.0)
-        return v - w * c, [w]
-    x, w = _kkt_solve(C[active], v, d[active])
-    return x, np.maximum(w, 0.0).tolist()
+def _dual_feasible(v, C, d, face):
+    """v made tight on the rows of face, with every multiplier positive: rows
+    whose multiplier is not are dropped and the rest made tight again, until
+    none is left. Returns (x, active set, multipliers), or (v, None, []) where
+    no row is left or the rows are not independent."""
+    try:
+        while face is not None:
+            x, lam = face.tight_point(v)
+            if min(lam) > 0.0:
+                return x, face, lam
+            rows = [r for r, w in zip(face.rows, lam) if w > 0.0]
+            face = _ActiveSet(C, d, rows) if rows else None
+    except ProjectionError:  # a singular KKT system
+        pass
+    return v, None, []
 
 
-def _active_set_project(v, C, d, feas_tol, start=()):
+def _settle(v, C, d, x, face):
+    """(x, s, stopped) for x, v made tight on the active set face: whether
+    every residual s = C x - d is within `_stop_tol` (`_stopped`). x was
+    solved from v, so far from the set its rounding is at the scale of v, and
+    a row in the span of the active ones (the other side of an equality, say)
+    can read as violated at the scale of x. So where the largest residual is
+    within `_stop_tol` at the scale |x| + |v|, x is solved once more, as the
+    projection of x itself onto the active rows (multipliers unclipped), whose
+    rounding is at the scale of the set, and tested again."""
+    s = C @ x - d
+    if _stopped(C, x, d, s):
+        return x, s, True
+    p = int(s.argmax())
+    if s[p] > _stop_tol(C[p], np.abs(x) + np.abs(v), d[p]):
+        return x, s, False
+    x = face.solve(x, face.b)[0]
+    s = C @ x - d
+    return x, s, _stopped(C, x, d, s)
+
+
+def _active_set_project(v, C, d, feas_tol, start=None):
     """Euclidean projection x of v onto {x : C x <= d}, exact up to rounding.
 
-    C has at least one row. Returns x, the active rows in row order and
-    their multipliers w, x + C_active^T w = v; v and none where no residual
-    C v - d exceeds feas_tol. Otherwise, where start names rows (a warm
-    start: say the active rows of a nearby point's projection), the point
-    of those rows made tight (`_tight_point`) is returned when every
-    multiplier is > 0 and its residuals pass the loop's stop test
-    (`_stopped`): the KKT conditions of the projection, met at the point
-    that the loop computes after a full step onto the same rows. Where a
-    start fails, or none is given, runs the dual active-set method of
-    Goldfarb & Idnani (Math. Programming 27, 1983). From x = v and no active
-    row, it takes the most violated row p and steps x along -z,
-    z = c_p - N^T r with N z = 0 for the active normals N, raising p's
-    multiplier by t and lowering the active ones by t r, so that the active
-    rows stay tight.
+    C has at least one row. Returns x, its active set (an _ActiveSet of C and
+    d: the active rows in row order, with their KKT matrix) and their
+    multipliers w, x + C_active^T w = v; v, None and none where no residual
+    C v - d exceeds feas_tol. Otherwise runs the dual active-set method of
+    Goldfarb & Idnani (Math. Programming 27, 1983), from x = v and no
+    active row, or, given start, an active set of C and d (a warm start: say
+    that of a nearby point's projection), from v made tight on its rows with
+    every multiplier positive (`_dual_feasible`), a dual-feasible start whose
+    solves the loop keeps. Each step takes the most violated row p and steps
+    x along -z, z = c_p - N^T r with N z = 0 for the active normals N,
+    raising p's multiplier by t and lowering the active ones by t r, so that
+    the active rows stay tight.
     The step ends where p is tight, at t = s_p / c_p.z, and p joins the
     active set; or earlier, where an active multiplier reaches 0, and that
     row leaves while p is tried again. Where c_p lies in the span of N and
     no multiplier blocks, no feasible point exists. After each full step, x
-    and the multipliers are solved afresh by `_tight_point` on the active
-    rows, with p's multiplier kept at least t; the loop stops once every
-    residual is within `_stop_tol`. That x is solved from v, so far from the
-    set its rounding is at the scale of v, and a row in the span of the
-    active ones (the other side of an equality, say) can read as violated
-    at the scale of x. So where the largest residual is within `_stop_tol`
-    at the scale |x| + |v|, x is solved once more, as the projection of x
-    itself onto the active rows (`_kkt_solve`, multipliers unclipped), whose
-    rounding is at the scale of the set, and tested again; the loop goes on
-    from that x where the test still fails. So a warm start that passes
-    returns the bytes the loop returns where it ends on the same rows; its
-    multipliers are the KKT ones, where the loop may keep p's at its step t.
-    Raises ProjectionError on an empty set and after _STEPS_PER_ROW steps
-    per row.
+    and the multipliers are solved afresh on the active rows
+    (`_ActiveSet.tight_point`), with p's multiplier kept at least t, and
+    tested (`_settle`), as is a warm start's point; the loop stops once
+    every residual is within `_stop_tol`. Each active set builds its KKT
+    matrix once, for its direction and its point. The loop's x depends on
+    its last active set alone, so a warm start returns the bytes of the cold
+    loop wherever both end on the same rows; its multipliers are the KKT
+    ones, where the loop may keep p's at its step t. Raises ProjectionError
+    on an empty set and after _STEPS_PER_ROW steps per row.
     """
     s = C @ v - d
     p = int(s.argmax())  # the row being made tight
     if s[p] <= feas_tol:
-        return v, [], []
-    if start:
-        start = sorted(start)
-        try:
-            x, lam = _tight_point(v, C, d, start)
-        except ProjectionError:  # rows that are not independent
-            lam = []
-        if lam and min(lam) > 0.0 and _stopped(C, x, d, C @ x - d):
-            return x, start, lam
-    x, active, lam = v, [], []  # active rows and their multipliers
+        return v, None, []
+    x, face, lam = v, None, []  # the active set and its multipliers
+    if start is not None:
+        x, face, lam = _dual_feasible(v, C, d, start)
+        if face is not None:
+            x, s, stopped = _settle(v, C, d, x, face)
+            if stopped:
+                return x, face, lam
+            p = int(s.argmax())
     for _ in range(_STEPS_PER_ROW * d.size):
         c = C[p]
-        if active:
-            z, r = _kkt_solve(C[active], c, np.zeros(len(active)))
+        rows = [] if face is None else face.rows
+        if rows:
+            z, r = face.solve(c, np.zeros(len(rows)))
             r = r.tolist()
         else:
             r, z = [], c
         cz = float(c @ z)
         # the full step makes p tight; there is none when c_p is in the span
         # of N: its part z orthogonal to N is rounding of |c_p|
-        spanned = len(active) == v.size or cz <= _SPAN_TOL**2 * float(c @ c)
+        spanned = len(rows) == v.size or cz <= _SPAN_TOL**2 * float(c @ c)
         full = math.inf if spanned else float(s[p]) / cz
         # the partial step stops where the first multiplier reaches 0
         partial, j = math.inf, -1
@@ -322,7 +399,9 @@ def _active_set_project(v, C, d, feas_tol, start=()):
             raise ProjectionError("empty feasible set")
         if partial < full:
             lam = [max(li - partial * ri, 0.0) for li, ri in zip(lam, r)]
-            del active[j], lam[j]
+            del lam[j]
+            rows = rows[:j] + rows[j + 1:]
+            face = _ActiveSet(C, d, rows) if rows else None
             if not spanned:
                 x = x - partial * z
                 s = C @ x - d
@@ -331,25 +410,17 @@ def _active_set_project(v, C, d, feas_tol, start=()):
         # made tight, and lam its multipliers, solved afresh: they carry no
         # rounding from the steps, and one active set, kept in row order,
         # gives one x
-        active = sorted(active + [p])
-        x, lam = _tight_point(v, C, d, active)
+        face = _ActiveSet(C, d, sorted(rows + [p]))
+        x, lam = face.tight_point(v)
         # p's multiplier grew by at least the full step. Rounded below it,
         # towards 0, it would let p leave again at a step of length 0, and
         # the loop could cycle between two nearly dependent rows
-        i = active.index(p)
+        i = face.rows.index(p)
         lam[i] = max(lam[i], full)
-        s = C @ x - d
-        if _stopped(C, x, d, s):
-            return x, active, lam
+        x, s, stopped = _settle(v, C, d, x, face)
+        if stopped:
+            return x, face, lam
         p = int(s.argmax())
-        if s[p] <= _stop_tol(C[p], np.abs(x) + np.abs(v), d[p]):
-            # the residual may be only v's rounding: x projected onto its
-            # own active rows carries rounding at the set's scale instead
-            x = _kkt_solve(C[active], x, d[active])[0]
-            s = C @ x - d
-            if _stopped(C, x, d, s):
-                return x, active, lam
-            p = int(s.argmax())
     raise ProjectionError("active-set projection did not converge")
 
 
@@ -390,8 +461,9 @@ def qp_solve(prob: QpProblem) -> QpSolution:
     u = -np.linalg.solve(L, prob.q / scale)
     y = np.zeros(prob.b.size)  # the multipliers of the rows of P / scale and q / scale
     if prob.b.size:
-        u, active, lam = _active_set_project(u, np.linalg.solve(L, prob.A.T).T, prob.b, _PROJECT_TOL)
-        y[active] = lam
+        u, face, lam = _active_set_project(u, np.linalg.solve(L, prob.A.T).T, prob.b, _PROJECT_TOL)
+        if face is not None:
+            y[face.rows] = lam
     return QpSolution(np.linalg.solve(L.T, u), SOLVED, 1, scale * y)
 
 
@@ -525,10 +597,11 @@ def _norm_qp(M, q, C, d, l2, radius, start):
         if crossed and x is None:  # the first face, the whole space, leaves the set
             if l2 and (d >= 0.0).all():
                 tight = d == 0.0  # the rows through 0, whose normals span its normal cone
-                u, active, w = _active_set_project(-q, C[tight], d[tight], _PROJECT_TOL) if tight.any() else (-q, [], [])
+                u, face, w = _active_set_project(-q, C[tight], d[tight], _PROJECT_TOL) if tight.any() else (-q, None, [])
                 if math.sqrt(u @ u) <= l2:
                     y = np.zeros(d.size)
-                    y[np.flatnonzero(tight)[active]] = w
+                    if face is not None:
+                        y[np.flatnonzero(tight)[face.rows]] = w
                     return QpSolution(np.zeros(n), SOLVED, 1, y)
             x = None if start is None else np.asarray(start, dtype=float)
             if x is None or (C @ x - d > _FEAS_TOL).any() or math.sqrt(x @ x) > radius + _FEAS_TOL:
@@ -582,39 +655,39 @@ def regularized_qp(M, q, C, d, l1, l2, radius, start):
     return None
 
 
-def regularized_qp_terms(regs, atoms, n: int):
-    """regularized_qp's C, d, l1, l2, radius for regs and canonical atoms on R^n:
+def regularized_qp_terms(regs, form: ConstraintForm):
+    """regularized_qp's C, d, l1, l2, radius for regs and a ConstraintForm:
     the rows of every atom but the ball, the summed l1 and group-l2 weights,
     and the ball's radius, inf where there is none."""
-    ball = bool(atoms) and atoms[-1].kind == model.NORM_BALL2
-    C, d = halfspaces(atoms[:-1] if ball else atoms, n)
     l1, l2 = (sum(float(r.weight) for r in regs if r.kind == kind) for kind in (model.L1, model.GROUP_L2))
-    return C, d, l1, l2, atoms[-1].radius if ball else math.inf
+    return form.C, form.d, l1, l2, form.radius
 
 
-def projector(atoms, n: int):
-    """Resolve the Euclidean projection onto an intersection of atoms once.
+def projector(form: ConstraintForm):
+    """Resolve the Euclidean projection onto a compiled constraint list once.
 
     Returns project(point) for points of R^n, with the case analysis done
-    here, on canonical_atoms(atoms, n), rather than on every call. There are
-    three cases. A lone box clips, so stacked nonneg, nonpos and box atoms
-    clip to their intersected bounds, and a lone norm ball scales; both
-    return a feasible point with its values unchanged. A norm ball with
+    here, on the form's canonical atoms, rather than on every call. There
+    are three cases. A lone box clips, so stacked nonneg, nonpos and box
+    atoms clip to their intersected bounds, and a lone norm ball scales;
+    both return a feasible point with its values unchanged. A norm ball with
     other atoms is regularized_qp with M = I, from the polyhedron's min-norm
-    point. Every other set is a polyhedron: its atoms are stacked into
-    halfspace rows, one per finite side (`halfspaces`), and each point is
-    projected onto them exactly by the dual active-set loop
-    (`_active_set_project`); composing the individual projections would not
-    give the intersection projection. That map keeps the active rows of its
-    last projection of an infeasible point and starts the next loop from
-    them: a warm start that returns the cold loop's point where it holds,
-    and runs the loop cold where not. Each call of projector builds its own
-    map, with its own rows. The last two maps return points within
-    _FEAS_TOL of the set as they are; the active-set loop reads that from
-    its first residuals. Crossing bounds raise ProjectionError here; every
-    other empty set raises when a point is projected.
+    point. Every other set is a polyhedron, the form's halfspace rows, one
+    per finite side, and each point is projected onto them exactly by the
+    dual active-set loop (`_active_set_project`); composing the individual
+    projections would not give the intersection projection. That map keeps
+    the active set of its last projection of an infeasible point, its rows
+    with their KKT matrix, and starts the next loop from them: the cold
+    loop's point wherever both end on the same rows, and a dual-feasible
+    start, from the rows whose multipliers stay positive, where the start
+    rows are not the answer. Each call of projector builds its own map, with
+    its own active set; between projections it keeps only the last. The last
+    two maps return points within _FEAS_TOL of the set as they are; the
+    active-set loop reads that from its first residuals. Every empty set
+    whose bounds do not cross (which `constraint_form` raises on) raises
+    when a point is projected.
     """
-    atoms = canonical_atoms(atoms, n)
+    atoms, n = form.atoms, form.n
     kinds = [a.kind for a in atoms]
     if kinds == [model.BOX]:
         (box,) = atoms
@@ -630,21 +703,21 @@ def projector(atoms, n: int):
             return v if nrm <= ball.radius else v * (ball.radius / nrm)
 
     elif kinds[-1:] == [model.NORM_BALL2]:
-        terms, eye = regularized_qp_terms((), atoms, n), np.eye(n)
+        terms, eye = regularized_qp_terms((), form), np.eye(n)
 
         def exact(v):
             return v if max_violation(atoms, v) <= _FEAS_TOL else regularized_qp(eye, -v, *terms, None)
 
     else:
-        C, d = halfspaces(atoms, n)
+        C, d = form.C, form.d
         if not d.size:  # no atom, or every side infinite
             return lambda point: np.asarray(point, dtype=float)
-        rows = []  # the active rows of the last infeasible point's projection
+        last = None  # the active set of the last infeasible point's projection
 
         def exact(v):
-            nonlocal rows
-            x, active, _ = _active_set_project(v, C, d, _FEAS_TOL, rows)
-            rows = active or rows
+            nonlocal last
+            x, face, _ = _active_set_project(v, C, d, _FEAS_TOL, last)
+            last = face or last
             return x
 
     return lambda point: exact(np.asarray(point, dtype=float))
@@ -653,7 +726,7 @@ def projector(atoms, n: int):
 def project(atoms, point) -> np.ndarray:
     """Euclidean projection of point onto the atoms: one use of projector."""
     v = np.asarray(point, dtype=float)
-    return projector(atoms, v.size)(v)
+    return projector(constraint_form(atoms, v.size))(v)
 
 
 # ---------------------------------------------------------------------------
@@ -673,27 +746,26 @@ def block_shrink(v: np.ndarray, amount: float) -> np.ndarray:
     return v * (1.0 - amount / nrm)
 
 
-def prox_plan(regs, atoms, n: int, proj):
-    """Resolve the joint prox of regularizers and atoms on R^n once.
+def prox_plan(regs, form: ConstraintForm, proj):
+    """Resolve the joint prox of regularizers and a compiled constraint list once.
 
     Returns prox(point, step), the map joint_prox applies, with the case
-    analysis done here, on canonical_atoms(atoms, n), rather than on every
-    call. proj is projector(atoms, n), which the plan reuses. A solver that
+    analysis done here, on the form's canonical atoms, rather than on every
+    call. proj is projector(form), which the plan reuses. A solver that
     applies one prox many times builds the plan once per factor. Over a
     sign box, or no atom, the prox clips, soft-thresholds and shrinks, which
     keep zeroed coordinates at 0: exact. Any other is regularized_qp with
     M = I, started from the projection; its orthant cap raises
     ProjectionError.
     """
-    atoms = canonical_atoms(atoms, n)
     if not regs:
         return lambda point, step: proj(point)
+    atoms = form.atoms
+    C, d, l1, l2, radius = regularized_qp_terms(regs, form)
     # a box whose every coordinate interval is one of (-inf, 0], [0, inf),
     # (-inf, inf) and {0}: its prox is a closed form, with no rows
-    sign_box = all(a.kind == model.BOX and np.isin(a.lo, (0.0, -np.inf)).all() and np.isin(a.hi, (0.0, np.inf)).all()
-                   for a in atoms)
-    C, d, l1, l2, radius = regularized_qp_terms(regs, () if sign_box else atoms, n)
-    if sign_box:
+    if all(a.kind == model.BOX and np.isin(a.lo, (0.0, -np.inf)).all() and np.isin(a.hi, (0.0, np.inf)).all()
+           for a in atoms):
         lo, hi = (atoms[0].lo, atoms[0].hi) if atoms else (-np.inf, np.inf)
 
         def box_prox(point, step):
@@ -702,7 +774,7 @@ def prox_plan(regs, atoms, n: int, proj):
             return block_shrink(v, step * l2) if l2 else v
 
         return box_prox
-    eye = np.eye(n)
+    eye = np.eye(form.n)
 
     def prox(point, step):
         v = np.asarray(point, dtype=float)
@@ -721,4 +793,5 @@ def joint_prox(regs, atoms, point, step: float):
     a sign box, and regularized_qp, exact, otherwise.
     """
     v = np.asarray(point, dtype=float)
-    return prox_plan(regs, atoms, v.size, projector(atoms, v.size))(v, step)
+    form = constraint_form(atoms, v.size)
+    return prox_plan(regs, form, projector(form))(v, step)

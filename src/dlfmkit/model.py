@@ -449,7 +449,11 @@ def value_grad_hessian(atom: LossAtom, features, observations, theta, weights):
     curvatures of `_pieces` for every other loss. That is the exact Hessian
     for square regression and binary logit, and the IRLS curvature of the
     quadratic that lies above the loss for huber and lp; multinomial logit
-    takes its exact Hessian, which subtracts sum_i w_i X_i' s_i s_i' X_i.
+    takes its exact Hessian, sum_i w_i X_i' (diag(s_i) - s_i s_i') X_i, as
+    B' B for B of rows sqrt(w_i s_ij) (x_ij - xbar_i), xbar_i = X_i' s_i: the
+    covariance of x_ij under s_i, the same matrix in exact arithmetic and
+    positive semidefinite after rounding too, where the difference of the two
+    Gram terms cancels to an indefinite matrix once the softmax saturates.
     Value, gradient and curvatures come from one `_pieces` call, so they are
     those of batch_losses and weighted_loss_grad bit for bit.
     """
@@ -462,9 +466,9 @@ def value_grad_hessian(atom: LossAtom, features, observations, theta, weights):
     value, grad = float(w @ losses), _margin_grad(F, deriv, w)
     if atom.kind != MULTINOMIAL_LOGIT:
         return value, grad, (F.T * (w * curv)) @ F
-    Fr = F.reshape(-1, n)
-    V = np.einsum("ijk,ij->ik", F, curv)  # X_i' s_i
-    return value, grad, (Fr.T * (w[:, None] * curv).ravel()) @ Fr - (V.T * w) @ V
+    xbar = np.einsum("ijk,ij->ik", F, curv)  # X_i' s_i
+    B = ((F - xbar[:, None, :]) * np.sqrt(w[:, None] * curv)[:, :, None]).reshape(-1, n)
+    return value, grad, B.T @ B
 
 
 # losses with one margin x . theta per sample: factors with one such atom

@@ -56,7 +56,7 @@ class FactorPlan:
     k: int
     solve: Callable  # solve(plan, feats, obs, w, warm, controls) -> (theta, iterations, status)
     loss: model.LossAtom
-    atoms: list  # the factor's constraint atoms, in canonical form
+    form: kernels.ConstraintForm  # the factor's constraint atoms, compiled
     regs: list  # the parameter regularizers
     project: Callable  # Euclidean projection onto the atoms
     prox: Callable | None = None  # joint prox of regs and atoms, Newton only
@@ -234,36 +234,42 @@ def _newton_factor(plan, feats, obs, w, warm, controls):
 def plan_factors(spec: model.ModelSpec) -> list[FactorPlan]:
     """Choose each factor's P-step once, for all the iterations of a restart.
 
-    Each factor keeps kernels.canonical_atoms of its atoms, one projector
-    onto them, and one of three steps.
+    Each distinct constraint list is compiled once (kernels.constraint_form:
+    canonical atoms and halfspace rows), keyed by identity as validate keys
+    its feasibility probes: shared_spec hands every factor the same tuple.
+    Each factor keeps that form, its own projector onto it, whose warm start
+    is the factor's own, and one of three steps.
     Unregularized, a squared-distance factor projects its weighted centroid
     onto its atoms, whatever they are (`_projected_centroid`), and an
     unconstrained square regression solves the normal equations of its
     weighted Gram matrix (`_weighted_lstsq`). Every other factor runs
     proximal Newton (`_newton_factor`) on the joint prox planned on its
     projector. The plan keeps qp_args, kernels.regularized_qp_terms of the
-    regularizers and atoms, on which its quadratic model is solved exactly.
+    regularizers and form, on which its quadratic model is solved exactly.
     Plans hold closures, which do not pickle: build them in the process
     that runs the restart.
     """
     regs = list(spec.p_regularizers)
+    forms: dict = {}
     plans = []
     for k in range(spec.K):
-        loss = spec.loss_per_factor[k]
-        atoms = kernels.canonical_atoms(spec.constraints_per_factor[k], spec.n)
-        project = kernels.projector(atoms, spec.n)
+        loss, atoms = spec.loss_per_factor[k], spec.constraints_per_factor[k]
+        if id(atoms) not in forms:
+            forms[id(atoms)] = kernels.constraint_form(atoms, spec.n)
+        form = forms[id(atoms)]
+        project = kernels.projector(form)
         if regs:
             solve = _newton_factor
         elif loss.kind == model.SQUARED_DISTANCE:
             solve = _projected_centroid
-        elif loss.kind == model.SQUARE_REGRESSION and not atoms:
+        elif loss.kind == model.SQUARE_REGRESSION and not form.atoms:
             solve = _weighted_lstsq
         else:
             solve = _newton_factor
-        plan = FactorPlan(k, solve, loss, atoms, regs, project)
+        plan = FactorPlan(k, solve, loss, form, regs, project)
         if solve is _newton_factor:
-            plan.prox = kernels.prox_plan(regs, atoms, spec.n, project)
-            plan.qp_args = kernels.regularized_qp_terms(regs, atoms, spec.n)
+            plan.prox = kernels.prox_plan(regs, form, project)
+            plan.qp_args = kernels.regularized_qp_terms(regs, form)
             plan.exact_model = loss.kind == model.SQUARE_REGRESSION
         plans.append(plan)
     return plans

@@ -171,7 +171,7 @@ class TestPava:
     @staticmethod
     def isotonic(atom, v):
         v = np.asarray(v, dtype=float)
-        return kernels.projector([atom], v.size)(v)
+        return kernels.project([atom], v)
 
     def test_nondecreasing_pools(self):
         out = self.isotonic(model.monotone_nondecreasing(), [3.0, 1.0, 2.0])
@@ -201,20 +201,20 @@ class TestProjectSimplex:
 
     def test_interior_point_unchanged(self):
         v = np.array([0.2, 0.3, 0.5])
-        assert np.allclose(kernels.projector(self.atoms, 3)(v), v)
+        assert np.allclose(kernels.project(self.atoms, v), v)
 
     def test_symmetric(self):
         # at (1e16, 1e16) the sorted-threshold rule found no positive
         # coordinate in its rounding and raised a raw IndexError
         for v in ([2.0, 2.0], [1e16, 1e16]):
-            assert np.allclose(kernels.projector(self.atoms, 2)(np.array(v)), [0.5, 0.5])
+            assert np.allclose(kernels.project(self.atoms, v), [0.5, 0.5])
 
     def test_matches_qp(self):
         rng = np.random.default_rng(9)
         for _ in range(40):
             n = int(rng.integers(2, 6))
             v = rng.normal(0, 2, n)
-            fast = kernels.projector(self.atoms, n)(v)
+            fast = kernels.project(self.atoms, v)
             prob = dk.qp_problem(np.eye(n), -v, *kernels.halfspaces(self.atoms, n))
             sol = dk.qp_solve(prob)
             assert sol.status == kernels.SOLVED
@@ -386,7 +386,7 @@ class TestSumAndMonotone:
     def test_large_points_project_exactly(self, atoms, v):
         # the active-set loop reported an empty set at 1e7 and ran out of
         # steps at 2e6 and 1e8, where the projection is (0.1, 0.1, 0.1)
-        got = kernels.projector(atoms, 3)(np.array(v))
+        got = kernels.project(atoms, v)
         np.testing.assert_allclose(got, [0.1, 0.1, 0.1], rtol=0.0, atol=1e-16 * max(map(abs, v)))
 
     @pytest.mark.parametrize("atoms", ORDERS, ids=["up_sum_first", "up_monotone_first",
@@ -399,7 +399,7 @@ class TestSumAndMonotone:
             C, d = kernels.halfspaces(atoms, n)
             v = rng.normal(0.0, 3.0, size=n)
             ref = oracle.qp_active_set_oracle(dk.qp_problem(np.eye(n), -v, C, d))
-            project = kernels.projector(atoms, n)
+            project = kernels.projector(kernels.constraint_form(atoms, n))
             got = project(v)
             assert np.array_equal(project(got), got)
             np.testing.assert_allclose(got, ref, rtol=0.0, atol=1e-9)
@@ -407,78 +407,139 @@ class TestSumAndMonotone:
 
 
 class TestWarmStart:
-    """_active_set_project from the rows a previous projection made tight:
-    the cold loop's bytes where the start passes, its answer where not."""
+    """_active_set_project from the active set of a previous projection: the
+    cold loop's bytes where both end on the same rows, with the start's
+    solves kept where its rows are not the answer."""
 
     # x <= 0 and y <= 0
     C, d = np.eye(2), np.zeros(2)
 
-    def both(self, v, start):
-        warm = kernels._active_set_project(v, self.C, self.d, kernels._FEAS_TOL, start)
-        cold = kernels._active_set_project(v, self.C, self.d, kernels._FEAS_TOL)
-        assert warm[0].tobytes() == cold[0].tobytes() and warm[1] == cold[1]
-        return warm
+    @pytest.fixture
+    def solved(self, monkeypatch):
+        """The rows of every point made tight (`tight_point`) and every KKT
+        matrix built, in call order, as ("point", rows) and ("matrix", rows)."""
+        log = []
+        tight_point, solve = kernels._ActiveSet.tight_point, kernels._ActiveSet.solve
 
-    def test_right_rows_return_the_loop_point(self, monkeypatch):
+        def logged_point(face, v):
+            log.append(("point", face.rows))
+            return tight_point(face, v)
+
+        def logged_solve(face, top, bottom):
+            if face._K is None:
+                log.append(("matrix", face.rows))
+            return solve(face, top, bottom)
+
+        monkeypatch.setattr(kernels._ActiveSet, "tight_point", logged_point)
+        monkeypatch.setattr(kernels._ActiveSet, "solve", logged_solve)
+        return log
+
+    def both(self, v, rows, solved, C=None, d=None):
+        """The warm projection of v from the rows, which must equal the cold
+        one byte for byte, and the solves of the warm one alone."""
+        C, d = (self.C, self.d) if C is None else (C, d)
+        cold = kernels._active_set_project(v, C, d, kernels._FEAS_TOL)
+        del solved[:]
+        warm = kernels._active_set_project(v, C, d, kernels._FEAS_TOL, kernels._ActiveSet(C, d, rows))
+        assert warm[0].tobytes() == cold[0].tobytes() and warm[1].rows == cold[1].rows
+        return warm, list(solved)
+
+    def test_right_rows_return_the_loop_point(self, solved):
         # a vertex: the loop solves two points, the warm start one
-        solved = []
-        tight_point = kernels._tight_point
+        (x, active, lam), log = self.both(np.array([1.0, 2.0]), [0, 1], solved)
+        assert np.array_equal(x, [0.0, 0.0]) and active.rows == [0, 1] and lam == [1.0, 2.0]
+        assert log == [("point", [0, 1]), ("matrix", [0, 1])]
 
-        def counting(*args):
-            solved.append(list(args[3]))
-            return tight_point(*args)
+    def test_wrong_rows_fall_back(self, solved):
+        # v meets row 1: its multiplier is 0, so no row is left to start from
+        (x, active, _), log = self.both(np.array([1.0, -1.0]), [1], solved)
+        assert np.array_equal(x, [0.0, -1.0]) and active.rows == [0]
+        assert log == [("point", [1]), ("point", [0])]
 
-        monkeypatch.setattr(kernels, "_tight_point", counting)
-        x, active, lam = self.both(np.array([1.0, 2.0]), [1, 0])
-        assert np.array_equal(x, [0.0, 0.0]) and active == [0, 1] and lam == [1.0, 2.0]
-        assert solved == [[0, 1], [1], [0, 1]]
-
-    def test_wrong_rows_fall_back(self):
-        # v meets row 1: its multiplier is 0, and its point, v, violates row 0
-        x, active, _ = self.both(np.array([1.0, -1.0]), [1])
-        assert np.array_equal(x, [0.0, -1.0]) and active == [0]
-
-    def test_negative_multiplier_falls_back(self):
+    def test_negative_multiplier_seeds_the_loop(self, solved):
         # rows 0 and 1 made tight give the feasible (0, 0), but row 1's
-        # multiplier is -1: the projection is (0, -1) on row 0 alone
-        x, active, _ = self.both(np.array([1.0, -1.0]), [0, 1])
-        assert np.array_equal(x, [0.0, -1.0]) and active == [0]
+        # multiplier is -1: row 1 is dropped, and row 0 alone is the answer,
+        # with no solve of the cold loop
+        (x, active, _), log = self.both(np.array([1.0, -1.0]), [0, 1], solved)
+        assert np.array_equal(x, [0.0, -1.0]) and active.rows == [0]
+        assert log == [("point", [0, 1]), ("matrix", [0, 1]), ("point", [0])]
 
-    def test_other_row_violated_falls_back(self):
-        x, active, _ = self.both(np.array([1.0, 1.0]), [0])
-        assert np.array_equal(x, [0.0, 0.0]) and active == [0, 1]
+    def test_other_row_violated_seeds_the_loop(self, solved):
+        # row 0 made tight leaves row 1 violated: the loop goes on from row 0,
+        # whose point is not solved again
+        (x, active, _), log = self.both(np.array([1.0, 1.0]), [0], solved)
+        assert np.array_equal(x, [0.0, 0.0]) and active.rows == [0, 1]
+        assert log == [("point", [0]), ("matrix", [0]), ("point", [0, 1]), ("matrix", [0, 1])]
 
-    def test_dependent_rows_fall_back(self):
+    def test_seeded_loop_matches_cold_loop(self, solved):
+        # random polytopes in R^3 and starts of two or three of their rows:
+        # every start that keeps a row goes on from it
+        rng = np.random.default_rng(31)
+        seeded = 0
+        for _ in range(200):
+            C = rng.normal(size=(6, 3))
+            d = rng.uniform(0.1, 1.0, size=6)
+            v = rng.normal(0.0, 3.0, size=3)
+            if (C @ v - d).max() <= kernels._FEAS_TOL:
+                continue
+            rows = sorted(rng.choice(6, size=int(rng.integers(2, 4)), replace=False).tolist())
+            (_, active, _), log = self.both(v, rows, solved, C, d)
+            assert log[0] == ("point", rows) and log.count(("point", rows)) == 1
+            kept = kernels._dual_feasible(v, C, d, kernels._ActiveSet(C, d, rows))[1]
+            seeded += kept is not None and active.rows != rows
+        assert seeded > 20
+
+    def test_dependent_rows_fall_back(self, solved):
         # a row named twice, or rows that repeat, make the KKT system singular
         C, d = np.array([[1.0, 1.0], [1.0, 1.0], [0.0, 1.0]]), np.array([0.0, 0.0, 0.0])
         v = np.array([1.0, 2.0])
-        cold = kernels._active_set_project(v, C, d, kernels._FEAS_TOL)
         for start in ([0, 0], [0, 1]):
-            warm = kernels._active_set_project(v, C, d, kernels._FEAS_TOL, start)
-            assert warm[0].tobytes() == cold[0].tobytes() and warm[1] == cold[1]
+            _, log = self.both(v, start, solved, C, d)
+            assert log[:2] == [("point", start), ("matrix", start)]
+            assert ("point", start) not in log[2:]
 
     def test_feasible_point_returned_as_is(self):
         v = np.array([-1.0, -2.0])
-        x, active, lam = kernels._active_set_project(v, self.C, self.d, kernels._FEAS_TOL, [0, 1])
-        assert x is v and active == [] and lam == []
+        start = kernels._ActiveSet(self.C, self.d, [0, 1])
+        x, active, lam = kernels._active_set_project(v, self.C, self.d, kernels._FEAS_TOL, start)
+        assert x is v and active is None and lam == []
 
-    def test_projectors_share_no_state(self, monkeypatch):
+    def test_kept_matrix_gives_the_bytes_of_a_fresh_one(self):
+        rng = np.random.default_rng(5)
+        C, d = rng.normal(size=(6, 4)), rng.normal(size=6)
+        for rows in ([2], [0, 3], [1, 2, 5]):
+            kept = kernels._ActiveSet(C, d, rows)
+            kept.solve(rng.normal(size=4), np.zeros(len(rows)))  # builds the matrix
+            K = kept._K
+            for _ in range(10):
+                v, c = rng.normal(size=4), rng.normal(size=4)
+                fresh = kernels._ActiveSet(C, d, rows)
+                (x, w), (x_ref, w_ref) = kept.tight_point(v), fresh.tight_point(v)
+                assert x.tobytes() == x_ref.tobytes() and w == w_ref
+                for got, ref in zip(kept.solve(c, np.zeros(len(rows))), kernels._ActiveSet(C, d, rows).solve(c, np.zeros(len(rows)))):
+                    assert got.tobytes() == ref.tobytes()
+            assert kept._K is K
+
+    def test_projectors_share_no_state(self, monkeypatch, solved):
         starts = []
         project_rows = kernels._active_set_project
 
-        def spy(v, C, d, feas_tol, start=()):
-            starts.append(list(start))
+        def spy(v, C, d, feas_tol, start=None):
+            starts.append(None if start is None else start.rows)
             return project_rows(v, C, d, feas_tol, start)
 
         monkeypatch.setattr(kernels, "_active_set_project", spy)
-        atoms = [model.polyhedron(np.array([[1.0, 0.0], [0.0, 1.0]]), np.zeros(2))]
-        first, second = kernels.projector(atoms, 2), kernels.projector(atoms, 2)
+        form = kernels.constraint_form([model.polyhedron(np.array([[1.0, 0.0], [0.0, 1.0]]), np.zeros(2))], 2)
+        first, second = kernels.projector(form), kernels.projector(form)
         first(np.array([1.0, 2.0]))
-        first(np.array([-1.0, -1.0]))  # feasible: the rows are kept
+        first(np.array([-1.0, -1.0]))  # feasible: the active set is kept
+        del solved[:]
+        first(np.array([3.0, 1.0]))  # the same rows: their matrix is not built again
+        assert solved == [("point", [0, 1])]
         first(np.array([1.0, -1.0]))
         second(np.array([1.0, 2.0]))
         first(np.array([2.0, 1.0]))
-        assert starts == [[], [0, 1], [0, 1], [], [0]]
+        assert starts == [None, [0, 1], [0, 1], [0, 1], None, [0]]
 
 
 def atom_rows(atom, n):
@@ -663,10 +724,11 @@ class TestProxPlan:
                 "subspace": [model.sum_equals(0.0)],
                 "sign_box_and_monotone": [model.nonneg(), model.monotone_nonincreasing()],
             }[cone]
-            project = kernels.projector(atoms, n)
+            form = kernels.constraint_form(atoms, n)
+            project = kernels.projector(form)
             v = rng.normal(0.0, 2.0, size=n)
             step = float(rng.uniform(0.1, 2.0))
-            got = kernels.prox_plan(reg, atoms, n, project)(v, step)
+            got = kernels.prox_plan(reg, form, project)(v, step)
             ref = kernels.block_shrink(project(v), step * 0.8)
             assert np.allclose(got, ref, rtol=0.0, atol=1e-8)
             assert kernels.max_violation(atoms, got) <= 1e-8
@@ -683,9 +745,10 @@ class TestProxPlan:
         n = 5
         for _ in range(10):
             atoms = random_sign_boxes(rng, n)
-            project = kernels.projector(atoms, n)
-            prox = kernels.prox_plan(regs, atoms, n, project)  # one plan, many points
-            C, d, l1, l2, radius = kernels.regularized_qp_terms(regs, kernels.canonical_atoms(atoms, n), n)
+            form = kernels.constraint_form(atoms, n)
+            project = kernels.projector(form)
+            prox = kernels.prox_plan(regs, form, project)  # one plan, many points
+            C, d, l1, l2, radius = kernels.regularized_qp_terms(regs, form)
             for _ in range(3):
                 v = rng.normal(0.0, 2.0, size=n)
                 step = float(rng.uniform(0.1, 2.0))
@@ -910,7 +973,7 @@ class TestClosedFormProjection:
     ], ids=["box", "sign_box", "ball"])
     def test_feasible_kept_and_near_feasible_projected(self, atoms):
         n = self.n
-        project = kernels.projector(atoms, n)
+        project = kernels.projector(kernels.constraint_form(atoms, n))
         v = self.feasible_point(atoms, n)
         assert kernels.max_violation(atoms, v) == 0.0
         assert np.array_equal(project(v), v)

@@ -164,6 +164,20 @@ class TestLogitValueGradHessian:
         assert np.all(model.batch_losses(atom, F, y, th) >= 0.0)
 
 
+def test_multinomial_hessian_psd_where_softmax_saturates():
+    # features at scale 1e3 saturate the softmax; formed as the difference
+    # of the Gram terms sum w X' diag(s) X and sum w X' s s' X, which cancel,
+    # H came out indefinite on about one draw in six
+    rng = np.random.default_rng(2000)
+    for _ in range(300):
+        n, p, m = int(rng.integers(2, 5)), int(rng.integers(2, 4)), int(rng.integers(5, 40))
+        F = 1e3 * rng.normal(size=(m, p, n))
+        y = np.eye(p)[rng.integers(p, size=m)]
+        _, _, H = model.value_grad_hessian(dk.multinomial_logit(), F, y, rng.normal(size=n), rng.uniform(size=m))
+        eigenvalues = np.linalg.eigvalsh(H)
+        assert eigenvalues[0] >= -1e-12 * eigenvalues[-1]
+
+
 @pytest.mark.parametrize("atom", [dk.square_regression(), dk.squared_distance(), dk.huber(0.7),
                                   dk.lp_regression(1.0), pytest.param(dk.huber(np.inf), id="huber_inf")],
                          ids=lambda a: a.kind)

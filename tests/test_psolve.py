@@ -218,7 +218,7 @@ class TestNewtonStep:
             theta, _, status = plan.solve(plan, data.features, data.observations, w, None, spec.controls)
             best = prox_gradient_reference(plan, data, w, 0.25)
             assert status == psolve.P_CONVERGED
-            assert kernels.max_violation(plan.atoms, theta) == 0.0
+            assert kernels.max_violation(plan.form.atoms, theta) == 0.0
             total = logit_total(spec, data, plan.k, w, theta)
             assert total - best <= spec.controls.p_tol * best
 
@@ -279,7 +279,7 @@ class TestNewtonStep:
         H, g, theta = np.diag([2.0, 0.0]), np.array([1.0, -3.0]), np.zeros(2)
         first, closer, exact = psolve._model_step(plan, theta, g, H)
         assert not exact and np.all(np.isfinite(closer))
-        assert kernels.max_violation(plan.atoms, closer) == 0.0
+        assert kernels.max_violation(plan.form.atoms, closer) == 0.0
         assert_damped_model_point(plan, H, g, theta, closer)
 
     def test_box_bounded_deficient_model_takes_the_damped_exact_point(self, monkeypatch):
@@ -297,7 +297,7 @@ class TestNewtonStep:
         first, closer, exact = psolve._model_step(plan, theta, g, H)
         assert np.all(first > 0.0)
         assert fallback == [1, 1] and not exact  # H raised SingularQp, then H + rho I
-        assert kernels.max_violation(plan.atoms, closer) == 0.0
+        assert kernels.max_violation(plan.form.atoms, closer) == 0.0
         np.testing.assert_allclose(closer, [0.0, 3.0], rtol=0.0, atol=1e-7)
         assert_damped_model_point(plan, H, g, theta, closer)
 
@@ -435,7 +435,7 @@ class TestNewtonModelMatrices:
         for plan, theta in zip(psolve.plan_factors(spec), out.thetas):
             w = Z[:, plan.k]
             assert plan.solve is psolve._newton_factor
-            assert kernels.max_violation(plan.atoms, theta) <= 1e-12
+            assert kernels.max_violation(plan.form.atoms, theta) <= 1e-12
             total = float(w @ model.batch_losses(loss, X, y, theta)) + model.p_regularizer_value(regs, [theta])
             # both losses have second derivative at most 2 in the residual
             best = prox_gradient_reference(plan, data, w, 2.0)
@@ -839,35 +839,35 @@ class TestFactorPlans:
 
     def test_qp_rows_stacked_once_per_restart(self, monkeypatch):
         spec, data = capped_case("regression")
-        stacks = []
-        real = kernels.halfspaces
-        monkeypatch.setattr(kernels, "halfspaces", lambda *args: stacks.append(1) or real(*args))
+        calls = []
+        for name in ("canonical_atoms", "_stacked_rows"):
+            real = getattr(kernels, name)
+            monkeypatch.setattr(kernels, name, lambda *args, name=name, real=real: calls.append(name) or real(*args))
         res = dk.fit(spec, data)
         assert res.iterations > 1
-        # one for validate's feasibility probe of each distinct constraint
-        # list (the shared spec has one), then per factor and restart one for
-        # the projector and one for the Newton model QP
+        # each distinct constraint list (the shared spec has one) is
+        # canonicalized and stacked once for validate's feasibility probe,
+        # then once per restart, for the projectors and the Newton model QPs
+        # of every factor
         lists = len({id(atoms) for atoms in spec.constraints_per_factor})
-        assert lists == 1
-        assert len(stacks) == lists + spec.K * 2 * spec.controls.restarts
+        assert lists == 1 and spec.K > 1
+        once = ["canonical_atoms", "_stacked_rows"]
+        assert calls == once * lists * (1 + spec.controls.restarts)
 
     def test_one_projector_per_factor_and_restart(self, monkeypatch):
         spec, data = pool_case("kmeans")
-        builds = []
+        forms = []
         real = kernels.projector
-
-        def spy(*args, **kwargs):
-            builds.append(len(args[0]))
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(kernels, "projector", spy)
+        monkeypatch.setattr(kernels, "projector", lambda form: forms.append(form) or real(form))
         res = dk.fit(spec, data)
         assert res.iterations > 1
-        # one per factor and restart, then one for validate's feasibility
-        # probe of each distinct constraint list (the shared spec has one)
+        # one for validate's feasibility probe of each distinct constraint
+        # list (the shared spec has one), then one per factor and restart,
+        # each restart's on the one form it compiled for that list
         lists = len({id(atoms) for atoms in spec.constraints_per_factor})
         assert lists == 1
-        assert len(builds) == spec.K * spec.controls.restarts + lists
+        assert len(forms) == lists + spec.K * spec.controls.restarts
+        assert len({id(form) for form in forms}) == lists * (1 + spec.controls.restarts)
 
     @pytest.mark.parametrize("name", ["mixture", "kmeans", "forgetting", "io_hmm"])
     def test_pool_matches_sequential(self, name):
