@@ -11,9 +11,9 @@ such map once. A lone box is clipped and a lone norm ball scaled; every
 other polyhedron, monotone cones and the simplex among them, is projected
 onto by one dual active-set loop, exact in finitely many steps however far
 the point lies from the set, and each projector starts it from the active
-set, KKT matrix included, of its last projection. `qp_solve`
-solves a QP exactly, in one pass of the same loop in Cholesky-transformed
-coordinates; a P that is not numerically definite raises SingularQp.
+set, KKT matrix included, of its last projection. `qp_solve` solves a QP
+exactly, in one pass of the same loop in Cholesky-transformed coordinates;
+a P that is not definite (`Metric`) raises SingularQp.
 `regularized_qp` adds l1, group l2 and a ball to a QP: l1 by one such
 solve per orthant, and group l2 and the ball by a primal active-set loop
 over the polyhedron's faces, each face solved exactly by its secular
@@ -37,7 +37,7 @@ class ProjectionError(RuntimeError):
 
 
 class SingularQp(ProjectionError):
-    """A QP's P fails the Cholesky pivot test: it is not numerically definite."""
+    """A QP's P is not numerically definite (`Metric.definite`)."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -78,6 +78,31 @@ class QpSolution:
     status: str
     iterations: int  # passes of the active-set loop: always 1
     y: np.ndarray  # multipliers of the rows: P x + q + A^T y = 0
+
+
+# a symmetric matrix is definite where its least eigenvalue exceeds this share of its largest
+_NULL_EIGENVALUE = 1e-12
+
+
+@dataclass(frozen=True, eq=False)
+class Metric:
+    """M = V diag(w) V', w ascending (`metric(M)`): the one eigendecomposition
+    that gives w_max, definiteness, damping and `_face_minimizer`'s whole space."""
+
+    M: np.ndarray
+    w: np.ndarray
+    V: np.ndarray
+
+    @property
+    def definite(self) -> bool:  # numerically positive definite
+        return bool(self.w[0] > _NULL_EIGENVALUE * self.w[-1])
+
+    def damped(self, rho: float) -> Metric:  # M + rho I, on the same eigenvectors
+        return Metric(self.M + rho * np.eye(self.w.size), self.w + rho, self.V)
+
+
+def metric(M) -> Metric:
+    return Metric(M, *np.linalg.eigh(M))  # exactly (ones, I) for M = I
 
 
 # ---------------------------------------------------------------------------
@@ -226,16 +251,9 @@ _SPAN_TOL = 1e-8
 # the active-set loop takes at most this many steps per halfspace row
 _STEPS_PER_ROW = 5
 
-# a QP's P is definite where every pivot of its Cholesky factor keeps
-# L_jj^2 > this share of P_jj, as in psolve's collinearity test
-_QP_MIN_PIVOT = 1e-12
-
-
-# a face's reduced M has a null space where its eigenvalues are at most this
-# share of the largest; Newton's method on a secular equation takes at most
-# _SECULAR_MAX_ITER steps (from the left of the root it rises monotonically
-# and converges quadratically, in a handful)
-_NULL_EIGENVALUE, _SECULAR_MAX_ITER = 1e-12, 100
+# Newton's method on a secular equation takes at most this many steps: from
+# the left of the root it rises to it monotonically, quadratically at the end
+_SECULAR_MAX_ITER = 100
 
 
 class _ActiveSet:
@@ -424,47 +442,34 @@ def _active_set_project(v, C, d, feas_tol, start=None):
     raise ProjectionError("active-set projection did not converge")
 
 
-def _pivot_test(P):
-    """(scale, L) with P / scale = L L^T, scale = max diag(P): the Cholesky
-    pivot test of qp_solve and `_norm_qp`. Raises SingularQp unless every
-    L_jj^2 exceeds _QP_MIN_PIVOT times (P / scale)_jj."""
-    diag = P.diagonal().tolist()  # n is small: the tests run on Python floats
-    scale = max(diag, default=0.0)
-    if not scale > 0.0:  # P = 0 fails the pivot test at any scale
-        scale = 1.0
-    try:
-        L = np.linalg.cholesky(P / scale)
-    except np.linalg.LinAlgError:
-        L = None  # P is not numerically positive definite
-    if L is None or not all(l * l > _QP_MIN_PIVOT * (p / scale) for l, p in zip(L.diagonal().tolist(), diag)):
-        raise SingularQp("QP matrix is not numerically positive definite")
-    return scale, L
+def _metric_qp(met: Metric, q, A, b) -> QpSolution:
+    """qp_solve's point of the QP with a definite P = met.M = scale L L^T.
+
+    x = L^-T u for u the Euclidean projection of -L^-1 q / scale onto the
+    rows (A L^-T) u <= b (`_active_set_project`), the coordinates of
+    Goldfarb & Idnani; the eigenvectors' would lose the accuracy of each row
+    of a graded P. The scale keeps u and the rows near the scale of x and A.
+    """
+    scale = float(met.M.diagonal().max())  # > 0, as M is definite
+    L = np.linalg.cholesky(met.M / scale)
+    u = -np.linalg.solve(L, q / scale)
+    y = np.zeros(b.size)  # the multipliers of the rows of P / scale and q / scale
+    if b.size:
+        u, face, lam = _active_set_project(u, np.linalg.solve(L, A.T).T, b, _PROJECT_TOL)
+        if face is not None:
+            y[face.rows] = lam
+    return QpSolution(np.linalg.solve(L.T, u), SOLVED, 1, scale * y)
 
 
 def qp_solve(prob: QpProblem) -> QpSolution:
     """Solve a dense strictly convex QP exactly, in one pass of the active-set loop.
 
-    The rows A x <= b are used as given. P must pass the Cholesky pivot
-    test, every L_jj^2 above _QP_MIN_PIVOT times P_jj for P = L L^T; any
-    other P raises SingularQp. In u = L^T x the objective is
-    |u + L^-1 q|^2 / 2 up to a constant, so the minimizer is x = L^-T u for
-    u the Euclidean projection of -L^-1 q onto the rows (A L^-T) u <= b,
-    found by `_active_set_project`: the coordinates in which Goldfarb &
-    Idnani state their method. Returns SOLVED, with iterations 1, and the
-    multipliers y of the rows. Raises ProjectionError on an empty set or a
-    breakdown of the loop.
+    The rows A x <= b are used as given (`_norm_qp` with no l2 and no ball);
+    a P that is not definite (`Metric.definite`) raises SingularQp. Returns
+    SOLVED, with iterations 1, and the multipliers y of the rows. Raises
+    ProjectionError on an empty set or a breakdown of the loop.
     """
-    # P and q scaled to max diag(P) = 1, which leaves the minimizer as it is
-    # and keeps u and the rows of A L^-T near the scale of x and A, on which
-    # the stop tests of the active-set loop are set
-    scale, L = _pivot_test(prob.P)
-    u = -np.linalg.solve(L, prob.q / scale)
-    y = np.zeros(prob.b.size)  # the multipliers of the rows of P / scale and q / scale
-    if prob.b.size:
-        u, face, lam = _active_set_project(u, np.linalg.solve(L, prob.A.T).T, prob.b, _PROJECT_TOL)
-        if face is not None:
-            y[face.rows] = lam
-    return QpSolution(np.linalg.solve(L.T, u), SOLVED, 1, scale * y)
+    return _norm_qp(metric(prob.P), prob.q, prob.A, prob.b, 0.0, math.inf, None)
 
 
 def _secular_root(terms, t, target):
@@ -491,45 +496,40 @@ def _secular_root(terms, t, target):
     raise ProjectionError("secular equation did not converge")
 
 
-def _face_minimizer(M, q, l2, radius, x0, N):
+def _face_minimizer(met, q, l2, radius, x0, N):
     """argmin x.M x / 2 + q.x + l2 ||x|| over x = x0 + N y, ||x|| <= radius,
-    and the damping mu at which M x + q + mu x is normal to the face.
+    M = met.M, and the damping mu at which M x + q + mu x is normal to the face.
 
     x0 is the face's min-norm point and N an orthonormal basis of its
-    directions (0 and None, read as I, for the whole space), so
-    ||x||^2 = a + ||y||^2 with a = ||x0||^2. With N'M N = V diag(w) V' and
+    directions (0 and None, read as I, for the whole space: met's own w and
+    V), so ||x||^2 = a + ||y||^2 with a = ||x0||^2. With N'M N = V diag(w) V' and
     beta = V'N'(M x0 + q), y(mu) = -V (beta / (w + mu)), and the minimizer
     is x(mu) for the least mu >= 0 with mu ||x|| >= l2 and ||x|| <= radius.
     In s = 1 / mu the first is the secular equation
     a / s^2 + sum beta^2 / (1 + w s)^2 = l2^2, and in mu the second
     a + sum beta^2 / (w + mu)^2 = radius^2, each solved by `_secular_root`.
     x = 0 where a = 0 and ||beta|| <= l2. A face that meets the ball at x0
-    alone gives x0. Raises SingularQp where the part of beta in the null
-    space of N'M N is at least l2 (or not 0, at l2 = 0).
+    alone gives x0. M must be definite, and so is N'M N.
     """
     if N is None:  # the whole space, with no product by I
-        a, (w, V), c = 0.0, np.linalg.eigh(M), q
+        a, w, V, c = 0.0, met.w, met.V, q
     else:
         a = float(x0 @ x0)
         if not N.shape[1]:  # the face is one point
             return x0, l2 / math.sqrt(a) if a else 0.0
-        w, V = np.linalg.eigh(N.T @ M @ N)
-        c = N.T @ (M @ x0 + q if a else q)
+        w, V = np.linalg.eigh(N.T @ met.M @ N)
+        c = N.T @ (met.M @ x0 + q if a else q)
     beta = V.T @ c
-    w = np.maximum(w, 0.0)
     # n is small, so the sums run on Python floats
     b2, wl = (beta * beta).tolist(), w.tolist()
     if not a and sum(b2) <= l2 * l2:
         return x0, 0.0
-    null = sum(b for b, e in zip(b2, wl) if e <= _NULL_EIGENVALUE * wl[-1])
-    if null and null >= l2 * l2:
-        raise SingularQp("the model is unbounded on a face of its set")
     terms = [(b, e) for b, e in zip(b2, wl) if b]
     if l2:
         s = _secular_root([(b, 1.0, e) for b, e in terms] + ([(a, 0.0, 1.0)] if a else []), math.sqrt(a) / l2, l2)
         y, mu = -s * (V @ (beta / (1.0 + w * s))), 1.0 / s
     else:
-        y, mu = -(V @ (beta / np.where(w > 0.0, w, 1.0))), 0.0  # beta = 0 where w = 0
+        y, mu = -(V @ (beta / w)), 0.0
     if a + y @ y > radius * radius:
         if a >= radius * radius:
             return x0, l2 / math.sqrt(a) if a else 0.0
@@ -558,38 +558,37 @@ def _face(C, d, W):
     return x0, np.hstack([np.eye(n)[:, ~touched], tangent]), lambda g: -np.linalg.solve(R, Q1.T @ g[touched])
 
 
-def _norm_qp(M, q, C, d, l2, radius, start):
+def _norm_qp(met, q, C, d, l2, radius, start):
     """argmin x.M x / 2 + q.x + l2 ||x|| over C x <= d and ||x|| <= radius.
 
-    Returns the QpSolution (x, multipliers y of the rows). M must pass
-    qp_solve's pivot test (else SingularQp); without l2, qp_solve's point
-    is the answer where it lies in the ball. Otherwise a primal active-set
-    loop runs over the faces C_W x = d_W of the polyhedron (Goldfarb &
-    Idnani, Math. Programming 27, 1983, for the frame), each solved exactly
-    by `_face_minimizer`, ball included. W starts empty: the minimizer over
-    the whole space is the answer where it meets the rows, each within
-    `_stop_tol`. Where it does not, x = 0 with l2 where 0 meets the rows
-    and -q lies within l2 of their normal cone at 0 (Moreau); else the loop
-    steps from start where it is a point of the set, and from the
-    polyhedron's min-norm point otherwise, which outside the ball leaves
-    the set empty (ProjectionError). A step to a face's minimizer that
-    crosses rows stops at the first (the least index on ties), which joins
-    W, so the rows of W stay independent. At a minimizer in the set the
-    multipliers y_W of C_W' y_W = -(M x + q + mu x) are read: it is optimal
-    once none is below -_PROJECT_TOL (l2 + ||q||), rounding of 0, and else
-    the least-index row with one below leaves W (Bland). Raises
-    ProjectionError after _STEPS_PER_ROW steps per row.
+    Returns the QpSolution (x, multipliers y of the rows). M = met.M must be
+    definite (else SingularQp); without l2, `_metric_qp`'s point is the
+    answer where it lies in the ball. Otherwise a primal active-set loop
+    runs over the faces C_W x = d_W of the polyhedron (Goldfarb & Idnani, Math. Programming 27,
+    1983, for the frame), each solved exactly by `_face_minimizer`, ball
+    included. W starts empty: the minimizer over the whole space is the
+    answer where it meets the rows, each within `_stop_tol`. Where it does
+    not, x = 0 with l2 where 0 meets the rows and -q lies within l2 of their
+    normal cone at 0 (Moreau); else the loop steps from start where it is a
+    point of the set, and from the polyhedron's min-norm point otherwise,
+    which outside the ball leaves the set empty (ProjectionError). A step to
+    a face's minimizer that crosses rows stops at the first (the least index
+    on ties), which joins W, so the rows of W stay independent. At a
+    minimizer in the set the multipliers y_W of C_W' y_W = -(M x + q + mu x)
+    are read: it is optimal once none is below -_PROJECT_TOL (l2 + ||q||),
+    rounding of 0, and else the least-index row with one below leaves W
+    (Bland). Raises ProjectionError after _STEPS_PER_ROW steps per row.
     """
+    if not met.definite:
+        raise SingularQp("QP matrix is not numerically positive definite")
     if not l2:
-        sol = qp_solve(qp_problem(M, q, C, d))
+        sol = _metric_qp(met, q, C, d)
         if math.sqrt(sol.x @ sol.x) <= radius:
             return sol
-    else:
-        _pivot_test(M)
     n, W, x = q.size, [], None
     for _ in range(_STEPS_PER_ROW * d.size + 1):
         x0, N, multipliers = _face(C, d, W) if W else (np.zeros(n), None, None)
-        xs, mu = _face_minimizer(M, q, l2, radius, x0, N)
+        xs, mu = _face_minimizer(met, q, l2, radius, x0, N)
         s_next = C @ xs - d
         if W:
             s_next[W] = 0.0  # the face's rows
@@ -618,7 +617,7 @@ def _norm_qp(M, q, C, d, l2, radius, start):
         x, y = xs, np.zeros(d.size)
         if not W:
             return QpSolution(x, SOLVED, 1, y)
-        y_W = multipliers(M @ x + q + mu * x)
+        y_W = multipliers(met.M @ x + q + mu * x)
         low = y_W < -_PROJECT_TOL * (l2 + math.sqrt(q @ q))
         if not low.any():
             y[W] = np.maximum(y_W, 0.0)
@@ -627,10 +626,10 @@ def _norm_qp(M, q, C, d, l2, radius, start):
     raise ProjectionError("active-set loop of the norm QP did not converge")
 
 
-def regularized_qp(M, q, C, d, l1, l2, radius, start):
+def regularized_qp(met: Metric, q, C, d, l1, l2, radius, start):
     """argmin x.M x / 2 + q.x + l1 ||x||_1 + l2 ||x||_2 over C x <= d, ||x|| <= radius.
 
-    M must pass qp_solve's pivot test (else SingularQp); radius may be inf,
+    M = met.M must be definite (else SingularQp); radius may be inf,
     l1 and l2 0, and start a point of the set or None. On the orthant of
     signs s, l1 ||x||_1 is l1 s.x, and the rows -s_i x_i <= 0 join C x <= d
     (`_norm_qp`, started from start). The loop starts on the orthant of
@@ -641,12 +640,12 @@ def regularized_qp(M, q, C, d, l1, l2, radius, start):
     its loop, and its minimum is lower. Returns None after 2n flips.
     """
     if not l1:
-        return _norm_qp(M, q, C, d, l2, radius, start).x
+        return _norm_qp(met, q, C, d, l2, radius, start).x
     n = q.size
     s = np.where(start != 0.0, np.sign(start), np.where(q > 0.0, -1.0, 1.0))
     d = np.concatenate([d, np.zeros(n)])
     for _ in range(2 * n + 1):  # the start, then at most 2n flips
-        sol = _norm_qp(M, q + l1 * s, np.vstack([C, -np.diag(s)]), d, l2, radius, start)
+        sol = _norm_qp(met, q + l1 * s, np.vstack([C, -np.diag(s)]), d, l2, radius, start)
         bad = sol.y[-n:] > 2.0 * l1
         if not bad.any():
             return sol.x
@@ -703,7 +702,7 @@ def projector(form: ConstraintForm):
             return v if nrm <= ball.radius else v * (ball.radius / nrm)
 
     elif kinds[-1:] == [model.NORM_BALL2]:
-        terms, eye = regularized_qp_terms((), form), np.eye(n)
+        terms, eye = regularized_qp_terms((), form), metric(np.eye(n))
 
         def exact(v):
             return v if max_violation(atoms, v) <= _FEAS_TOL else regularized_qp(eye, -v, *terms, None)
@@ -774,7 +773,7 @@ def prox_plan(regs, form: ConstraintForm, proj):
             return block_shrink(v, step * l2) if l2 else v
 
         return box_prox
-    eye = np.eye(form.n)
+    eye = metric(np.eye(form.n))
 
     def prox(point, step):
         v = np.asarray(point, dtype=float)

@@ -8,8 +8,7 @@ normal equations) and proximal Newton for every factor that has none. Its
 quadratic model is solved exactly by kernels.regularized_qp: the QP of the
 polyhedral atoms, with an orthant loop for l1, and a face-by-face
 active-set loop, each face solved by its secular equation, for group l2
-and the ball. A model whose Hessian is singular is damped by a proximal
-term first.
+and the ball. A model whose matrix is not definite is damped first.
 """
 
 from __future__ import annotations
@@ -132,8 +131,8 @@ _MIN_CURVATURE = 1e-12
 _ARMIJO = 1e-4
 # halvings of the Newton step before no descent is taken to exist
 _MAX_HALVINGS = 60
-# the proximal term of a model QP whose Hessian is singular is this share of
-# the largest H_jj
+# the proximal term of a model QP whose Hessian is not definite is this
+# share of the largest H_jj
 _PROX_SHARE = 1e-8
 
 
@@ -142,26 +141,26 @@ def _model_step(plan, theta, g, H):
 
     Returns the prox-gradient step at theta, with step 1 / lambda_max(H), a
     closer point, and whether that point minimizes the factor's own problem.
-    The point is kernels.regularized_qp with M = H, q = g - H theta and the
-    plan's qp_args, started from the prox-gradient step; where H is
-    singular (kernels.SingularQp), with M = H + rho I and q = g - M theta
-    for rho = _PROX_SHARE times the largest H_jj: a proximal Newton step
-    centred at theta, whose metric need only be positive definite (Lee, Sun
-    & Saunders, SIAM J. Optim. 2014). The point is projected, onto atoms it
-    meets up to rounding. The undamped model of an exact model
-    (plan.exact_model) is the minimizer. Where H has no curvature, or the
-    orthant loop hits its cap, it is the prox-gradient step.
+    H is decomposed once (kernels.metric), which gives lambda_max(H), its
+    definiteness and its damping. The point is kernels.regularized_qp
+    with M = H, q = g - H theta and the plan's qp_args, started from the
+    prox-gradient step; where H is not definite, with M = H + rho I and
+    q = g - M theta for rho = _PROX_SHARE times the largest H_jj: a proximal
+    Newton step centred at theta, whose metric need only be positive
+    definite (Lee, Sun & Saunders, SIAM J. Optim. 2014). The point is
+    projected, onto atoms it meets up to rounding. The undamped model of an
+    exact model (plan.exact_model) is the minimizer. Where H has no
+    curvature, or the orthant loop hits its cap, it is the prox-gradient step.
     """
-    lam = max(float(np.linalg.eigvalsh(H)[-1]), 0.0)  # rounding below 0 reads 0
-    step = 1.0 / max(lam, _MIN_CURVATURE)
+    met = kernels.metric(H)
+    step = 1.0 / max(float(met.w[-1]), _MIN_CURVATURE)
     first = plan.prox(theta - step * g, step)
-    x = None
-    if lam > _MIN_CURVATURE:
-        try:
-            x, exact = kernels.regularized_qp(H, g - H @ theta, *plan.qp_args, first), plan.exact_model
-        except kernels.SingularQp:
-            P = H + _PROX_SHARE * float(np.diag(H).max()) * np.eye(H.shape[0])
-            x, exact = kernels.regularized_qp(P, g - P @ theta, *plan.qp_args, first), False
+    if met.w[-1] <= _MIN_CURVATURE:
+        return first, first, False
+    exact = plan.exact_model and met.definite
+    if not met.definite:
+        met = met.damped(_PROX_SHARE * float(np.diag(H).max()))
+    x = kernels.regularized_qp(met, g - met.M @ theta, *plan.qp_args, first)
     return (first, first, False) if x is None else (first, plan.project(x), exact)
 
 

@@ -51,9 +51,9 @@ class TestQpSolve:
             assert np.allclose(sol.x, ref, atol=1e-4), f"trial {trial}"
 
     def test_semidefinite_large_scale_raises_singular_qp(self):
-        # P of rank 2 on R^4 with eigenvalues 1 and 10^8.5 fails the pivot
-        # test at every draw, as it stands and scaled to a unit diagonal
-        # maximum, and so does P = 0. psolve damps such a Newton model
+        # P of rank 2 on R^4 with eigenvalues 1 and 10^8.5 fails the
+        # eigenvalue rule at every draw, as it stands and scaled to a unit
+        # diagonal maximum, and so does P = 0. psolve damps such a Newton model
         # before it solves it; one that escapes ends one restart, as every
         # ProjectionError does
         assert issubclass(kernels.SingularQp, kernels.ProjectionError)
@@ -125,7 +125,7 @@ class TestQpPolish:
     @pytest.mark.parametrize("kind", ["equality", "one_sided", "duplicate", "singular_P"])
     def test_matches_active_set_oracle(self, kind):
         rng = np.random.default_rng(7)
-        if kind == "singular_P":  # P of rank n - 1 fails the pivot test
+        if kind == "singular_P":  # P of rank n - 1 fails the eigenvalue rule
             for _ in range(40):
                 with pytest.raises(kernels.SingularQp):
                     dk.qp_solve(polish_qp(rng, kind))
@@ -616,9 +616,12 @@ class TestCanonicalProjection:
         assert checked >= 60 and crossed >= 10
 
     def test_nonneg_and_box_clip_without_qp(self, monkeypatch):
+        # neither the QP kernel (_metric_qp, which qp_solve runs) nor
+        # regularized_qp is called
         calls = []
-        qp_solve = kernels.qp_solve
-        monkeypatch.setattr(kernels, "qp_solve", lambda *a, **k: calls.append(1) or qp_solve(*a, **k))
+        for name in ("_metric_qp", "regularized_qp"):
+            real = getattr(kernels, name)
+            monkeypatch.setattr(kernels, name, lambda *a, real=real: calls.append(1) or real(*a))
         out = dk.project((model.nonneg(), model.box(0.0, 2.0)), np.array([-1.0, 0.5, 3.0, 2.0, -4.0]))
         assert np.array_equal(out, [0.0, 0.5, 2.0, 2.0, 0.0])
         assert calls == []
@@ -749,11 +752,12 @@ class TestProxPlan:
             project = kernels.projector(form)
             prox = kernels.prox_plan(regs, form, project)  # one plan, many points
             C, d, l1, l2, radius = kernels.regularized_qp_terms(regs, form)
+            eye = kernels.metric(np.eye(n))
             for _ in range(3):
                 v = rng.normal(0.0, 2.0, size=n)
                 step = float(rng.uniform(0.1, 2.0))
                 got = prox(v, step)
-                ref = kernels.regularized_qp(np.eye(n), -v, C, d, step * l1, step * l2, radius, project(v))
+                ref = kernels.regularized_qp(eye, -v, C, d, step * l1, step * l2, radius, project(v))
                 assert kernels.max_violation(atoms, got) == 0.0
                 assert np.allclose(got, ref, rtol=0.0, atol=1e-8)
                 # the plan is the clip to the intersected bounds, then each
@@ -774,7 +778,8 @@ class TestProxPlan:
         atoms = [model.box(np.zeros(n), np.array([0.0, 0.0, 0.0, np.inf, np.inf]))]
         v = np.array([-0.27, -0.76, 0.93, 1.65, -0.41])
         C, d = kernels.halfspaces(atoms, n)
-        x = kernels.regularized_qp(np.eye(n), -v, C, d, step * 0.4, step * 0.6, np.inf, dk.project(atoms, v))
+        eye = kernels.metric(np.eye(n))
+        x = kernels.regularized_qp(eye, -v, C, d, step * 0.4, step * 0.6, np.inf, dk.project(atoms, v))
         assert x[4] == 0.0
         assert np.array_equal(x, np.zeros(n))
 
@@ -841,7 +846,7 @@ class TestRegularizedQp:
             ref = oracle.qp_active_set_oracle(epigraph_l1_qp(M, q, l1, C, d))[:n]
             seed = -q if trial % 2 else rng.normal(0.0, 2.0, size=n)
             start = kernels._active_set_project(seed, C, d, 0.0)[0] if d.size else seed
-            x = kernels.regularized_qp(M, q, C, d, l1, 0.0, np.inf, start)
+            x = kernels.regularized_qp(kernels.metric(M), q, C, d, l1, 0.0, np.inf, start)
             assert x is not None, f"trial {trial}: orthant cap"
             assert np.abs(x - ref).max() <= 1e-8 * max(1.0, np.abs(ref).max()), f"trial {trial}"
             assert np.all(C @ x - d <= 1e-8), f"trial {trial}"
@@ -869,10 +874,10 @@ class TestRegularizedQp:
             nearest = kernels._active_set_project(np.zeros(n), C, d, 0.0)[0] if d.size else np.zeros(n)
             if np.linalg.norm(nearest) > radius * (1.0 + 1e-9):
                 with pytest.raises(kernels.ProjectionError):
-                    kernels.regularized_qp(M, q, C, d, 0.0, l2, radius, None)
+                    kernels.regularized_qp(kernels.metric(M), q, C, d, 0.0, l2, radius, None)
                 empty += 1
                 continue
-            x = kernels.regularized_qp(M, q, C, d, 0.0, l2, radius, None)
+            x = kernels.regularized_qp(kernels.metric(M), q, C, d, 0.0, l2, radius, None)
             solved += 1
             assert np.all(np.isfinite(x))
             assert np.all(C @ x - d <= 1e-8), f"trial {trial}"
@@ -914,8 +919,8 @@ class TestRegularizedQp:
             if terms != "group_l2":
                 radius = float(np.linalg.norm(start)) * (1.0 if trial % 3 == 0 else float(rng.uniform(1.0, 1.5)))
             started += 1
-            x = kernels.regularized_qp(M, q, C, d, 0.0, l2, radius, start)
-            ref = kernels.regularized_qp(M, q, C, d, 0.0, l2, radius, None)
+            x = kernels.regularized_qp(kernels.metric(M), q, C, d, 0.0, l2, radius, start)
+            ref = kernels.regularized_qp(kernels.metric(M), q, C, d, 0.0, l2, radius, None)
             assert np.abs(x - ref).max() <= 1e-10 * max(1.0, np.abs(ref).max()), f"trial {trial}"
             assert np.all(C @ x - d <= 1e-8), f"trial {trial}"
             nrm = float(np.linalg.norm(x))

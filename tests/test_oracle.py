@@ -84,11 +84,13 @@ def test_brute_force_nonneg_regression_bounds_fit(seed):
 
 
 def test_brute_force_makes_no_qp_solve_call(monkeypatch):
-    # the oracle shares no code with the kernel of the Newton model QPs that
-    # it checks: constrained square regression enumerates active sets
+    # the oracle shares no code with the kernels of the Newton model QPs
+    # that it checks (_metric_qp, which qp_solve runs, and regularized_qp):
+    # constrained square regression enumerates active sets
     calls = []
-    real = kernels.qp_solve
-    monkeypatch.setattr(kernels, "qp_solve", lambda *a: calls.append(1) or real(*a))
+    for name in ("_metric_qp", "regularized_qp"):
+        real = getattr(kernels, name)
+        monkeypatch.setattr(kernels, name, lambda *a, real=real: calls.append(1) or real(*a))
     spec, data = nonneg_regression_case(0)
     dk.brute_force_fit(spec, data)
     assert calls == []

@@ -118,10 +118,12 @@ def test_group_l2_box_model_is_exact(n, curvature, scale, seed):
     C, d = kernels.halfspaces([box], n)
     start = np.clip(rng.normal(size=n) * scale, lo, hi)  # a random point of the box
     if curvature != "definite":
-        # a singular H fails the pivot test, as on every other model: the
-        # Newton step damps it
+        # a singular H fails the eigenvalue rule, as on every other model:
+        # the Newton step damps it, and regularized_qp raises on it
+        met = kernels.metric(H)
+        assert not met.definite
         with pytest.raises(kernels.SingularQp):
-            kernels.regularized_qp(H, c, C, d, 0.0, lam, np.inf, start)
+            kernels.regularized_qp(met, c, C, d, 0.0, lam, np.inf, start)
         return
     form = kernels.constraint_form([box], n)
     proj = kernels.projector(form)
@@ -132,7 +134,8 @@ def test_group_l2_box_model_is_exact(n, curvature, scale, seed):
     size = float(np.linalg.norm(c)) + lam + lam_max * float(np.linalg.norm(best))
     # the minimizer from a random start and from the box's min-norm point,
     # projected onto the box as the Newton step projects its model point
-    candidates = [proj(kernels.regularized_qp(H, c, C, d, 0.0, lam, np.inf, x0)) for x0 in (start, None)]
+    met = kernels.metric(H)
+    candidates = [proj(kernels.regularized_qp(met, c, C, d, 0.0, lam, np.inf, x0)) for x0 in (start, None)]
     for x in candidates:
         assert np.all((lo <= x) & (x <= hi))
         assert group_l2_box_kkt_violation(H, c, lam, lo, hi, x) <= 1e-10 * size

@@ -270,8 +270,8 @@ class TestNewtonStep:
 
     def test_unbounded_model_takes_the_damped_exact_point(self):
         # H singular, and the part of c = g - H theta in its null space is
-        # larger than lambda: the model has no minimizer. regularized_qp
-        # raises SingularQp on H, and the model damped to H + rho I has one:
+        # larger than lambda: the model has no minimizer. H fails the
+        # eigenvalue rule, and the model damped to H + rho I has one:
         # the prox-gradient fixed point of the damped model, finite and in
         # the box
         spec = ex.iohmm_spec(1.0, 1.0, 1, 0)
@@ -286,17 +286,18 @@ class TestNewtonStep:
         # H = (1, 1)(1, 1)' is singular, and c = g - H theta has a part of
         # sqrt 2 > lambda in its null space: unbounded on the whole space,
         # though the sign box bounds the model at x = (0, 3). H fails the
-        # pivot test, and the model is solved damped, to within rho of that
-        # point
+        # eigenvalue rule, and the model is solved once, damped, to within
+        # rho of that point
         spec = dk.shared_spec(1, 2, dk.binary_logit(), (dk.nonneg(),), p_regularizers=(dk.group_l2(1.0),))
         plan = psolve.plan_factors(spec)[0]
         H, g, theta = np.ones((2, 2)), np.array([-2.0, -4.0]), np.zeros(2)
         fallback = []
         real = kernels.regularized_qp
-        monkeypatch.setattr(kernels, "regularized_qp", lambda *args: fallback.append(1) or real(*args))
+        monkeypatch.setattr(kernels, "regularized_qp", lambda met, *args: fallback.append(met) or real(met, *args))
         first, closer, exact = psolve._model_step(plan, theta, g, H)
         assert np.all(first > 0.0)
-        assert fallback == [1, 1] and not exact  # H raised SingularQp, then H + rho I
+        assert len(fallback) == 1 and not exact  # one solve, with M = H + rho I
+        assert np.array_equal(fallback[0].M, H + psolve._PROX_SHARE * np.eye(2))
         assert kernels.max_violation(plan.form.atoms, closer) == 0.0
         np.testing.assert_allclose(closer, [0.0, 3.0], rtol=0.0, atol=1e-7)
         assert_damped_model_point(plan, H, g, theta, closer)
@@ -541,22 +542,21 @@ def capped_case(name):
     return spec, data
 
 
-def record_qp_statuses(monkeypatch):
-    """The list to which every later qp_solve appends its status, or
-    "singular" where it raises SingularQp."""
+def record_qp_statuses(monkeypatch, metrics=None):
+    """The list to which every later QP solve (kernels._metric_qp, which
+    qp_solve and every Newton model QP without group l2 run) appends its
+    status; metrics, where given, gets the Metric of each."""
     statuses = []
-    real = kernels.qp_solve
+    real = kernels._metric_qp
 
-    def spy(*args, **kwargs):
-        try:
-            sol = real(*args, **kwargs)
-        except kernels.SingularQp:
-            statuses.append("singular")
-            raise
+    def spy(met, *args):
+        sol = real(met, *args)
         statuses.append(sol.status)
+        if metrics is not None:
+            metrics.append(met)
         return sol
 
-    monkeypatch.setattr(kernels, "qp_solve", spy)
+    monkeypatch.setattr(kernels, "_metric_qp", spy)
     return statuses
 
 
@@ -598,8 +598,8 @@ class TestCappedQp:
 
 
 def test_singular_model_qp_is_damped(monkeypatch):
-    # 1 or 3 weighted rows for 10 features: H is singular, so qp_solve
-    # raises SingularQp and the model is solved again with P = H + rho I,
+    # 1 or 3 weighted rows for 10 features: H is singular, so it fails the
+    # eigenvalue rule and the model is solved once, with P = H + rho I,
     # centred at theta. The P-step lands in the polytope, at the objectives
     # reached by solving the undamped models to convergence by the
     # proximal-point method
@@ -607,15 +607,62 @@ def test_singular_model_qp_is_damped(monkeypatch):
     spec = replace(spec, K=1, loss_per_factor=spec.loss_per_factor[:1],
                    constraints_per_factor=spec.constraints_per_factor[:1])
     atoms = spec.constraints_per_factor[0]
-    statuses = record_qp_statuses(monkeypatch)
+    metrics = []
+    statuses = record_qp_statuses(monkeypatch, metrics)
     for rows, objective in [(1, 451.934126522431), (3, 841.114849864229)]:
         Z = np.zeros((data.m, 1))
         Z[:rows] = 1.0
         statuses.clear()
+        metrics.clear()
         out = dk.solve_p(spec, data, Z)
-        assert statuses[:2] == ["singular", kernels.SOLVED]
+        # the first model's one solve is damped: its least eigenvalue is rho
+        rho = psolve._PROX_SHARE * float(np.diag(metrics[0].M).max())
+        assert statuses[0] == kernels.SOLVED and metrics[0].w[0] >= 0.5 * rho
         assert kernels.max_violation(atoms, out.thetas[0]) <= 1e-9
         assert out.objective == pytest.approx(objective, rel=1e-9)
+
+
+def test_saturated_binary_logit_models_take_finite_points(monkeypatch):
+    # binary-logit draws at feature scale 1e3 saturate the sigmoid: many of
+    # the model matrices F' diag(w c) F fail the eigenvalue rule, and some
+    # round indefinite, how many depending on the BLAS build, so no count is
+    # asserted. Each model step returns a finite point of its sign box, with
+    # no exception: a model that fails the rule is solved once, damped to
+    # H + rho I, and one with no curvature takes the prox-gradient step
+    metrics = []
+    real = kernels.regularized_qp
+    monkeypatch.setattr(kernels, "regularized_qp", lambda met, *args: metrics.append(met) or real(met, *args))
+    plans = {n: psolve.plan_factors(dk.shared_spec(1, n, dk.binary_logit(), (dk.nonneg(),)))[0] for n in (2, 3, 4)}
+    rng = np.random.default_rng(2002)
+    damped = 0
+    for _ in range(2000):
+        n, m = int(rng.integers(2, 5)), int(rng.integers(5, 40))
+        F = 1e3 * rng.normal(size=(m, n))
+        y = rng.integers(2, size=m).astype(float)
+        plan = plans[n]
+        theta = plan.project(rng.normal(size=n))
+        _, g, H = model.value_grad_hessian(dk.binary_logit(), F, y, theta, rng.uniform(size=m))
+        metrics.clear()
+        first, closer, _ = psolve._model_step(plan, theta, g, H)
+        assert np.isfinite(closer).all() and kernels.max_violation(plan.form.atoms, closer) == 0.0
+        if np.linalg.eigvalsh(H)[-1] <= psolve._MIN_CURVATURE:
+            assert not metrics and closer is first
+        elif not kernels.metric(H).definite:
+            damped += 1
+            rho = psolve._PROX_SHARE * float(np.diag(H).max())
+            (met,) = metrics
+            assert met.definite and np.array_equal(met.M, H + rho * np.eye(n))
+    assert damped > 0
+    # a committed indefinite model, least eigenvalue -5e-10 of the largest,
+    # as the rounded binary-logit matrices above reach: damped, solved once
+    H = np.array([[1.0, 1.0], [1.0, 1.0 - 2e-9]])
+    plan, theta = plans[2], np.array([0.5, 0.25])
+    assert np.linalg.eigvalsh(H)[0] < -1e-12 * 2.0
+    metrics.clear()
+    _, closer, exact = psolve._model_step(plan, theta, np.array([1.0, -1.0]), H)
+    (met,) = metrics
+    assert met.definite and np.array_equal(met.M, H + psolve._PROX_SHARE * np.eye(2))
+    assert np.isfinite(closer).all() and kernels.max_violation(plan.form.atoms, closer) == 0.0 and not exact
 
 
 def test_exact_model_qp_ends_the_newton_step(monkeypatch):
