@@ -70,28 +70,22 @@ def gap(after_p: float, after_f: float) -> float:
 
 
 def _run_restart(spec: model.ModelSpec, data: model.Dataset, restart: int):
-    # weight-0 regularizers are absent: they would otherwise turn a closed-form
-    # P-step into proximal Newton, add an orthant loop or a face-by-face
-    # secular solve to Newton's model QP, and pick the regularized stopping
-    # rule
-    p_regs = tuple(r for r in spec.p_regularizers if r.weight > 0.0)
-    f_regs = tuple(r for r in spec.f_regularizers if r.weight > 0.0)
-    spec = replace(spec, p_regularizers=p_regs, f_regularizers=f_regs)
     c = spec.controls
-    rng = np.random.default_rng(splitmix64(c.seed, restart))
+    seed = splitmix64(c.seed, restart)
     # Fortran order, as loss_matrix returns R: each factor's column of Z is
     # contiguous for the P-step, and the F-steps keep that layout
-    Z = np.asfortranarray(init_factors(data.m, spec.K, rng))
+    Z = np.asfortranarray(init_factors(data.m, spec.K, np.random.default_rng(seed)))
 
-    lam_z = sum(r.weight for r in f_regs if r.kind == model.KL_CHAIN)
-    regularized = bool(p_regs or f_regs)
+    # fit has dropped weight-0 regularizers, and validate admits only KL
+    # chains on the factor side
+    lam_z = sum(r.weight for r in spec.f_regularizers)
+    regularized = bool(spec.p_regularizers or spec.f_regularizers)
 
     plans = psolve.plan_factors(spec)
     thetas = None
     # the factor regularizer changes only in the F-step; carry it forward
-    freg = model.f_regularizer_value(f_regs, Z)
+    freg = lam_z * model.kl_chain_value(Z) if lam_z > 0.0 else 0.0
     trace: list = []
-    prev_total = None
     status = MAX_ITER
     failed_last = False
     for it in range(1, c.max_iter + 1):
@@ -123,11 +117,9 @@ def _run_restart(spec: model.ModelSpec, data: model.Dataset, restart: int):
             if not failed_last and gap(after_p, after_f) <= c.eps:
                 status = GAP_CONVERGED
                 break
-        else:
-            if prev_total is not None and abs(after_f - prev_total) <= c.eps * max(1.0, abs(prev_total)):
-                status = OBJECTIVE_STALLED
-                break
-        prev_total = after_f
+        elif it > 1 and abs(after_f - trace[-2][2]) <= c.eps * max(1.0, abs(trace[-2][2])):
+            status = OBJECTIVE_STALLED
+            break
 
     return FitResult(
         thetas=thetas,
@@ -137,8 +129,17 @@ def _run_restart(spec: model.ModelSpec, data: model.Dataset, restart: int):
         status=status,
         iterations=len(trace),
         restart_index_of_best=restart,
-        seed_used=splitmix64(c.seed, restart),
+        seed_used=seed,
     )
+
+
+def _outcome(run, spec: model.ModelSpec, data: model.Dataset, restart: int):
+    """The FitResult of run(spec, data, restart), or the breakdown that ended
+    it. A pool ships run by name, so its workers run the parent's function."""
+    try:
+        return run(spec, data, restart)
+    except _RESTART_FAILURES as exc:
+        return exc
 
 
 def fit(spec: model.ModelSpec, data: model.Dataset, jobs: int = 1) -> FitResult:
@@ -147,11 +148,13 @@ def fit(spec: model.ModelSpec, data: model.Dataset, jobs: int = 1) -> FitResult:
     The best run is the one with the smallest final objective; finals within
     a relative _TIE_RTOL of it tie, and the smallest restart index wins.
     Restarts are independent, so jobs > 1 may fan them out over processes,
-    at most one per restart and one per CPU, without changing the result. A
-    restart that breaks down in a subsolver or projection, or ends on a
-    non-finite objective, is dropped from the selection. Raises ValueError
-    on validation violations or jobs < 1, and EngineFailure if no restart
-    is left.
+    at most one per restart and one per CPU, without changing the result:
+    both modes run each restart through one path into one outcome list, in
+    restart order. Weight-0 regularizers are dropped once here, before any
+    restart runs. A restart that breaks down in a subsolver or projection,
+    or ends on a non-finite objective, is dropped from the selection. Raises
+    ValueError on validation violations or jobs < 1, and EngineFailure,
+    naming every restart and why it failed, if no restart is left.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
@@ -159,34 +162,28 @@ def fit(spec: model.ModelSpec, data: model.Dataset, jobs: int = 1) -> FitResult:
     if not report.ok:
         lines = "; ".join(f"{v.path}: {v.message}" for v in report.violations)
         raise ValueError(f"invalid spec/data: {lines}")
+    # weight-0 regularizers are absent: they would otherwise turn a closed-form
+    # P-step into proximal Newton, add an orthant loop or a face-by-face
+    # secular solve to Newton's model QP, and pick the regularized stopping
+    # rule
+    spec = replace(spec, p_regularizers=tuple(r for r in spec.p_regularizers if r.weight > 0.0),
+                   f_regularizers=tuple(r for r in spec.f_regularizers if r.weight > 0.0))
 
     restarts = spec.controls.restarts
-    results: list[FitResult | None] = [None] * restarts
-    errors: list[Exception] = []
     if jobs > 1 and restarts > 1:
         # imported here, so that importing the package loads no process-pool modules
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=min(jobs, restarts, os.cpu_count() or 1)) as pool:
-            futures = [pool.submit(_run_restart, spec, data, r) for r in range(restarts)]
-            for r, fut in enumerate(futures):
-                try:
-                    results[r] = fut.result()
-                except _RESTART_FAILURES as exc:
-                    errors.append(exc)
+            futures = [pool.submit(_outcome, _run_restart, spec, data, r) for r in range(restarts)]
+            outcomes = [fut.result() for fut in futures]
     else:
-        for r in range(restarts):
-            try:
-                results[r] = _run_restart(spec, data, r)
-            except _RESTART_FAILURES as exc:
-                errors.append(exc)
+        outcomes = [_outcome(_run_restart, spec, data, r) for r in range(restarts)]
 
-    finals = [
-        res.objective_trace[-1][2] if res is not None and res.objective_trace else np.inf
-        for res in results
-    ]
+    finals = [np.inf if isinstance(o, Exception) else o.objective_trace[-1][2] for o in outcomes]
     best = min((f for f in finals if np.isfinite(f)), default=None)
     if best is None:
-        reason = errors[0] if errors else "no finite final objective"
-        raise EngineFailure(f"all {restarts} restarts failed: {reason}")
-    return next(res for res, f in zip(results, finals) if f <= best + _TIE_RTOL * abs(best))
+        reasons = "; ".join(f"restart {r}: {type(o).__name__}: {o}" if isinstance(o, Exception)
+                            else f"restart {r}: non-finite final objective" for r, o in enumerate(outcomes))
+        raise EngineFailure(f"all {restarts} restarts failed: {reasons}")
+    return next(o for o, f in zip(outcomes, finals) if f <= best + _TIE_RTOL * abs(best))

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import dlfmkit as dk
-from dlfmkit import cli, experiments as ex
+from dlfmkit import cli, engine, experiments as ex
 
 
 MIX_CONFIG = {
@@ -336,6 +336,21 @@ class TestFitCommand:
         assert rising.max() <= 1e-9 and np.diff(rising).min() >= -1e-9
         finals = [v for _, after_p, after_f in result["objective_trace"] for v in (after_p, after_f)]
         assert all(b <= a + 1e-8 * max(1.0, abs(a)) for a, b in zip(finals, finals[1:]))
+
+    def test_every_restart_failing_exits_3(self, tmp_path, mix_files, capsys, monkeypatch):
+        def breaks_down(spec, data, restart):
+            raise dk.SubsolverFailure(0, "empty feasible set")
+
+        monkeypatch.setattr(engine, "_run_restart", breaks_down)
+        cfg, data = mix_files
+        out = tmp_path / "run.json"
+        code = cli.main(["fit", "--config", str(cfg), "--data", str(data), "--out", str(out),
+                         "--restarts", "2", "--jobs", "1", "--quiet"])
+        err = capsys.readouterr().err
+        assert code == 3 and not out.exists()
+        assert err.startswith("error: solver failure: all 2 restarts failed: restart 0: SubsolverFailure")
+        assert "restart 1: SubsolverFailure: factor 0: empty feasible set" in err
+        assert "Traceback" not in err
 
     def test_missing_config_exits_2(self, tmp_path, capsys):
         code = cli.main(["fit", "--config", str(tmp_path / "absent.json"),

@@ -258,16 +258,16 @@ class TestFit:
             dk.fit(spec, data)
 
     def test_zero_weight_regularizers_are_absent(self):
-        # a restart drops them itself: they would otherwise turn the
-        # closed-form P-step into proximal Newton and choose the regularized
-        # stopping rule
+        # fit drops them once, before any restart: they would otherwise turn
+        # the closed-form P-step into proximal Newton and choose the
+        # regularized stopping rule
         rng = np.random.default_rng(4)
         data, _ = two_line_data(rng, m=40, noise=0.1)
         data = dk.dataset(data.features, data.observations, ordered=True)
         plain = dk.shared_spec(K=2, n=2, loss=dk.square_regression(), constraints=())
         zeros = dk.shared_spec(K=2, n=2, loss=dk.square_regression(), constraints=(),
                                p_regularizers=(dk.l1(0.0),), f_regularizers=(dk.kl_chain(0.0),))
-        a, b = engine._run_restart(plain, data, 0), engine._run_restart(zeros, data, 0)
+        a, b = dk.fit(plain, data), dk.fit(zeros, data)
         assert b.status == dk.GAP_CONVERGED
         assert a.objective_trace == b.objective_trace
         assert all(np.array_equal(x, y) for x, y in zip(a.thetas, b.thetas))
@@ -305,6 +305,10 @@ def _first_restart_raises(spec, data, restart):
     return _run_restart(spec, data, restart)
 
 
+def _every_restart_raises(spec, data, restart):
+    raise kernels.ProjectionError("projection subproblem did not converge")
+
+
 def _nan_final(res):
     it, after_p, _ = res.objective_trace[-1]
     res.objective_trace[-1] = (it, after_p, float("nan"))
@@ -339,13 +343,13 @@ class TestRestartFailures:
 
     def test_all_restarts_failing_raises_engine_failure(self, monkeypatch):
         spec, data = self._problem()
-
-        def every_restart_raises(spec, data, restart):
-            raise kernels.ProjectionError("projection subproblem did not converge")
-
-        monkeypatch.setattr(engine, "_run_restart", every_restart_raises)
-        with pytest.raises(dk.EngineFailure, match="did not converge"):
-            dk.fit(spec, data)
+        monkeypatch.setattr(engine, "_run_restart", _every_restart_raises)
+        for jobs in (1, 2):
+            with pytest.raises(dk.EngineFailure, match="did not converge") as info:
+                dk.fit(spec, data, jobs=jobs)
+            # every restart is named with its own reason
+            for r in range(spec.controls.restarts):
+                assert f"restart {r}: ProjectionError: projection subproblem did not converge" in str(info.value)
 
     def test_nan_final_never_wins(self, monkeypatch):
         spec, data = self._problem()

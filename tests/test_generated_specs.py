@@ -5,18 +5,22 @@ n <= 4, 5 <= m < 40 rows, one of the six losses, 0-2 constraint atoms of
 eight kinds drawn around a known point that they all contain, l1, group l2
 and a KL chain each at 30%, and features at a scale from 1e-3 to 1e3. Every
 such spec must fit: no EngineFailure, thetas in their sets and a monotone
-objective trace. Examples are derandomized, so every run of the suite draws
-the same ones.
+objective trace. A fit must not depend on its process pool, must not beat
+the exhaustive optimum where one is computable, and must read the same
+through `dlfmkit fit`. Examples are derandomized, so every run of the suite
+draws the same ones.
 """
+
+import json
 
 import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 import dlfmkit as dk  # noqa: E402
-from dlfmkit import kernels, model  # noqa: E402
+from dlfmkit import cli, kernels, model  # noqa: E402
 
 LOSSES = (dk.square_regression(), dk.lp_regression(1.0), dk.huber(1.0), dk.squared_distance(),
           dk.binary_logit(), dk.multinomial_logit())
@@ -107,3 +111,97 @@ def test_generated_specs_fit(seed):
     assert model.validate(spec, data).ok
     res = dk.fit(spec, data)  # raises EngineFailure if every restart breaks down
     assert check_fit(spec, res) == []
+
+
+def _fit_or_failure(spec, data, jobs):
+    try:
+        return dk.fit(spec, data, jobs=jobs)
+    except dk.EngineFailure as exc:
+        return str(exc)
+
+
+def assert_same_ending(spec, data):
+    """jobs=1 and jobs=2 return byte-equal fits, or fail with one message."""
+    seq, par = (_fit_or_failure(spec, data, jobs) for jobs in (1, 2))
+    if isinstance(seq, str) or isinstance(par, str):
+        assert seq == par
+        return
+    assert (seq.status, seq.iterations, seq.restart_index_of_best) == (par.status, par.iterations,
+                                                                       par.restart_index_of_best)
+    assert seq.objective_trace == par.objective_trace
+    assert seq.Z.tobytes() == par.Z.tobytes()
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(seq.thetas, par.thetas))
+
+
+# in draw 200769 a multinomial model flat below _MIN_CURVATURE takes a
+# prox-gradient step to about 1e15, where the polyhedral projection gives up
+# in both restarts; once it does not, both modes must still fit alike
+@example(seed=200769)
+@settings(max_examples=6, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_pool_matches_sequential(seed):
+    assert_same_ending(*random_case(np.random.default_rng(seed)))
+
+
+# K**m assignments, each solved exactly per factor: a K=2, m=12 draw with a
+# polyhedron (4,096 assignments) takes seconds
+BRUTE_FORCE_CAP = 1024
+
+
+def _brute_forceable(spec, data):
+    return (not spec.p_regularizers and not spec.f_regularizers
+            and spec.loss_per_factor[0].kind in (model.SQUARE_REGRESSION, model.SQUARED_DISTANCE)
+            and all(a.kind != model.NORM_BALL2 for a in spec.constraints_per_factor[0])
+            and spec.K ** data.m <= BRUTE_FORCE_CAP)
+
+
+def test_fit_never_beats_brute_force():
+    # the first 40 draws, by seed, that brute_force_fit can enumerate: a fit
+    # is a feasible assignment, so its final objective is at least the optimum
+    checked, seed = [], 0
+    while len(checked) < 40:
+        spec, data = random_case(np.random.default_rng(seed))
+        if _brute_forceable(spec, data):
+            opt = dk.brute_force_fit(spec, data).optimum
+            final = dk.fit(spec, data).objective_trace[-1][2]
+            checked.append((seed, spec.K, (opt - final) / max(1.0, abs(opt))))
+        seed += 1
+    assert any(K > 1 for _, K, _ in checked)
+    assert max(short for *_, short in checked) <= 1e-12, checked
+
+
+def _config(spec, data):
+    """The `dlfmkit fit` config of a spec whose factors share their atoms."""
+    def atom(a, keys):
+        return {"kind": a.kind, **{key: np.asarray(getattr(a, key)).tolist() for key in keys}}
+
+    def regs(atoms):
+        return [{"kind": r.kind, "weight": r.weight} for r in atoms]
+
+    loss, c = spec.loss_per_factor[0], spec.controls
+    return {
+        "schema_version": 1,
+        "model": {
+            "K": spec.K, "n": spec.n,
+            "loss": atom(loss, cli._LOSS_KEYS.get(loss.kind, ())),
+            "constraints": [atom(a, cli._CONSTRAINT_KEYS.get(a.kind, ())) for a in spec.constraints_per_factor[0]],
+            "p_regularizers": regs(spec.p_regularizers),
+            "f_regularizers": regs(spec.f_regularizers),
+        },
+        "controls": {"restarts": c.restarts, "max_iter": c.max_iter, "seed": c.seed},
+        "data": {"ordered": data.ordered},
+    }
+
+
+@pytest.mark.parametrize("seed", [
+    50,  # multinomial logit on matrix features, monotone and nonpos, group l2, KL chain
+    69,  # squared distance in a ball cut by a polyhedron, group l2
+])
+def test_cli_fit_matches_library(tmp_path, seed):
+    spec, data = random_case(np.random.default_rng(seed))
+    cfg, csv, out = tmp_path / "cfg.json", tmp_path / "data.csv", tmp_path / "run.json"
+    cfg.write_text(json.dumps(_config(spec, data)))
+    cli.write_csv_dataset(str(csv), data)
+    code = cli.main(["fit", "--config", str(cfg), "--data", str(csv), "--out", str(out), "--quiet"])
+    assert code == 0
+    assert json.loads(out.read_text())["result"]["objective"] == dk.fit(spec, data).objective_trace[-1][2]
